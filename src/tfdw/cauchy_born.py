@@ -216,11 +216,12 @@ def build_cb_table(
     march_opts = SolveOptions(**{**opts.__dict__, "c_nu": c_nu})
 
     entries = {0: (anchor, report.global_gap)}
+    dudh = {0: solve_du_dh(anchor)}  # one du/dh per sample: predictor and table
     for direction in (+1, -1):
         prev = anchor
         for k in range(1, n_steps + 1):
             h_new = direction * k * step
-            dudh_prev = solve_du_dh(prev)
+            dudh_prev = dudh[direction * (k - 1)]
             dh = h_new - prev.h_value
             predictor = State(
                 ScalarField(grid, prev.state.nu_plus.values + dh * dudh_prev.nu_plus.values),
@@ -266,6 +267,7 @@ def build_cb_table(
                     )
                 gap = rep.global_gap
             entries[direction * k] = (sol, gap)
+            dudh[direction * k] = solve_du_dh(sol)
             prev = sol
 
     order = sorted(entries.keys())
@@ -275,13 +277,12 @@ def build_cb_table(
     vol = lattice.volume
     E = np.array([energy_supercell(s.state, s.h_value).total / vol for s in solutions])
     m = np.array([s.grid.integrate(s.state.m_values()) for s in solutions])
-    dudh = [solve_du_dh(s) for s in solutions]
     return CBTable(
         lattice=lattice,
         grid=grid,
         h_samples=h_samples,
         solutions=solutions,
-        dudh=dudh,
+        dudh=[dudh[k] for k in order],
         E_CB=E,
         m_tot=m,
         gaps=gaps,

@@ -23,7 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import eigh
+from scipy.optimize import brentq, minimize
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import EigensolverError, StructuralError
@@ -185,14 +186,20 @@ class FiberOperator:
     ``wrap=False`` keeps the given quasimomentum as-is; needed when xi must
     match the mode window of a containing supercell exactly (see
     commensurate_xis).
+
+    The fiber's -Lap/(8 pi) block is negative definite, so by Haynsworth
+    inertia a stable fiber (positive Schur complement) has exactly N
+    negative eigenvalues, N the number of grid points.  The eigenvalue
+    nearest zero is then lambda_{N-1} or lambda_N, and two eigenpairs
+    certify the fiber.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
         if not op.grid.is_cell:
             raise StructuralError("fibers require a cell-periodic base state")
         self.grid = op.grid
+        self.n_points = N = op.n_points
         self.xi = wrap_to_zone(self.grid, xi) if wrap else np.asarray(xi, dtype=float)
-        N = op.n_points
         T = _dense_kinetic(self.grid, self.xi)
         H = np.zeros((3 * N, 3 * N), dtype=complex)
         H[:N, :N] = T + np.diag(op.F_plus.ravel())
@@ -206,26 +213,51 @@ class FiberOperator:
         H[2 * N :, N : 2 * N] = dm
         self.matrix = H
         self._eigvals = None
+        self.n_negative = None
 
     def eigenvalues(self):
         if self._eigvals is None:
             self._eigvals = np.linalg.eigvalsh(self.matrix)
         return self._eigvals
 
+    def eigenvalue(self, index):
+        """The index-th smallest eigenvalue alone."""
+        return float(eigh(self.matrix, eigvals_only=True, subset_by_index=[index, index])[0])
+
     def gap(self):
-        return float(np.min(np.abs(self.eigenvalues())))
+        return abs(self.min_eigenpair()[0])
 
     def min_eigenpair(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        self._eigvals = vals
+        """Eigenpair nearest zero, from the pair (lambda_{N-1}, lambda_N)
+        when it straddles zero, else from the full spectrum; records the
+        number of negative eigenvalues as ``n_negative``."""
+        N = self.n_points
+        vals, vecs = eigh(self.matrix, driver="evr", subset_by_index=[N - 1, N])
+        if vals[0] < 0.0 <= vals[1]:
+            self.n_negative = N
+        else:
+            vals, vecs = np.linalg.eigh(self.matrix)
+            self._eigvals = vals
+            self.n_negative = int(np.count_nonzero(vals < 0.0))
         i = int(np.argmin(np.abs(vals)))
         return float(vals[i]), vecs[:, i]
 
-    def analyze(self, n_points):
-        """One eigensolve: (gap, signed eigenvalue, sdw, cdw characters)."""
-        val, vec = self.min_eigenpair()
-        sdw, cdw = channel_characters(vec, n_points)
-        return abs(val), val, sdw, cdw
+    def eigenvalue_gradient(self, vec):
+        """Hellmann-Feynman gradient in xi of a simple eigenvalue with unit
+        eigenvector ``vec``: v^H (dH/dxi_a) v, where dH/dxi_a is
+        blockdiag(1, 1, -1/(8 pi)) times U^H diag(2 (k_a + xi_a)) U."""
+        g = self.grid
+        w = np.fft.fftn(vec.reshape((3,) + g.shape), axes=(1, 2, 3)) / np.sqrt(self.n_points)
+        p = np.abs(w) ** 2
+        weight = p[0] + p[1] - p[2] / EIGHT_PI
+        return np.array([2.0 * np.sum((g.k_cart[a] + self.xi[a]) * weight) for a in range(3)])
+
+    def record(self, val, vec):
+        """FiberRecord of the eigenpair (val, vec) from min_eigenpair."""
+        sdw, cdw = channel_characters(vec, self.n_points)
+        return FiberRecord(
+            tuple(np.asarray(self.xi, dtype=float)), abs(val), val, sdw, cdw, self.n_negative
+        )
 
 
 def fiber(op: LinearizedOperator, xi, wrap=True) -> FiberOperator:
@@ -306,6 +338,7 @@ class FiberRecord:
     eigenvalue: float
     sdw: float
     cdw: float
+    n_negative: int
 
     @property
     def character(self):
@@ -345,6 +378,7 @@ class StabilityReport:
                         "sdw": r.sdw,
                         "cdw": r.cdw,
                         "class": r.character,
+                        "n_negative": r.n_negative,
                     }
                     for r in self.fiber_records
                 ],
@@ -418,9 +452,13 @@ def stability_scan(
     character_cutoff=SDW_CHANNEL_CUTOFF,
     threads=1,
 ) -> StabilityReport:
-    """Scan fibers over the zone, optionally refining the minimal gap by a
-    local search (catches eigenvalue branches crossing zero between samples),
-    and classify an instability by the eigenvector character at the minimum.
+    """Scan fibers over the zone, optionally refining the minimal gap, and
+    classify an instability by the eigenvector character at the minimum.
+
+    Refinement first looks for an eigenvalue branch crossing zero between
+    samples: if the scan holds fibers of both inertias, the crossing between
+    the closest such pair is the refined point.  Otherwise BFGS descends
+    |lambda| from the sampled minimum with the Hellmann-Feynman gradient.
 
     Fibers are independent; with ``threads > 1`` they are solved on a pool
     and merged back in xi order.
@@ -429,14 +467,12 @@ def stability_scan(
     if not grid.is_cell:
         raise StructuralError("stability_scan needs a cell-periodic state")
     op = LinearizedOperator(state, h)
-    N = op.n_points
     if xi_grid is None:
         xi_grid = monkhorst_pack(grid.lattice, (2, 2, 2))
 
     def analyze_one(xi):
         f = FiberOperator(op, xi)
-        gap, val, sdw, cdw = f.analyze(N)
-        return FiberRecord(tuple(np.asarray(f.xi, dtype=float)), gap, val, sdw, cdw)
+        return f.record(*f.min_eigenpair())
 
     if threads > 1 and len(xi_grid) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -452,29 +488,12 @@ def stability_scan(
     refined_gap = None
 
     if refine:
-        B = grid.lattice.reciprocal_vectors
-
-        def objective(t):
-            return FiberOperator(op, B.T @ t).gap()
-
-        t0 = np.linalg.solve(B.T, np.asarray(min_record.xi))
-        result = minimize(
-            objective,
-            t0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": refine_maxiter,
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-                "disp": False,
-            },
-        )
-        if result.fun < global_gap:
-            refined_xi = tuple(wrap_to_zone(grid, B.T @ result.x))
-            refined_gap = float(result.fun)
+        candidate = _inertia_crossing(op, records) or _descend(op, min_record, refine_maxiter)
+        if candidate.gap < global_gap:
+            refined_xi = tuple(wrap_to_zone(grid, candidate.xi))
+            refined_gap = candidate.gap
             global_gap = refined_gap
-            _, val, sdw, cdw = FiberOperator(op, refined_xi).analyze(N)
-            min_record = FiberRecord(refined_xi, refined_gap, val, sdw, cdw)
+            min_record = candidate
 
     if global_gap >= threshold:
         classification = "stable"
@@ -506,3 +525,43 @@ def stability_scan(
         refined_xi=refined_xi,
         refined_gap=refined_gap,
     )
+
+
+def _inertia_crossing(op: LinearizedOperator, records):
+    """Zero crossing between the closest pair of sampled fibers with N and
+    with another number of negative eigenvalues: brentq along the unwrapped
+    segment on the eigenvalue whose sign differs at its ends.  None when
+    every sample has the same inertia class."""
+    N = op.n_points
+    pairs = [(a, b) for a in records if a.n_negative == N for b in records if b.n_negative != N]
+    if not pairs:
+        return None
+    a, b = min(pairs, key=lambda p: np.linalg.norm(np.subtract(p[1].xi, p[0].xi)))
+    index = N if b.n_negative > N else N - 1
+    start, step = np.asarray(a.xi), np.subtract(b.xi, a.xi)
+    s = brentq(
+        lambda s: FiberOperator(op, start + s * step, wrap=False).eigenvalue(index),
+        0.0,
+        1.0,
+        xtol=1e-15,
+    )
+    f = FiberOperator(op, start + s * step, wrap=False)
+    return f.record(*f.min_eigenpair())
+
+
+def _descend(op: LinearizedOperator, start: FiberRecord, maxiter):
+    """BFGS on |lambda| over fractional quasimomentum t (xi = B^T t) from a
+    sampled fiber; the gradient is sign(lambda) B dlambda/dxi.  Returns the
+    record of the smallest gap evaluated."""
+    B = op.grid.lattice.reciprocal_vectors
+    evaluated = []
+
+    def objective(t):
+        f = FiberOperator(op, B.T @ t)
+        val, vec = f.min_eigenpair()
+        evaluated.append(f.record(val, vec))
+        return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
+
+    t0 = np.linalg.solve(B.T, np.asarray(start.xi))
+    minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": 1e-6})
+    return min(evaluated, key=lambda r: r.gap)

@@ -180,3 +180,24 @@ def test_table_save_load_roundtrip(tmp_path, cb_table):
     lines = (tmp_path / "curves.csv").read_text().strip().split("\n")
     assert lines[0] == "h,E_CB,m_tot"
     assert len(lines) == len(cb_table.h_samples) + 1
+
+
+def test_table_solves_du_dh_once_per_sample(lattice_mod, monkeypatch):
+    made = []
+    solve = cb.solve_du_dh
+
+    def counted(sol):
+        made.append(sol)
+        return solve(sol)
+
+    monkeypatch.setattr(cb, "solve_du_dh", counted)
+    table = cb.build_cb_table(
+        lattice_mod, GridSpec((8, 4, 4)), h_range=0.025, step=0.0125, opts=SolveOptions()
+    )
+    assert len(made) == len(table.solutions) == 5
+    assert sorted(id(s) for s in made) == sorted(id(s) for s in table.solutions)
+    for sol, du in zip(table.solutions, table.dudh):
+        again = solve(sol)
+        for tag in ("nu_plus", "nu_minus", "V"):
+            assert getattr(du, tag).values.tobytes() == getattr(again, tag).values.tobytes()
+        assert du.gauge == again.gauge

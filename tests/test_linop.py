@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfdw import jellium
+from tfdw import jellium, linop
 from tfdw.errors import StructuralError
 from tfdw.grids import (
     Grid,
@@ -166,6 +166,7 @@ def test_stability_report_serialization():
 
     payload = json.loads(report.to_json())
     assert payload["classification"] == "stable"
+    assert [f["n_negative"] for f in payload["fibers"]] == [grid.total_points] * len(report.fiber_records)
     lines = report.fibers_csv().strip().split("\n")
     assert lines[0] == "xi1,xi2,xi3,gap,class"
     assert len(lines) == len(report.fiber_records) + 1
@@ -314,3 +315,102 @@ def test_stability_scan_threaded_matches_serial():
     threaded = stability_scan(state, 0.0, xi_grid=xis, refine=False, threads=4)
     assert serial.global_gap == threaded.global_gap
     assert [r.gap for r in serial.fiber_records] == [r.gap for r in threaded.fiber_records]
+
+
+# -- fiber kernels: subset eigensolve, inertia, Hellmann-Feynman gradient --------
+
+
+def sheared_state(rng):
+    lat = LatticeSpec(
+        [[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]], 2.0, [((1, 0, 0), 0.2)]
+    )
+    grid = Grid(lat, GridSpec((4, 4, 4)))
+    base = np.sqrt(lat.Z / (2 * lat.volume))
+    V = random_smooth_field(grid, rng, 0.2, 1)
+    return State(
+        ScalarField(grid, base + 0.1 * random_smooth_field(grid, rng, 1.0, 1)),
+        ScalarField(grid, base + 0.1 * random_smooth_field(grid, rng, 1.0, 1)),
+        ScalarField(grid, V - np.mean(V)),
+        -0.3,
+    )
+
+
+def test_fiber_gradient_matches_central_differences(rng):
+    op = LinearizedOperator(sheared_state(rng), 0.05)
+    B = op.grid.lattice.reciprocal_vectors
+    xi = B.T @ np.array([-0.4, 0.2, 0.1])
+    f = FiberOperator(op, xi)
+    val, vec = f.min_eigenpair()
+    index = int(np.argmin(np.abs(np.linalg.eigvalsh(f.matrix))))
+    grad = f.eigenvalue_gradient(vec)
+    step = 1e-4
+    fd = np.array(
+        [
+            (
+                FiberOperator(op, xi + step * e).eigenvalue(index)
+                - FiberOperator(op, xi - step * e).eigenvalue(index)
+            )
+            / (2 * step)
+            for e in np.eye(3)
+        ]
+    )
+    assert np.max(np.abs(grad)) > 0.1  # a nontrivial slope
+    assert np.max(np.abs(grad - fd)) <= 1e-6
+
+
+def test_min_eigenpair_two_eigenpairs_match_full_spectrum(cell_solution):
+    op = LinearizedOperator(cell_solution.state, 0.0)
+    xi = cell_solution.grid.lattice.reciprocal_vectors.T @ np.array([0.25, -0.25, 0.25])
+    f = FiberOperator(op, xi)
+    val, vec = f.min_eigenpair()
+    assert f._eigvals is None  # the subset solve sufficed
+    assert f.n_negative == op.n_points
+    vals, vecs = np.linalg.eigh(f.matrix)
+    i = int(np.argmin(np.abs(vals)))
+    assert val == pytest.approx(vals[i], rel=1e-12)
+    assert abs(np.vdot(vec, vecs[:, i])) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_min_eigenpair_falls_back_on_unstable_fiber():
+    # below the spin-wave threshold the Gamma fiber has one extra negative
+    # eigenvalue, so the pair (N-1, N) does not straddle zero
+    _, _, op = jellium_op(0.2)
+    f = FiberOperator(op, (0.0, 0.0, 0.0))
+    val, _ = f.min_eigenpair()
+    assert f.n_negative == op.n_points + 1
+    full = np.linalg.eigvalsh(f.matrix)
+    assert np.count_nonzero(full < 0) == op.n_points + 1
+    assert abs(val) == pytest.approx(np.min(np.abs(full)), rel=1e-12)
+
+
+def test_inertia_crossing_found_between_samples():
+    params = jellium.JelliumParams(0.2)
+    lat = jellium.jellium_lattice(params)
+    grid = Grid(lat, GridSpec((4, 4, 4)))
+    xis = monkhorst_pack(lat, (3, 3, 3))
+    report = stability_scan(jellium.jellium_state(params, grid), 0.0, xi_grid=xis, refine=True)
+    assert report.classification == "sdw_unstable"
+    assert report.refined_gap < 1e-10
+    nearest = min(np.linalg.norm(xi) for xi in xis if np.linalg.norm(xi) > 0)
+    assert 0.0 < np.linalg.norm(report.refined_xi) < nearest
+    counts = {r.n_negative for r in report.fiber_records}
+    assert counts == {grid.total_points, grid.total_points + 1}
+
+
+def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
+    # workhorse anchor: zone-grid minimum 0.5977276017707; the converged
+    # local minimum 0.592052552178 lies near t = (-0.3962, 0, 0)
+    calls = []
+    for name in ("min_eigenpair", "eigenvalues", "eigenvalue"):
+        method = getattr(FiberOperator, name)
+
+        def counted(*args, method=method):
+            calls.append(1)
+            return method(*args)
+
+        monkeypatch.setattr(FiberOperator, name, counted)
+    report = stability_scan(cell_solution.state, 0.0, refine=True)
+    assert len(calls) <= 25
+    assert report.refined_gap <= 0.5977276017707
+    assert report.refined_gap == pytest.approx(0.592052552178, rel=5e-6)
+    assert report.classification == "stable"
