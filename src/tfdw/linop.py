@@ -453,7 +453,10 @@ def stability_scan(
     threads=1,
 ) -> StabilityReport:
     """Scan fibers over the zone, optionally refining the minimal gap, and
-    classify an instability by the eigenvector character at the minimum.
+    classify an instability by the eigenvector character of the failing
+    fibers: those with a gap below ``threshold`` and those whose number of
+    negative eigenvalues is not N.  A scan with such an inertia is never
+    ``stable``, even when every sampled gap clears the threshold.
 
     Refinement first looks for an eigenvalue branch crossing zero between
     samples: if the scan holds fibers of both inertias, the crossing between
@@ -495,14 +498,15 @@ def stability_scan(
             global_gap = refined_gap
             min_record = candidate
 
-    if global_gap >= threshold:
+    # a fiber fails by a gap below the threshold or by an inertia other than
+    # N, which a stable state never shows (see FiberOperator)
+    failing = [
+        r for r in records + [min_record] if r.gap < threshold or r.n_negative != op.n_points
+    ]
+    if not failing:
         classification = "stable"
     else:
-        tags = {
-            classify_character(r.sdw, r.cdw, character_cutoff)
-            for r in records + [min_record]
-            if r.gap < threshold
-        }
+        tags = {classify_character(r.sdw, r.cdw, character_cutoff) for r in failing}
         if tags >= {"sdw", "cdw"}:
             classification = "both"
         elif "sdw" in tags:
@@ -511,9 +515,9 @@ def stability_scan(
             classification = "cdw_unstable"
         else:
             # no dominant channel at the cutoff: fall back to the larger one
-            classification = (
-                "sdw_unstable" if min_record.sdw >= min_record.cdw else "cdw_unstable"
-            )
+            # at the smallest failing gap
+            worst = min(failing, key=lambda r: r.gap)
+            classification = "sdw_unstable" if worst.sdw >= worst.cdw else "cdw_unstable"
 
     global_gap = max(global_gap, 1e-300)
     return StabilityReport(

@@ -19,12 +19,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg, minres
+from scipy.sparse.linalg import minres
 
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .fieldio import atomic_write_text
 from .grids import Grid, HField, ScalarField, State, as_h_values, random_smooth_field
-from .linop import LinearizedOperator
+from .linop import DENSE_CUTOFF, LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
 
 
@@ -35,7 +35,7 @@ class NewtonOptions:
     inner_factor: float = 0.01          # inner tolerance relative to the outer target
     inner_maxiter: int = 4000
     refresh_jacobian: bool = False      # re-linearize each step (off: frozen)
-    check_gap: bool = False             # rough LOBPCG gap estimate before iterating
+    check_gap: bool = False             # gap of the frozen operator before iterating
     gap_threshold: float = 1e-6
     gap_iters: int = 30
     seed: int = 0
@@ -108,25 +108,12 @@ def state_distance(a: State, b: State, order=2):
     return float(np.sqrt(sum(grid.hk_norm(d, order) ** 2 for d in diffs)))
 
 
-def estimate_gap(op: LinearizedOperator, seed=0, iters=30):
-    """Cheap LOBPCG estimate of dist(0, spec): an over-estimate that tightens
-    with iterations; used only as a precondition check."""
-    A = op.as_linear_operator()
-
-    def mv(x):
-        return A @ (A @ x)
-
-    from scipy.sparse.linalg import LinearOperator
-
-    A2 = LinearOperator((op.n_dof, op.n_dof), matvec=mv, dtype=float)
-    M = op.preconditioner(squared=True)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((op.n_dof, 2))
-    try:
-        vals, _ = lobpcg(A2, X, M=M, tol=1e-10, maxiter=iters, largest=False)
-        return float(np.sqrt(max(float(np.min(vals)), 0.0)))
-    except Exception:
-        return None
+def estimate_gap(op: LinearizedOperator, seed=0, iters=30, dense_cutoff=DENSE_CUTOFF):
+    """Gap of the frozen operator for the precondition check: exact from a
+    dense eigensolve below ``dense_cutoff`` unknowns, otherwise seeded LOBPCG
+    on the squared operator (``linop.spectral_gap``) with at most ``iters``
+    iterations; an unconverged solve raises ``EigensolverError``."""
+    return spectral_gap(op, seed=seed, maxiter=iters, dense_cutoff=dense_cutoff)
 
 
 def newton_solve(
@@ -156,9 +143,9 @@ def newton_solve(
     trace = NewtonTrace()
     if opts.check_gap:
         trace.gap_estimate = estimate_gap(op, opts.seed, opts.gap_iters)
-        if trace.gap_estimate is not None and trace.gap_estimate < opts.gap_threshold:
+        if trace.gap_estimate < opts.gap_threshold:
             raise StabilityGapError(
-                f"estimated gap {trace.gap_estimate:.3e} of the frozen operator is "
+                f"gap {trace.gap_estimate:.3e} of the frozen operator is "
                 f"below the threshold {opts.gap_threshold:.1e}"
             )
 

@@ -12,7 +12,11 @@ slow derivatives of the field to h-derivatives of the map:
 Because every right-hand side depends on the slow position only through
 h(x), grad h(x) and hess h(x), the cell solves are performed once per
 distinct sampled field value and recombined with scalar macro factors; slow
-derivatives of the field are analytic.  The assembled state
+derivatives of the field are analytic.  The solves at a field value do not
+depend on eps either, so a sweep over supercell factors shares one memo of
+samples and factorizes each distinct value once for the whole sweep.  One
+factorization is held at a time: all six solves of a sample run on its LU
+before the next sample is factorized.  The assembled state
 
     u0(x) = u_cb(x; h(eps x)) + eps u1 + eps^2 u2
 
@@ -71,27 +75,6 @@ class CorrectorSet:
     @property
     def cell_grid(self):
         return self.table.grid
-
-    @property
-    def first_order(self):
-        return {a: np.array([s.w[a] for s in self.samples]) for a in self.active_axes}
-
-    @property
-    def second_order(self):
-        return {
-            p: (
-                np.array([s.P[p] for s in self.samples]),
-                np.array([s.Q[p] for s in self.samples]),
-            )
-            for p in self.active_pairs
-        }
-
-    @property
-    def macro_derivative_data(self):
-        out = {"dudh": np.array([s.X1 for s in self.samples])}
-        if self.complete:
-            out["d2udh2"] = np.array([s.X2 for s in self.samples])
-        return out
 
     def max_solve_residual(self):
         return max((s.solve_residual for s in self.samples), default=0.0)
@@ -228,26 +211,61 @@ def _macro_layout(table: CBTable, h_field: HField, grid: Grid, eps: float):
     return uniq, inverse, micro
 
 
-def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Grid) -> CorrectorSet:
-    """Per-sample first-order solves (unit macro gradient along each active
-    axis); includes du/dh as the macro derivative data."""
+def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
+    """All six solves at one field value on a single factorization: du/dh,
+    the first-order unit solves, d^2u/dh^2, dw/dh and the pair solves.  The
+    factorization is released when this returns."""
+    ctx = _CellContext(table, h)
+    N = ctx.N
+    residuals = []
+
+    def solve(rhs):
+        x, r = ctx.solve(rhs)
+        residuals.append(r)
+        return x
+
+    X1 = solve(np.concatenate([ctx.nup.ravel(), -ctx.num.ravel(), np.zeros(N)]))
+    sample = SampleSolves(h=h, u=ctx.u, X1=X1)
+    for a in axes:
+        sample.w[a] = solve(first_order_sources(ctx, X1, a))
+    # d^2 u / d h^2: differentiate the du/dh system once more
+    p_plus, p_minus, _ = ctx.split(X1)
+    rhs = np.concatenate([p_plus.ravel(), -p_minus.ravel(), np.zeros(N)])
+    sample.X2 = solve(rhs - ctx.dh_operator_apply(X1, X1))
+    # dw/dh per axis: d(rhs)/dh - (dL/dh) w
+    for a in axes:
+        rhs = first_order_sources(ctx, sample.X2, a) - ctx.dh_operator_apply(X1, sample.w[a])
+        sample.Y[a] = solve(rhs)
+    for pair in pairs:
+        A, B = second_order_sources(ctx, sample, *pair)
+        sample.P[pair] = solve(A)
+        sample.Q[pair] = solve(B)
+    sample.solve_residual = max(residuals)
+    return sample
+
+
+def first_order_correctors(
+    table: CBTable, h_field: HField, eps: float, grid: Grid, samples: dict | None = None
+) -> CorrectorSet:
+    """Per-sample cell solves at every distinct sampled field value.
+
+    Each sample carries all its solves, second order included; the set is
+    marked complete by ``second_order_correctors``.  ``samples`` memoizes
+    them by (rounded field value, active axes): a sweep that passes one dict
+    to every supercell factor solves each field value once.  Threads may
+    share the dict: two that miss the same key at once both solve it, to the
+    same result, so the race costs time only."""
     uniq, inverse, micro = _macro_layout(table, h_field, grid, eps)
     axes = h_field.active_axes(grid, eps)
     pairs = [(a, b) for a in axes for b in axes]
-    samples = []
-    for h in uniq:
-        ctx = _CellContext(table, float(h))
-        N = ctx.N
-        X1, r1 = ctx.solve(
-            np.concatenate([ctx.nup.ravel(), -ctx.num.ravel(), np.zeros(N)])
-        )
-        sample = SampleSolves(h=float(h), u=ctx.u, X1=X1, solve_residual=r1)
-        for a in axes:
-            w, r = ctx.solve(first_order_sources(ctx, X1, a))
-            sample.w[a] = w
-            sample.solve_residual = max(sample.solve_residual, r)
-        sample._ctx = ctx  # kept for the second-order stage
-        samples.append(sample)
+    if samples is None:
+        samples = {}
+    solved = []
+    for h in map(float, uniq):
+        key = (h, tuple(axes))
+        if key not in samples:
+            samples[key] = _solve_sample(table, h, axes, pairs)
+        solved.append(samples[key])
     return CorrectorSet(
         table=table,
         h_field=h_field,
@@ -256,7 +274,7 @@ def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Gr
         macro_samples=uniq,
         inverse=inverse,
         micro=micro,
-        samples=samples,
+        samples=solved,
         active_axes=axes,
         active_pairs=pairs,
         complete=False,
@@ -264,36 +282,8 @@ def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Gr
 
 
 def second_order_correctors(cs: CorrectorSet) -> CorrectorSet:
-    """Complete the set with d^2u/dh^2, dw/dh and the pair solves."""
-    for sample in cs.samples:
-        ctx = getattr(sample, "_ctx", None) or _CellContext(cs.table, sample.h)
-        N = ctx.N
-        # d^2 u / d h^2: differentiate the du/dh system once more
-        rhs = np.concatenate(
-            [
-                ctx.split(sample.X1)[0].ravel(),
-                -ctx.split(sample.X1)[1].ravel(),
-                np.zeros(N),
-            ]
-        ) - ctx.dh_operator_apply(sample.X1, sample.X1)
-        X2, r = ctx.solve(rhs)
-        sample.X2 = X2
-        sample.solve_residual = max(sample.solve_residual, r)
-        # dw/dh per axis: d(rhs)/dh - (dL/dh) w
-        for a in cs.active_axes:
-            rhs = first_order_sources(ctx, X2, a) - ctx.dh_operator_apply(sample.X1, sample.w[a])
-            Y, r = ctx.solve(rhs)
-            sample.Y[a] = Y
-            sample.solve_residual = max(sample.solve_residual, r)
-        for pair in cs.active_pairs:
-            A, B = second_order_sources(ctx, sample, *pair)
-            P, rp = ctx.solve(A)
-            Q, rq = ctx.solve(B)
-            sample.P[pair] = P
-            sample.Q[pair] = Q
-            sample.solve_residual = max(sample.solve_residual, rp, rq)
-        if hasattr(sample, "_ctx"):
-            del sample._ctx
+    """Mark the set complete: the second-order solves (d^2u/dh^2, dw/dh and
+    the pair solves) already ran with the first-order ones."""
     cs.complete = True
     return cs
 
@@ -357,11 +347,19 @@ def assemble_u0(cs: CorrectorSet, eps: float = None, grid: Grid = None, include_
     )
 
 
-def build_u0(table: CBTable, h_field: HField, grid: Grid, eps: float = None, include_second=True):
-    """Convenience pipeline: correctors plus assembled state."""
+def build_u0(
+    table: CBTable,
+    h_field: HField,
+    grid: Grid,
+    eps: float = None,
+    include_second=True,
+    samples: dict | None = None,
+):
+    """Convenience pipeline: correctors plus assembled state.  ``samples`` is
+    the per-sweep memo of ``first_order_correctors``."""
     if eps is None:
         eps = 1.0 / max(grid.spec.supercell)
-    cs = first_order_correctors(table, h_field, eps, grid)
+    cs = first_order_correctors(table, h_field, eps, grid, samples)
     if include_second:
         cs = second_order_correctors(cs)
     return assemble_u0(cs, include_second=include_second), cs

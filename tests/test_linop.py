@@ -397,6 +397,20 @@ def test_inertia_crossing_found_between_samples():
     assert counts == {grid.total_points, grid.total_points + 1}
 
 
+def test_unrefined_scan_classifies_by_inertia():
+    # every sampled gap clears the threshold (minimum 0.0441), but the Gamma
+    # fiber has N+1 negative eigenvalues: the state is not stable
+    params = jellium.JelliumParams(0.2)
+    lat = jellium.jellium_lattice(params)
+    grid = Grid(lat, GridSpec((4, 4, 4)))
+    xis = monkhorst_pack(lat, (3, 3, 3))
+    report = stability_scan(jellium.jellium_state(params, grid), 0.0, xi_grid=xis, refine=False)
+    assert report.global_gap == pytest.approx(0.0441, abs=1e-4)
+    assert report.global_gap > report.threshold
+    assert {r.n_negative for r in report.fiber_records} == {grid.total_points, grid.total_points + 1}
+    assert report.classification == "sdw_unstable"
+
+
 def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
     # workhorse anchor: zone-grid minimum 0.5977276017707; the converged
     # local minimum 0.592052552178 lies near t = (-0.3962, 0, 0)

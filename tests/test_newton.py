@@ -1,13 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
+from tfdw.errors import EigensolverError
 from tfdw.grids import Grid, GridSpec, HField, ScalarField, State, random_smooth_field
+from tfdw.linop import LinearizedOperator
 from tfdw.newton import (
     NewtonOptions,
+    estimate_gap,
     newton_solve,
     operator_drift,
     state_distance,
@@ -148,9 +152,31 @@ def test_gap_precondition_estimate(cb_table):
     h = HField(0.0, [((1, 0, 0), 0.06)])
     u0, _ = ts.build_u0(cb_table, h, grid, 0.25)
     h_vals = h.sample(grid, 0.25)
-    _, trace = newton_solve(
-        u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True, gap_iters=25)
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = newton_solve(
+            u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True, gap_iters=25)
+        )
     assert trace.converged
-    # the estimate approaches the true margin from above
-    assert trace.gap_estimate is not None and trace.gap_estimate > 0.1
+    # 1536 unknowns lie below the dense cutoff: the gap is exact
+    dense = LinearizedOperator(u0, h_vals).dense_matrix()
+    exact = float(np.min(np.abs(np.linalg.eigvalsh(dense))))
+    assert trace.gap_estimate == pytest.approx(exact, abs=1e-10)
+    assert trace.gap_estimate == pytest.approx(0.6341, abs=1e-4)
+
+
+def test_gap_estimate_unconverged_lobpcg_raises(cb_table):
+    # forced onto the LOBPCG path, 25 iterations do not converge: the
+    # estimate is an error carrying its residual history, not a number
+    grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (4, 1, 1)))
+    h = HField(0.0, [((1, 0, 0), 0.06)])
+    u0, _ = ts.build_u0(cb_table, h, grid, 0.25)
+    op = LinearizedOperator(u0, h.sample(grid, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # LOBPCG's own notice
+        with pytest.raises(EigensolverError) as err:
+            estimate_gap(op, iters=25, dense_cutoff=10)
+    history = err.value.residual_history
+    assert 1 <= len(history) <= 26
+    assert all(np.isfinite(history)) and min(history) > 0.0
+    assert "did not reach tolerance" in str(err.value)

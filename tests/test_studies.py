@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from tfdw import twoscale as ts
 from tfdw.errors import StructuralError
-from tfdw.grids import GridSpec, LatticeSpec
+from tfdw.grids import GridSpec, HField, LatticeSpec
 from tfdw.residual import residual
 from tfdw.studies import (
     extended_as_cell,
     fit_loglog_slope,
     measure_stability_in_n,
     parallel_map,
+    run_eps_study,
 )
 
 
@@ -53,3 +55,25 @@ def test_stability_constant_uniform_in_n(lattice_mod):
     assert all(r.classification == "stable" for r in reports.values())
     spread = (max(ms) - min(ms)) / max(ms)
     assert spread <= 0.05
+
+
+def test_eps_sweep_memo_matches_separate_builds(cb_table, monkeypatch):
+    # the sweep shares one sample memo across n; its rows are bit for bit
+    # those of per-n builds that each solve their own samples
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+
+    def sweep():
+        return run_eps_study(
+            cb_table.lattice, (8, 4, 4), h, (4, 8), cb_range=0.1, cb_step=0.0125, table=cb_table
+        )
+
+    shared = sweep()
+    build_u0 = ts.build_u0
+
+    def without_memo(*args, samples=None, **kwargs):
+        return build_u0(*args, **kwargs)
+
+    monkeypatch.setattr(ts, "build_u0", without_memo)
+    separate = sweep()
+    assert shared.rows == separate.rows
+    assert shared.slopes == separate.slopes

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -173,3 +175,63 @@ def test_save_u0(tmp_path, cb_table):
     assert manifest["second_order"] is True
     assert manifest["corrector_solve_residual"] <= 1e-10
     assert np.array_equal(state.nu_plus.values, u0.nu_plus.values)
+
+
+def test_shared_memo_factorizes_each_field_value_once(cb_table, monkeypatch):
+    # n = 4 samples 17 field values, n = 8 samples 33 that include them; a
+    # shared memo factorizes 33 cell operators, separate builds 50, and no
+    # build holds more than one factorization at a time
+    built, peak = [], [0]
+    live = weakref.WeakSet()
+
+    class Tracked(ts._CellContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.h)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(ts, "_CellContext", Tracked)
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+    samples = {}
+    shared = {}
+    for n in (4, 8):
+        shared[n] = ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n, samples=samples)
+    assert len(built) == len(samples) == 33
+    assert peak[0] == 1
+    del built[:]
+    for n in (4, 8):
+        u0, cs = ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n)
+        assert cs.complete and len(cs.samples) == len(cs.macro_samples)
+        assert cs.max_solve_residual() == shared[n][1].max_solve_residual()
+        assert np.array_equal(u0.nu_plus.values, shared[n][0].nu_plus.values)
+        assert np.array_equal(u0.nu_minus.values, shared[n][0].nu_minus.values)
+        assert np.array_equal(u0.v_full_values(), shared[n][0].v_full_values())
+    assert len(built) == 50
+    assert peak[0] == 1
+
+
+def test_shared_memo_across_threads(cb_table):
+    # threads of a sweep share one memo; a race on a key only repeats a
+    # deterministic solve, so every state matches its serial build bit for bit
+    from tfdw.studies import parallel_map
+
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+    ns = (8, 4, 8, 2, 4)
+    serial = {n: ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n)[0] for n in set(ns)}
+    samples = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        states = parallel_map(
+            lambda n: ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n, samples=samples)[0],
+            ns,
+            threads=4,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(samples) == 33
+    for n, u0 in zip(ns, states):
+        assert np.array_equal(u0.nu_plus.values, serial[n].nu_plus.values)
+        assert np.array_equal(u0.nu_minus.values, serial[n].nu_minus.values)
+        assert np.array_equal(u0.v_full_values(), serial[n].v_full_values())
