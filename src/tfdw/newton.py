@@ -24,7 +24,7 @@ from scipy.sparse.linalg import minres
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .fieldio import atomic_write_text
 from .grids import Grid, HField, ScalarField, State, as_h_values, random_smooth_field
-from .linop import DENSE_CUTOFF, LinearizedOperator, spectral_gap
+from .linop import LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
 
 
@@ -37,7 +37,7 @@ class NewtonOptions:
     refresh_jacobian: bool = False      # re-linearize each step (off: frozen)
     check_gap: bool = False             # gap of the frozen operator before iterating
     gap_threshold: float = 1e-6
-    gap_iters: int = 30
+    gap_iters: int = 400                # Lanczos restarts of linop.spectral_gap
     seed: int = 0
 
 
@@ -108,14 +108,6 @@ def state_distance(a: State, b: State, order=2):
     return float(np.sqrt(sum(grid.hk_norm(d, order) ** 2 for d in diffs)))
 
 
-def estimate_gap(op: LinearizedOperator, seed=0, iters=30, dense_cutoff=DENSE_CUTOFF):
-    """Gap of the frozen operator for the precondition check: exact from a
-    dense eigensolve below ``dense_cutoff`` unknowns, otherwise seeded LOBPCG
-    on the squared operator (``linop.spectral_gap``) with at most ``iters``
-    iterations; an unconverged solve raises ``EigensolverError``."""
-    return spectral_gap(op, seed=seed, maxiter=iters, dense_cutoff=dense_cutoff)
-
-
 def newton_solve(
     u0: State,
     h_field,
@@ -142,7 +134,7 @@ def newton_solve(
     op = LinearizedOperator(u0, h_sf)
     trace = NewtonTrace()
     if opts.check_gap:
-        trace.gap_estimate = estimate_gap(op, opts.seed, opts.gap_iters)
+        trace.gap_estimate = spectral_gap(op, seed=opts.seed, maxiter=opts.gap_iters)
         if trace.gap_estimate < opts.gap_threshold:
             raise StabilityGapError(
                 f"gap {trace.gap_estimate:.3e} of the frozen operator is "

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from tfdw import jellium, linop
-from tfdw.errors import StructuralError
+from tfdw.errors import EigensolverError, StructuralError
 from tfdw.grids import (
     Grid,
     GridSpec,
@@ -272,8 +274,8 @@ def test_spectral_gap_iterative_matches_dense():
     grid = Grid(lat, GridSpec((4, 4, 4), (2, 1, 1)))
     op = LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
     dense_gap = spectral_gap(op)  # within the dense cutoff
-    iter_gap = spectral_gap(op, tol=1e-9, seed=0, maxiter=600, dense_cutoff=10)
-    assert iter_gap == pytest.approx(dense_gap, rel=1e-5)
+    iter_gap = spectral_gap(op, tol=1e-9, seed=0, dense_cutoff=10)
+    assert iter_gap == pytest.approx(dense_gap, rel=1e-9)
 
 
 def test_wrap_to_zone():
@@ -292,17 +294,36 @@ def test_monkhorst_pack_contains_gamma():
     assert any(np.allclose(p, 0.0) for p in pts)
 
 
-def test_spectral_gap_nonconvergence_error():
-    from tfdw.errors import EigensolverError
+def _jellium_supercell_op():
+    params = jellium.JelliumParams(0.6)
+    grid = Grid(jellium.jellium_lattice(params), GridSpec((4, 4, 4), (2, 1, 1)))
+    return LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
 
-    _, grid, op = jellium_op(0.6, resolution=(4, 4, 4))
-    big = Grid(grid.lattice, GridSpec((4, 4, 4), (2, 1, 1)))
-    from tfdw.jellium import JelliumParams, jellium_state
 
-    op_big = LinearizedOperator(jellium_state(JelliumParams(0.6), big), 0.0)
+def test_spectral_gap_nonconvergence_error(monkeypatch):
+    # a three-vector Lanczos basis and one restart cannot converge: the error
+    # carries the relative residual of every inner solve
+    monkeypatch.setattr(linop, "eigsh", functools.partial(linop.eigsh, ncv=3))
     with pytest.raises(EigensolverError) as err:
-        spectral_gap(op_big, tol=1e-14, maxiter=2, dense_cutoff=10)
-    assert len(err.value.residual_history) >= 1
+        spectral_gap(_jellium_supercell_op(), maxiter=1, dense_cutoff=10)
+    history = err.value.residual_history
+    assert len(history) >= 1
+    assert all(np.isfinite(history)) and max(history) < 1e-9
+    assert "did not reach tolerance" in str(err.value)
+
+
+def test_spectral_gap_inner_solve_stall(monkeypatch):
+    minres = linop.minres
+
+    def three_steps(*args, **kwargs):
+        return minres(*args, **{**kwargs, "maxiter": 3})
+
+    monkeypatch.setattr(linop, "minres", three_steps)
+    with pytest.raises(EigensolverError) as err:
+        spectral_gap(_jellium_supercell_op(), dense_cutoff=10)
+    assert "inner MINRES solve" in str(err.value)
+    assert len(err.value.residual_history) == 1
+    assert err.value.residual_history[0] > 1e-3
 
 
 def test_stability_scan_threaded_matches_serial():

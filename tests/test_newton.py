@@ -8,10 +8,9 @@ from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
 from tfdw.errors import EigensolverError
 from tfdw.grids import Grid, GridSpec, HField, ScalarField, State, random_smooth_field
-from tfdw.linop import LinearizedOperator
+from tfdw.linop import DENSE_CUTOFF, LinearizedOperator, spectral_gap
 from tfdw.newton import (
     NewtonOptions,
-    estimate_gap,
     newton_solve,
     operator_drift,
     state_distance,
@@ -154,29 +153,30 @@ def test_gap_precondition_estimate(cb_table):
     h_vals = h.sample(grid, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, trace = newton_solve(
-            u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True, gap_iters=25)
-        )
+        _, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True))
     assert trace.converged
     # 1536 unknowns lie below the dense cutoff: the gap is exact
-    dense = LinearizedOperator(u0, h_vals).dense_matrix()
-    exact = float(np.min(np.abs(np.linalg.eigvalsh(dense))))
+    op = LinearizedOperator(u0, h_vals)
+    exact = float(np.min(np.abs(np.linalg.eigvalsh(op.dense_matrix()))))
     assert trace.gap_estimate == pytest.approx(exact, abs=1e-10)
     assert trace.gap_estimate == pytest.approx(0.6341, abs=1e-4)
+    # the shift-invert path taken above the cutoff finds the same gap
+    assert spectral_gap(op, dense_cutoff=10) == pytest.approx(exact, rel=1e-9)
 
 
-def test_gap_estimate_unconverged_lobpcg_raises(cb_table):
-    # forced onto the LOBPCG path, 25 iterations do not converge: the
-    # estimate is an error carrying its residual history, not a number
-    grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (4, 1, 1)))
-    h = HField(0.0, [((1, 0, 0), 0.06)])
-    u0, _ = ts.build_u0(cb_table, h, grid, 0.25)
-    op = LinearizedOperator(u0, h.sample(grid, 0.25))
+def test_gap_precondition_above_dense_cutoff(cb_table):
+    # n = 16 of the eps-sweep: 6144 unknowns, past the dense cutoff
+    n = 16
+    grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (n, 1, 1)))
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+    u0, _ = ts.build_u0(cb_table, h, grid, 1.0 / n)
+    op = LinearizedOperator(u0, h.sample(grid, 1.0 / n))
+    assert op.n_dof > DENSE_CUTOFF
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # LOBPCG's own notice
-        with pytest.raises(EigensolverError) as err:
-            estimate_gap(op, iters=25, dense_cutoff=10)
-    history = err.value.residual_history
-    assert 1 <= len(history) <= 26
-    assert all(np.isfinite(history)) and min(history) > 0.0
-    assert "did not reach tolerance" in str(err.value)
+        warnings.simplefilter("error")
+        _, trace = newton_solve(
+            u0, h.sample(grid, 1.0 / n), NewtonOptions(tol=1e-9, check_gap=True)
+        )
+    assert trace.converged
+    # near the cell fibers' gap 0.592 at h = 0
+    assert 0.58 < trace.gap_estimate < 0.61
