@@ -195,7 +195,9 @@ def build_cb_table(
 
     The anchor solve is certified with a refined stability scan; subsequent
     samples are checked on the declared xi grid.  Corrector divergence or a
-    collapsing gap stops the march and reports the last good h.
+    collapsing gap stops the march with a ContinuationStopError that reports
+    the last good h and, as ``partial``, the samples accepted so far
+    (``h_values``, ``solutions``, ``gaps``, in increasing h).
     """
     opts = opts or SolveOptions()
     if isinstance(grid, GridSpec):
@@ -217,6 +219,19 @@ def build_cb_table(
 
     entries = {0: (anchor, report.global_gap)}
     dudh = {0: solve_du_dh(anchor)}  # one du/dh per sample: predictor and table
+
+    def stop(message, last_good_h):
+        accepted = [entries[k] for k in sorted(entries)]
+        return ContinuationStopError(
+            message,
+            last_good_h=last_good_h,
+            partial={
+                "h_values": [sol.h_value for sol, _ in accepted],
+                "solutions": [sol for sol, _ in accepted],
+                "gaps": [gap for _, gap in accepted],
+            },
+        )
+
     for direction in (+1, -1):
         prev = anchor
         for k in range(1, n_steps + 1):
@@ -232,10 +247,7 @@ def build_cb_table(
             try:
                 state, res_norm, n_iter, history = newton_polish(predictor, h_new, march_opts)
             except TfdwError as exc:
-                raise ContinuationStopError(
-                    f"corrector failed at h = {h_new:.6g}: {exc}",
-                    last_good_h=prev.h_value,
-                ) from exc
+                raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", prev.h_value) from exc
             min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
             sol = CellSolution(
                 state=state,
@@ -250,9 +262,9 @@ def build_cb_table(
                 newton_residuals=history,
             )
             if not sol.C_nu_ok:
-                raise ContinuationStopError(
+                raise stop(
                     f"nu dropped below the certified bound C_nu = {c_nu:.3e} at h = {h_new:.6g}",
-                    last_good_h=prev.h_value,
+                    prev.h_value,
                 )
             gap = None
             if verify_samples:
@@ -260,10 +272,10 @@ def build_cb_table(
                     sol, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=False
                 )
                 if rep.classification != "stable":
-                    raise ContinuationStopError(
+                    raise stop(
                         f"stability gap collapsed at h = {h_new:.6g} "
                         f"({rep.classification}, gap {rep.global_gap:.3e})",
-                        last_good_h=prev.h_value,
+                        prev.h_value,
                     )
                 gap = rep.global_gap
             entries[direction * k] = (sol, gap)

@@ -74,7 +74,8 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
     """Projected gradient descent on (nu_+, nu_-); V eliminated each step.
 
     Returns (state, iterations, energy_trace); energy decreases monotonically
-    (backtracking line search), which is asserted per step.
+    (backtracking line search), and a step whose retracted state has a higher
+    energy raises DescentFailureError with the trace.
     """
     grid = state.grid
     nup = state.nu_plus.values.copy()
@@ -136,8 +137,13 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
         nup = trial.nu_plus.values
         num = trial.nu_minus.values
         e_new = energy_of(nup, num)
-        assert e_new <= e0 + 1e-13 * max(abs(e0), 1.0), "descent energy increased"
         trace.append(e_new)
+        if e_new > e0 + 1e-13 * max(abs(e0), 1.0):
+            raise DescentFailureError(
+                f"descent energy increased at iteration {iterations} "
+                f"({e0:.15e} -> {e_new:.15e})",
+                energy_trace=trace,
+            )
 
     rho = nup * nup + num * num
     V = grid.poisson(4.0 * np.pi * (rho - rho_b))

@@ -51,7 +51,8 @@ class StabilityGapError(TfdwError):
 
 
 class ContinuationStopError(TfdwError):
-    """Parameter continuation stopped early; carries the last good value."""
+    """Parameter continuation stopped early; carries the last good value and,
+    as ``partial``, the samples accepted before the stop."""
 
     def __init__(self, message, last_good_h, partial=None):
         super().__init__(message)

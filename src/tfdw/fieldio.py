@@ -97,10 +97,10 @@ def atomic_write_bytes(path, data: bytes):
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    finally:
+        # gone after a successful rename; left behind only by a failure
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path, text: str):

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
 from scipy.optimize import brentq, minimize
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, minres
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import EigensolverError, StructuralError
 from .grids import Grid, ScalarField, State, as_h_values
@@ -34,6 +35,8 @@ from .fieldio import atomic_write_text
 EIGHT_PI = 8.0 * np.pi
 DENSE_CUTOFF = 2048  # dense eigensolve up to this many unknowns (faster and smaller below)
 SDW_CHANNEL_CUTOFF = 0.9
+FIBER_NCV = 6  # Lanczos basis of the fiber solve (4 to 12 cost the same, measured)
+FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
 
 
 def coefficient_fields(state: State, h=0.0):
@@ -186,9 +189,10 @@ class FiberOperator:
 
     The fiber's -Lap/(8 pi) block is negative definite, so by Haynsworth
     inertia a stable fiber (positive Schur complement) has exactly N
-    negative eigenvalues, N the number of grid points.  The eigenvalue
-    nearest zero is then lambda_{N-1} or lambda_N, and two eigenpairs
-    certify the fiber.
+    negative eigenvalues, N the number of grid points.  One Bunch-Kaufman
+    factorization H = P L D L^H P^T certifies the fiber: D has the inertia
+    of H (Sylvester), and the same factors drive the shift-invert solve for
+    the eigenvalue nearest zero.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
@@ -225,19 +229,65 @@ class FiberOperator:
         return abs(self.min_eigenpair()[0])
 
     def min_eigenpair(self):
-        """Eigenpair nearest zero, from the pair (lambda_{N-1}, lambda_N)
-        when it straddles zero, else from the full spectrum; records the
-        number of negative eigenvalues as ``n_negative``."""
-        N = self.n_points
-        vals, vecs = eigh(self.matrix, driver="evr", subset_by_index=[N - 1, N])
-        if vals[0] < 0.0 <= vals[1]:
-            self.n_negative = N
-        else:
-            vals, vecs = np.linalg.eigh(self.matrix)
+        """Eigenpair nearest zero and, as ``n_negative``, the number of
+        negative eigenvalues, both from one LDL^H factorization of the fiber.
+
+        The count is read from D (exact at every xi, stable or not); the
+        eigenpair is the largest one of H^{-1} by shift-invert Lanczos at
+        zero (ARPACK, seeded random start: a constant one stays inside the
+        k = 0 subspace of a uniform state), each application of H^{-1} a
+        pair of triangular solves on the factors, and its eigenvalue is the
+        Rayleigh quotient.  A stopped solve, or a pair whose residual
+        exceeds FIBER_RESIDUAL_RTOL max |H_ii|, raises EigensolverError with
+        that residual.  An exactly singular factorization falls back to the
+        full spectrum."""
+        H = self.matrix
+        n = H.shape[0]
+        lwork = int(zhetrf_lwork(n, lower=1)[0].real)
+        factors, ipiv, info = zhetrf(H, lower=1, lwork=lwork)
+        if info > 0:
+            vals, vecs = np.linalg.eigh(H)
             self._eigvals = vals
             self.n_negative = int(np.count_nonzero(vals < 0.0))
-        i = int(np.argmin(np.abs(vals)))
-        return float(vals[i]), vecs[:, i]
+            i = int(np.argmin(np.abs(vals)))
+            return float(vals[i]), vecs[:, i]
+        self.n_negative = _ldl_negative_count(factors, ipiv)
+
+        last = []
+
+        def solve(b):
+            x = zhetrs(factors, ipiv, b, lower=1)[0]
+            last[:] = [b, x]
+            return x
+
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        H_inv = LinearOperator(H.shape, matvec=solve, dtype=complex)
+        try:
+            _, vecs = eigsh(H, k=1, sigma=0.0, OPinv=H_inv, ncv=FIBER_NCV, v0=v0)
+        except ArpackError as err:
+            # residual of the Rayleigh pair of the last inverse iterate x = H^{-1} b
+            res = float("nan")
+            if last:
+                b, x = last
+                mu = np.vdot(x, b).real / np.vdot(x, x).real
+                res = float(np.linalg.norm(b - mu * x) / np.linalg.norm(x))
+            raise EigensolverError(
+                f"shift-invert Lanczos on the fiber at xi = {tuple(self.xi)} stopped "
+                f"(residual of its last iterate {res:.3e}): {err}",
+                residual_history=[res],
+            ) from err
+        vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        Hv = H @ vec
+        val = float(np.vdot(vec, Hv).real)
+        res = float(np.linalg.norm(Hv - val * vec))
+        bound = FIBER_RESIDUAL_RTOL * float(np.max(np.abs(H.diagonal())))
+        if not res <= bound:
+            raise EigensolverError(
+                f"fiber eigenpair residual {res:.3e} exceeds {bound:.3e} at xi = {tuple(self.xi)}",
+                residual_history=[res],
+            )
+        return val, vec
 
     def eigenvalue_gradient(self, vec):
         """Hellmann-Feynman gradient in xi of a simple eigenvalue with unit
@@ -255,6 +305,22 @@ class FiberOperator:
         return FiberRecord(
             tuple(np.asarray(self.xi, dtype=float)), abs(val), val, sdw, cdw, self.n_negative
         )
+
+
+def _ldl_negative_count(factors, ipiv):
+    """Negative eigenvalues of the block-diagonal D of zhetrf(lower=1): one
+    per negative 1x1 pivot; a 2x2 block (ipiv[k] == ipiv[k+1] < 0) has one
+    when its determinant is negative, else two or none by the sign of its
+    leading entry."""
+    d = factors.diagonal().real
+    in_block = ipiv < 0
+    k = np.flatnonzero(in_block)[::2]  # first rows of the 2x2 blocks
+    det = d[k] * d[k + 1] - np.abs(factors[k + 1, k]) ** 2
+    return int(
+        np.count_nonzero(d[~in_block] < 0.0)
+        + np.count_nonzero(det < 0.0)
+        + 2 * np.count_nonzero((det > 0.0) & (d[k] < 0.0))
+    )
 
 
 def fiber(op: LinearizedOperator, xi, wrap=True) -> FiberOperator:
@@ -284,8 +350,9 @@ def classify_character(sdw, cdw, cutoff=SDW_CHANNEL_CUTOFF):
 def spectral_gap(op, tol=1e-8, seed=0, maxiter=400, dense_cutoff=DENSE_CUTOFF):
     """Distance of the spectrum to zero.
 
-    For FiberOperator (and any operator small enough to assemble densely) the
-    answer comes from a dense symmetric eigensolve.  Larger operators use
+    A FiberOperator answers through its own min_eigenpair; an array, or an
+    operator small enough to assemble densely, through a dense symmetric
+    eigensolve.  Larger operators use
     shift-invert Lanczos at zero (ARPACK, at most ``maxiter`` restarts, seeded
     start vector): the largest eigenvalue of L^{-1} in modulus is 1/lambda
     for the lambda closest to zero, and each application of L^{-1} is a
@@ -458,8 +525,9 @@ def stability_scan(
     character_cutoff=SDW_CHANNEL_CUTOFF,
     threads=1,
 ) -> StabilityReport:
-    """Scan fibers over the zone, optionally refining the minimal gap, and
-    classify an instability by the eigenvector character of the failing
+    """Scan fibers over the zone, each built at the quasimomentum it is
+    given (no wrap), optionally refining the minimal gap, and classify an
+    instability by the eigenvector character of the failing
     fibers: those with a gap below ``threshold`` and those whose number of
     negative eigenvalues is not N.  A scan with such an inertia is never
     ``stable``, even when every sampled gap clears the threshold.
@@ -480,7 +548,7 @@ def stability_scan(
         xi_grid = monkhorst_pack(grid.lattice, (2, 2, 2))
 
     def analyze_one(xi):
-        f = FiberOperator(op, xi)
+        f = FiberOperator(op, xi, wrap=False)
         return f.record(*f.min_eigenpair())
 
     if threads > 1 and len(xi_grid) > 1:

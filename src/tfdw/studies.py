@@ -22,7 +22,7 @@ from .cells import SolveOptions, solve_cell
 from .errors import StructuralError
 from .fieldio import atomic_write_text
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode, ScalarField, State
-from .linop import stability_scan, wrap_to_zone
+from .linop import stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
 
@@ -277,9 +277,10 @@ def measure_stability_in_n(
 
     The cell ground state is extended periodically and the n-fold supercell
     is treated as a single large cell; the scan samples a fixed set of
-    physical quasimomenta (folded into each supercell's own zone), so the
-    measured margins test that supercell fibers reproduce the commensurate
-    union of cell fibers.
+    physical quasimomenta, folded into the [0, 1) fractions of each
+    supercell's own reciprocal basis (the commensurate_xis convention), so
+    each supercell fiber is exactly the union of the cell fibers at the
+    physical quasimomenta it folds, and M(n) equals M(1).
     """
     solve_opts = solve_opts or SolveOptions()
     sol = solve_cell(lattice, GridSpec(tuple(resolution)), h_value, "uniform", solve_opts)
@@ -290,9 +291,11 @@ def measure_stability_in_n(
         big_lattice, big_grid, big_state = extended_as_cell(
             lattice, resolution, sol.state, int(n), axis
         )
+        B = big_lattice.reciprocal_vectors
         folded = []
         for xi in physical_xis:
-            w = wrap_to_zone(big_lattice, xi)
+            t = np.linalg.solve(B.T, xi)
+            w = B.T @ (t - np.floor(t + 1e-12))
             if not any(np.allclose(w, f, atol=1e-12) for f in folded):
                 folded.append(w)
         report = stability_scan(

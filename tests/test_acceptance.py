@@ -247,11 +247,11 @@ def test_c10_stability_constant_in_n(lattice_mod):
     reports, _ = measure_stability_in_n(lattice_mod, (8, 4, 4), n_values=(1, 2, 4), n_xi=8)
     ms = [reports[n].M for n in (1, 2, 4)]
     spread = (max(ms) - min(ms)) / max(ms)
-    ok = spread <= 0.05 and all(r.classification == "stable" for r in reports.values())
+    ok = spread <= 1e-10 and all(r.classification == "stable" for r in reports.values())
     report(
         "C10 stability-in-n",
         ok,
-        f"M(n) = {[f'{m:.6f}' for m in ms]} for n = (1, 2, 4); spread {100 * spread:.4f}% (<= 5%)",
+        f"M(n) = {[f'{m:.12f}' for m in ms]} for n = (1, 2, 4); relative spread {spread:.2e} (<= 1e-10)",
     )
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from tfdw import cauchy_born as cb
 from tfdw.cells import SolveOptions
-from tfdw.errors import ContinuationStopError, InfeasibleConstraintError, RangeError
+from tfdw.errors import ContinuationStopError, DivergenceError, InfeasibleConstraintError, RangeError
 from tfdw.grids import Grid, GridSpec, HField, ScalarField
 
 
@@ -166,6 +166,34 @@ def test_continuation_stop_reports_last_good(lattice_mod):
             opts=opts, verify_samples=False,
         )
     assert err.value.last_good_h == 0.0
+
+
+def test_continuation_stop_carries_accepted_samples(lattice_mod, monkeypatch):
+    # the corrector fails at the second step of the march (h = 0.05): the
+    # error holds the anchor and the sample at h = 0.025, with their gaps
+    polish = cb.newton_polish
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise DivergenceError("forced stall")
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(cb, "newton_polish", fail_second)
+    with pytest.raises(ContinuationStopError, match="forced stall") as err:
+        cb.build_cb_table(
+            lattice_mod, GridSpec((8, 4, 4)), h_range=0.05, step=0.025, opts=SolveOptions()
+        )
+    assert calls == [0.025, 0.05]
+    assert err.value.last_good_h == 0.025
+    partial = err.value.partial
+    assert partial["h_values"] == [0.0, 0.025]
+    assert [s.h_value for s in partial["solutions"]] == [0.0, 0.025]
+    assert all(s.residual_norm <= 1e-11 for s in partial["solutions"])
+    assert len(partial["gaps"]) == 2
+    assert all(0.5 < g < 0.7 for g in partial["gaps"])
+    assert partial["gaps"][0] < partial["gaps"][1]  # the anchor's gap is refined
 
 
 def test_table_save_load_roundtrip(tmp_path, cb_table):

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from tfdw import fieldio
+from tfdw import cells, fieldio
 from tfdw.cells import (
     CellSolution,
     SolveOptions,
@@ -13,7 +15,7 @@ from tfdw.cells import (
     verify_minimizer,
 )
 from tfdw.energy import energy_supercell
-from tfdw.errors import PositivityLossError
+from tfdw.errors import DescentFailureError, PositivityLossError
 from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
 from tfdw.jellium import JelliumParams, jellium_lattice
 from tfdw.linop import monkhorst_pack
@@ -81,6 +83,33 @@ def test_phase1_energy_monotone(lattice_mod, cell_grid):
     assert iters >= 1
     diffs = np.diff(trace)
     assert np.all(diffs <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
+
+
+def test_phase1_energy_increase_raises_with_trace(lattice_mod, cell_grid, monkeypatch):
+    # the accepted step's retracted state, evaluated again right after the
+    # line search, reads 10 higher: the descent stops with a typed error
+    # that carries the energy trace up to the increase
+    energy = cells.energy_supercell
+    seen = []
+
+    def bumped(state, h, rho_b=None):
+        total = energy(state, h, rho_b).total
+        nu = state.nu_plus.values
+        if seen and np.allclose(nu, seen[-1], rtol=1e-12, atol=0.0):
+            total += 10.0
+        seen.append(nu.copy())
+        return types.SimpleNamespace(total=total)
+
+    monkeypatch.setattr(cells, "energy_supercell", bumped)
+    opts = SolveOptions(seed=5, perturbation=5e-2)
+    start = initial_state(lattice_mod, cell_grid, "perturbed", opts.seed, opts.perturbation)
+    rho_b = lattice_mod.rho_b_values(cell_grid)
+    with pytest.raises(DescentFailureError, match="energy increased at iteration 1") as err:
+        _phase1_descent(start, 0.0, rho_b, opts)
+    trace = err.value.energy_trace
+    assert len(trace) == 2
+    assert trace[0] == energy(start, 0.0, rho_b).total
+    assert trace[1] > trace[0] + 5.0
 
 
 def test_newton_superlinear_decay(cell_solution):

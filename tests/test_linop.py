@@ -338,7 +338,7 @@ def test_stability_scan_threaded_matches_serial():
     assert [r.gap for r in serial.fiber_records] == [r.gap for r in threaded.fiber_records]
 
 
-# -- fiber kernels: subset eigensolve, inertia, Hellmann-Feynman gradient --------
+# -- fiber kernels: LDL^H inertia, shift-invert pair, Hellmann-Feynman gradient --
 
 
 def sheared_state(rng):
@@ -379,12 +379,12 @@ def test_fiber_gradient_matches_central_differences(rng):
     assert np.max(np.abs(grad - fd)) <= 1e-6
 
 
-def test_min_eigenpair_two_eigenpairs_match_full_spectrum(cell_solution):
+def test_min_eigenpair_matches_full_spectrum(cell_solution):
     op = LinearizedOperator(cell_solution.state, 0.0)
     xi = cell_solution.grid.lattice.reciprocal_vectors.T @ np.array([0.25, -0.25, 0.25])
     f = FiberOperator(op, xi)
     val, vec = f.min_eigenpair()
-    assert f._eigvals is None  # the subset solve sufficed
+    assert f._eigvals is None  # the factorization sufficed
     assert f.n_negative == op.n_points
     vals, vecs = np.linalg.eigh(f.matrix)
     i = int(np.argmin(np.abs(vals)))
@@ -392,16 +392,104 @@ def test_min_eigenpair_two_eigenpairs_match_full_spectrum(cell_solution):
     assert abs(np.vdot(vec, vecs[:, i])) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_min_eigenpair_falls_back_on_unstable_fiber():
-    # below the spin-wave threshold the Gamma fiber has one extra negative
-    # eigenvalue, so the pair (N-1, N) does not straddle zero
-    _, _, op = jellium_op(0.2)
-    f = FiberOperator(op, (0.0, 0.0, 0.0))
-    val, _ = f.min_eigenpair()
-    assert f.n_negative == op.n_points + 1
-    full = np.linalg.eigvalsh(f.matrix)
-    assert np.count_nonzero(full < 0) == op.n_points + 1
-    assert abs(val) == pytest.approx(np.min(np.abs(full)), rel=1e-12)
+def _sheared_fiber():
+    op = LinearizedOperator(sheared_state(np.random.default_rng(1234)), 0.05)
+    B = op.grid.lattice.reciprocal_vectors
+    return FiberOperator(op, B.T @ np.array([0.31, -0.17, 0.23]))
+
+
+def _jellium_fiber(nu0, xi=(0.0, 0.0, 0.0)):
+    return FiberOperator(jellium_op(nu0)[2], xi, wrap=False)
+
+
+def _crossing_fiber(side):
+    # jellium nu0 = 0.2 crosses zero at |xi| = 0.20996 along -b1; a relative
+    # step of 1e-7 inward (N+1 negatives) or outward (N) leaves |lambda| ~ 1e-8
+    params = jellium.JelliumParams(0.2)
+    lat = jellium.jellium_lattice(params)
+    grid = Grid(lat, GridSpec((4, 4, 4)))
+    state = jellium.jellium_state(params, grid)
+    report = stability_scan(state, 0.0, xi_grid=monkhorst_pack(lat, (3, 3, 3)), refine=True)
+    xi = (1.0 + side * 1e-7) * np.asarray(report.refined_xi)
+    return FiberOperator(LinearizedOperator(state, 0.0), xi, wrap=False)
+
+
+@pytest.mark.parametrize(
+    "make, extra_negative, floor",
+    [
+        (_sheared_fiber, 0, 0.0),
+        (lambda: _jellium_fiber(0.2), 1, 0.0),
+        (lambda: _jellium_fiber(0.5), 0, 0.0),
+        (lambda: _crossing_fiber(-1), 1, 1e-15),
+        (lambda: _crossing_fiber(+1), 0, 1e-15),
+    ],
+    ids=["sheared-generic-xi", "jellium-0.2-gamma", "jellium-0.5-gamma", "crossing-inside", "crossing-outside"],
+)
+def test_ldl_inertia_and_shift_invert_match_eigh(make, extra_negative, floor):
+    # the inertia read from the LDL^H factors equals the eigenvalue count, and
+    # the shift-invert pair is the full spectrum's nearest to zero to 1e-12
+    # relative; an eigenvalue of 1e-8 is only determined to about eps |H|, so
+    # the near-singular fibers compare to 1e-15 |H| instead.  eigh's eigenvalue
+    # itself is off by up to eps |H| (1e-13 here, above 1e-12 * 0.044 on the
+    # jellium 0.2 fiber), so the reference is the Rayleigh quotient of eigh's
+    # eigenvector taken in extended precision: its error is |r|^2 / gap
+    f = make()
+    val, vec = f.min_eigenpair()
+    vals, vecs = np.linalg.eigh(f.matrix)
+    assert f.n_negative == np.count_nonzero(vals < 0) == f.n_points + extra_negative
+    v = vecs[:, int(np.argmin(np.abs(vals)))].astype(np.clongdouble)
+    nearest = float((np.vdot(v, f.matrix.astype(np.clongdouble) @ v) / np.vdot(v, v)).real)
+    assert abs(val - nearest) <= max(1e-12 * abs(nearest), floor * np.max(np.abs(vals)))
+    assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
+
+
+def test_min_eigenpair_start_is_seeded_and_spans_every_mode(monkeypatch):
+    # on a uniform state every Fourier mode spans an invariant subspace of the
+    # fiber, so a start inside a few modes (a constant one is k = 0 alone)
+    # leaves them only through rounding; the start is a seeded random complex
+    # vector with weight on every mode of every channel
+    starts = []
+    eigsh = linop.eigsh
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs["v0"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(linop, "eigsh", recording)
+    f = _jellium_fiber(0.2)
+    first, second = f.min_eigenpair(), f.min_eigenpair()
+    assert np.array_equal(starts[0], starts[1])
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+    modes = np.abs(np.fft.fftn(starts[0].reshape((3,) + f.grid.shape), axes=(1, 2, 3)))
+    assert np.min(modes) > 1e-3 * np.max(modes)
+
+
+def test_min_eigenpair_singular_factorization_uses_full_spectrum(monkeypatch):
+    # zhetrf reports an exactly zero pivot (info > 0): no solve with the
+    # factors exists, so the pair and the count come from the full spectrum
+    zhetrf = linop.zhetrf
+
+    def singular(*args, **kwargs):
+        factors, ipiv, _ = zhetrf(*args, **kwargs)
+        return factors, ipiv, 1
+
+    monkeypatch.setattr(linop, "zhetrf", singular)
+    f = _jellium_fiber(0.2)
+    val, vec = f.min_eigenpair()
+    vals = np.linalg.eigh(f.matrix)[0]
+    assert f.n_negative == np.count_nonzero(vals < 0) == f.n_points + 1
+    assert val == vals[int(np.argmin(np.abs(vals)))]
+    assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
+
+
+def test_min_eigenpair_arpack_failure_raises(monkeypatch):
+    # one Lanczos restart cannot converge: the error carries the residual of
+    # the last inverse iterate
+    monkeypatch.setattr(linop, "eigsh", functools.partial(linop.eigsh, maxiter=1))
+    with pytest.raises(EigensolverError, match="shift-invert Lanczos on the fiber") as err:
+        _jellium_fiber(0.5, (0.3, -0.2, 0.1)).min_eigenpair()
+    history = err.value.residual_history
+    assert len(history) == 1 and np.isfinite(history[0]) and history[0] > 0.0
 
 
 def test_inertia_crossing_found_between_samples():

@@ -4,6 +4,7 @@ import pytest
 from tfdw import twoscale as ts
 from tfdw.errors import StructuralError
 from tfdw.grids import GridSpec, HField, LatticeSpec
+from tfdw.linop import FiberOperator, LinearizedOperator
 from tfdw.residual import residual
 from tfdw.studies import (
     extended_as_cell,
@@ -54,7 +55,23 @@ def test_stability_constant_uniform_in_n(lattice_mod):
     ms = [reports[n].M for n in (1, 2)]
     assert all(r.classification == "stable" for r in reports.values())
     spread = (max(ms) - min(ms)) / max(ms)
-    assert spread <= 0.05
+    assert spread <= 1e-10
+
+
+def test_stability_in_n_matches_cell_fibers_on_coarse_axis(lattice_mod):
+    # with 4 points along the supercell axis a fold into [-1/2, 1/2) moves
+    # the fibers' fftfreq windows; folded into [0, 1) each supercell fiber
+    # is exactly the union of the cell fibers at its physical quasimomenta
+    h = 0.02
+    reports, sol = measure_stability_in_n(lattice_mod, (4, 4, 4), n_values=(1, 2), n_xi=4, h_value=h)
+    op = LinearizedOperator(sol.state, h)
+    b1 = lattice_mod.reciprocal_vectors[0]
+    direct = min(
+        np.min(np.abs(FiberOperator(op, (j / 4) * b1, wrap=False).eigenvalues())) for j in range(4)
+    )
+    assert [len(reports[n].fiber_records) for n in (1, 2)] == [4, 2]
+    for n in (1, 2):
+        assert reports[n].M == pytest.approx(1.0 / direct, rel=1e-10)
 
 
 def test_eps_sweep_memo_matches_separate_builds(cb_table, monkeypatch):
