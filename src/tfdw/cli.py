@@ -494,7 +494,7 @@ def main(argv=None):
         print(json.dumps({"error": "ConfigError", "message": str(exc)}))
         return 2
     except TfdwError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc), **exc.diagnostics()}))
         return 3
 
 

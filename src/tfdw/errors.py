@@ -9,6 +9,10 @@ callers can tell a misuse from a model leaving its valid regime.
 class TfdwError(Exception):
     """Base class for all package errors."""
 
+    def diagnostics(self):
+        """JSON-ready partial diagnostics the error carries (none here)."""
+        return {}
+
 
 class GridMismatchError(TfdwError):
     """Operands live on different grids."""
@@ -33,6 +37,9 @@ class DescentFailureError(TfdwError):
         super().__init__(message)
         self.energy_trace = list(energy_trace) if energy_trace is not None else []
 
+    def diagnostics(self):
+        return {"energy_trace": [float(e) for e in self.energy_trace]}
+
 
 class PositivityLossError(TfdwError):
     """An iterate left the positive-density branch."""
@@ -44,6 +51,9 @@ class EigensolverError(TfdwError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history) if residual_history is not None else []
+
+    def diagnostics(self):
+        return {"residual_history": [float(r) for r in self.residual_history]}
 
 
 class StabilityGapError(TfdwError):
@@ -58,6 +68,15 @@ class ContinuationStopError(TfdwError):
         super().__init__(message)
         self.last_good_h = last_good_h
         self.partial = partial
+
+    def diagnostics(self):
+        out = {"last_good_h": float(self.last_good_h)}
+        if self.partial is not None:
+            out["partial"] = {
+                "h_values": [float(h) for h in self.partial["h_values"]],
+                "gaps": [float(g) for g in self.partial["gaps"]],
+            }
+        return out
 
 
 class RangeError(TfdwError):
@@ -74,6 +93,9 @@ class LinearSolveError(TfdwError):
     def __init__(self, message, gap_estimate=None):
         super().__init__(message)
         self.gap_estimate = gap_estimate
+
+    def diagnostics(self):
+        return {"gap_estimate": self.gap_estimate}
 
 
 class DivergenceError(TfdwError):

@@ -12,11 +12,17 @@ with zeroth-order multipliers F_pm = (35/9)|nu_pm|^{4/3} - (20/9)|nu_pm|^{2/3}
 fibers over the Brillouin zone: -Lap is replaced by (-i grad + xi)^2 acting on
 cell-periodic functions.  The distance of the spectrum to zero over all fibers
 is the stability margin M^{-1}.
+
+A fiber is certified without its dense 3N x 3N matrix: its Coulomb block
+-(-i grad + xi)^2/(8 pi) is diagonal in Fourier space, so eliminating it
+leaves a Hermitian block of dimension 2N (2N + 1 at Gamma) whose LDL^H
+factors give the fiber's inertia and apply its inverse (FiberOperator).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +43,9 @@ DENSE_CUTOFF = 2048  # dense eigensolve up to this many unknowns (faster and sma
 SDW_CHANNEL_CUTOFF = 0.9
 FIBER_NCV = 6  # Lanczos basis of the fiber solve (4 to 12 cost the same, measured)
 FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
+# smallest |k + xi|^2 (relative to the largest) that the fiber eliminates;
+# nearer a null mode the dense fiber is used instead
+COULOMB_ELIMINATION_RTOL = 1e-6
 
 
 def coefficient_fields(state: State, h=0.0):
@@ -126,7 +135,7 @@ class LinearizedOperator:
 
     def dense_matrix(self):
         """Real symmetric matrix of the operator on its own grid."""
-        T = _dense_kinetic(self.grid, None)
+        T = _dense_kinetic(self.grid)
         N = self.n_points
         H = np.zeros((3 * N, 3 * N))
         H[:N, :N] = T + np.diag(self.F_plus.ravel())
@@ -152,22 +161,37 @@ def _dense_dft(grid: Grid):
     return grid._dense_cache[key]
 
 
-def _dense_kinetic(grid: Grid, xi):
-    """Dense matrix of (-i grad + xi)^2; xi = None means the plain -Lap
-    (real symmetric)."""
-    if xi is None:
-        key = "kin0"
-        if key not in grid._dense_cache:
-            U = _dense_dft(grid)
-            q = grid.k_sq.ravel()
-            T = (U.conj().T * q) @ U
-            T = np.real(T)
-            grid._dense_cache[key] = 0.5 * (T + T.T)
-        return grid._dense_cache[key]
-    U = _dense_dft(grid)
-    q = sum((grid.k_cart[a] + xi[a]) ** 2 for a in range(3)).ravel()
-    T = (U.conj().T * q) @ U
-    return 0.5 * (T + T.conj().T)
+def _dense_kinetic(grid: Grid):
+    """Dense real symmetric matrix of -Lap on the grid."""
+    key = "kin0"
+    if key not in grid._dense_cache:
+        U = _dense_dft(grid)
+        q = grid.k_sq.ravel()
+        T = (U.conj().T * q) @ U
+        T = np.real(T)
+        grid._dense_cache[key] = 0.5 * (T + T.T)
+    return grid._dense_cache[key]
+
+
+def _difference_index(grid: Grid):
+    """Flat index of (x - y) mod shape for every pair (x, y) of grid points."""
+    key = "diff_index"
+    if key not in grid._dense_cache:
+        I = np.indices(grid.shape).reshape(3, -1)
+        D = (I[:, :, None] - I[:, None, :]) % np.reshape(grid.shape, (3, 1, 1))
+        grid._dense_cache[key] = np.ravel_multi_index(tuple(D), grid.shape)
+    return grid._dense_cache[key]
+
+
+def _circulant(grid: Grid, symbol):
+    """Dense Hermitian matrix U^H diag(symbol) U of a real Fourier multiplier
+    (``symbol`` in fft order) in the point basis.  It is multilevel
+    circulant: entry [x, y] is ifftn(symbol) at (x - y) mod shape, so one
+    inverse FFT and a gather build it."""
+    D = _difference_index(grid)
+    c = np.fft.ifftn(symbol).ravel()
+    c = 0.5 * (c + c[D[0]].conj())  # D[0] indexes -m: exactly Hermitian
+    return c[D]
 
 
 def wrap_to_zone(grid_or_lattice, xi):
@@ -181,40 +205,64 @@ def wrap_to_zone(grid_or_lattice, xi):
 
 
 class FiberOperator:
-    """Dense Bloch fiber of a cell-periodic linearized operator.
+    """Bloch fiber of a cell-periodic linearized operator.
 
     ``wrap=False`` keeps the given quasimomentum as-is; needed when xi must
     match the mode window of a containing supercell exactly (see
     commensurate_xis).
 
-    The fiber's -Lap/(8 pi) block is negative definite, so by Haynsworth
-    inertia a stable fiber (positive Schur complement) has exactly N
-    negative eigenvalues, N the number of grid points.  One Bunch-Kaufman
-    factorization H = P L D L^H P^T certifies the fiber: D has the inertia
-    of H (Sylvester), and the same factors drive the shift-invert solve for
-    the eigenvalue nearest zero.
+    In the point basis the fiber is H = [[A, B], [B^H, C]]: A is the 2N x 2N
+    density block blockdiag(T + F_+, T + F_-), B stacks diag(nu_+) and
+    diag(nu_-), and C = -T/(8 pi), where T = (-i grad + xi)^2 is the
+    circulant of the symbol |k + xi|^2.  C is negative definite off its null
+    modes u_Z (the z modes with k + xi = 0: one at Gamma, none elsewhere), so
+    Haynsworth elimination of C leaves the bordered block
+
+        K = [[A + 8 pi B G B^H, B u_Z], [u_Z^H B^H, 0]]
+
+    of dimension 2N + z, G the circulant of 1/|k + xi|^2 off the null modes.
+    K carries the inertia of H, n_negative = (N - z) + neg(K), so a stable
+    fiber has exactly N negative eigenvalues, and one Bunch-Kaufman
+    factorization of K (``factor``) certifies the fiber: D has the inertia of K
+    (Sylvester), and the same factors apply H^{-1} by block elimination in
+    the shift-invert solve for the eigenvalue nearest zero.  The dense
+    3N x 3N ``matrix`` is assembled only when it is asked for.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
         if not op.grid.is_cell:
             raise StructuralError("fibers require a cell-periodic base state")
         self.grid = op.grid
-        self.n_points = N = op.n_points
+        self.n_points = op.n_points
         self.xi = wrap_to_zone(self.grid, xi) if wrap else np.asarray(xi, dtype=float)
-        T = _dense_kinetic(self.grid, self.xi)
-        H = np.zeros((3 * N, 3 * N), dtype=complex)
-        H[:N, :N] = T + np.diag(op.F_plus.ravel())
-        H[N : 2 * N, N : 2 * N] = T + np.diag(op.F_minus.ravel())
-        H[2 * N :, 2 * N :] = -T / EIGHT_PI
-        dp = np.diag(op.nu_plus.ravel().astype(complex))
-        dm = np.diag(op.nu_minus.ravel().astype(complex))
-        H[:N, 2 * N :] = dp
-        H[2 * N :, :N] = dp
-        H[N : 2 * N, 2 * N :] = dm
-        H[2 * N :, N : 2 * N] = dm
-        self.matrix = H
+        self.F = np.stack([op.F_plus.ravel(), op.F_minus.ravel()])
+        self.nu = np.stack([op.nu_plus.ravel(), op.nu_minus.ravel()])
+        self.symbol = sum((self.grid.k_cart[a] + self.xi[a]) ** 2 for a in range(3))
+        self.kinetic = _circulant(self.grid, self.symbol)
         self._eigvals = None
         self.n_negative = None
+
+    @functools.cached_property
+    def matrix(self):
+        """The dense 3N x 3N fiber H."""
+        N = self.n_points
+        T = self.kinetic
+        H = np.zeros((3 * N, 3 * N), dtype=complex)
+        H[2 * N :, 2 * N :] = -T / EIGHT_PI
+        for s in range(2):
+            rows = slice(s * N, (s + 1) * N)
+            H[rows, rows] = T + np.diag(self.F[s])
+            H[rows, 2 * N :] = H[2 * N :, rows] = np.diag(self.nu[s])
+        return H
+
+    def apply(self, x):
+        """H x, matrix-free from the kinetic circulant."""
+        w = np.asarray(x).reshape(3, self.n_points)
+        Tw = w @ self.kinetic.T
+        out = np.empty_like(Tw)
+        out[:2] = Tw[:2] + self.F * w[:2] + self.nu * w[2]
+        out[2] = np.sum(self.nu * w[:2], axis=0) - Tw[2] / EIGHT_PI
+        return out.ravel()
 
     def eigenvalues(self):
         if self._eigvals is None:
@@ -228,41 +276,91 @@ class FiberOperator:
     def gap(self):
         return abs(self.min_eigenpair()[0])
 
+    def factor(self):
+        """Factor the Coulomb-eliminated block K once (zhetrf, Bunch-Kaufman),
+        set ``n_negative`` from its D and return the solve b -> H^{-1} b by
+        block elimination on the factors.  None where the factorization
+        cannot serve: a Coulomb mode too close to null to eliminate in
+        floating point (|k + xi|^2 below COULOMB_ELIMINATION_RTOL of the
+        largest, yet not zero), or an exactly singular D."""
+        N = self.n_points
+        q = self.symbol.ravel()
+        null = q == 0.0
+        if np.min(q[~null]) < COULOMB_ELIMINATION_RTOL * np.max(q):
+            return None
+        inv_q = np.zeros_like(q)
+        np.divide(EIGHT_PI, q, out=inv_q, where=~null)
+        P = _circulant(self.grid, inv_q.reshape(self.grid.shape))  # -C^+ = 8 pi G
+        # null modes of C: the plane waves exp(i k.x)/sqrt(N) with k + xi = 0
+        Z = np.sqrt(N) * np.fft.ifftn(
+            np.eye(N)[null].reshape((-1,) + self.grid.shape), axes=(1, 2, 3)
+        ).reshape(-1, N)
+
+        # lower triangle of K; zhetrf(lower=1) reads nothing else
+        n = 2 * N + len(Z)
+        K = np.zeros((n, n), dtype=complex)
+        for s in range(2):
+            rows = slice(s * N, (s + 1) * N)
+            for t in range(s + 1):
+                np.multiply(P, np.outer(self.nu[s], self.nu[t]), out=K[rows, t * N : (t + 1) * N])
+            block = K[rows, rows]
+            block += self.kinetic
+            block[np.diag_indices(N)] += self.F[s]
+            K[2 * N :, rows] = Z.conj() * self.nu[s]
+        lwork = int(zhetrf_lwork(n, lower=1)[0].real)
+        factors, ipiv, info = zhetrf(K, lower=1, lwork=lwork, overwrite_a=True)
+        if info > 0:
+            return None
+        self.n_negative = (N - len(Z)) + _ldl_negative_count(factors, ipiv)
+
+        def solve(b):
+            # C^+ = -P: K (w, alpha) = (b_w - B C^+ b_W, u_Z^H b_W), then
+            # W = C^+ (b_W - B^H w) + u_Z alpha
+            r = np.asarray(b).reshape(3, N)
+            Pr = P @ r[2]
+            rhs = np.concatenate([(r[:2] + self.nu * Pr).ravel(), Z.conj() @ r[2]])
+            y = zhetrs(factors, ipiv, rhs, lower=1)[0]
+            w = y[: 2 * N]
+            W = P @ np.sum(self.nu * w.reshape(2, N), axis=0) - Pr + y[2 * N :] @ Z
+            return np.concatenate([w, W])
+
+        return solve
+
     def min_eigenpair(self):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
-        negative eigenvalues, both from one LDL^H factorization of the fiber.
+        negative eigenvalues, both from the one factorization of ``factor``.
 
         The count is read from D (exact at every xi, stable or not); the
         eigenpair is the largest one of H^{-1} by shift-invert Lanczos at
         zero (ARPACK, seeded random start: a constant one stays inside the
         k = 0 subspace of a uniform state), each application of H^{-1} a
-        pair of triangular solves on the factors, and its eigenvalue is the
-        Rayleigh quotient.  A stopped solve, or a pair whose residual
-        exceeds FIBER_RESIDUAL_RTOL max |H_ii|, raises EigensolverError with
-        that residual.  An exactly singular factorization falls back to the
-        full spectrum."""
-        H = self.matrix
-        n = H.shape[0]
-        lwork = int(zhetrf_lwork(n, lower=1)[0].real)
-        factors, ipiv, info = zhetrf(H, lower=1, lwork=lwork)
-        if info > 0:
-            vals, vecs = np.linalg.eigh(H)
+        pair of triangular solves on the factors of K and two products with
+        the Coulomb circulant, each application of H matrix-free, and its
+        eigenvalue is the Rayleigh quotient.  A stopped solve, or a pair
+        whose residual exceeds FIBER_RESIDUAL_RTOL max |H_ii|, raises
+        EigensolverError with that residual.  Where ``factor`` cannot serve,
+        the pair and the count come from the full spectrum of the dense
+        fiber."""
+        solve = self.factor()
+        if solve is None:
+            vals, vecs = np.linalg.eigh(self.matrix)
             self._eigvals = vals
             self.n_negative = int(np.count_nonzero(vals < 0.0))
             i = int(np.argmin(np.abs(vals)))
             return float(vals[i]), vecs[:, i]
-        self.n_negative = _ldl_negative_count(factors, ipiv)
-
+        N = self.n_points
         last = []
 
-        def solve(b):
-            x = zhetrs(factors, ipiv, b, lower=1)[0]
+        def inverse(b):
+            x = solve(b)
             last[:] = [b, x]
             return x
 
         rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        H_inv = LinearOperator(H.shape, matvec=solve, dtype=complex)
+        v0 = rng.standard_normal(3 * N) + 1j * rng.standard_normal(3 * N)
+        shape = (3 * N, 3 * N)
+        H = LinearOperator(shape, matvec=self.apply, dtype=complex)
+        H_inv = LinearOperator(shape, matvec=inverse, dtype=complex)
         try:
             _, vecs = eigsh(H, k=1, sigma=0.0, OPinv=H_inv, ncv=FIBER_NCV, v0=v0)
         except ArpackError as err:
@@ -278,10 +376,11 @@ class FiberOperator:
                 residual_history=[res],
             ) from err
         vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        Hv = H @ vec
+        Hv = self.apply(vec)
         val = float(np.vdot(vec, Hv).real)
         res = float(np.linalg.norm(Hv - val * vec))
-        bound = FIBER_RESIDUAL_RTOL * float(np.max(np.abs(H.diagonal())))
+        t = self.kinetic[0, 0].real  # every diagonal entry of T
+        bound = FIBER_RESIDUAL_RTOL * max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
         if not res <= bound:
             raise EigensolverError(
                 f"fiber eigenpair residual {res:.3e} exceeds {bound:.3e} at xi = {tuple(self.xi)}",
@@ -628,9 +727,16 @@ def _inertia_crossing(op: LinearizedOperator, records):
 
 
 def _descend(op: LinearizedOperator, start: FiberRecord, maxiter):
-    """BFGS on |lambda| over fractional quasimomentum t (xi = B^T t) from a
-    sampled fiber; the gradient is sign(lambda) B dlambda/dxi.  Returns the
-    record of the smallest gap evaluated."""
+    """BFGS on |lambda| over fractional quasimomentum t (xi = B^T t); the
+    gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
+    smallest gap evaluated.
+
+    Near its minimum the gap is almost a function of |xi| alone: on the
+    workhorse anchor it varies by 2e-6 along a valley |t| ~ 0.396, so BFGS
+    from a body-diagonal sample stops on that valley (gradient below its
+    tolerance) 3.4e-6 above the minimum on the b_1 axis.  The descent
+    therefore starts from the smallest gap among the sampled fiber and its
+    rotations onto the three reciprocal axes at the same |xi|."""
     B = op.grid.lattice.reciprocal_vectors
     evaluated = []
 
@@ -640,6 +746,11 @@ def _descend(op: LinearizedOperator, start: FiberRecord, maxiter):
         evaluated.append(f.record(val, vec))
         return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
 
-    t0 = np.linalg.solve(B.T, np.asarray(start.xi))
+    radius = np.linalg.norm(start.xi)
+    if radius > 0.0:
+        for e, b in zip(np.eye(3), B):
+            objective(e * radius / np.linalg.norm(b))
+    best = min(evaluated + [start], key=lambda r: r.gap)
+    t0 = np.linalg.solve(B.T, np.asarray(best.xi))
     minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": 1e-6})
     return min(evaluated, key=lambda r: r.gap)

@@ -99,7 +99,9 @@ class _CellContext:
             )
         self.vfull = state.v_full_values()
         self.op = LinearizedOperator(state, h)
-        self.lu = lu_factor(self.op.dense_matrix())
+        # the matrix is exactly symmetric, so its transpose is the same matrix
+        # in Fortran order, which getrf factors in place instead of copying
+        self.lu = lu_factor(self.op.dense_matrix().T, overwrite_a=True)
         self.u = np.concatenate([self.nup.ravel(), self.num.ravel(), self.vfull.ravel()])
 
     def solve(self, rhs):

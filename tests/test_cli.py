@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from tfdw import cli
+from tfdw import cauchy_born, cli
+from tfdw.errors import DescentFailureError, DivergenceError, EigensolverError, LinearSolveError
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -50,6 +51,61 @@ def test_solver_error_exits_3(tmp_path, capsys):
     assert rc == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "StructuralError"
+
+
+def test_continuation_stop_payload_exits_3(tmp_path, capsys, monkeypatch):
+    # the corrector fails at the second step of the march (h = 0.05): the
+    # error JSON carries the last good h and the accepted samples' h and gaps
+    polish = cauchy_born.newton_polish
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise DivergenceError("forced stall")
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(cauchy_born, "newton_polish", fail_second)
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "cb": {"h_range": 0.05, "step": 0.025},
+            "stability": {"xi_density": [2, 1, 1]},
+        },
+    )
+    rc = cli.main(["cb-table", "--config", cfg])
+    assert rc == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ContinuationStopError"
+    assert "forced stall" in payload["message"]
+    assert payload["last_good_h"] == 0.025
+    assert payload["partial"]["h_values"] == [0.0, 0.025]
+    gaps = payload["partial"]["gaps"]
+    assert len(gaps) == 2 and all(0.5 < g < 0.7 for g in gaps)
+
+
+@pytest.mark.parametrize(
+    "error, key, value",
+    [
+        (EigensolverError("stopped", residual_history=[1e-3, 2e-4]), "residual_history", [1e-3, 2e-4]),
+        (DescentFailureError("stalled", energy_trace=[-1.0, -0.5]), "energy_trace", [-1.0, -0.5]),
+        (LinearSolveError("broke down", gap_estimate=0.25), "gap_estimate", 0.25),
+    ],
+    ids=["residual_history", "energy_trace", "gap_estimate"],
+)
+def test_error_payload_carries_diagnostics(tmp_path, capsys, monkeypatch, error, key, value):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "solve-cell", failing)
+    cfg = write_config(tmp_path, {"out": str(tmp_path / "out")})
+    assert cli.main(["solve-cell", "--config", cfg]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == type(error).__name__
+    assert payload[key] == value
 
 
 def test_jellium_scan_threshold(tmp_path):

@@ -25,6 +25,7 @@ from tfdw.linop import (
     wrap_to_zone,
 )
 from tfdw.residual import residual_system
+from tfdw.studies import extended_as_cell
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,7 +86,7 @@ def test_block_structure_dense(cell_solution):
     grid = state.grid
     op = LinearizedOperator(state, 0.0)
     H = op.dense_matrix()
-    assert np.max(np.abs(H - H.T)) < 1e-10
+    assert np.array_equal(H, H.T)  # exactly: the cell LU factors H.T in place
     x = rng.standard_normal(op.n_dof)
     assert np.max(np.abs(H @ x - op.matvec(x))) < 1e-10
 
@@ -443,6 +444,83 @@ def test_ldl_inertia_and_shift_invert_match_eigh(make, extra_negative, floor):
     assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
 
 
+@pytest.fixture
+def factored_dims(monkeypatch):
+    """Dimensions of the matrices handed to zhetrf, in call order."""
+    dims = []
+    zhetrf = linop.zhetrf
+
+    def recording(a, **kwargs):
+        dims.append(a.shape[0])
+        return zhetrf(a, **kwargs)
+
+    monkeypatch.setattr(linop, "zhetrf", recording)
+    return dims
+
+
+def _workhorse_fiber(state, frac, wrap=True):
+    B = state.grid.lattice.reciprocal_vectors
+    return FiberOperator(LinearizedOperator(state, 0.0), B.T @ np.asarray(frac, dtype=float), wrap)
+
+
+def _supercell_fiber(state):
+    _, _, big = extended_as_cell(state.grid.lattice, state.grid.shape, state, 2, 0)
+    return _workhorse_fiber(big, (0.5, 0.0, 0.0), wrap=False)
+
+
+@pytest.mark.parametrize(
+    "make, null_modes, extra_negative",
+    [
+        (lambda st: _workhorse_fiber(st, (0.0, 0.0, 0.0)), 1, 0),
+        (lambda st: _workhorse_fiber(st, (0.31, -0.17, 0.23)), 0, 0),
+        (lambda st: _workhorse_fiber(st, (1.0, 0.0, 0.0), wrap=False), 1, 0),
+        (_supercell_fiber, 0, 0),
+        (lambda st: _sheared_fiber(), 0, 0),
+        (lambda st: _jellium_fiber(0.2), 1, 1),
+        (lambda st: _jellium_fiber(0.5), 1, 0),
+    ],
+    ids=["workhorse-gamma", "workhorse-generic-xi", "unwrapped-b1", "supercell-2x1x1", "sheared", "jellium-0.2-gamma", "jellium-0.5-gamma"],
+)
+def test_reduced_block_inertia_and_inverse(cell_solution, factored_dims, make, null_modes, extra_negative):
+    # the Coulomb-eliminated block K (2N + z with z null modes of C, the
+    # plane wave k = -b_1 for the unwrapped xi = b_1) carries the inertia of
+    # the 3N x 3N fiber, and block elimination on its factors inverts H
+    f = make(cell_solution.state)
+    N = f.n_points
+    solve = f.factor()
+    assert factored_dims == [2 * N + null_modes]
+    H = f.matrix
+    assert f.n_negative == np.count_nonzero(np.linalg.eigvalsh(H) < 0) == N + extra_negative
+    X = np.column_stack([solve(e) for e in np.eye(3 * N)])
+    assert np.max(np.abs(H @ X - np.eye(3 * N))) <= 1e-12
+
+
+def test_certified_scan_never_assembles_the_dense_fiber(cell_solution, factored_dims, monkeypatch):
+    # the stable workhorse scan, refinement included, factors only 2N (+1 at
+    # Gamma) blocks and never builds the 3N x 3N fiber
+    def dense(self):
+        raise AssertionError("dense 3N x 3N fiber assembled")
+
+    monkeypatch.setattr(FiberOperator, "matrix", property(dense))
+    report = stability_scan(cell_solution.state, 0.0, refine=True)
+    N = cell_solution.grid.total_points
+    assert report.classification == "stable"
+    assert factored_dims.count(2 * N + 1) == 1 and set(factored_dims) == {2 * N, 2 * N + 1}
+    assert len(factored_dims) > len(report.fiber_records)  # the refinement is covered
+
+
+def test_near_null_coulomb_mode_uses_dense_fiber(cell_solution):
+    # |k + xi|^2 of 1e-14 relative cannot be eliminated in floating point:
+    # the fiber falls back to its full spectrum, with the right inertia
+    f = _workhorse_fiber(cell_solution.state, (1e-7, 0.0, 0.0), wrap=False)
+    assert f.factor() is None
+    val, vec = f.min_eigenpair()
+    vals = np.linalg.eigvalsh(f.matrix)
+    assert f.n_negative == np.count_nonzero(vals < 0) == f.n_points
+    assert val == pytest.approx(vals[int(np.argmin(np.abs(vals)))], rel=1e-12)
+    assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
+
+
 def test_min_eigenpair_start_is_seeded_and_spans_every_mode(monkeypatch):
     # on a uniform state every Fourier mode spans an invariant subspace of the
     # fiber, so a start inside a few modes (a constant one is k = 0 alone)
@@ -521,8 +599,10 @@ def test_unrefined_scan_classifies_by_inertia():
 
 
 def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
-    # workhorse anchor: zone-grid minimum 0.5977276017707; the converged
-    # local minimum 0.592052552178 lies near t = (-0.3962, 0, 0)
+    # workhorse anchor: zone-grid minimum 0.5977276017707 on the body
+    # diagonals; the minimum 0.592052552178 lies on the b_1 axis at
+    # t = (0.3962, 0, 0), while BFGS from a diagonal sample stops on the flat
+    # valley |t| ~ 0.396 at 0.5920545851544 (3.4e-6 above it)
     calls = []
     for name in ("min_eigenpair", "eigenvalues", "eigenvalue"):
         method = getattr(FiberOperator, name)
@@ -535,5 +615,5 @@ def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
     report = stability_scan(cell_solution.state, 0.0, refine=True)
     assert len(calls) <= 25
     assert report.refined_gap <= 0.5977276017707
-    assert report.refined_gap == pytest.approx(0.592052552178, rel=5e-6)
+    assert report.refined_gap == pytest.approx(0.592052552178043, rel=1e-9)
     assert report.classification == "stable"
