@@ -95,9 +95,10 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
         rho = nup * nup + num * num
         V = grid.poisson(4.0 * np.pi * (rho - rho_b))
         grads = []
-        for nu, sgn in ((nup, -1.0), (num, +1.0)):
+        laps = grid.laplacian(np.stack([nup, num]))
+        for nu, lap, sgn in zip((nup, num), laps, (-1.0, +1.0)):
             g = 2.0 * (
-                -grid.laplacian(nu)
+                -lap
                 + (5.0 / 3.0) * odd_power(nu, 7.0 / 3.0)
                 - (4.0 / 3.0) * odd_power(nu, 5.0 / 3.0)
                 + (V + sgn * h_value) * nu
@@ -111,8 +112,7 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
         pg_norm = np.sqrt(grid.l2n(pgp) ** 2 + grid.l2n(pgm) ** 2)
         if pg_norm <= opts.phase1_tol:
             break
-        dp = grid.helmholtz_inverse(pgp)
-        dm = grid.helmholtz_inverse(pgm)
+        dp, dm = grid.helmholtz_inverse(np.stack([pgp, pgm]))
         proj = (grid.inner(dp, nup) + grid.inner(dm, num)) / denom
         dp -= proj * nup
         dm -= proj * num

@@ -56,10 +56,8 @@ def energy_supercell(state: State, h=0.0, rho_b=None) -> EnergyBreakdown:
     # -Laplacian in the residual, so the functional and its Euler-Lagrange
     # map stay variationally consistent for every representable field
     parseval = (2.0 * np.pi) ** 3 / grid.vol_supercell
-    weiz = 0.0
-    for nu in (nup, num):
-        coeffs = grid.fft(nu)
-        weiz += parseval * float(np.sum(grid.k_sq * np.abs(coeffs) ** 2))
+    coeffs = grid.fft(np.stack([nup, num]))
+    weiz = parseval * float(np.sum(grid.k_sq * np.abs(coeffs) ** 2))
     dirac = -grid.integrate(np.abs(nup) ** (8.0 / 3.0) + np.abs(num) ** (8.0 / 3.0))
 
     src = state.rho_values() - rho_b

@@ -11,6 +11,12 @@ Conventions used throughout the package:
   approximated by the trapezoid/DFT quadrature (exact for band-limited f).
 * Volume-averaged norms carry the ``1/(n1 n2 n3)`` prefactor, so constants
   and per-cell content measure the same on every supercell.
+* Spectral kernels act on the last three axes, so each takes one field or a
+  stack of fields of shape ``(c,) + shape`` in one batched transform.  They
+  use complex-to-complex transforms by design, never real-input ones: on a
+  sheared lattice the symbol |k|^2 is not symmetric under k -> -k on the
+  Nyquist planes of an even grid, so a half-spectrum transform would impose
+  a symmetry the symbol does not have and change the result there.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import GridMismatchError, SolvabilityError, StructuralError
 
 TWO_PI = 2.0 * np.pi
 FOURIER_PREFACTOR = (2.0 * np.pi) ** (-1.5)
+AXES = (-3, -2, -1)  # the spatial axes; leading axes index stacked fields
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,11 @@ class GridSpec:
 class Grid:
     """Compiled lattice + grid: points, wavevectors and spectral kernels.
 
+    Every spectral kernel transforms the last three axes, so it applies to a
+    single field or to a ``(c,) + shape`` stack alike, and reductions (norms,
+    pairings) return one value per stacked field.  Transforms are complex to
+    complex (see the module notes for why not real-input).
+
     All operations are pure; the instance only caches immutable arrays, so a
     Grid may be shared freely across threads.
     """
@@ -162,7 +175,7 @@ class Grid:
         self.w_quad = self.vol_supercell / self.total_points
 
         B = lattice.reciprocal_vectors
-        kappa = [np.fft.fftfreq(M) * M for M in self.shape]  # integer mode indices
+        kappa = [sfft.fftfreq(M) * M for M in self.shape]  # integer mode indices
         frac = [kappa[j] / spec.supercell[j] for j in range(3)]  # reciprocal fractions in L*/n
         F = np.meshgrid(*frac, indexing="ij")
         self.k_cart = [sum(F[j] * B[j, a] for j in range(3)) for a in range(3)]
@@ -188,7 +201,7 @@ class Grid:
         ]
         # fractional coordinates across the whole supercell, in [0, 1)
         self.supercell_fraction = [I[j] / self.shape[j] for j in range(3)]
-        self._dense_cache: dict = {}
+        self._cache: dict = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -217,55 +230,70 @@ class Grid:
 
     def fft(self, values):
         """Paper-normalized Fourier coefficients fhat(k) on L*/n."""
-        return (FOURIER_PREFACTOR * self.w_quad) * np.fft.fftn(values)
+        return (FOURIER_PREFACTOR * self.w_quad) * sfft.fftn(values, axes=AXES)
 
     def ifft(self, coeffs):
-        vals = np.fft.ifftn(coeffs) / (FOURIER_PREFACTOR * self.w_quad)
-        return np.real(vals)
+        return sfft.ifftn(coeffs, axes=AXES).real / (FOURIER_PREFACTOR * self.w_quad)
+
+    def _apply_symbol(self, values, symbol):
+        """real(ifft(symbol * fft(values))), transformed and multiplied in
+        place."""
+        spectrum = sfft.fftn(values, axes=AXES)
+        spectrum *= symbol
+        return sfft.ifftn(spectrum, axes=AXES, overwrite_x=True).real
+
+    def _multiplier(self, alpha):
+        """Fourier symbol prod_j (i k_j)^alpha_j of the derivative alpha,
+        cached.  Odd orders vanish on the Nyquist planes of their axis (the
+        unmatched mode of an even grid), which keeps them skew-adjoint."""
+        key = ("deriv", alpha)
+        if key not in self._cache:
+            mult = np.ones(self.shape, dtype=complex)
+            for j, a in enumerate(alpha):
+                if a:
+                    mult = mult * (1j * self.k_cart[j]) ** a
+                    if a % 2:
+                        mult = np.where(self._nyquist[j], 0.0, mult)
+            self._cache[key] = mult
+        return self._cache[key]
 
     def deriv(self, values, alpha):
         """Spectral partial derivative with multi-index ``alpha``."""
+        alpha = tuple(alpha)
         if len(alpha) != 3 or any(a < 0 for a in alpha):
             raise StructuralError(f"bad multi-index {alpha}")
         if sum(alpha) == 0:
             return np.array(values, dtype=float)
-        coeffs = np.fft.fftn(values)
-        mult = np.ones(self.shape, dtype=complex)
-        for j, a in enumerate(alpha):
-            if a == 0:
-                continue
-            mult = mult * (1j * self.k_cart[j]) ** a
-            if a % 2:
-                mult = np.where(self._nyquist[j], 0.0, mult)
-        return np.real(np.fft.ifftn(coeffs * mult))
+        return self._apply_symbol(values, self._multiplier(alpha))
 
     def gradient(self, values):
         return [self.deriv(values, tuple(int(j == a) for j in range(3))) for a in range(3)]
 
     def laplacian(self, values):
-        coeffs = np.fft.fftn(values)
-        return np.real(np.fft.ifftn(-self.k_sq * coeffs))
+        return self._apply_symbol(values, -self.k_sq)
 
     def spectral_multiply(self, values, symbol):
         """ifft(symbol * fft(values)) for a real-symbol diagonal operator."""
-        return np.real(np.fft.ifftn(symbol * np.fft.fftn(values)))
+        return self._apply_symbol(values, symbol)
 
     def helmholtz_inverse(self, values, c=1.0):
         """(c - Laplacian)^{-1}, the standard smoothing preconditioner."""
         return self.spectral_multiply(values, 1.0 / (c + self.k_sq))
 
     def poisson(self, rhs, rel_tol=1e-10):
-        """Unique mean-zero V with -Laplacian V = rhs, for mean-zero rhs."""
-        m = self.mean(rhs)
-        if abs(m) > rel_tol * max(self.l2n(rhs), 1e-300):
+        """Unique mean-zero V with -Laplacian V = rhs, for mean-zero rhs
+        (each stacked right-hand side is checked on its own)."""
+        means = np.ravel(np.mean(rhs, axis=AXES))
+        scales = np.maximum(np.ravel(self.l2n(rhs)), 1e-300)
+        bad = np.flatnonzero(np.abs(means) > rel_tol * scales)
+        if bad.size:
+            m = means[bad[0]]
             raise SolvabilityError(
                 "poisson right-hand side has nonzero mean: coefficient at k = (0,0,0) "
                 f"is {m * self.vol_supercell:.3e} (mean {m:.3e}); the mean-zero "
                 "compatibility condition fails"
             )
-        coeffs = np.fft.fftn(rhs)
-        coeffs = coeffs * self.inv_k_sq
-        return np.real(np.fft.ifftn(coeffs))
+        return self._apply_symbol(rhs, self.inv_k_sq)
 
     # -- quadrature and norms ----------------------------------------------
 
@@ -286,29 +314,25 @@ class Grid:
         return float((self.integrate(np.abs(values) ** p) / self.n_cells) ** (1.0 / p))
 
     def l2n(self, values):
-        """Volume-averaged L^2 norm ((1/n^3) \\int |f|^2)^{1/2}."""
-        return float(np.sqrt(np.sum(values * values) * self.w_quad / self.n_cells))
+        """Volume-averaged L^2 norm ((1/n^3) \\int |f|^2)^{1/2}, one per
+        stacked field."""
+        return np.sqrt(np.sum(values * values, axis=AXES) * self.w_quad / self.n_cells)
 
     def l2n_inner(self, f, g):
         return float(np.sum(f * g) * self.w_quad / self.n_cells)
 
     def hk_norm(self, values, k):
         """Averaged Sobolev norm: sum of L^2_n norms of all derivatives
-        of order <= k (the order-zero term included)."""
-        total = 0.0
-        coeffs = np.fft.fftn(values)
-        for alpha in multi_indices(k):
-            if sum(alpha) == 0:
-                total += self.l2n(values)
-                continue
-            mult = np.ones(self.shape, dtype=complex)
-            for j, a in enumerate(alpha):
-                if a:
-                    mult = mult * (1j * self.k_cart[j]) ** a
-                    if a % 2:
-                        mult = np.where(self._nyquist[j], 0.0, mult)
-            total += self.l2n(np.real(np.fft.ifftn(coeffs * mult)))
-        return float(total)
+        of order <= k (the order-zero term included), one per stacked field.
+        One forward transform, then one inverse over the stack of the
+        derivative spectra."""
+        alphas = multi_indices(k)
+        coeffs = sfft.fftn(values, axes=AXES)
+        spectra = np.empty(coeffs.shape[:-3] + (len(alphas),) + self.shape, dtype=complex)
+        for i, alpha in enumerate(alphas):
+            np.multiply(coeffs, self._multiplier(alpha), out=spectra[..., i, :, :, :])
+        derivs = sfft.ifftn(spectra, axes=AXES, overwrite_x=True).real
+        return np.sum(self.l2n(derivs), axis=-1)
 
     def hminus1_inner(self, f, g, rel_tol=1e-10):
         """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2."""
@@ -332,11 +356,11 @@ class Grid:
         spectrally.  This is the pairing that makes the Poisson equation the
         stationarity condition of (1/2) D(rho - rho_b, rho - rho_b); it equals
         the H^-1 inner product times (2 pi)^3 / |n Gamma| in the coefficient
-        normalization used here."""
-        fh = np.fft.fftn(f)
-        gh = np.fft.fftn(g)
-        s = np.real(np.sum(np.conj(fh) * gh * self.inv_k_sq))
-        return float(4.0 * np.pi * s * self.w_quad / self.total_points)
+        normalization used here.  One value per stacked pair."""
+        fh = sfft.fftn(f, axes=AXES)
+        gh = sfft.fftn(g, axes=AXES)
+        s = np.sum(np.conj(fh) * gh * self.inv_k_sq, axis=AXES).real
+        return 4.0 * np.pi * s * self.w_quad / self.total_points
 
 
 def multi_indices(k):

@@ -29,13 +29,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.linalg import eigh
 from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
 from scipy.optimize import brentq, minimize
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import EigensolverError, StructuralError
-from .grids import Grid, ScalarField, State, as_h_values
+from .grids import AXES, Grid, ScalarField, State, as_h_values
 from .fieldio import atomic_write_text
 
 EIGHT_PI = 8.0 * np.pi
@@ -46,6 +47,7 @@ FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
 # smallest |k + xi|^2 (relative to the largest) that the fiber eliminates;
 # nearer a null mode the dense fiber is used instead
 COULOMB_ELIMINATION_RTOL = 1e-6
+ZONE_SNAP_TOL = 1e-12  # fractional coordinates this close to an integer are that integer
 
 
 def coefficient_fields(state: State, h=0.0):
@@ -85,26 +87,14 @@ class LinearizedOperator:
 
     def apply(self, triple):
         w_plus, w_minus, w_v = triple
-        g = self.grid
-        out_plus = -g.laplacian(w_plus) + self.F_plus * w_plus + self.nu_plus * w_v
-        out_minus = -g.laplacian(w_minus) + self.F_minus * w_minus + self.nu_minus * w_v
-        out_v = (
-            self.nu_plus * w_plus
-            + self.nu_minus * w_minus
-            + g.laplacian(w_v) / EIGHT_PI
-        )
+        lap_plus, lap_minus, lap_v = self.grid.laplacian(np.asarray(triple))
+        out_plus = -lap_plus + self.F_plus * w_plus + self.nu_plus * w_v
+        out_minus = -lap_minus + self.F_minus * w_minus + self.nu_minus * w_v
+        out_v = self.nu_plus * w_plus + self.nu_minus * w_minus + lap_v / EIGHT_PI
         return out_plus, out_minus, out_v
 
     def matvec(self, x):
-        x = np.asarray(x).ravel()
-        N = self.n_points
-        shape = self.grid.shape
-        triple = (
-            x[:N].reshape(shape),
-            x[N : 2 * N].reshape(shape),
-            x[2 * N :].reshape(shape),
-        )
-        a, b, c = self.apply(triple)
+        a, b, c = self.apply(np.reshape(x, (3,) + self.grid.shape))
         return np.concatenate([a.ravel(), b.ravel(), c.ravel()])
 
     def as_linear_operator(self):
@@ -117,19 +107,11 @@ class LinearizedOperator:
         8 pi (1 + |k|^2)^{-1} on the potential channel.
         """
         g = self.grid
-        N = self.n_points
         sym_nu = 1.0 / (1.0 + g.k_sq)
-        sym_v = EIGHT_PI * sym_nu
+        symbols = np.stack([sym_nu, sym_nu, EIGHT_PI * sym_nu])
 
         def mv(x):
-            x = np.asarray(x).ravel()
-            out = np.empty_like(x)
-            out[:N] = g.spectral_multiply(x[:N].reshape(g.shape), sym_nu).ravel()
-            out[N : 2 * N] = g.spectral_multiply(
-                x[N : 2 * N].reshape(g.shape), sym_nu
-            ).ravel()
-            out[2 * N :] = g.spectral_multiply(x[2 * N :].reshape(g.shape), sym_v).ravel()
-            return out
+            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbols).ravel()
 
         return LinearOperator((self.n_dof, self.n_dof), matvec=mv, dtype=float)
 
@@ -150,37 +132,23 @@ class LinearizedOperator:
         return H
 
 
-def _dense_dft(grid: Grid):
-    """Unitary DFT matrix U[k, x] = exp(-i k . x) / sqrt(N)."""
-    key = "dft"
-    if key not in grid._dense_cache:
-        N = grid.total_points
-        eye = np.eye(N).reshape((N,) + grid.shape)
-        F = np.fft.fftn(eye, axes=(1, 2, 3)).reshape(N, N)
-        grid._dense_cache[key] = F.T / np.sqrt(N)
-    return grid._dense_cache[key]
-
-
 def _dense_kinetic(grid: Grid):
     """Dense real symmetric matrix of -Lap on the grid."""
     key = "kin0"
-    if key not in grid._dense_cache:
-        U = _dense_dft(grid)
-        q = grid.k_sq.ravel()
-        T = (U.conj().T * q) @ U
-        T = np.real(T)
-        grid._dense_cache[key] = 0.5 * (T + T.T)
-    return grid._dense_cache[key]
+    if key not in grid._cache:
+        # a copy: the .real view alone would keep the complex matrix alive
+        grid._cache[key] = _circulant(grid, grid.k_sq).real.copy()
+    return grid._cache[key]
 
 
 def _difference_index(grid: Grid):
     """Flat index of (x - y) mod shape for every pair (x, y) of grid points."""
     key = "diff_index"
-    if key not in grid._dense_cache:
+    if key not in grid._cache:
         I = np.indices(grid.shape).reshape(3, -1)
         D = (I[:, :, None] - I[:, None, :]) % np.reshape(grid.shape, (3, 1, 1))
-        grid._dense_cache[key] = np.ravel_multi_index(tuple(D), grid.shape)
-    return grid._dense_cache[key]
+        grid._cache[key] = np.ravel_multi_index(tuple(D), grid.shape)
+    return grid._cache[key]
 
 
 def _circulant(grid: Grid, symbol):
@@ -189,18 +157,23 @@ def _circulant(grid: Grid, symbol):
     circulant: entry [x, y] is ifftn(symbol) at (x - y) mod shape, so one
     inverse FFT and a gather build it."""
     D = _difference_index(grid)
-    c = np.fft.ifftn(symbol).ravel()
+    c = sfft.ifftn(symbol).ravel()
     c = 0.5 * (c + c[D[0]].conj())  # D[0] indexes -m: exactly Hermitian
     return c[D]
 
 
 def wrap_to_zone(grid_or_lattice, xi):
     """Shift xi by a reciprocal lattice vector into the first zone
-    (fractional coordinates in [-1/2, 1/2))."""
+    (fractional coordinates in [-1/2, 1/2)).  A fractional coordinate that
+    rounds to an integer becomes exactly 0: on a sheared lattice the solve
+    leaves a reciprocal lattice vector a few 1e-17 off zero, which would
+    make its fiber a Gamma fiber whose k = 0 Coulomb mode is not exactly
+    null."""
     lattice = getattr(grid_or_lattice, "lattice", grid_or_lattice)
     B = lattice.reciprocal_vectors
     t = np.linalg.solve(B.T, np.asarray(xi, dtype=float))
     t -= np.floor(t + 0.5)
+    t[np.abs(t) <= ZONE_SNAP_TOL] = 0.0
     return B.T @ t
 
 
@@ -292,8 +265,8 @@ class FiberOperator:
         np.divide(EIGHT_PI, q, out=inv_q, where=~null)
         P = _circulant(self.grid, inv_q.reshape(self.grid.shape))  # -C^+ = 8 pi G
         # null modes of C: the plane waves exp(i k.x)/sqrt(N) with k + xi = 0
-        Z = np.sqrt(N) * np.fft.ifftn(
-            np.eye(N)[null].reshape((-1,) + self.grid.shape), axes=(1, 2, 3)
+        Z = np.sqrt(N) * sfft.ifftn(
+            np.eye(N)[null].reshape((-1,) + self.grid.shape), axes=AXES
         ).reshape(-1, N)
 
         # lower triangle of K; zhetrf(lower=1) reads nothing else
@@ -393,7 +366,7 @@ class FiberOperator:
         eigenvector ``vec``: v^H (dH/dxi_a) v, where dH/dxi_a is
         blockdiag(1, 1, -1/(8 pi)) times U^H diag(2 (k_a + xi_a)) U."""
         g = self.grid
-        w = np.fft.fftn(vec.reshape((3,) + g.shape), axes=(1, 2, 3)) / np.sqrt(self.n_points)
+        w = sfft.fftn(vec.reshape((3,) + g.shape), axes=AXES) / np.sqrt(self.n_points)
         p = np.abs(w) ** 2
         weight = p[0] + p[1] - p[2] / EIGHT_PI
         return np.array([2.0 * np.sum((g.k_cart[a] + self.xi[a]) * weight) for a in range(3)])

@@ -71,14 +71,15 @@ def _channel_residuals(state: State, hv):
     nup = state.nu_plus.values
     num = state.nu_minus.values
     veff = state.v_full_values()
+    lap_plus, lap_minus = grid.laplacian(np.stack([nup, num]))
     r_plus = (
-        -grid.laplacian(nup)
+        -lap_plus
         + (5.0 / 3.0) * odd_power(nup, 7.0 / 3.0)
         - (4.0 / 3.0) * odd_power(nup, 5.0 / 3.0)
         + (veff - hv) * nup
     )
     r_minus = (
-        -grid.laplacian(num)
+        -lap_minus
         + (5.0 / 3.0) * odd_power(num, 7.0 / 3.0)
         - (4.0 / 3.0) * odd_power(num, 5.0 / 3.0)
         + (veff + hv) * num

@@ -46,7 +46,6 @@ class SampleSolves:
     """All cell solves attached to one distinct macro field value."""
 
     h: float
-    u: np.ndarray                       # (3N,) nu_+, nu_-, V_full at this h
     X1: np.ndarray                      # d u / d h
     w: dict[int, np.ndarray] = field(default_factory=dict)      # axis -> first-order unit solve
     X2: np.ndarray | None = None        # d^2 u / d h^2
@@ -97,12 +96,10 @@ class _CellContext:
                 f"cell state at h = {h:.6g} is not positive; the nu^(-1/3) "
                 "second-order source is singular"
             )
-        self.vfull = state.v_full_values()
         self.op = LinearizedOperator(state, h)
         # the matrix is exactly symmetric, so its transpose is the same matrix
         # in Fortran order, which getrf factors in place instead of copying
         self.lu = lu_factor(self.op.dense_matrix().T, overwrite_a=True)
-        self.u = np.concatenate([self.nup.ravel(), self.num.ravel(), self.vfull.ravel()])
 
     def solve(self, rhs):
         """Solve L_h x = rhs; returns (3N,) and the achieved residual."""
@@ -124,9 +121,7 @@ class _CellContext:
     def dz(self, vec, axis):
         """Cell-spectral derivative of each component of a stacked triple."""
         alpha = tuple(int(j == axis) for j in range(3))
-        a, b, c = self.split(vec)
-        g = self.grid
-        return self.join(g.deriv(a, alpha), g.deriv(b, alpha), g.deriv(c, alpha))
+        return self.grid.deriv(vec.reshape((3,) + self.grid.shape), alpha).ravel()
 
     def dh_operator_apply(self, X1, vec):
         """(d/dh L_h) applied to a triple, where the coefficient derivatives
@@ -227,7 +222,7 @@ def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
         return x
 
     X1 = solve(np.concatenate([ctx.nup.ravel(), -ctx.num.ravel(), np.zeros(N)]))
-    sample = SampleSolves(h=h, u=ctx.u, X1=X1)
+    sample = SampleSolves(h=h, X1=X1)
     for a in axes:
         sample.w[a] = solve(first_order_sources(ctx, X1, a))
     # d^2 u / d h^2: differentiate the du/dh system once more

@@ -9,6 +9,7 @@ from tfdw.grids import (
     LatticeSpec,
     ScalarField,
     constant_field,
+    multi_indices,
     derivative,
     laplacian,
     norm,
@@ -250,6 +251,100 @@ def test_sheared_lattice_operators(rng):
     d12 = g.deriv(g.deriv(vals, (1, 0, 0)), (0, 1, 0))
     d21 = g.deriv(vals, (1, 1, 0))
     assert np.max(np.abs(d12 - d21)) < 1e-10
+
+
+# -- every spectral kernel against a per-field numpy.fft reference ----------------
+
+SHEARED = [[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]]
+KERNEL_GRIDS = {
+    "sheared-cell": lambda: Grid(LatticeSpec(SHEARED, 2.0), GridSpec((4, 4, 4))),
+    "sheared-supercell-4x1x1": lambda: Grid(
+        LatticeSpec(SHEARED, 2.0), GridSpec((4, 4, 4), (4, 1, 1))
+    ),
+    "workhorse-cell": lambda: Grid(unit_cube(3.0, [((1, 0, 0), 0.15)]), GridSpec((8, 4, 4))),
+}
+
+
+def _reference_kernels(g):
+    """Each kernel written field by field with numpy.fft: the complex
+    transform of the whole spectrum, odd derivatives zeroed on the Nyquist
+    planes of their axis."""
+    kappa = [np.fft.fftfreq(M) * M for M in g.shape]
+
+    def apply(x, symbol):
+        return np.real(np.fft.ifftn(symbol * np.fft.fftn(x)))
+
+    def multiplier(alpha):
+        mult = np.ones(g.shape, dtype=complex)
+        for j, a in enumerate(alpha):
+            mult = mult * (1j * g.k_cart[j]) ** a
+            if a % 2:
+                plane = kappa[j] == -(g.shape[j] // 2)
+                mult = np.where(plane.reshape([-1 if i == j else 1 for i in range(3)]), 0.0, mult)
+        return mult
+
+    def l2n(x):
+        return np.sqrt(np.sum(x * x) * g.vol_cell / g.total_points)
+
+    def pairing(f, h):
+        s = np.real(np.sum(np.conj(np.fft.fftn(f)) * np.fft.fftn(h) * g.inv_k_sq))
+        return 4.0 * np.pi * s * g.w_quad / g.total_points
+
+    scale = TWO_PI ** -1.5 * g.w_quad
+    symbol = np.cos(g.k_cart[0] + 0.5 * g.k_cart[1]) / (1.0 + g.k_sq)
+    derivs = {a: (lambda x, a=a: apply(x, multiplier(a))) for a in multi_indices(2)}
+    # kernel -> (grid call, per-field reference), both of (x, y)
+    return {
+        **{
+            f"deriv{alpha}": (lambda x, y, alpha=alpha: g.deriv(x, alpha), lambda x, y, r=r: r(x))
+            for alpha, r in derivs.items()
+        },
+        "laplacian": (lambda x, y: g.laplacian(x), lambda x, y: apply(x, -g.k_sq)),
+        "spectral_multiply": (
+            lambda x, y: g.spectral_multiply(x, symbol),
+            lambda x, y: apply(x, symbol),
+        ),
+        "poisson": (lambda x, y: g.poisson(x), lambda x, y: apply(x, g.inv_k_sq)),
+        "hk_norm": (
+            lambda x, y: g.hk_norm(x, 2),
+            lambda x, y: sum(l2n(r(x)) for r in derivs.values()),
+        ),
+        "coulomb_pairing": (lambda x, y: g.coulomb_pairing(x, y), pairing),
+        "fft": (lambda x, y: g.fft(x), lambda x, y: scale * np.fft.fftn(x)),
+        # the inverse of a complex spectrum that is not Hermitian: its real part
+        "ifft": (
+            lambda x, y: g.ifft(x + 1j * y),
+            lambda x, y: np.real(np.fft.ifftn(x + 1j * y)) / scale,
+        ),
+    }
+
+
+KERNELS = list(_reference_kernels(Grid(unit_cube(), GridSpec((4, 4, 4)))))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("grid_name", list(KERNEL_GRIDS))
+def test_kernels_match_per_field_numpy_fft(grid_name, kernel):
+    # white noise fills every mode, the Nyquist planes included, where a
+    # real-input transform or a kept odd Nyquist mode would differ
+    g = KERNEL_GRIDS[grid_name]()
+    call, reference = _reference_kernels(g)[kernel]
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((2, 3) + g.shape)
+    x -= np.mean(x, axis=(1, 2, 3), keepdims=True)  # poisson needs mean zero
+    expected = np.array([reference(x[i], y[i]) for i in range(3)])
+    tol = 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(call(x[0], y[0]) - expected[0])) <= tol
+    stacked = call(x, y)
+    assert np.shape(stacked) == np.shape(expected)
+    assert np.max(np.abs(stacked - expected)) <= tol
+
+
+def test_poisson_checks_each_stacked_field():
+    g = make_grid()
+    rhs = np.stack([cos_mode(g), cos_mode(g) + 0.1])
+    with pytest.raises(SolvabilityError, match="nonzero mean"):
+        g.poisson(rhs)
 
 
 # -- fields and structural checks ----------------------------------------------

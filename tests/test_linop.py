@@ -380,6 +380,18 @@ def test_fiber_gradient_matches_central_differences(rng):
     assert np.max(np.abs(grad - fd)) <= 1e-6
 
 
+def test_sheared_reciprocal_vectors_wrap_to_exact_gamma():
+    # solving for the fractional coordinates of b_j on a sheared lattice
+    # leaves them a few 1e-17 off integers; the wrapped fiber must be the
+    # exact Gamma fiber, whose k = 0 Coulomb mode the factorization eliminates
+    op = LinearizedOperator(sheared_state(np.random.default_rng(1234)), 0.05)
+    for b in op.grid.lattice.reciprocal_vectors:
+        assert np.all(wrap_to_zone(op.grid, b) == 0.0)
+        f = FiberOperator(op, b)
+        assert f.factor() is not None
+        assert f.n_negative == np.count_nonzero(np.linalg.eigvalsh(f.matrix) < 0.0)
+
+
 def test_min_eigenpair_matches_full_spectrum(cell_solution):
     op = LinearizedOperator(cell_solution.state, 0.0)
     xi = cell_solution.grid.lattice.reciprocal_vectors.T @ np.array([0.25, -0.25, 0.25])
