@@ -6,16 +6,7 @@ handful of spectral primitives shown here.
 
 import numpy as np
 
-from tfdw.grids import (
-    Grid,
-    GridSpec,
-    LatticeSpec,
-    ScalarField,
-    constant_field,
-    norm,
-    poisson_solve,
-    transform,
-)
+from tfdw.grids import Grid, GridSpec, LatticeSpec
 
 # A unit cube holding two electrons, with a smoothly modulated background.
 lattice = LatticeSpec.cubic(1.0, 2.0, [((1, 0, 0), 0.2)])
@@ -24,16 +15,15 @@ print(f"grid: {grid.shape} points over a {grid.spec.supercell} supercell, |Gamma
 
 # Fourier coefficients follow the continuum normalization: a constant field
 # has a single coefficient (2 pi)^{-3/2} |n Gamma| at k = 0.
-one = constant_field(grid, 1.0)
-coeffs = transform(one, "forward")
-print(f"fhat(0) for f = 1:            {coeffs.coeffs.flat[0]:.12f}")
+coeffs = grid.fft(np.ones(grid.shape))
+print(f"fhat(0) for f = 1:            {coeffs.flat[0]:.12f}")
 print(f"(2 pi)^(-3/2) |n Gamma|:      {(2 * np.pi) ** (-1.5) * grid.vol_supercell:.12f}")
 
 # Volume-averaged norms measure per-cell content, so they do not grow with
 # the supercell: a unit cosine always has L^2_n norm 1/sqrt(2).
-c = ScalarField(grid, np.cos(2 * np.pi * grid.cell_fraction[0]))
-print(f"|cos|_L2n = {norm(c, 'L2'):.12f}  (1/sqrt(2) = {1 / np.sqrt(2):.12f})")
-print(f"|cos|_H2n = {norm(c, ('Hk', 2)):.6f}  (adds the spectral derivatives)")
+c = np.cos(2 * np.pi * grid.cell_fraction[0])
+print(f"|cos|_L2n = {grid.l2n(c):.12f}  (1/sqrt(2) = {1 / np.sqrt(2):.12f})")
+print(f"|cos|_H2n = {grid.hk_norm(c, 2):.6f}  (adds the spectral derivatives)")
 
 # The Coulomb solve is a diagonal division by |k|^2; applying the Laplacian
 # back recovers the source to solver precision.
@@ -42,8 +32,8 @@ src = np.cos(2 * np.pi * grid.supercell_fraction[0]) + 0.3 * np.cos(
     2 * np.pi * (grid.cell_fraction[1] + grid.cell_fraction[2])
 )
 src -= np.mean(src)
-V = poisson_solve(ScalarField(grid, 4 * np.pi * src))
-check = grid.l2n(-grid.laplacian(V.values) - 4 * np.pi * src)
+V = grid.poisson(4 * np.pi * src)
+check = grid.l2n(-grid.laplacian(V) - 4 * np.pi * src)
 print(f"|-Lap V - 4 pi rho|_L2n after the Poisson solve: {check:.2e}")
 
 # The homogeneous H^-1 pairing is the spectral sum 4 pi sum |fhat|^2/|k|^2;

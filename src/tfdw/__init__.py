@@ -13,33 +13,17 @@ __version__ = "0.1.0"
 
 from .energy import EnergyBreakdown, energy_supercell, zeeman_coupling
 from .errors import TfdwError
-from .grids import (
-    Grid,
-    GridSpec,
-    HField,
-    LatticeSpec,
-    Mode,
-    ScalarField,
-    SpectralField,
-    State,
-    constant_field,
-    derivative,
-    laplacian,
-    norm,
-    poisson_solve,
-    transform,
-)
+from .grids import Grid, GridSpec, HField, LatticeSpec, Mode, ScalarField, State, constant_field
 from .jellium import JelliumParams, cdw_condition, sdw_threshold
-from .linop import LinearizedOperator, StabilityReport, fiber, spectral_gap, stability_scan
+from .linop import FiberOperator, LinearizedOperator, StabilityReport, spectral_gap, stability_scan
 from .newton import NewtonOptions, NewtonTrace, newton_solve, operator_drift
 from .residual import Residual, gauge_fit, normalize_state, residual
 from .cells import CellSolution, SolveOptions, solve_cell, verify_minimizer
-from .cauchy_born import CBTable, E_CB, build_cb_table, cb_field, dual_energy, m_of_h
+from .cauchy_born import CBTable, build_cb_table, cb_field, dual_energy
 from .twoscale import (
     CorrectorSet,
     assemble_u0,
     build_u0,
     first_order_correctors,
-    leading_order,
     second_order_correctors,
 )

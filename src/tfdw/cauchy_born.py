@@ -31,30 +31,43 @@ from .errors import (
     StructuralError,
     TfdwError,
 )
-from .grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
+from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, as_h_values
 from .linop import LinearizedOperator
 from .residual import residual, residual_system
+
+
+def field_source(nu_plus, nu_minus):
+    """(nu_+, -nu_-, 0): minus the h-derivative of the residual, the
+    right-hand side of every du/dh solve, as a ``(3,) + shape`` stack."""
+    return np.stack([nu_plus, -nu_minus, np.zeros_like(nu_plus)])
 
 
 def solve_du_dh(sol: CellSolution) -> State:
     """Differentiate the stationarity system in h: the derivative triple
     solves  L_h (du/dh) = (nu_+, -nu_-, 0)."""
-    grid = sol.grid
-    op = LinearizedOperator(sol.state, sol.h_value)
-    H = op.dense_matrix()
-    N = grid.total_points
-    rhs = np.concatenate(
-        [sol.state.nu_plus.values.ravel(), -sol.state.nu_minus.values.ravel(), np.zeros(N)]
-    )
-    x = np.linalg.solve(H, rhs)
-    v_part = x[2 * N :].reshape(grid.shape)
-    gauge = float(np.mean(v_part))
-    return State(
-        ScalarField(grid, x[:N].reshape(grid.shape)),
-        ScalarField(grid, x[N : 2 * N].reshape(grid.shape)),
-        ScalarField(grid, v_part - gauge),
-        gauge,
-    )
+    s = sol.state
+    rhs = field_source(s.nu_plus.values, s.nu_minus.values).ravel()
+    return State.from_stack(sol.grid, LinearizedOperator(s, sol.h_value).dense_solve(rhs))
+
+
+def macro_layout(table, h_values, grid):
+    """Map supercell points onto table data: the distinct field values
+    (rounded to 12 digits; all inside the table's range), the index of each
+    point's value among them and the index of its position within its cell."""
+    table.check_range(h_values.ravel())
+    uniq, inverse = np.unique(np.round(h_values.ravel(), 12), return_inverse=True)
+    res = table.grid.shape
+    idx = np.indices(grid.shape)
+    micro = np.ravel_multi_index(tuple(idx[j] % res[j] for j in range(3)), res).ravel()
+    return uniq, inverse, micro
+
+
+def gather(rows, inverse, micro, shape):
+    """Supercell ``(3,) + shape`` stack from per-value cell stacks ``rows``
+    (one per distinct value, flat 3N or ``(3,) + cell shape``): point p takes
+    row ``inverse[p]`` at cell point ``micro[p]``."""
+    cells = np.reshape(rows, (len(rows), 3, -1))
+    return cells[inverse, :, micro].T.reshape((3,) + shape)
 
 
 @dataclass
@@ -95,26 +108,13 @@ class CBTable:
                 f"range [{self.h_min:.6g}, {self.h_max:.6g}]"
             )
 
-    def _stacked_values(self):
-        rows = []
-        for sol in self.solutions:
-            s = sol.state
-            rows.append(
-                np.concatenate(
-                    [
-                        s.nu_plus.values.ravel(),
-                        s.nu_minus.values.ravel(),
-                        s.v_full_values().ravel(),
-                    ]
-                )
-            )
-        return np.array(rows)
-
     def state_spline(self):
-        # cubic spline of collocation values; values are linear in the
-        # spectral coefficients, so this equals a coefficient-space spline
+        # cubic spline of collocation values (flat stacked states); values
+        # are linear in the spectral coefficients, so this equals a
+        # coefficient-space spline
         if self._state_spline is None:
-            self._state_spline = CubicSpline(self.h_samples, self._stacked_values(), axis=0)
+            rows = np.array([sol.state.stacked().ravel() for sol in self.solutions])
+            self._state_spline = CubicSpline(self.h_samples, rows, axis=0)
         return self._state_spline
 
     def energy_spline(self):
@@ -130,16 +130,7 @@ class CBTable:
     def state_at(self, h) -> State:
         """Spline-interpolated cell state at field value h."""
         self.check_range([h])
-        row = self.state_spline()(float(h))
-        N = self.grid.total_points
-        v_full = row[2 * N :].reshape(self.grid.shape)
-        gauge = float(np.mean(v_full))
-        return State(
-            ScalarField(self.grid, row[:N].reshape(self.grid.shape)),
-            ScalarField(self.grid, row[N : 2 * N].reshape(self.grid.shape)),
-            ScalarField(self.grid, v_full - gauge),
-            gauge,
-        )
+        return State.from_stack(self.grid, self.state_spline()(float(h)))
 
     def energy_at(self, h) -> float:
         self.check_range([h])
@@ -169,15 +160,6 @@ class CBTable:
         from scipy.optimize import brentq
 
         return float(brentq(lambda h: float(spline(h)) - m_target, a, b, xtol=1e-14))
-
-
-def E_CB(table: CBTable, h) -> float:
-    """Averaged cell energy of the constant-field map (cubic interpolation)."""
-    return table.energy_at(h)
-
-
-def m_of_h(table: CBTable, h) -> float:
-    return table.m_at(h)
 
 
 def build_cb_table(
@@ -305,48 +287,19 @@ def build_cb_table(
 def cb_field(table: CBTable, h_field, eps=None, grid=None) -> State:
     """Modulate the constant-field map by a slowly varying field: at each
     supercell point x the state is the tabulated cell solution for the local
-    field value, evaluated at the point's position within its cell."""
+    field value, evaluated at the point's position within its cell.  The
+    field is a ScalarField (its grid is the supercell), or a constant or an
+    HField on ``grid``."""
     if isinstance(h_field, ScalarField):
         grid = h_field.grid
-        h_vals = h_field.values
-    elif isinstance(h_field, HField):
-        if grid is None:
-            raise StructuralError("cb_field needs a supercell grid when given an HField")
-        if eps is None:
-            eps = 1.0 / max(grid.spec.supercell)
-        h_vals = h_field.sample(grid, eps).values
-    else:
-        if grid is None:
-            raise StructuralError("cb_field needs a grid for a constant field value")
-        h_vals = np.full(grid.shape, float(h_field))
+    elif grid is None:
+        raise StructuralError("cb_field needs a supercell grid unless given a ScalarField")
+    h_vals = as_h_values(h_field, grid, eps)
     if grid.spec.resolution != table.grid.spec.resolution:
         raise StructuralError("supercell grid must refine the tabulated cell grid")
-    table.check_range(h_vals.ravel())
-
-    flat_h = h_vals.ravel()
-    uniq, inverse = np.unique(np.round(flat_h, 12), return_inverse=True)
-    rows = table.state_spline()(uniq)  # (n_distinct, 3N)
-
-    N = table.grid.total_points
-    shape = grid.shape
-    res = table.grid.shape
-    idx = np.indices(shape)
-    micro = np.ravel_multi_index(
-        tuple(idx[j] % res[j] for j in range(3)), res
-    ).ravel()
-
-    out = []
-    for c in range(3):
-        comp = rows[:, c * N : (c + 1) * N]
-        out.append(comp[inverse, micro].reshape(shape))
-    v_full = out[2]
-    gauge = float(np.mean(v_full))
-    return State(
-        ScalarField(grid, out[0]),
-        ScalarField(grid, out[1]),
-        ScalarField(grid, v_full - gauge),
-        gauge,
-    )
+    uniq, inverse, micro = macro_layout(table, h_vals, grid)
+    rows = table.state_spline()(uniq)  # one flat stacked state per distinct value
+    return State.from_stack(grid, gather(rows, inverse, micro, grid.shape))
 
 
 @dataclass
@@ -388,7 +341,6 @@ def dual_energy(
         mu = 0.0 if mu0 is None else float(mu0)
         work = (init or solve_cell(lattice, grid, mu, "uniform", opts).state).copy()
 
-    N = grid.total_points
     vol = lattice.volume
 
     def constraint(state):
@@ -402,30 +354,18 @@ def dual_energy(
         history.append(err)
         if err <= opts.tol:
             break
-        f_plus, f_minus, f_v = residual_system(work, mu, rho_b)
-        H = LinearizedOperator(work, mu).dense_matrix()
-        K = np.zeros((3 * N + 1, 3 * N + 1))
-        K[: 3 * N, : 3 * N] = H
-        # d residual / d mu
-        K[:N, -1] = -work.nu_plus.values.ravel()
-        K[N : 2 * N, -1] = work.nu_minus.values.ravel()
-        # constraint row
-        K[-1, :N] = 2.0 * grid.w_quad * work.nu_plus.values.ravel()
-        K[-1, N : 2 * N] = -2.0 * grid.w_quad * work.nu_minus.values.ravel()
-        rhs = np.concatenate([f_plus.ravel(), f_minus.ravel(), f_v.ravel(), [c_m]])
-        d = np.linalg.solve(K, rhs)
-        nup = work.nu_plus.values - d[:N].reshape(grid.shape)
-        num = work.nu_minus.values - d[N : 2 * N].reshape(grid.shape)
-        v_full = work.v_full_values() - d[2 * N : 3 * N].reshape(grid.shape)
-        mu = mu - float(d[-1])
-        gauge = float(np.mean(v_full))
-        work = State(
-            ScalarField(grid, nup),
-            ScalarField(grid, num),
-            ScalarField(grid, v_full - gauge),
-            gauge,
+        nup, num = work.nu_plus.values, work.nu_minus.values
+        # border: d residual / d mu (column) and the constraint row
+        zero = np.zeros(grid.shape)
+        border = (
+            np.stack([-nup, num, zero]).ravel(),
+            np.stack([2.0 * grid.w_quad * nup, -2.0 * grid.w_quad * num, zero]).ravel(),
         )
-        if min(nup.min(), num.min()) < opts.nu_floor:
+        rhs = np.append(residual_system(work, mu, rho_b).ravel(), c_m)
+        d = LinearizedOperator(work, mu).dense_solve(rhs, border)
+        work = State.from_stack(grid, work.stacked().ravel() - d[:-1])
+        mu = mu - float(d[-1])
+        if min(work.nu_plus.values.min(), work.nu_minus.values.min()) < opts.nu_floor:
             raise InfeasibleConstraintError(
                 f"constrained solve lost positivity targeting m = {m_target:.6g}"
             )

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import fieldio
 from .energy import EnergyBreakdown, energy_supercell
-from .errors import DescentFailureError, DivergenceError, PositivityLossError
+from .errors import DescentFailureError, DivergenceError, PositivityLossError, StructuralError
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, random_smooth_field
-from .linop import LinearizedOperator, monkhorst_pack, stability_scan
-from .residual import gauge_fit, normalize_state, odd_power, residual, residual_system
+from .linop import LinearizedOperator, stability_scan
+from .residual import _channel_residuals, gauge_fit, normalize_state, residual, residual_system
 
 
 @dataclass
@@ -60,7 +60,7 @@ def initial_state(lattice: LatticeSpec, grid: Grid, preset="uniform", seed=0, pe
         rng = np.random.default_rng(seed)
         vals = vals + perturbation * random_smooth_field(grid, rng, amplitude=1.0, kmax=2)
     elif preset != "uniform":
-        raise ValueError(f"unknown init preset {preset!r}")
+        raise StructuralError(f"unknown init preset {preset!r}")
     state = State(
         ScalarField(grid, vals.copy()),
         ScalarField(grid, vals.copy()),
@@ -94,17 +94,10 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
     for iterations in range(1, opts.phase1_maxiter + 1):
         rho = nup * nup + num * num
         V = grid.poisson(4.0 * np.pi * (rho - rho_b))
-        grads = []
-        laps = grid.laplacian(np.stack([nup, num]))
-        for nu, lap, sgn in zip((nup, num), laps, (-1.0, +1.0)):
-            g = 2.0 * (
-                -lap
-                + (5.0 / 3.0) * odd_power(nu, 7.0 / 3.0)
-                - (4.0 / 3.0) * odd_power(nu, 5.0 / 3.0)
-                + (V + sgn * h_value) * nu
-            )
-            grads.append(g)
-        gp, gm = grads
+        # the energy gradient in (nu_+, nu_-) is twice the channel residuals
+        # at the eliminated potential
+        eliminated = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V))
+        gp, gm = (2.0 * r for r in _channel_residuals(eliminated, h_value))
         denom = grid.inner(nup, nup) + grid.inner(num, num)
         mu = (grid.inner(gp, nup) + grid.inner(gm, num)) / denom
         pgp = gp - mu * nup
@@ -164,24 +157,12 @@ def newton_polish(state: State, h_value, opts: SolveOptions, rho_b=None):
     work = state.copy()
     history = [residual(work, h_value, rho_b).norm_l2n()]
     iterations = 0
-    N = grid.total_points
     target = 0.1 * opts.tol
     while history[-1] > target and iterations < opts.newton_maxiter:
-        f_plus, f_minus, f_v = residual_system(work, h_value, rho_b)
-        H = LinearizedOperator(work, h_value).dense_matrix()
-        rhs = np.concatenate([f_plus.ravel(), f_minus.ravel(), f_v.ravel()])
-        d = np.linalg.solve(H, rhs)
-        nup = work.nu_plus.values - d[:N].reshape(grid.shape)
-        num = work.nu_minus.values - d[N : 2 * N].reshape(grid.shape)
-        v_full = work.v_full_values() - d[2 * N :].reshape(grid.shape)
-        gauge = float(np.mean(v_full))
-        work = State(
-            ScalarField(grid, nup),
-            ScalarField(grid, num),
-            ScalarField(grid, v_full - gauge),
-            gauge,
-        )
-        min_nu = min(nup.min(), num.min())
+        rhs = residual_system(work, h_value, rho_b).ravel()
+        d = LinearizedOperator(work, h_value).dense_solve(rhs)
+        work = State.from_stack(grid, work.stacked().ravel() - d)
+        min_nu = min(work.nu_plus.values.min(), work.nu_minus.values.min())
         if min_nu < opts.nu_floor:
             raise PositivityLossError(
                 f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) during Newton; "

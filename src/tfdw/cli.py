@@ -23,7 +23,7 @@ from . import cauchy_born as cb
 from . import fieldio, jellium
 from . import studies
 from . import twoscale as ts
-from .cells import SolveOptions, save_solution, solve_cell, verify_minimizer
+from .cells import SolveOptions, save_solution, solve_cell
 from .errors import ConfigError, TfdwError
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode
 from .linop import monkhorst_pack
@@ -47,7 +47,6 @@ CONFIG_SCHEMA = {
     "properties": {
         "out": {"type": "string"},
         "seed": {"type": "integer"},
-        "threads": {"type": "integer", "minimum": 1},
         "lattice": {
             "type": "object",
             "properties": {
@@ -248,7 +247,7 @@ def _write_json(path, payload):
     fieldio.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _build_table(cfg, lattice, opts, out):
+def _build_table(cfg, lattice, opts):
     c = cfg.get("cb")
     if c is None:
         raise ConfigError("this command needs a 'cb' section")
@@ -266,10 +265,25 @@ def _build_table(cfg, lattice, opts, out):
     return table
 
 
+def _two_scale_inputs(cfg, seed):
+    """The two-scale section, the table (loaded from ``table_dir`` or
+    built), the n-fold supercell grid and the applied field."""
+    lattice = _lattice(cfg)
+    tcfg = cfg.get("two_scale")
+    if tcfg is None:
+        raise ConfigError("this command needs a 'two_scale' section")
+    if "table_dir" in tcfg:
+        table = cb.load_table(tcfg["table_dir"])
+    else:
+        table = _build_table(cfg, lattice, _solve_opts(cfg, seed))
+    grid_n = Grid(lattice, GridSpec(_resolution(cfg), (tcfg["n"], 1, 1)))
+    return tcfg, table, grid_n, _h_field(cfg)
+
+
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_solve_cell(cfg, out, seed, threads, verbose):
+def cmd_solve_cell(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
     opts = _solve_opts(cfg, seed)
     cell_cfg = cfg.get("cell", {})
@@ -291,7 +305,7 @@ def cmd_solve_cell(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_jellium_scan(cfg, out, seed, threads, verbose):
+def cmd_jellium_scan(cfg, out, seed, verbose):
     j = cfg.get("jellium", {})
     nu0_values = np.linspace(j.get("nu0_min", 0.1), j.get("nu0_max", 1.0), j.get("nu0_count", 19))
     xi_values = np.linspace(0.0, j.get("xi_max", 3.0), j.get("xi_count", 13))
@@ -313,7 +327,7 @@ def cmd_jellium_scan(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_stability_scan(cfg, out, seed, threads, verbose):
+def cmd_stability_scan(cfg, out, seed, verbose):
     s = cfg.get("stability", {})
     if s.get("source", "cell") == "jellium":
         params = jellium.JelliumParams(cfg.get("jellium", {}).get("nu0", 0.5))
@@ -339,10 +353,10 @@ def cmd_stability_scan(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_cb_table(cfg, out, seed, threads, verbose):
+def cmd_cb_table(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
     opts = _solve_opts(cfg, seed)
-    table = _build_table(cfg, lattice, opts, out)
+    table = _build_table(cfg, lattice, opts)
     cb.save_table(os.path.join(out, "cb_table"), table)
     cb.export_curves_csv(table, os.path.join(out, "cb_curves.csv"))
     if verbose:
@@ -350,19 +364,9 @@ def cmd_cb_table(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_two_scale_build(cfg, out, seed, threads, verbose):
-    lattice = _lattice(cfg)
-    opts = _solve_opts(cfg, seed)
-    tcfg = cfg.get("two_scale")
-    if tcfg is None:
-        raise ConfigError("this command needs a 'two_scale' section")
-    if "table_dir" in tcfg:
-        table = cb.load_table(tcfg["table_dir"])
-    else:
-        table = _build_table(cfg, lattice, opts, out)
+def cmd_two_scale_build(cfg, out, seed, verbose):
+    tcfg, table, grid_n, h_field = _two_scale_inputs(cfg, seed)
     n = tcfg["n"]
-    grid_n = Grid(lattice, GridSpec(_resolution(cfg), (n, 1, 1)))
-    h_field = _h_field(cfg)
     u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n, include_second=tcfg.get("include_second", True))
     res = residual(u0, h_field.sample(grid_n, 1.0 / n)).norm_l2n()
     ts.save_u0(out, "u0", u0, cs, {"ansatz_residual": res})
@@ -371,19 +375,9 @@ def cmd_two_scale_build(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_newton_study(cfg, out, seed, threads, verbose):
-    lattice = _lattice(cfg)
-    opts = _solve_opts(cfg, seed)
-    tcfg = cfg.get("two_scale")
-    if tcfg is None:
-        raise ConfigError("this command needs a 'two_scale' section")
-    if "table_dir" in tcfg:
-        table = cb.load_table(tcfg["table_dir"])
-    else:
-        table = _build_table(cfg, lattice, opts, out)
+def cmd_newton_study(cfg, out, seed, verbose):
+    tcfg, table, grid_n, h_field = _two_scale_inputs(cfg, seed)
     n = tcfg["n"]
-    grid_n = Grid(lattice, GridSpec(_resolution(cfg), (n, 1, 1)))
-    h_field = _h_field(cfg)
     u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n)
     h_vals = h_field.sample(grid_n, 1.0 / n)
     u_cb = cb.cb_field(table, h_vals, 1.0 / n)
@@ -396,7 +390,7 @@ def cmd_newton_study(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_eps_study(cfg, out, seed, threads, verbose):
+def cmd_eps_study(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
     ecfg = cfg.get("eps")
     if ecfg is None:
@@ -415,7 +409,6 @@ def cmd_eps_study(cfg, out, seed, threads, verbose):
         newton_opts=_newton_opts(cfg, seed),
         verify_samples=ccfg.get("verify_samples", True),
         drop_largest=ecfg.get("drop_largest", True),
-        threads=threads,
     )
     result.write_csv(os.path.join(out, "eps_study.csv"))
     fieldio.atomic_write_text(os.path.join(out, "eps_slopes.json"), result.slopes_json())
@@ -424,13 +417,13 @@ def cmd_eps_study(cfg, out, seed, threads, verbose):
     return 0
 
 
-def cmd_legendre_check(cfg, out, seed, threads, verbose):
+def cmd_legendre_check(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
     opts = _solve_opts(cfg, seed)
     lcfg = cfg.get("legendre")
     if lcfg is None:
         raise ConfigError("this command needs a 'legendre' section")
-    table = _build_table(cfg, lattice, opts, out)
+    table = _build_table(cfg, lattice, opts)
     rows, _curve = studies.run_legendre_study(
         table,
         lcfg["h_values"],
@@ -470,7 +463,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON study configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (or TFDW_THREADS)")
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -484,12 +476,9 @@ def main(argv=None):
         return 2
     out = args.out or cfg.get("out", "tfdw_out")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    threads = args.threads
-    if threads is None:
-        threads = cfg.get("threads", int(os.environ.get("TFDW_THREADS", "1")))
     os.makedirs(out, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, seed, threads, args.verbose)
+        return COMMANDS[args.command](cfg, out, seed, args.verbose)
     except ConfigError as exc:
         print(json.dumps({"error": "ConfigError", "message": str(exc)}))
         return 2

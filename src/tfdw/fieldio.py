@@ -47,19 +47,26 @@ def read_field(path, grid: Grid | None = None) -> ScalarField:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != TFW_MAGIC:
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise StructuralError(f"{path}: the header line is not JSON ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != TFW_MAGIC:
         raise StructuralError(f"{path} is not a .tfw field file")
-    file_grid = grid_from_header(header)
+    try:
+        file_grid = grid_from_header(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructuralError(f"{path}: the header does not describe a grid ({exc!r})") from exc
     if grid is not None:
         if grid != file_grid:
             raise StructuralError(f"{path} carries a different grid than expected")
         file_grid = grid
-    values = np.frombuffer(payload, dtype="<f8")
-    if values.size != file_grid.total_points:
+    if len(payload) != 8 * file_grid.total_points:
         raise StructuralError(
-            f"{path}: expected {file_grid.total_points} values, found {values.size}"
+            f"{path}: expected {file_grid.total_points} 8-byte values, "
+            f"found a payload of {len(payload)} bytes"
         )
+    values = np.frombuffer(payload, dtype="<f8")
     return ScalarField(file_grid, values.reshape(file_grid.shape).copy())
 
 

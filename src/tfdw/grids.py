@@ -22,7 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -308,11 +308,6 @@ class Grid:
         """Plain L^2(n Gamma) inner product (unscaled)."""
         return float(np.sum(f * g) * self.w_quad)
 
-    def lp_norm(self, values, p):
-        if p == np.inf:
-            return float(np.max(np.abs(values)))
-        return float((self.integrate(np.abs(values) ** p) / self.n_cells) ** (1.0 / p))
-
     def l2n(self, values):
         """Volume-averaged L^2 norm ((1/n^3) \\int |f|^2)^{1/2}, one per
         stacked field."""
@@ -429,64 +424,8 @@ class ScalarField:
         return ScalarField(self.grid, -self.values)
 
 
-@dataclass
-class SpectralField:
-    """Fourier-side representation of a ScalarField (paper-normalized)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
-            raise StructuralError("coefficient shape does not match grid")
-
-
 def constant_field(grid, value):
     return ScalarField(grid, np.full(grid.shape, float(value)))
-
-
-def transform(obj, direction):
-    """Forward: ScalarField -> SpectralField with the continuum-normalized
-    coefficients; inverse: exact discrete inverse back to values."""
-    if direction == "forward":
-        if not isinstance(obj, ScalarField):
-            raise StructuralError("forward transform expects a ScalarField")
-        if not np.all(np.isfinite(obj.values)):
-            raise StructuralError("field values must be finite")
-        return SpectralField(obj.grid, obj.grid.fft(obj.values))
-    if direction == "inverse":
-        if not isinstance(obj, SpectralField):
-            raise StructuralError("inverse transform expects a SpectralField")
-        return ScalarField(obj.grid, obj.grid.ifft(obj.coeffs))
-    raise StructuralError(f"unknown transform direction {direction!r}")
-
-
-def norm(fld: ScalarField, space, **kw):
-    """Norm dispatch: ("Lp", p), ("Hk", k) or "Hminus1"."""
-    if isinstance(space, tuple):
-        kind, order = space
-        if kind == "Lp":
-            return fld.grid.lp_norm(fld.values, order)
-        if kind == "Hk":
-            return fld.grid.hk_norm(fld.values, order)
-        raise StructuralError(f"unknown norm space {space!r}")
-    if space == "L2":
-        return fld.grid.l2n(fld.values)
-    if space == "Hminus1":
-        return fld.grid.hminus1_norm(fld.values, **kw)
-    raise StructuralError(f"unknown norm space {space!r}")
-
-
-def poisson_solve(rhs: ScalarField, rel_tol=1e-10):
-    return ScalarField(rhs.grid, rhs.grid.poisson(rhs.values, rel_tol))
-
-
-def derivative(fld: ScalarField, alpha):
-    return ScalarField(fld.grid, fld.grid.deriv(fld.values, alpha))
-
-
-def laplacian(fld: ScalarField):
-    return ScalarField(fld.grid, fld.grid.laplacian(fld.values))
 
 
 # -- states ------------------------------------------------------------------
@@ -530,17 +469,25 @@ class State:
             self.gauge,
         )
 
+    def stacked(self):
+        """The solver layout: a ``(3,) + shape`` array (nu_+, nu_-, V +
+        gauge); its ``ravel()`` is the flat 3N vector of the dense and
+        iterative solves."""
+        return np.stack([self.nu_plus.values, self.nu_minus.values, self.v_full_values()])
 
-def state_from_arrays(grid, nu_plus, nu_minus, v_full):
-    """Build a State from raw arrays, splitting the potential into its
-    mean-zero part and the gauge constant."""
-    gauge = float(np.mean(v_full))
-    return State(
-        ScalarField(grid, np.array(nu_plus, dtype=float)),
-        ScalarField(grid, np.array(nu_minus, dtype=float)),
-        ScalarField(grid, v_full - gauge),
-        gauge,
-    )
+    @classmethod
+    def from_stack(cls, grid, u):
+        """Inverse of ``stacked``: ``u`` is a flat 3N vector or a ``(3,) +
+        shape`` array, and the mean of its potential row becomes the gauge.
+        The density fields are views of ``u``, not copies."""
+        nu_plus, nu_minus, v_full = np.reshape(u, (3,) + grid.shape)
+        gauge = float(np.mean(v_full))
+        return cls(
+            ScalarField(grid, nu_plus),
+            ScalarField(grid, nu_minus),
+            ScalarField(grid, v_full - gauge),
+            gauge,
+        )
 
 
 def translate(values, grid, cells):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .fieldio import atomic_write_text
-from .grids import Grid, LatticeSpec, ScalarField, State, constant_field
+from .grids import Grid, LatticeSpec, State, constant_field
 
 
 @dataclass(frozen=True)

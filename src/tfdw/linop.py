@@ -25,8 +25,7 @@ import csv
 import functools
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -36,7 +35,7 @@ from scipy.optimize import brentq, minimize
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, minres
 
 from .errors import EigensolverError, StructuralError
-from .grids import AXES, Grid, ScalarField, State, as_h_values
+from .grids import AXES, Grid, State, as_h_values
 from .fieldio import atomic_write_text
 
 EIGHT_PI = 8.0 * np.pi
@@ -86,16 +85,20 @@ class LinearizedOperator:
         return 3 * self.grid.total_points
 
     def apply(self, triple):
+        """L applied to a perturbation triple; returns the ``(3,) + shape``
+        stack of its three rows."""
         w_plus, w_minus, w_v = triple
         lap_plus, lap_minus, lap_v = self.grid.laplacian(np.asarray(triple))
-        out_plus = -lap_plus + self.F_plus * w_plus + self.nu_plus * w_v
-        out_minus = -lap_minus + self.F_minus * w_minus + self.nu_minus * w_v
-        out_v = self.nu_plus * w_plus + self.nu_minus * w_minus + lap_v / EIGHT_PI
-        return out_plus, out_minus, out_v
+        return np.stack(
+            [
+                -lap_plus + self.F_plus * w_plus + self.nu_plus * w_v,
+                -lap_minus + self.F_minus * w_minus + self.nu_minus * w_v,
+                self.nu_plus * w_plus + self.nu_minus * w_minus + lap_v / EIGHT_PI,
+            ]
+        )
 
     def matvec(self, x):
-        a, b, c = self.apply(np.reshape(x, (3,) + self.grid.shape))
-        return np.concatenate([a.ravel(), b.ravel(), c.ravel()])
+        return self.apply(np.reshape(x, (3,) + self.grid.shape)).ravel()
 
     def as_linear_operator(self):
         return LinearOperator((self.n_dof, self.n_dof), matvec=self.matvec, dtype=float)
@@ -117,19 +120,38 @@ class LinearizedOperator:
 
     def dense_matrix(self):
         """Real symmetric matrix of the operator on its own grid."""
-        T = _dense_kinetic(self.grid)
-        N = self.n_points
-        H = np.zeros((3 * N, 3 * N))
-        H[:N, :N] = T + np.diag(self.F_plus.ravel())
-        H[N : 2 * N, N : 2 * N] = T + np.diag(self.F_minus.ravel())
-        H[2 * N :, 2 * N :] = -T / EIGHT_PI
-        dp = np.diag(self.nu_plus.ravel())
-        dm = np.diag(self.nu_minus.ravel())
-        H[:N, 2 * N :] = dp
-        H[2 * N :, :N] = dp
-        H[N : 2 * N, 2 * N :] = dm
-        H[2 * N :, N : 2 * N] = dm
-        return H
+        return _block_matrix(
+            _dense_kinetic(self.grid),
+            np.stack([self.F_plus.ravel(), self.F_minus.ravel()]),
+            np.stack([self.nu_plus.ravel(), self.nu_minus.ravel()]),
+        )
+
+    def dense_solve(self, rhs, border=None):
+        """Solve L x = rhs (flat, in the ``State.stacked`` layout) with the
+        dense matrix.  ``border = (column, row)`` first borders the matrix by
+        one extra column and row (zero corner) for one more unknown, and
+        ``rhs`` then carries one more entry."""
+        H = self.dense_matrix()
+        if border is not None:
+            n = H.shape[0]
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = H
+            K[:n, -1], K[-1, :n] = border
+            H = K
+        return np.linalg.solve(H, rhs)
+
+
+def _block_matrix(T, F, nu):
+    """Dense 3N x 3N linearization [[T + F_+, 0, nu_+], [0, T + F_-, nu_-],
+    [nu_+, nu_-, -T/(8 pi)]] from the N x N kinetic matrix T and the (2, N)
+    stacks of multipliers F and densities nu; real or complex as T is."""
+    N = len(T)
+    H = np.zeros((3, N, 3, N), dtype=T.dtype)
+    H[2, :, 2] = -T / EIGHT_PI
+    for s in range(2):
+        H[s, :, s] = T + np.diag(F[s])
+        H[s, :, 2] = H[2, :, s] = np.diag(nu[s])
+    return H.reshape(3 * N, 3 * N)
 
 
 def _dense_kinetic(grid: Grid):
@@ -218,15 +240,7 @@ class FiberOperator:
     @functools.cached_property
     def matrix(self):
         """The dense 3N x 3N fiber H."""
-        N = self.n_points
-        T = self.kinetic
-        H = np.zeros((3 * N, 3 * N), dtype=complex)
-        H[2 * N :, 2 * N :] = -T / EIGHT_PI
-        for s in range(2):
-            rows = slice(s * N, (s + 1) * N)
-            H[rows, rows] = T + np.diag(self.F[s])
-            H[rows, 2 * N :] = H[2 * N :, rows] = np.diag(self.nu[s])
-        return H
+        return _block_matrix(self.kinetic, self.F, self.nu)
 
     def apply(self, x):
         """H x, matrix-free from the kinetic circulant."""
@@ -395,16 +409,10 @@ def _ldl_negative_count(factors, ipiv):
     )
 
 
-def fiber(op: LinearizedOperator, xi, wrap=True) -> FiberOperator:
-    return FiberOperator(op, xi, wrap)
-
-
 def channel_characters(vec, n_points):
     """Spin-wave character of an eigenvector: fraction of weight in the
     antisymmetric (1,-1,0) channel versus the symmetric (1,1,.) channel."""
-    vp = vec[:n_points]
-    vm = vec[n_points : 2 * n_points]
-    vw = vec[2 * n_points :]
+    vp, vm, vw = np.reshape(vec, (3, n_points))
     nrm = np.linalg.norm(vec)
     sdw = np.linalg.norm(vp - vm) / np.sqrt(2.0) / nrm
     cdw = np.sqrt(np.linalg.norm(vp + vm) ** 2 / 2.0 + np.linalg.norm(vw) ** 2) / nrm
@@ -595,7 +603,6 @@ def stability_scan(
     refine=True,
     refine_maxiter=200,
     character_cutoff=SDW_CHANNEL_CUTOFF,
-    threads=1,
 ) -> StabilityReport:
     """Scan fibers over the zone, each built at the quasimomentum it is
     given (no wrap), optionally refining the minimal gap, and classify an
@@ -608,9 +615,6 @@ def stability_scan(
     samples: if the scan holds fibers of both inertias, the crossing between
     the closest such pair is the refined point.  Otherwise BFGS descends
     |lambda| from the sampled minimum with the Hellmann-Feynman gradient.
-
-    Fibers are independent; with ``threads > 1`` they are solved on a pool
-    and merged back in xi order.
     """
     grid = state.grid
     if not grid.is_cell:
@@ -623,11 +627,7 @@ def stability_scan(
         f = FiberOperator(op, xi, wrap=False)
         return f.record(*f.min_eigenpair())
 
-    if threads > 1 and len(xi_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(analyze_one, xi_grid))
-    else:
-        records = [analyze_one(xi) for xi in xi_grid]
+    records = [analyze_one(xi) for xi in xi_grid]
 
     gaps = [r.gap for r in records]
     i_min = int(np.argmin(gaps))

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import minres
 
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .fieldio import atomic_write_text
-from .grids import Grid, HField, ScalarField, State, as_h_values, random_smooth_field
+from .grids import Grid, ScalarField, State, as_h_values, random_smooth_field
 from .linop import LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
 
@@ -98,11 +98,7 @@ def state_distance(a: State, b: State, order=2):
     """Averaged H^k distance between states; potentials compared with their
     gauge constants included (the physically meaningful difference)."""
     grid = a.grid
-    diffs = [
-        a.nu_plus.values - b.nu_plus.values,
-        a.nu_minus.values - b.nu_minus.values,
-        a.v_full_values() - b.v_full_values(),
-    ]
+    diffs = a.stacked() - b.stacked()
     if order == 0:
         return float(np.sqrt(sum(grid.l2n(d) ** 2 for d in diffs)))
     return float(np.sqrt(sum(grid.hk_norm(d, order) ** 2 for d in diffs)))
@@ -123,11 +119,7 @@ def newton_solve(
     """
     opts = opts or NewtonOptions()
     grid = u0.grid
-    if isinstance(h_field, HField):
-        h_values = h_field.sample(grid, 1.0 / max(grid.spec.supercell)).values
-    else:
-        h_values = as_h_values(h_field, grid)
-    h_sf = ScalarField(grid, h_values)
+    h_sf = ScalarField(grid, as_h_values(h_field, grid))
     if rho_b is None:
         rho_b = grid.lattice.rho_b_values(grid)
 
@@ -143,7 +135,6 @@ def newton_solve(
 
     A = op.as_linear_operator()
     M = op.preconditioner()
-    N = grid.total_points
     # conversion between the flat euclidean norm and the averaged L^2 norm
     l2n_per_flat = np.sqrt(grid.w_quad / grid.n_cells)
     inner_target = opts.inner_factor * opts.tol / l2n_per_flat
@@ -156,8 +147,7 @@ def newton_solve(
     for _ in range(opts.maxiter):
         if res_norm <= opts.tol:
             break
-        f_plus, f_minus, f_v = residual_system(work, h_sf, rho_b)
-        b = np.concatenate([f_plus.ravel(), f_minus.ravel(), f_v.ravel()])
+        b = residual_system(work, h_sf, rho_b).ravel()
         b_norm = np.linalg.norm(b)
         rtol = min(max(inner_target / max(b_norm, 1e-300), 1e-13), 0.1)
         inner_count = [0]
@@ -183,10 +173,8 @@ def newton_solve(
                 )
         trace.inner_iterations.append(inner_count[0])
 
-        d_plus = d[:N].reshape(grid.shape)
-        d_minus = d[N : 2 * N].reshape(grid.shape)
-        d_v = d[2 * N :].reshape(grid.shape)
-        inc = h2_triple_norm(grid, [d_plus, d_minus, d_v])
+        d = d.reshape((3,) + grid.shape)
+        inc = h2_triple_norm(grid, d)
         if trace.increments:
             ratio = inc / trace.increments[-1]
             trace.contraction_ratios.append(float(ratio))
@@ -197,14 +185,7 @@ def newton_solve(
                 )
         trace.increments.append(float(inc))
 
-        v_full = work.v_full_values() - d_v
-        gauge = float(np.mean(v_full))
-        work = State(
-            ScalarField(grid, work.nu_plus.values - d_plus),
-            ScalarField(grid, work.nu_minus.values - d_minus),
-            ScalarField(grid, v_full - gauge),
-            gauge,
-        )
+        work = State.from_stack(grid, work.stacked() - d)
         if opts.refresh_jacobian:
             op = LinearizedOperator(work, h_sf)
             A = op.as_linear_operator()

@@ -113,7 +113,8 @@ def residual_system(state: State, h=0.0, rho_b=None):
         F_V = (1/8 pi) Lap V + (1/2)(rho - rho_b)
 
     The Jacobian of (r_+, r_-, F_V) is the symmetric linearized operator, so
-    this is the form Newton-type solvers consume.  Returns raw arrays.
+    this is the form Newton-type solvers consume.  Returns the ``(3,) +
+    shape`` stack in the ``State.stacked`` layout.
     """
     grid = state.grid
     hv = as_h_values(h, grid)
@@ -125,7 +126,7 @@ def residual_system(state: State, h=0.0, rho_b=None):
     f_v = (1.0 / (8.0 * np.pi)) * grid.laplacian(state.V.values) + 0.5 * (
         state.rho_values() - rho_b
     )
-    return r_plus, r_minus, f_v
+    return np.stack([r_plus, r_minus, f_v])
 
 
 def residual_norm(state: State, h=0.0, rho_b=None) -> float:

@@ -9,8 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,15 +24,6 @@ from .grids import Grid, GridSpec, HField, LatticeSpec, Mode, ScalarField, State
 from .linop import stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
-
-
-def parallel_map(fn, items, threads=1):
-    """Order-preserving map, optionally over a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_loglog_slope(xs, ys, drop_largest=True):
@@ -108,7 +98,6 @@ def run_eps_study(
     verify_samples=True,
     with_first_order_comparison=True,
     drop_largest=True,
-    threads=1,
     table: cb.CBTable | None = None,
 ) -> EpsStudyResult:
     """For each supercell factor n: build the two-scale state, measure its
@@ -152,7 +141,7 @@ def run_eps_study(
             converged=trace.converged,
         )
 
-    rows = parallel_map(run_one, sorted(int(n) for n in n_values), threads)
+    rows = [run_one(n) for n in sorted(int(n) for n in n_values)]
     eps_v = [r.eps for r in rows]
     slopes = {
         "ansatz_residual": fit_loglog_slope(eps_v, [r.ansatz_residual for r in rows], drop_largest),

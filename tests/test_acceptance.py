@@ -21,7 +21,7 @@ from tfdw.grids import (
     State,
     random_smooth_field,
 )
-from tfdw.linop import LinearizedOperator, fiber
+from tfdw.linop import FiberOperator, LinearizedOperator
 from tfdw.newton import NewtonOptions
 from tfdw.residual import normalize_state, residual, variational_pairing
 from tfdw.studies import measure_stability_in_n, run_eps_study
@@ -55,7 +55,7 @@ def test_c1_jellium_oracle_equivalence():
         op = LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
         b1 = lat.reciprocal_vectors[0]
         for t in np.linspace(0.0, 1.0, 21):
-            f = fiber(op, 0.5 * t * b1)
+            f = FiberOperator(op, 0.5 * t * b1)
             numeric = np.sort(f.eigenvalues())
             analytic = []
             # symbol family over the fiber's own mode window
@@ -73,7 +73,7 @@ def test_c2_sdw_threshold_bisection():
         params = jellium.JelliumParams(nu0)
         lat = jellium.jellium_lattice(params)
         grid = Grid(lat, grid_spec)
-        f = fiber(LinearizedOperator(jellium.jellium_state(params, grid), 0.0), (0.0, 0.0, 0.0))
+        f = FiberOperator(LinearizedOperator(jellium.jellium_state(params, grid), 0.0), (0.0, 0.0, 0.0))
         vals, vecs = np.linalg.eigh(f.matrix)
         N = grid.total_points
         best = np.inf

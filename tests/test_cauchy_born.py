@@ -70,7 +70,7 @@ def test_energy_curve_consistency(cb_table):
 
 def test_divided_differences_bounded(cb_table):
     # smoothness surrogate: third divided differences stay bounded
-    vals = cb_table._stacked_values()
+    vals = np.array([sol.state.stacked() for sol in cb_table.solutions])
     h = cb_table.h_samples
     d3 = np.diff(vals, n=3, axis=0) / (h[1] - h[0]) ** 3
     assert np.all(np.isfinite(d3))
@@ -81,7 +81,7 @@ def test_state_spline_range_error(cb_table):
     with pytest.raises(RangeError):
         cb_table.state_at(cb_table.h_max + 0.01)
     with pytest.raises(RangeError):
-        cb.E_CB(cb_table, cb_table.h_min - 0.01)
+        cb_table.energy_at(cb_table.h_min - 0.01)
 
 
 def test_cb_field_constant_is_periodic_extension(cb_table):

@@ -15,7 +15,7 @@ from tfdw.cells import (
     verify_minimizer,
 )
 from tfdw.energy import energy_supercell
-from tfdw.errors import DescentFailureError, PositivityLossError
+from tfdw.errors import DescentFailureError, PositivityLossError, StructuralError
 from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
 from tfdw.jellium import JelliumParams, jellium_lattice
 from tfdw.linop import monkhorst_pack
@@ -166,3 +166,8 @@ def test_constant_field_splits_channels(lattice_mod, cell_grid):
     m_tot = cell_grid.integrate(sol.state.m_values())
     assert m_tot > 1e-3  # positive field favors the spin-up channel
     assert sol.residual_norm <= 1e-11
+
+
+def test_unknown_init_preset_is_structural(lattice_mod, cell_grid):
+    with pytest.raises(StructuralError, match="unknown init preset 'checkerboard'"):
+        initial_state(lattice_mod, cell_grid, "checkerboard")

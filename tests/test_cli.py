@@ -193,6 +193,30 @@ def test_pipeline_table_twoscale_newton(tmp_path):
     assert lines[0] == "step,residual,increment,ratio"
 
 
+def test_damaged_table_exits_3(tmp_path, capsys, cb_table):
+    # a table whose field file lost its last bytes: the two-scale commands
+    # answer with the error JSON instead of a traceback
+    table_dir = tmp_path / "table"
+    cauchy_born.save_table(table_dir, cb_table)
+    damaged = table_dir / "sample_000_nu_plus.tfw"
+    damaged.write_bytes(damaged.read_bytes()[:-3])
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "h": {"modes": [{"m": [1, 0, 0], "amp": 0.05}]},
+            "two_scale": {"n": 4, "table_dir": str(table_dir)},
+        },
+    )
+    for command in ("two-scale-build", "newton-study"):
+        assert cli.main([command, "--config", cfg]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "StructuralError"
+        assert "sample_000_nu_plus.tfw" in payload["message"]
+
+
 def test_eps_study_csv_columns(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -53,6 +53,24 @@ def test_truncated_payload(tmp_path, grid):
         fieldio.read_field(path)
 
 
+def _damage(data, kind):
+    header, payload = data.split(b"\n", 1)
+    if kind == "ragged-payload":
+        return data[:-3]  # not a whole number of 8-byte values
+    if kind == "header-not-json":
+        return b"tfw, version 1\n" + payload
+    return json.dumps([json.loads(header)]).encode() + b"\n" + payload  # a JSON list
+
+
+@pytest.mark.parametrize("kind", ["ragged-payload", "header-not-json", "header-is-list"])
+def test_malformed_file_raises_structural_error(tmp_path, grid, kind):
+    path = tmp_path / "f.tfw"
+    fieldio.write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+    path.write_bytes(_damage(path.read_bytes(), kind))
+    with pytest.raises(StructuralError):
+        fieldio.read_field(path)
+
+
 def test_state_roundtrip(tmp_path, grid, rng):
     state = State(
         ScalarField(grid, 1.0 + 0.1 * random_smooth_field(grid, rng, 1.0, 1)),

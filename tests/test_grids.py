@@ -8,14 +8,10 @@ from tfdw.grids import (
     HField,
     LatticeSpec,
     ScalarField,
+    State,
     constant_field,
     multi_indices,
-    derivative,
-    laplacian,
-    norm,
-    poisson_solve,
     random_smooth_field,
-    transform,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -65,38 +61,29 @@ def test_lattice_invariants():
 
 def test_transform_constant_field():
     g = make_grid()
-    sp = transform(constant_field(g, 1.0), "forward")
+    coeffs = g.fft(np.ones(g.shape))
     expected = (TWO_PI) ** (-1.5) * g.vol_supercell
-    assert abs(sp.coeffs.flat[0] - expected) < 1e-14
-    off = sp.coeffs.copy()
+    assert abs(coeffs.flat[0] - expected) < 1e-14
+    off = coeffs.copy()
     off.flat[0] = 0.0
     assert np.max(np.abs(off)) < 1e-14
 
 
 def test_transform_single_mode():
     g = make_grid((8, 4, 4))
-    sp = transform(ScalarField(g, cos_mode(g)), "forward")
+    coeffs = g.fft(cos_mode(g))
     # nonzero only at k = +-2pi e1, each (2pi)^{-3/2}/2
-    nz = np.abs(sp.coeffs) > 1e-13
+    nz = np.abs(coeffs) > 1e-13
     assert nz.sum() == 2
-    assert abs(sp.coeffs[1, 0, 0] - (TWO_PI) ** (-1.5) / 2) < 1e-14
-    assert abs(sp.coeffs[-1, 0, 0] - (TWO_PI) ** (-1.5) / 2) < 1e-14
+    assert abs(coeffs[1, 0, 0] - (TWO_PI) ** (-1.5) / 2) < 1e-14
+    assert abs(coeffs[-1, 0, 0] - (TWO_PI) ** (-1.5) / 2) < 1e-14
 
 
 def test_transform_roundtrip(rng):
     g = make_grid((8, 6, 4), (2, 1, 1))
     vals = random_smooth_field(g, rng, 1.0, 2, supercell_modes=True)
-    fld = ScalarField(g, vals)
-    back = transform(transform(fld, "forward"), "inverse")
-    assert np.max(np.abs(back.values - vals)) <= 1e-13 * max(1.0, np.max(np.abs(vals)))
-
-
-def test_transform_structural_errors():
-    g = make_grid()
-    with pytest.raises(StructuralError):
-        transform(ScalarField(g, np.full(g.shape, np.nan)), "forward")
-    with pytest.raises(StructuralError):
-        transform(ScalarField(g, np.zeros(g.shape)), "sideways")
+    back = g.ifft(g.fft(vals))
+    assert np.max(np.abs(back - vals)) <= 1e-13 * max(1.0, np.max(np.abs(vals)))
 
 
 # -- norms --------------------------------------------------------------------
@@ -105,13 +92,13 @@ def test_transform_structural_errors():
 def test_l2n_constant_is_modulus():
     for supercell in [(1, 1, 1), (2, 1, 1), (2, 3, 1)]:
         g = make_grid((4, 4, 4), supercell)
-        assert abs(norm(constant_field(g, -2.5), "L2") - 2.5) < 1e-14
+        assert abs(g.l2n(constant_field(g, -2.5).values) - 2.5) < 1e-14
 
 
 def test_l2n_cosine_independent_of_supercell():
     for supercell in [(1, 1, 1), (2, 1, 1), (3, 2, 1)]:
         g = make_grid((8, 4, 4), supercell)
-        val = norm(ScalarField(g, cos_mode(g)), "L2")
+        val = g.l2n(cos_mode(g))
         assert abs(val - 1 / np.sqrt(2)) < 1e-14
 
 
@@ -140,7 +127,7 @@ def test_hminus1_inner_against_direct_mode_sum(rng):
 def test_hminus1_requires_mean_zero():
     g = make_grid()
     with pytest.raises(SolvabilityError) as err:
-        norm(constant_field(g, 1.0), "Hminus1")
+        g.hminus1_norm(np.ones(g.shape))
     assert "(0,0,0)" in str(err.value)
 
 
@@ -191,14 +178,14 @@ def test_hk_norm_orders():
 def test_poisson_single_mode():
     g = make_grid((8, 4, 4))
     rhs = 4 * np.pi * cos_mode(g)
-    V = poisson_solve(ScalarField(g, rhs))
-    assert np.max(np.abs(V.values - cos_mode(g) / np.pi)) < 1e-13
+    V = g.poisson(rhs)
+    assert np.max(np.abs(V - cos_mode(g) / np.pi)) < 1e-13
 
 
 def test_poisson_zero():
     g = make_grid()
-    V = poisson_solve(ScalarField(g, np.zeros(g.shape)))
-    assert np.all(V.values == 0.0)
+    V = g.poisson(np.zeros(g.shape))
+    assert np.all(V == 0.0)
 
 
 def test_poisson_laplacian_roundtrip(rng):
@@ -216,7 +203,7 @@ def test_poisson_laplacian_roundtrip(rng):
 def test_poisson_solvability_error():
     g = make_grid()
     with pytest.raises(SolvabilityError) as err:
-        poisson_solve(constant_field(g, 0.1))
+        g.poisson(np.full(g.shape, 0.1))
     assert "(0,0,0)" in str(err.value)
 
 
@@ -225,17 +212,16 @@ def test_poisson_solvability_error():
 
 def test_derivative_cosine():
     g = make_grid((8, 4, 4))
-    c = ScalarField(g, cos_mode(g))
-    d = derivative(c, (1, 0, 0))
+    d = g.deriv(cos_mode(g), (1, 0, 0))
     expected = -TWO_PI * np.sin(TWO_PI * g.cell_fraction[0])
-    assert np.max(np.abs(d.values - expected)) < 1e-12
+    assert np.max(np.abs(d - expected)) < 1e-12
 
 
 def test_laplacian_constant_and_cosine():
     g = make_grid((8, 4, 4))
-    assert np.max(np.abs(laplacian(constant_field(g, 3.0)).values)) == 0.0
-    c = ScalarField(g, cos_mode(g))
-    assert np.max(np.abs(laplacian(c).values + TWO_PI**2 * c.values)) < 1e-11
+    assert np.max(np.abs(g.laplacian(np.full(g.shape, 3.0)))) == 0.0
+    c = cos_mode(g)
+    assert np.max(np.abs(g.laplacian(c) + TWO_PI**2 * c)) < 1e-11
 
 
 def test_sheared_lattice_operators(rng):
@@ -338,6 +324,31 @@ def test_kernels_match_per_field_numpy_fft(grid_name, kernel):
     stacked = call(x, y)
     assert np.shape(stacked) == np.shape(expected)
     assert np.max(np.abs(stacked - expected)) <= tol
+
+
+@pytest.mark.parametrize("grid_name", ["sheared-cell", "sheared-supercell-4x1x1"])
+def test_state_stack_roundtrip(grid_name):
+    # the solver layout (nu_+, nu_-, V + gauge) and back: densities bit for
+    # bit, the potential split again into a mean-zero part and its gauge
+    g = KERNEL_GRIDS[grid_name]()
+    rng = np.random.default_rng(5)
+    nu_plus, nu_minus, v = 1.0 + 0.1 * rng.standard_normal((3,) + g.shape)
+    v -= np.mean(v)
+    state = State(ScalarField(g, nu_plus), ScalarField(g, nu_minus), ScalarField(g, v), -0.37)
+    u = state.stacked()
+    assert u.shape == (3,) + g.shape
+    assert np.array_equal(u[0], nu_plus) and np.array_equal(u[1], nu_minus)
+    assert np.array_equal(u[2], state.v_full_values())
+    back = State.from_stack(g, u)
+    flat = State.from_stack(g, u.ravel())
+    assert back.grid == g and flat.grid == g
+    for a, b in ((back, flat), (back, state)):
+        assert np.array_equal(a.nu_plus.values, b.nu_plus.values)
+        assert np.array_equal(a.nu_minus.values, b.nu_minus.values)
+    assert np.array_equal(back.V.values, flat.V.values) and back.gauge == flat.gauge
+    assert abs(np.mean(back.V.values)) <= 1e-15
+    assert abs(back.gauge - state.gauge) <= 1e-15
+    assert np.max(np.abs(back.v_full_values() - u[2])) <= 1e-15
 
 
 def test_poisson_checks_each_stacked_field():

@@ -3,7 +3,7 @@ import pytest
 
 from tfdw import jellium
 from tfdw.grids import Grid, GridSpec
-from tfdw.linop import LinearizedOperator, fiber
+from tfdw.linop import FiberOperator, LinearizedOperator
 
 
 def test_symbol_matrix_at_origin():
@@ -128,7 +128,7 @@ def test_numeric_fiber_reproduces_analytics():
     state = jellium.jellium_state(params, grid)
     op = LinearizedOperator(state, 0.0)
     xi = np.array([0.4, 0.1, -0.3])
-    numeric = np.sort(fiber(op, xi).eigenvalues())
+    numeric = np.sort(FiberOperator(op, xi).eigenvalues())
     analytic = []
     for k1, k2, k3 in zip(*(k.ravel() for k in grid.k_cart)):
         analytic.extend(jellium.eigenvalues(params, (k1 + xi[0], k2 + xi[1], k3 + xi[2])))

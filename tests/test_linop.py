@@ -18,7 +18,6 @@ from tfdw.linop import (
     LinearizedOperator,
     channel_characters,
     commensurate_xis,
-    fiber,
     monkhorst_pack,
     spectral_gap,
     stability_scan,
@@ -93,7 +92,7 @@ def test_block_structure_dense(cell_solution):
 
 def test_fiber_at_zero_contains_sdw_coefficient():
     params, grid, op = jellium_op(0.9)
-    vals = fiber(op, (0.0, 0.0, 0.0)).eigenvalues()
+    vals = FiberOperator(op, (0.0, 0.0, 0.0)).eigenvalues()
     assert np.min(np.abs(vals - params.sdw_coefficient)) < 1e-12
 
 
@@ -101,8 +100,8 @@ def test_fiber_zone_wrap_equivalence():
     _, grid, op = jellium_op(0.8)
     xi = np.array([0.3, -0.7, 0.2])
     G = grid.lattice.reciprocal_vectors[0] + grid.lattice.reciprocal_vectors[2]
-    a = np.sort(fiber(op, xi).eigenvalues())
-    b = np.sort(fiber(op, xi + G).eigenvalues())
+    a = np.sort(FiberOperator(op, xi).eigenvalues())
+    b = np.sort(FiberOperator(op, xi + G).eigenvalues())
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -112,13 +111,13 @@ def test_fiber_requires_cell_state():
     grid = Grid(lat, GridSpec((4, 4, 4), (2, 1, 1)))
     op = LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
     with pytest.raises(StructuralError):
-        fiber(op, (0, 0, 0))
+        FiberOperator(op, (0, 0, 0))
 
 
 def test_spectral_gap_against_analytic_minimum():
     params, grid, op = jellium_op(1.0)
     xis = monkhorst_pack(grid.lattice, (3, 3, 3))
-    numeric = min(fiber(op, xi).gap() for xi in xis)
+    numeric = min(FiberOperator(op, xi).gap() for xi in xis)
     analytic = np.inf
     for xi in xis:
         for k1, k2, k3 in zip(*(k.ravel() for k in grid.k_cart)):
@@ -129,7 +128,7 @@ def test_spectral_gap_against_analytic_minimum():
 
 def test_spectral_gap_shifted_operator():
     _, grid, op = jellium_op(0.5)
-    f = fiber(op, (0.1, 0.0, 0.0))
+    f = FiberOperator(op, (0.1, 0.0, 0.0))
     base = np.linalg.eigvalsh(f.matrix)
     s = 10.0 + abs(base.min())
     shifted = f.matrix + s * np.eye(f.matrix.shape[0])
@@ -139,7 +138,7 @@ def test_spectral_gap_shifted_operator():
 
 def test_gap_vanishes_at_threshold():
     params, grid, op = jellium_op(jellium.sdw_threshold())
-    vals = fiber(op, (0.0, 0.0, 0.0)).eigenvalues()
+    vals = FiberOperator(op, (0.0, 0.0, 0.0)).eigenvalues()
     assert np.min(np.abs(vals)) < 1e-6
 
 
@@ -265,7 +264,7 @@ def test_fiber_completeness_on_supercell(rng):
     cell_op = LinearizedOperator(cell_state, 0.0)
     union = []
     for xi in commensurate_xis(lat, (2, 1, 1)):
-        union.extend(fiber(cell_op, xi, wrap=False).eigenvalues())
+        union.extend(FiberOperator(cell_op, xi, wrap=False).eigenvalues())
     assert np.max(np.abs(sup_spectrum - np.sort(union))) < 1e-8
 
 
@@ -325,18 +324,6 @@ def test_spectral_gap_inner_solve_stall(monkeypatch):
     assert "inner MINRES solve" in str(err.value)
     assert len(err.value.residual_history) == 1
     assert err.value.residual_history[0] > 1e-3
-
-
-def test_stability_scan_threaded_matches_serial():
-    params = jellium.JelliumParams(0.5)
-    lat = jellium.jellium_lattice(params)
-    grid = Grid(lat, GridSpec((4, 4, 4)))
-    state = jellium.jellium_state(params, grid)
-    xis = monkhorst_pack(lat, (2, 2, 2))
-    serial = stability_scan(state, 0.0, xi_grid=xis, refine=False, threads=1)
-    threaded = stability_scan(state, 0.0, xi_grid=xis, refine=False, threads=4)
-    assert serial.global_gap == threaded.global_gap
-    assert [r.gap for r in serial.fiber_records] == [r.gap for r in threaded.fiber_records]
 
 
 # -- fiber kernels: LDL^H inertia, shift-invert pair, Hellmann-Feynman gradient --

@@ -10,7 +10,6 @@ from tfdw.studies import (
     extended_as_cell,
     fit_loglog_slope,
     measure_stability_in_n,
-    parallel_map,
     run_eps_study,
 )
 
@@ -32,12 +31,6 @@ def test_slope_fit_drop_largest():
 def test_slope_fit_needs_points():
     with pytest.raises(StructuralError):
         fit_loglog_slope([1.0], [1.0], drop_largest=False)
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, threads=1) == [x * x for x in items]
 
 
 def test_extended_as_cell_is_exact(cell_solution, lattice_mod):
