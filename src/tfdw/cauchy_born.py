@@ -15,7 +15,7 @@ another in averaged per-cell units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -28,12 +28,15 @@ from .errors import (
     InfeasibleConstraintError,
     RangeError,
     StabilityGapError,
+    SpinSymmetryError,
     StructuralError,
     TfdwError,
 )
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, as_h_values
 from .linop import LinearizedOperator
 from .residual import residual, residual_system
+
+SPIN_SYMMETRY_TOL = 1e-12  # anchor max |nu_+ - nu_-|; the cell solve targets 1e-11
 
 
 def field_source(nu_plus, nu_minus):
@@ -162,6 +165,13 @@ class CBTable:
         return float(brentq(lambda h: float(spline(h)) - m_target, a, b, xtol=1e-14))
 
 
+def spin_flip(state: State, sign=1.0) -> State:
+    """``sign`` times the state with its spin channels swapped: the solution
+    at -h from the one at h (sign +1), du/dh at -h from du/dh at h (sign -1)."""
+    fields = (state.nu_minus, state.nu_plus, state.V)
+    return State(*(ScalarField(state.grid, sign * f.values) for f in fields), sign * state.gauge)
+
+
 def build_cb_table(
     lattice: LatticeSpec,
     grid: Grid | GridSpec,
@@ -173,13 +183,22 @@ def build_cb_table(
     verify_samples: bool = True,
 ) -> CBTable:
     """Predictor-corrector continuation of the zero-field solution over
-    h in [-h_range, h_range].
+    h in [0, h_range], mirrored onto [-h_range, 0) by the spin flip.
+
+    The background carries no spin, so (nu_+, nu_-, V, h) -> (nu_-, nu_+,
+    V, -h) maps solutions to solutions: the sample at -h is ``spin_flip`` of
+    its partner at h, with du/dh(-h) = -spin_flip(du/dh(h)) and the
+    partner's gap, inertia, residual and Newton history (the two fibers are
+    unitarily equivalent by the block swap).  E_CB and m are evaluated at the
+    mirrored state, so they are exactly even and odd.  The anchor must be
+    spin-symmetric: max |nu_+ - nu_-| above SPIN_SYMMETRY_TOL raises
+    SpinSymmetryError.
 
     The anchor solve is certified with a refined stability scan; subsequent
     samples are checked on the declared xi grid.  Corrector divergence or a
     collapsing gap stops the march with a ContinuationStopError that reports
     the last good h and, as ``partial``, the samples accepted so far
-    (``h_values``, ``solutions``, ``gaps``, in increasing h).
+    (``h_values``, ``solutions``, ``gaps``, in increasing h from 0).
     """
     opts = opts or SolveOptions()
     if isinstance(grid, GridSpec):
@@ -191,6 +210,12 @@ def build_cb_table(
         raise StructuralError("step must divide h_range")
 
     anchor = solve_cell(lattice, grid, 0.0, "uniform", opts)
+    asymmetry = float(np.max(np.abs(anchor.state.nu_plus.values - anchor.state.nu_minus.values)))
+    if asymmetry > SPIN_SYMMETRY_TOL:
+        raise SpinSymmetryError(
+            f"the zero-field anchor is not spin-symmetric (max |nu_+ - nu_-| = {asymmetry:.3e})",
+            asymmetry=asymmetry,
+        )
     report = verify_minimizer(anchor, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=True)
     if report.classification != "stable":
         raise StabilityGapError(
@@ -199,87 +224,85 @@ def build_cb_table(
     c_nu = 0.5 * anchor.min_nu if opts.c_nu is None else opts.c_nu
     march_opts = SolveOptions(**{**opts.__dict__, "c_nu": c_nu})
 
-    entries = {0: (anchor, report.global_gap)}
-    dudh = {0: solve_du_dh(anchor)}  # one du/dh per sample: predictor and table
+    entries = [(anchor, report.global_gap)]
+    dudh = [solve_du_dh(anchor)]  # one du/dh per sample: predictor and table
 
     def stop(message, last_good_h):
-        accepted = [entries[k] for k in sorted(entries)]
         return ContinuationStopError(
             message,
             last_good_h=last_good_h,
             partial={
-                "h_values": [sol.h_value for sol, _ in accepted],
-                "solutions": [sol for sol, _ in accepted],
-                "gaps": [gap for _, gap in accepted],
+                "h_values": [sol.h_value for sol, _ in entries],
+                "solutions": [sol for sol, _ in entries],
+                "gaps": [gap for _, gap in entries],
             },
         )
 
-    for direction in (+1, -1):
-        prev = anchor
-        for k in range(1, n_steps + 1):
-            h_new = direction * k * step
-            dudh_prev = dudh[direction * (k - 1)]
-            dh = h_new - prev.h_value
-            predictor = State(
-                ScalarField(grid, prev.state.nu_plus.values + dh * dudh_prev.nu_plus.values),
-                ScalarField(grid, prev.state.nu_minus.values + dh * dudh_prev.nu_minus.values),
-                ScalarField(grid, prev.state.V.values + dh * dudh_prev.V.values),
-                prev.state.gauge + dh * dudh_prev.gauge,
+    for k in range(1, n_steps + 1):
+        h_new = k * step
+        (prev, _), dudh_prev = entries[-1], dudh[-1]
+        dh = h_new - prev.h_value
+        predictor = State(
+            ScalarField(grid, prev.state.nu_plus.values + dh * dudh_prev.nu_plus.values),
+            ScalarField(grid, prev.state.nu_minus.values + dh * dudh_prev.nu_minus.values),
+            ScalarField(grid, prev.state.V.values + dh * dudh_prev.V.values),
+            prev.state.gauge + dh * dudh_prev.gauge,
+        )
+        try:
+            state, res_norm, n_iter, history = newton_polish(predictor, h_new, march_opts)
+        except TfdwError as exc:
+            raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", prev.h_value) from exc
+        min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
+        sol = CellSolution(
+            state=state,
+            h_value=h_new,
+            energy=energy_supercell(state, h_new),
+            residual_norm=res_norm,
+            min_nu=min_nu,
+            C_nu_ok=bool(min_nu >= c_nu),
+            preset="continuation",
+            seed=opts.seed,
+            newton_iterations=n_iter,
+            newton_residuals=history,
+        )
+        if not sol.C_nu_ok:
+            raise stop(
+                f"nu dropped below the certified bound C_nu = {c_nu:.3e} at h = {h_new:.6g}",
+                prev.h_value,
             )
-            try:
-                state, res_norm, n_iter, history = newton_polish(predictor, h_new, march_opts)
-            except TfdwError as exc:
-                raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", prev.h_value) from exc
-            min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
-            sol = CellSolution(
-                state=state,
-                h_value=h_new,
-                energy=energy_supercell(state, h_new),
-                residual_norm=res_norm,
-                min_nu=min_nu,
-                C_nu_ok=bool(min_nu >= c_nu),
-                preset="continuation",
-                seed=opts.seed,
-                newton_iterations=n_iter,
-                newton_residuals=history,
+        gap = None
+        if verify_samples:
+            rep = verify_minimizer(
+                sol, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=False
             )
-            if not sol.C_nu_ok:
+            if rep.classification != "stable":
                 raise stop(
-                    f"nu dropped below the certified bound C_nu = {c_nu:.3e} at h = {h_new:.6g}",
+                    f"stability gap collapsed at h = {h_new:.6g} "
+                    f"({rep.classification}, gap {rep.global_gap:.3e})",
                     prev.h_value,
                 )
-            gap = None
-            if verify_samples:
-                rep = verify_minimizer(
-                    sol, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=False
-                )
-                if rep.classification != "stable":
-                    raise stop(
-                        f"stability gap collapsed at h = {h_new:.6g} "
-                        f"({rep.classification}, gap {rep.global_gap:.3e})",
-                        prev.h_value,
-                    )
-                gap = rep.global_gap
-            entries[direction * k] = (sol, gap)
-            dudh[direction * k] = solve_du_dh(sol)
-            prev = sol
+            gap = rep.global_gap
+        entries.append((sol, gap))
+        dudh.append(solve_du_dh(sol))
 
-    order = sorted(entries.keys())
-    solutions = [entries[k][0] for k in order]
-    gaps = np.array([entries[k][1] if entries[k][1] is not None else np.nan for k in order])
-    h_samples = np.array([s.h_value for s in solutions])
+    def mirror(sol):
+        flipped = spin_flip(sol.state)
+        energy = energy_supercell(flipped, -sol.h_value)
+        return replace(sol, state=flipped, h_value=-sol.h_value, preset="spin_flip", energy=energy)
+
+    entries = [(mirror(sol), gap) for sol, gap in reversed(entries[1:])] + entries
+    dudh = [spin_flip(du, -1.0) for du in reversed(dudh[1:])] + dudh
+    solutions = [sol for sol, _ in entries]
     vol = lattice.volume
-    E = np.array([energy_supercell(s.state, s.h_value).total / vol for s in solutions])
-    m = np.array([s.grid.integrate(s.state.m_values()) for s in solutions])
     return CBTable(
         lattice=lattice,
         grid=grid,
-        h_samples=h_samples,
+        h_samples=np.array([s.h_value for s in solutions]),
         solutions=solutions,
-        dudh=[dudh[k] for k in order],
-        E_CB=E,
-        m_tot=m,
-        gaps=gaps,
+        dudh=dudh,
+        E_CB=np.array([s.energy.total / vol for s in solutions]),
+        m_tot=np.array([s.grid.integrate(s.state.m_values()) for s in solutions]),
+        gaps=np.array([np.nan if gap is None else gap for _, gap in entries]),
         c_nu=c_nu,
     )
 
@@ -412,11 +435,11 @@ def save_table(directory, table: CBTable):
 
 
 def load_table(directory) -> CBTable:
-    import json
     import os
 
-    with open(os.path.join(directory, "table.json")) as fh:
-        manifest = json.load(fh)
+    keys = ("lattice", "resolution", "supercell", "h_samples", "E_CB", "m_tot", "gaps", "c_nu",
+            "residual_norms")
+    manifest = fieldio.read_manifest(os.path.join(directory, "table.json"), keys)
     lattice = LatticeSpec.from_descriptor(manifest["lattice"])
     grid = Grid(lattice, GridSpec(tuple(manifest["resolution"]), tuple(manifest["supercell"])))
     solutions = []

@@ -7,11 +7,17 @@ callers can tell a misuse from a model leaving its valid regime.
 
 
 class TfdwError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  Keyword arguments are JSON-ready
+    partial diagnostics, kept as attributes of the same name."""
+
+    def __init__(self, *args, **diagnostics):
+        super().__init__(*args)
+        self.__dict__.update(diagnostics)
+        self._diagnostic_names = tuple(diagnostics)
 
     def diagnostics(self):
-        """JSON-ready partial diagnostics the error carries (none here)."""
-        return {}
+        """The partial diagnostics the error carries, by name."""
+        return {name: getattr(self, name) for name in self._diagnostic_names}
 
 
 class GridMismatchError(TfdwError):
@@ -31,14 +37,8 @@ class DegenerateStateError(TfdwError):
 
 
 class DescentFailureError(TfdwError):
-    """Gradient phase stagnated before reaching the Newton basin."""
-
-    def __init__(self, message, energy_trace=None):
-        super().__init__(message)
-        self.energy_trace = list(energy_trace) if energy_trace is not None else []
-
-    def diagnostics(self):
-        return {"energy_trace": [float(e) for e in self.energy_trace]}
+    """Gradient phase stagnated before reaching the Newton basin (carries
+    ``energy_trace``)."""
 
 
 class PositivityLossError(TfdwError):
@@ -46,14 +46,7 @@ class PositivityLossError(TfdwError):
 
 
 class EigensolverError(TfdwError):
-    """Iterative eigensolver did not converge."""
-
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = list(residual_history) if residual_history is not None else []
-
-    def diagnostics(self):
-        return {"residual_history": [float(r) for r in self.residual_history]}
+    """Iterative eigensolver did not converge (carries ``residual_history``)."""
 
 
 class StabilityGapError(TfdwError):
@@ -74,9 +67,14 @@ class ContinuationStopError(TfdwError):
         if self.partial is not None:
             out["partial"] = {
                 "h_values": [float(h) for h in self.partial["h_values"]],
-                "gaps": [float(g) for g in self.partial["gaps"]],
+                "gaps": [None if g is None else float(g) for g in self.partial["gaps"]],
             }
         return out
+
+
+class SpinSymmetryError(TfdwError):
+    """A state that must be invariant under the spin swap is not (carries
+    its max |nu_+ - nu_-| as ``asymmetry``)."""
 
 
 class RangeError(TfdwError):
@@ -88,14 +86,7 @@ class InfeasibleConstraintError(TfdwError):
 
 
 class LinearSolveError(TfdwError):
-    """Inner symmetric-indefinite solve broke down."""
-
-    def __init__(self, message, gap_estimate=None):
-        super().__init__(message)
-        self.gap_estimate = gap_estimate
-
-    def diagnostics(self):
-        return {"gap_estimate": self.gap_estimate}
+    """Inner symmetric-indefinite solve broke down (carries ``gap_estimate``)."""
 
 
 class DivergenceError(TfdwError):

@@ -18,6 +18,7 @@ from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State
 
 TFW_MAGIC = "tfw"
 TFW_VERSION = 1
+STATE_FIELDS = ("nu_plus", "nu_minus", "V")
 
 
 def _grid_header(grid: Grid):
@@ -37,6 +38,27 @@ def grid_from_header(header) -> Grid:
     return Grid(lattice, spec)
 
 
+def parse_object(text, what, keys=()):
+    """The JSON object in ``text`` (str or UTF-8 bytes); StructuralError
+    naming ``what`` unless it parses to an object holding every key in
+    ``keys``."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise StructuralError(f"{what} is not JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise StructuralError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise StructuralError(f"{what} lacks {', '.join(missing)}")
+    return obj
+
+
+def read_manifest(path, keys=()):
+    with open(path, "rb") as fh:
+        return parse_object(fh.read(), str(path), keys)
+
+
 def write_field(path, fld: ScalarField):
     header = json.dumps(_grid_header(fld.grid), sort_keys=True)
     payload = np.ascontiguousarray(fld.values, dtype="<f8").tobytes()
@@ -47,11 +69,8 @@ def read_field(path, grid: Grid | None = None) -> ScalarField:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise StructuralError(f"{path}: the header line is not JSON ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format") != TFW_MAGIC:
+    header = parse_object(header_line, f"{path}: the header line")
+    if header.get("format") != TFW_MAGIC:
         raise StructuralError(f"{path} is not a .tfw field file")
     try:
         file_grid = grid_from_header(header)
@@ -74,9 +93,9 @@ def write_state(directory, name, state: State, extra=None):
     """Persist a state as three .tfw files plus a JSON manifest."""
     os.makedirs(directory, exist_ok=True)
     files = {}
-    for tag, fld in (("nu_plus", state.nu_plus), ("nu_minus", state.nu_minus), ("V", state.V)):
+    for tag in STATE_FIELDS:
         fname = f"{name}_{tag}.tfw"
-        write_field(os.path.join(directory, fname), fld)
+        write_field(os.path.join(directory, fname), getattr(state, tag))
         files[tag] = fname
     manifest = {"fields": files, "gauge": state.gauge}
     if extra:
@@ -86,12 +105,13 @@ def write_state(directory, name, state: State, extra=None):
 
 
 def read_state(directory, name, grid: Grid | None = None) -> tuple[State, dict]:
-    with open(os.path.join(directory, f"{name}.json")) as fh:
-        manifest = json.load(fh)
-    fields = {}
-    for tag in ("nu_plus", "nu_minus", "V"):
-        fields[tag] = read_field(os.path.join(directory, manifest["fields"][tag]), grid)
-    state = State(fields["nu_plus"], fields["nu_minus"], fields["V"], manifest["gauge"])
+    path = os.path.join(directory, f"{name}.json")
+    manifest = read_manifest(path, ("fields", "gauge"))
+    try:
+        files = [os.path.join(directory, manifest["fields"][tag]) for tag in STATE_FIELDS]
+    except (KeyError, TypeError) as exc:
+        raise StructuralError(f"{path}: the fields entry does not name the state's files") from exc
+    state = State(*(read_field(f, grid) for f in files), manifest["gauge"])
     return state, manifest
 
 

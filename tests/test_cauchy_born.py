@@ -1,10 +1,23 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tfdw import cauchy_born as cb
-from tfdw.cells import SolveOptions
-from tfdw.errors import ContinuationStopError, DivergenceError, InfeasibleConstraintError, RangeError
-from tfdw.grids import Grid, GridSpec, HField, ScalarField
+from tfdw.cells import SolveOptions, solve_cell, verify_minimizer
+from tfdw.errors import (
+    ContinuationStopError,
+    DivergenceError,
+    InfeasibleConstraintError,
+    RangeError,
+    SpinSymmetryError,
+)
+from tfdw.grids import Grid, GridSpec, HField, ScalarField, State
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 def test_anchor_is_reused_bitwise(cb_table):
@@ -196,6 +209,29 @@ def test_continuation_stop_carries_accepted_samples(lattice_mod, monkeypatch):
     assert partial["gaps"][0] < partial["gaps"][1]  # the anchor's gap is refined
 
 
+def test_continuation_stop_without_certificates_is_json(lattice_mod, monkeypatch):
+    # with verify_samples=False the accepted samples carry no gap: the
+    # error's diagnostics report None for them and stay JSON-ready
+    polish = cb.newton_polish
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise DivergenceError("forced stall")
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(cb, "newton_polish", fail_second)
+    with pytest.raises(ContinuationStopError) as err:
+        cb.build_cb_table(
+            lattice_mod, GridSpec((8, 4, 4)), h_range=0.05, step=0.025, verify_samples=False
+        )
+    payload = json.loads(json.dumps(err.value.diagnostics()))
+    assert payload["partial"]["h_values"] == [0.0, 0.025]
+    gaps = payload["partial"]["gaps"]
+    assert 0.5 < gaps[0] < 0.7 and gaps[1] is None
+
+
 def test_table_save_load_roundtrip(tmp_path, cb_table):
     cb.save_table(tmp_path / "table", cb_table)
     loaded = cb.load_table(tmp_path / "table")
@@ -211,6 +247,8 @@ def test_table_save_load_roundtrip(tmp_path, cb_table):
 
 
 def test_table_solves_du_dh_once_per_sample(lattice_mod, monkeypatch):
+    # du/dh is solved once per sample of the h >= 0 march; each h < 0 sample
+    # takes -S du/dh of its partner (S swaps the spin channels)
     made = []
     solve = cb.solve_du_dh
 
@@ -222,10 +260,61 @@ def test_table_solves_du_dh_once_per_sample(lattice_mod, monkeypatch):
     table = cb.build_cb_table(
         lattice_mod, GridSpec((8, 4, 4)), h_range=0.025, step=0.0125, opts=SolveOptions()
     )
-    assert len(made) == len(table.solutions) == 5
-    assert sorted(id(s) for s in made) == sorted(id(s) for s in table.solutions)
-    for sol, du in zip(table.solutions, table.dudh):
+    assert len(table.solutions) == 5
+    assert len(made) == 3
+    assert [id(s) for s in made] == [id(s) for s in table.solutions[2:]]
+    for i, (sol, du) in enumerate(zip(table.solutions, table.dudh)):
         again = solve(sol)
-        for tag in ("nu_plus", "nu_minus", "V"):
-            assert getattr(du, tag).values.tobytes() == getattr(again, tag).values.tobytes()
-        assert du.gauge == again.gauge
+        if sol.h_value >= 0.0:
+            assert du.stacked().tobytes() == again.stacked().tobytes()
+            assert du.gauge == again.gauge
+            continue
+        partner = table.dudh[len(table.dudh) - 1 - i]
+        assert table.h_samples[len(table.dudh) - 1 - i] == -sol.h_value
+        for tag, other in (("nu_plus", "nu_minus"), ("nu_minus", "nu_plus"), ("V", "V")):
+            assert getattr(du, tag).values.tobytes() == (-getattr(partner, other).values).tobytes()
+        assert du.gauge == -partner.gauge
+        assert rel_err(du.stacked(), again.stacked()) <= 1e-10
+
+
+def test_negative_field_samples_match_independent_solves(cb_table, lattice_mod):
+    # the h < 0 half of the table is the spin flip of the h > 0 half; a cold
+    # cell solve, a fresh certificate and a fresh du/dh solve at h = -0.05
+    # must reproduce the mirrored sample
+    h = -0.05
+    (i,) = np.nonzero(cb_table.h_samples == h)[0]
+    sample = cb_table.solutions[i]
+    cold = solve_cell(lattice_mod, cb_table.grid, h, "uniform", SolveOptions())
+    assert rel_err(sample.state.stacked(), cold.state.stacked()) <= 1e-10
+    vol = lattice_mod.volume
+    assert cb_table.E_CB[i] == pytest.approx(cold.energy.total / vol, rel=1e-12)
+    m_cold = cold.grid.integrate(cold.state.m_values())
+    assert cb_table.m_tot[i] == pytest.approx(m_cold, rel=1e-12)
+    assert m_cold < 0.0
+
+    report = verify_minimizer(sample, refine=False)
+    assert report.global_gap == pytest.approx(cb_table.gaps[i], rel=1e-12)
+    assert {r.n_negative for r in report.fiber_records} == {cb_table.grid.total_points}
+
+    assert rel_err(cb_table.dudh[i].stacked(), cb.solve_du_dh(sample).stacked()) <= 1e-10
+
+
+def test_asymmetric_anchor_is_refused(lattice_mod, monkeypatch):
+    # the mirror needs nu_+ == nu_- at h = 0; an anchor off by 1e-9 in one
+    # point raises before any certificate, with the asymmetry in its payload
+    solve = cb.solve_cell
+    certified = []
+
+    def perturbed(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        s = sol.state
+        nu_plus = s.nu_plus.values.copy()
+        nu_plus[0, 0, 0] += 1e-9
+        return replace(sol, state=State(ScalarField(s.grid, nu_plus), s.nu_minus, s.V, s.gauge))
+
+    monkeypatch.setattr(cb, "solve_cell", perturbed)
+    monkeypatch.setattr(cb, "verify_minimizer", lambda *a, **k: certified.append(a))
+    with pytest.raises(SpinSymmetryError) as err:
+        cb.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), h_range=0.025, step=0.0125)
+    assert err.value.diagnostics()["asymmetry"] == pytest.approx(1e-9, rel=1e-6)
+    assert certified == []

@@ -217,6 +217,44 @@ def test_damaged_table_exits_3(tmp_path, capsys, cb_table):
         assert "sample_000_nu_plus.tfw" in payload["message"]
 
 
+def _without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("table.json", lambda text: '{"lattice": '),
+        ("table.json", lambda text: "[]"),
+        ("table.json", _without("c_nu")),
+        ("sample_001.json", _without("gauge")),
+        ("dudh_002.json", lambda text: json.dumps({**json.loads(text), "fields": {"V": "dudh_002_V.tfw"}})),
+    ],
+    ids=["truncated", "not-an-object", "table-missing-key", "state-missing-key", "fields-missing-key"],
+)
+def test_damaged_manifest_exits_3(tmp_path, capsys, cb_table, name, damage):
+    # a table whose JSON manifests are cut or lack a key: two-scale-build
+    # answers with the StructuralError JSON instead of a traceback
+    table_dir = tmp_path / "table"
+    cauchy_born.save_table(table_dir, cb_table)
+    manifest = table_dir / name
+    manifest.write_text(damage(manifest.read_text()))
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "h": {"modes": [{"m": [1, 0, 0], "amp": 0.05}]},
+            "two_scale": {"n": 4, "table_dir": str(table_dir)},
+        },
+    )
+    assert cli.main(["two-scale-build", "--config", cfg]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "StructuralError"
+    assert name in payload["message"]
+
+
 def test_eps_study_csv_columns(tmp_path):
     cfg = write_config(
         tmp_path,
