@@ -15,10 +15,15 @@ another in averaged per-cell units.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from . import fieldio
 from .cells import CellSolution, SolveOptions, newton_polish, solve_cell, verify_minimizer
@@ -57,6 +62,8 @@ def macro_layout(table, h_values, grid):
     """Map supercell points onto table data: the distinct field values
     (rounded to 12 digits; all inside the table's range), the index of each
     point's value among them and the index of its position within its cell."""
+    if grid.spec.resolution != table.grid.spec.resolution:
+        raise StructuralError("the supercell resolution must match the tabulated cell grid")
     table.check_range(h_values.ravel())
     uniq, inverse = np.unique(np.round(h_values.ravel(), 12), return_inverse=True)
     res = table.grid.shape
@@ -87,9 +94,13 @@ class CBTable:
     m_tot: np.ndarray
     gaps: np.ndarray
     c_nu: float
-    _state_spline: CubicSpline | None = field(default=None, repr=False)
-    _energy_spline: CubicSpline | None = field(default=None, repr=False)
-    _m_spline: CubicSpline | None = field(default=None, repr=False)
+    # caches derived from the samples; init=False, so dataclasses.replace
+    # starts them afresh instead of carrying them over to a changed table.
+    # corrector_splines: active axes -> twoscale.tabulate_correctors result
+    _state_spline: CubicSpline | None = field(default=None, init=False, repr=False)
+    _energy_spline: CubicSpline | None = field(default=None, init=False, repr=False)
+    _m_spline: CubicSpline | None = field(default=None, init=False, repr=False)
+    corrector_splines: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def h_min(self):
@@ -160,8 +171,6 @@ class CBTable:
         if idx.size == 0:
             raise InfeasibleConstraintError("magnetization curve does not reach the target")
         a, b = hs[idx[0]], hs[idx[0] + 1]
-        from scipy.optimize import brentq
-
         return float(brentq(lambda h: float(spline(h)) - m_target, a, b, xtol=1e-14))
 
 
@@ -318,8 +327,6 @@ def cb_field(table: CBTable, h_field, eps=None, grid=None) -> State:
     elif grid is None:
         raise StructuralError("cb_field needs a supercell grid unless given a ScalarField")
     h_vals = as_h_values(h_field, grid, eps)
-    if grid.spec.resolution != table.grid.spec.resolution:
-        raise StructuralError("supercell grid must refine the tabulated cell grid")
     uniq, inverse, micro = macro_layout(table, h_vals, grid)
     rows = table.state_spline()(uniq)  # one flat stacked state per distinct value
     return State.from_stack(grid, gather(rows, inverse, micro, grid.shape))
@@ -341,8 +348,6 @@ def dual_energy(
     m_target: float,
     opts: SolveOptions | None = None,
     table: CBTable | None = None,
-    init=None,
-    mu0=None,
     full_result=False,
 ):
     """Cell energy at fixed cell magnetization.
@@ -361,8 +366,8 @@ def dual_energy(
         mu = table.h_for_m(m_target)
         work = table.state_at(mu)
     else:
-        mu = 0.0 if mu0 is None else float(mu0)
-        work = (init or solve_cell(lattice, grid, mu, "uniform", opts).state).copy()
+        mu = 0.0
+        work = solve_cell(lattice, grid, mu, "uniform", opts).state.copy()
 
     vol = lattice.volume
 
@@ -413,9 +418,6 @@ def dual_energy(
 def save_table(directory, table: CBTable):
     """Persist the table: manifest plus per-sample state and derivative
     fields as .tfw files."""
-    import json
-    import os
-
     os.makedirs(directory, exist_ok=True)
     for i, (sol, du) in enumerate(zip(table.solutions, table.dudh)):
         fieldio.write_state(directory, f"sample_{i:03d}", sol.state, {"h_value": sol.h_value})
@@ -434,25 +436,44 @@ def save_table(directory, table: CBTable):
     fieldio.atomic_write_text(os.path.join(directory, "table.json"), json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def load_table(directory) -> CBTable:
-    import os
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    keys = ("lattice", "resolution", "supercell", "h_samples", "E_CB", "m_tot", "gaps", "c_nu",
-            "residual_norms")
-    manifest = fieldio.read_manifest(os.path.join(directory, "table.json"), keys)
+
+def load_table(directory) -> CBTable:
+    """Read a table written by ``save_table``; StructuralError unless its
+    per-sample lists hold numbers (``gaps`` may hold null) and agree in
+    length, ``c_nu`` is a number and the h samples increase strictly and are
+    symmetric about 0 (the corrector mirror needs this)."""
+    columns = ("h_samples", "E_CB", "m_tot", "gaps", "residual_norms")
+    path = os.path.join(directory, "table.json")
+    manifest = fieldio.read_manifest(path, ("lattice", "resolution", "supercell", "c_nu") + columns)
+    for key in columns:
+        values = manifest[key]
+        if not (isinstance(values, list) and values) or not all(
+            _is_number(v) or (key == "gaps" and v is None) for v in values
+        ):
+            raise StructuralError(f"{path}: {key} is not a non-empty list of numbers")
+    if len({len(manifest[key]) for key in columns}) > 1:
+        raise StructuralError(f"{path}: the lists {', '.join(columns)} differ in length")
+    if not _is_number(manifest["c_nu"]):
+        raise StructuralError(f"{path}: c_nu is not a number")
+    h = np.array(manifest["h_samples"], dtype=float)
+    if not (np.all(np.diff(h) > 0) and np.array_equal(h, -h[::-1])):
+        raise StructuralError(f"{path}: h_samples are not strictly increasing and symmetric about 0")
     lattice = LatticeSpec.from_descriptor(manifest["lattice"])
     grid = Grid(lattice, GridSpec(tuple(manifest["resolution"]), tuple(manifest["supercell"])))
     solutions = []
     dudh = []
-    for i, h in enumerate(manifest["h_samples"]):
+    for i, h_value in enumerate(h):
         state, _ = fieldio.read_state(directory, f"sample_{i:03d}", grid)
         du, _ = fieldio.read_state(directory, f"dudh_{i:03d}", grid)
         min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
         solutions.append(
             CellSolution(
                 state=state,
-                h_value=float(h),
-                energy=energy_supercell(state, float(h)),
+                h_value=float(h_value),
+                energy=energy_supercell(state, float(h_value)),
                 residual_norm=manifest["residual_norms"][i],
                 min_nu=min_nu,
                 C_nu_ok=bool(min_nu >= manifest["c_nu"]),
@@ -464,7 +485,7 @@ def load_table(directory) -> CBTable:
     return CBTable(
         lattice=lattice,
         grid=grid,
-        h_samples=np.array(manifest["h_samples"]),
+        h_samples=h,
         solutions=solutions,
         dudh=dudh,
         E_CB=np.array(manifest["E_CB"]),
@@ -476,9 +497,6 @@ def load_table(directory) -> CBTable:
 
 def export_curves_csv(table: CBTable, path):
     """CSV of (h, E_CB, m_tot) over the tabulated samples."""
-    import csv
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["h", "E_CB", "m_tot"])

@@ -194,17 +194,19 @@ def _modes(entries):
     return [Mode(tuple(e["m"]), e["amp"], e.get("phase", 0.0)) for e in entries or []]
 
 
+def _section(cfg, name):
+    if name not in cfg:
+        raise ConfigError(f"this command needs the '{name}' section")
+    return cfg[name]
+
+
 def _lattice(cfg):
-    if "lattice" not in cfg:
-        raise ConfigError("this command needs a 'lattice' section")
-    lat = cfg["lattice"]
+    lat = _section(cfg, "lattice")
     return LatticeSpec(np.array(lat["cell_vectors"], dtype=float), lat["Z"], _modes(lat.get("rho_b_modes")))
 
 
 def _resolution(cfg):
-    if "grid" not in cfg:
-        raise ConfigError("this command needs a 'grid' section")
-    return tuple(cfg["grid"]["resolution"])
+    return tuple(_section(cfg, "grid")["resolution"])
 
 
 def _h_field(cfg):
@@ -248,9 +250,7 @@ def _write_json(path, payload):
 
 
 def _build_table(cfg, lattice, opts):
-    c = cfg.get("cb")
-    if c is None:
-        raise ConfigError("this command needs a 'cb' section")
+    c = _section(cfg, "cb")
     xi_grid, threshold, _ = _stability(cfg, lattice)
     table = cb.build_cb_table(
         lattice,
@@ -269,9 +269,7 @@ def _two_scale_inputs(cfg, seed):
     """The two-scale section, the table (loaded from ``table_dir`` or
     built), the n-fold supercell grid and the applied field."""
     lattice = _lattice(cfg)
-    tcfg = cfg.get("two_scale")
-    if tcfg is None:
-        raise ConfigError("this command needs a 'two_scale' section")
+    tcfg = _section(cfg, "two_scale")
     if "table_dir" in tcfg:
         table = cb.load_table(tcfg["table_dir"])
     else:
@@ -392,12 +390,8 @@ def cmd_newton_study(cfg, out, seed, verbose):
 
 def cmd_eps_study(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
-    ecfg = cfg.get("eps")
-    if ecfg is None:
-        raise ConfigError("this command needs an 'eps' section")
-    ccfg = cfg.get("cb")
-    if ccfg is None:
-        raise ConfigError("this command needs a 'cb' section")
+    ecfg = _section(cfg, "eps")
+    ccfg = _section(cfg, "cb")
     result = studies.run_eps_study(
         lattice,
         _resolution(cfg),
@@ -420,9 +414,7 @@ def cmd_eps_study(cfg, out, seed, verbose):
 def cmd_legendre_check(cfg, out, seed, verbose):
     lattice = _lattice(cfg)
     opts = _solve_opts(cfg, seed)
-    lcfg = cfg.get("legendre")
-    if lcfg is None:
-        raise ConfigError("this command needs a 'legendre' section")
+    lcfg = _section(cfg, "legendre")
     table = _build_table(cfg, lattice, opts)
     rows, _curve = studies.run_legendre_study(
         table,

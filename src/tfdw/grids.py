@@ -531,13 +531,6 @@ class HField:
         self.value = float(value)
         self.modes = tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
 
-    @property
-    def is_constant(self):
-        return all(m.amp == 0.0 for m in self.modes)
-
-    def max_abs(self):
-        return abs(self.value) + sum(abs(m.amp) for m in self.modes)
-
     def check_compatible(self, grid, eps):
         """h(eps x) must be periodic on the supercell: eps * n_j * m_j integral."""
         for mode in self.modes:

@@ -96,7 +96,6 @@ def run_eps_study(
     solve_opts: SolveOptions | None = None,
     newton_opts: NewtonOptions | None = None,
     verify_samples=True,
-    with_first_order_comparison=True,
     drop_largest=True,
     table: cb.CBTable | None = None,
 ) -> EpsStudyResult:
@@ -114,20 +113,13 @@ def run_eps_study(
             verify_samples=verify_samples,
         )
 
-    # cell solves depend on eps only through the sampled field values: one
-    # memo serves every n of the sweep and lives only as long as the sweep
-    samples = {}
-
     def run_one(n):
         grid_n = Grid(lattice, GridSpec(tuple(resolution), (n, 1, 1)))
         eps = 1.0 / n
         h_vals = h_field.sample(grid_n, eps)
-        u0, cs = ts.build_u0(table, h_field, grid_n, eps, samples=samples)
+        u0, cs = ts.build_u0(table, h_field, grid_n, eps)
         res_u0 = residual(u0, h_vals).norm_l2n()
-        res_first = float("nan")
-        if with_first_order_comparison:
-            u0_first = ts.assemble_u0(cs, include_second=False)
-            res_first = residual(u0_first, h_vals).norm_l2n()
+        res_first = residual(ts.assemble_u0(cs, include_second=False), h_vals).norm_l2n()
         u_cb = cb.cb_field(table, h_vals, eps)
         u_star, trace = newton_solve(u0, h_vals, newton_opts, u_cb=u_cb)
         return EpsStudyRow(
@@ -149,12 +141,11 @@ def run_eps_study(
             eps_v, [r.newton_distance_u0 for r in rows], drop_largest
         ),
         "cb_distance": fit_loglog_slope(eps_v, [r.cb_distance for r in rows], drop_largest),
+        "ansatz_residual_first_order": fit_loglog_slope(
+            eps_v, [r.ansatz_residual_first_order for r in rows], drop_largest
+        ),
         "drop_largest": drop_largest,
     }
-    if with_first_order_comparison:
-        slopes["ansatz_residual_first_order"] = fit_loglog_slope(
-            eps_v, [r.ansatz_residual_first_order for r in rows], drop_largest
-        )
     return EpsStudyResult(rows=rows, slopes=slopes, table=table)
 
 

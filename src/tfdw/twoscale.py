@@ -9,14 +9,16 @@ slow derivatives of the field to h-derivatives of the map:
     order eps^2:  L_h u2 = sources built from u1, d_h u1, d_h^2 u_cb and the
                   quadratic density terms
 
-Because every right-hand side depends on the slow position only through
-h(x), grad h(x) and hess h(x), the cell solves are performed once per
-distinct sampled field value and recombined with scalar macro factors; slow
-derivatives of the field are analytic.  The solves at a field value do not
-depend on eps either, so a sweep over supercell factors shares one memo of
-samples and factorizes each distinct value once for the whole sweep.  One
-factorization is held at a time: all six solves of a sample run on its LU
-before the next sample is factorized.  The assembled state
+Every right-hand side depends on the slow position only through h(x),
+grad h(x) and hess h(x), so the unit solutions w_a (first order) and P_ab,
+Q_ab (second order, the factors of (d_a h)(d_b h) and d_a d_b h) are smooth
+functions of the field value alone, as the constant-field map is.  The six
+solves of ``_solve_sample`` run on one factorization at each table knot
+h >= 0; the knots h < 0 follow by the spin flip L(-h) = S L(h) S (S swaps
+the spin rows): w_a(-h) = -S w_a(h), P_ab(-h) = S P_ab(h), Q_ab(-h) =
+-S Q_ab(h).  A not-a-knot cubic spline in h through the knots, cached on the
+table per set of active axes, gives them at the sampled field values for
+every eps.  The assembled state
 
     u0(x) = u_cb(x; h(eps x)) + eps u1 + eps^2 u2
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve
 
 from . import fieldio
@@ -43,8 +46,8 @@ EIGHT_PI = 8.0 * np.pi
 
 @dataclass
 class SampleSolves:
-    """All cell solves attached to one distinct macro field value, each a
-    ``(3,) + shape`` stack in the ``State.stacked`` layout."""
+    """All cell solves at one field value, each a ``(3,) + shape`` stack in
+    the ``State.stacked`` layout."""
 
     h: float
     X1: np.ndarray                      # d u / d h
@@ -58,7 +61,9 @@ class SampleSolves:
 
 @dataclass
 class CorrectorSet:
-    """Per-sample corrector data plus the gather maps for assembly."""
+    """Corrector values at the distinct sampled field values plus the gather
+    maps for assembly.  Each value is a ``(len(macro_samples), 3) + cell
+    shape`` array: one ``State.stacked`` stack per field value."""
 
     table: CBTable
     h_field: HField
@@ -67,17 +72,13 @@ class CorrectorSet:
     macro_samples: np.ndarray           # distinct sampled field values
     inverse: np.ndarray                 # flat supercell point -> sample index
     micro: np.ndarray                   # flat supercell point -> cell point
-    samples: list[SampleSolves]
+    w: dict[int, np.ndarray]            # axis -> first-order unit solution
+    P: dict[tuple[int, int], np.ndarray]
+    Q: dict[tuple[int, int], np.ndarray]
     active_axes: list[int]
     active_pairs: list[tuple[int, int]]
+    solve_residual: float               # largest residual of the knot solves
     complete: bool = False
-
-    @property
-    def cell_grid(self):
-        return self.table.grid
-
-    def max_solve_residual(self):
-        return max((s.solve_residual for s in self.samples), default=0.0)
 
 
 class _CellContext:
@@ -104,10 +105,7 @@ class _CellContext:
     def solve(self, rhs):
         """Solve L_h x = rhs for a ``(3,) + shape`` stack; returns x in the
         same layout and the achieved residual."""
-        # a copy, not a reshaped view: the memo keeps every solution of a
-        # sweep, and keeping views of the flat solutions measured about
-        # 0.5 MB more peak RSS over the 8x4x4 workhorse sweep (n = 4..32)
-        x = lu_solve(self.lu, rhs.ravel()).reshape(rhs.shape).copy()
+        x = lu_solve(self.lu, rhs.ravel()).reshape(rhs.shape)
         res = self.op.apply(x) - rhs
         rn = np.sqrt(sum(self.grid.l2n(r) ** 2 for r in res))
         return x, float(rn)
@@ -189,13 +187,9 @@ def _macro_layout(table: CBTable, h_field: HField, grid: Grid, eps: float):
         raise StructuralError("two-scale construction needs an analytic HField")
     n_eff = max(grid.spec.supercell)
     if any(n not in (1, n_eff) for n in grid.spec.supercell):
-        raise StructuralError(
-            f"supercell factors {grid.spec.supercell} must be 1 or the sweep factor"
-        )
+        raise StructuralError(f"supercell factors {grid.spec.supercell} must be 1 or the sweep factor")
     if abs(eps * n_eff - 1.0) > 1e-12:
         raise StructuralError(f"eps = {eps} does not match supercell factor {n_eff}")
-    if grid.spec.resolution != table.grid.spec.resolution:
-        raise StructuralError("supercell resolution must match the tabulated cell grid")
     return macro_layout(table, h_field.sample(grid, eps).values, grid)
 
 
@@ -229,38 +223,55 @@ def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
     return sample
 
 
-def first_order_correctors(
-    table: CBTable, h_field: HField, eps: float, grid: Grid, samples: dict | None = None
-) -> CorrectorSet:
-    """Per-sample cell solves at every distinct sampled field value.
+def _pairs(axes):
+    return [(a, b) for a in axes for b in axes]
 
-    Each sample carries all its solves, second order included; the set is
-    marked complete by ``second_order_correctors``.  ``samples`` memoizes
-    them by (rounded field value, active axes): a sweep that passes one dict
-    to every supercell factor solves each field value once."""
+
+def tabulate_correctors(table: CBTable, axes):
+    """w_a, P_ab and Q_ab on the table's knots as one not-a-knot cubic spline
+    in h, whose value is a ``(blocks, 3) + cell shape`` array: w per axis,
+    then P and Q per pair.  ``_solve_sample`` runs at each knot h >= 0; each
+    knot h < 0 is its partner's sample under the spin flip.  Returns the
+    spline and the largest residual of the knot solves."""
+    h = table.h_samples
+    if not np.array_equal(h, -h[::-1]):
+        raise StructuralError("the corrector mirror needs table knots symmetric about h = 0")
+    pairs = _pairs(axes)
+    # parity of each block under the spin flip: w and Q odd, P even
+    parity = np.array([-1.0] * len(axes) + [1.0] * len(pairs) + [-1.0] * len(pairs))
+    rows = [None] * len(h)
+    residual = 0.0
+    for i in np.flatnonzero(h >= 0):
+        sample = _solve_sample(table, float(h[i]), axes, pairs)
+        rows[i] = np.array(
+            [sample.w[a] for a in axes] + [sample.P[p] for p in pairs] + [sample.Q[p] for p in pairs]
+        )
+        residual = max(residual, sample.solve_residual)
+    for i in np.flatnonzero(h < 0):
+        rows[i] = parity[:, None, None, None, None] * rows[-1 - i][:, [1, 0, 2]]
+    return CubicSpline(h, np.array(rows), axis=0), residual
+
+
+def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Grid) -> CorrectorSet:
+    """Correctors at every distinct sampled field value from the table's
+    corrector splines (``tabulate_correctors``, run on the first request for
+    the field's active axes and cached on the table).  The set carries the
+    second-order values too; ``second_order_correctors`` marks it complete."""
     uniq, inverse, micro = _macro_layout(table, h_field, grid, eps)
     axes = h_field.active_axes(grid, eps)
-    pairs = [(a, b) for a in axes for b in axes]
-    if samples is None:
-        samples = {}
-    solved = []
-    for h in map(float, uniq):
-        key = (h, tuple(axes))
-        if key not in samples:
-            samples[key] = _solve_sample(table, h, axes, pairs)
-        solved.append(samples[key])
+    pairs = _pairs(axes)
+    w, P, Q, residual = {}, {}, {}, 0.0
+    if axes:
+        if tuple(axes) not in table.corrector_splines:
+            table.corrector_splines[tuple(axes)] = tabulate_correctors(table, axes)
+        spline, residual = table.corrector_splines[tuple(axes)]
+        blocks = np.swapaxes(spline(uniq), 0, 1)
+        w = dict(zip(axes, blocks[: len(axes)]))
+        P = dict(zip(pairs, blocks[len(axes) : len(axes) + len(pairs)]))
+        Q = dict(zip(pairs, blocks[len(axes) + len(pairs) :]))
     return CorrectorSet(
-        table=table,
-        h_field=h_field,
-        eps=eps,
-        grid=grid,
-        macro_samples=uniq,
-        inverse=inverse,
-        micro=micro,
-        samples=solved,
-        active_axes=axes,
-        active_pairs=pairs,
-        complete=False,
+        table=table, h_field=h_field, eps=eps, grid=grid, macro_samples=uniq, inverse=inverse,
+        micro=micro, w=w, P=P, Q=Q, active_axes=axes, active_pairs=pairs, solve_residual=residual,
     )
 
 
@@ -271,50 +282,36 @@ def second_order_correctors(cs: CorrectorSet) -> CorrectorSet:
     return cs
 
 
-def assemble_u0(cs: CorrectorSet, eps: float = None, grid: Grid = None, include_second=True) -> State:
+def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
     """Evaluate the two-scale sums on the supercell in atomic units."""
-    if eps is not None and abs(eps - cs.eps) > 1e-15:
-        raise StructuralError(f"eps = {eps} does not match the corrector set ({cs.eps})")
-    if grid is not None and grid != cs.grid:
-        raise StructuralError("grid does not match the corrector set")
     if include_second and not cs.complete:
         raise StructuralError("second-order correctors have not been built")
     eps = cs.eps
     grid = cs.grid
 
-    def supercell(solves):
-        return gather([solves(s) for s in cs.samples], cs.inverse, cs.micro, grid.shape)
+    def supercell(rows):
+        return gather(rows, cs.inverse, cs.micro, grid.shape)
 
     total = cb_field(cs.table, cs.h_field, eps, grid).stacked()
     grads = cs.h_field.grad_slow(grid, eps)
     for a in cs.active_axes:
-        total += eps * supercell(lambda s: s.w[a]) * grads[a]
+        total += eps * supercell(cs.w[a]) * grads[a]
 
     if include_second:
         hess = cs.h_field.hess_slow(grid, eps)
-        for pair in cs.active_pairs:
-            a, b = pair
+        for a, b in cs.active_pairs:
             fac_A = grads[a] * grads[b]
-            fac_B = hess[(a, b)]
-            total += eps**2 * (
-                supercell(lambda s: s.P[pair]) * fac_A + supercell(lambda s: s.Q[pair]) * fac_B
-            )
+            total += eps**2 * (supercell(cs.P[a, b]) * fac_A + supercell(cs.Q[a, b]) * hess[a, b])
     return State.from_stack(grid, total)
 
 
-def build_u0(
-    table: CBTable,
-    h_field: HField,
-    grid: Grid,
-    eps: float = None,
-    include_second=True,
-    samples: dict | None = None,
-):
-    """Convenience pipeline: correctors plus assembled state.  ``samples`` is
-    the per-sweep memo of ``first_order_correctors``."""
+def build_u0(table: CBTable, h_field: HField, grid: Grid, eps: float = None, include_second=True):
+    """Convenience pipeline: correctors plus assembled state.  The first
+    build on ``table`` for a set of active axes tabulates the correctors on
+    its knots; every later build, at any eps, reuses them."""
     if eps is None:
         eps = 1.0 / max(grid.spec.supercell)
-    cs = first_order_correctors(table, h_field, eps, grid, samples)
+    cs = first_order_correctors(table, h_field, eps, grid)
     if include_second:
         cs = second_order_correctors(cs)
     return assemble_u0(cs, include_second=include_second), cs
@@ -326,7 +323,7 @@ def save_u0(directory, name, state: State, cs: CorrectorSet, extra=None):
         "eps": cs.eps,
         "h_field": cs.h_field.descriptor(),
         "supercell": list(cs.grid.spec.supercell),
-        "corrector_solve_residual": cs.max_solve_residual(),
+        "corrector_solve_residual": cs.solve_residual,
         "macro_samples": [float(h) for h in cs.macro_samples],
         "second_order": cs.complete,
     }

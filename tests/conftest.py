@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from tfdw import cauchy_born as cb
+from tfdw import twoscale as ts
 from tfdw.cells import SolveOptions, solve_cell
 from tfdw.grids import Grid, GridSpec, LatticeSpec
 
@@ -37,6 +40,24 @@ def cb_table(lattice_mod):
         opts=SolveOptions(),
         verify_samples=True,
     )
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Field values of the two-scale cell factorizations made during the
+    test, and the largest number of them alive at once."""
+    built, peak = [], [0]
+    live = weakref.WeakSet()
+
+    class Tracked(ts._CellContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.h)
+            live.add(self)
+            peak[0] = max(peak[0], len(live))
+
+    monkeypatch.setattr(ts, "_CellContext", Tracked)
+    return built, peak
 
 
 @pytest.fixture

@@ -240,6 +240,11 @@ def test_table_save_load_roundtrip(tmp_path, cb_table):
     a = loaded.state_at(0.03125).nu_plus.values
     b = cb_table.state_at(0.03125).nu_plus.values
     assert np.max(np.abs(a - b)) < 1e-13
+    # an uncertified sample's gap is null in table.json and NaN when read
+    manifest = tmp_path / "table" / "table.json"
+    gaps = [None] * len(cb_table.h_samples)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "gaps": gaps}))
+    assert np.all(np.isnan(cb.load_table(tmp_path / "table").gaps))
     cb.export_curves_csv(cb_table, tmp_path / "curves.csv")
     lines = (tmp_path / "curves.csv").read_text().strip().split("\n")
     assert lines[0] == "h,E_CB,m_tot"

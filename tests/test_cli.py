@@ -27,6 +27,34 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("solve-cell", "lattice"),
+        ("solve-cell", "grid"),
+        ("cb-table", "cb"),
+        ("two-scale-build", "two_scale"),
+        ("eps-study", "eps"),
+        ("eps-study", "cb"),
+        ("legendre-check", "legendre"),
+    ],
+)
+def test_missing_section_exits_2(tmp_path, capsys, command, section):
+    full = {
+        "lattice": LATTICE,
+        "grid": {"resolution": [8, 4, 4]},
+        "cb": {"h_range": 0.1, "step": 0.05},
+        "two_scale": {"n": 4},
+        "eps": {"n_values": [4, 8]},
+        "legendre": {"h_values": [0.05]},
+    }
+    cfg = write_config(tmp_path, {k: v for k, v in full.items() if k != section})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError"
+    assert f"'{section}'" in payload["message"]
+
+
 def test_schema_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {"resolution": [8, 4]}})
     rc = cli.main(["solve-cell", "--config", cfg])
@@ -221,6 +249,10 @@ def _without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
+def _with(key, change):
+    return lambda text: json.dumps({**json.loads(text), key: change(json.loads(text)[key])})
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
@@ -229,8 +261,20 @@ def _without(key):
         ("table.json", _without("c_nu")),
         ("sample_001.json", _without("gauge")),
         ("dudh_002.json", lambda text: json.dumps({**json.loads(text), "fields": {"V": "dudh_002_V.tfw"}})),
+        ("table.json", _with("h_samples", lambda v: "0.0")),
+        ("table.json", _with("E_CB", lambda v: ["x"] + v[1:])),
+        ("table.json", _with("m_tot", lambda v: [None] + v[1:])),
+        ("table.json", _with("gaps", lambda v: [True] + v[1:])),
+        ("table.json", _with("residual_norms", lambda v: v[:2])),
+        ("table.json", _with("c_nu", lambda v: str(v))),
+        ("table.json", _with("h_samples", lambda v: v[::-1])),
+        ("table.json", _with("h_samples", lambda v: v[:-1] + [v[-1] + 0.01])),
     ],
-    ids=["truncated", "not-an-object", "table-missing-key", "state-missing-key", "fields-missing-key"],
+    ids=[
+        "truncated", "not-an-object", "table-missing-key", "state-missing-key", "fields-missing-key",
+        "h-samples-not-a-list", "energy-not-numbers", "m-holds-null", "gaps-not-numbers",
+        "residual-norms-short", "c-nu-not-a-number", "h-samples-decreasing", "h-samples-asymmetric",
+    ],
 )
 def test_damaged_manifest_exits_3(tmp_path, capsys, cb_table, name, damage):
     # a table whose JSON manifests are cut or lack a key: two-scale-build

@@ -1,7 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tfdw import twoscale as ts
 from tfdw.errors import StructuralError
 from tfdw.grids import GridSpec, HField, LatticeSpec
 from tfdw.linop import FiberOperator, LinearizedOperator
@@ -67,23 +68,22 @@ def test_stability_in_n_matches_cell_fibers_on_coarse_axis(lattice_mod):
         assert reports[n].M == pytest.approx(1.0 / direct, rel=1e-10)
 
 
-def test_eps_sweep_memo_matches_separate_builds(cb_table, monkeypatch):
-    # the sweep shares one sample memo across n; its rows are bit for bit
-    # those of per-n builds that each solve their own samples
+def test_eps_sweep_tabulates_the_correctors_once(cb_table, factorizations):
+    # a sweep factorizes the table's knots h >= 0 once for all n; a second
+    # sweep on the same table factorizes nothing and repeats every row and
+    # slope bit for bit
     h = HField(0.0, [((1, 0, 0), 0.08)])
+    table = dataclasses.replace(cb_table)  # same samples, empty caches
+    built, _ = factorizations
 
     def sweep():
         return run_eps_study(
-            cb_table.lattice, (8, 4, 4), h, (4, 8), cb_range=0.1, cb_step=0.0125, table=cb_table
+            table.lattice, (8, 4, 4), h, (4, 8), cb_range=0.1, cb_step=0.0125, table=table
         )
 
-    shared = sweep()
-    build_u0 = ts.build_u0
-
-    def without_memo(*args, samples=None, **kwargs):
-        return build_u0(*args, **kwargs)
-
-    monkeypatch.setattr(ts, "build_u0", without_memo)
-    separate = sweep()
-    assert shared.rows == separate.rows
-    assert shared.slopes == separate.slopes
+    first = sweep()
+    assert len(built) == 9
+    again = sweep()
+    assert len(built) == 9
+    assert first.rows == again.rows
+    assert first.slopes == again.slopes

@@ -1,5 +1,4 @@
 import dataclasses
-import weakref
 
 import numpy as np
 import pytest
@@ -34,9 +33,9 @@ def test_corrector_solves_satisfy_their_systems(cb_table):
     h = HField(0.0, [((1, 0, 0), 0.06)])
     cs = ts.first_order_correctors(cb_table, h, 0.25, grid)
     cs = ts.second_order_correctors(cs)
-    assert cs.max_solve_residual() <= 1e-10
-    # re-verify one sample independently through the operator application
-    sample = cs.samples[len(cs.samples) // 2]
+    assert 0.0 < cs.solve_residual <= 1e-10
+    # re-verify the solves at one off-knot field value through the operator
+    sample = ts._solve_sample(cb_table, float(cs.macro_samples[5]), [0], [(0, 0)])
     ctx = ts._CellContext(cb_table, sample.h)
     for rhs, sol in [
         (ts.first_order_sources(ctx, sample.X1, 0), sample.w[0]),
@@ -81,11 +80,7 @@ def test_first_order_linearity_in_gradient_data(cb_table):
 def test_second_order_sources_with_zeroed_first_order(cb_table):
     # with the first-order solves zeroed the second-order sources collapse
     # to the slow-Laplacian terms
-    grid = supergrid(cb_table, 4)
-    h = HField(0.0, [((1, 0, 0), 0.06)])
-    cs = ts.first_order_correctors(cb_table, h, 0.25, grid)
-    cs = ts.second_order_correctors(cs)
-    sample = cs.samples[0]
+    sample = ts._solve_sample(cb_table, -0.06, [0], [(0, 0)])
     ctx = ts._CellContext(cb_table, sample.h)
     zeroed = dataclasses.replace(
         sample,
@@ -105,7 +100,7 @@ def test_corrector_macro_smoothness(cb_table):
     grid = supergrid(cb_table, 8)
     h = HField(0.0, [((1, 0, 0), 0.08)])
     cs = ts.first_order_correctors(cb_table, h, 0.125, grid)
-    stacked = np.array([s.w[0] for s in cs.samples])
+    stacked = cs.w[0]
     hs = cs.macro_samples
     if len(hs) >= 4:
         steps = np.diff(hs)
@@ -128,6 +123,12 @@ def test_structural_checks(cb_table):
 
 
 def test_positivity_guard_in_corrector_context(cb_table):
+    # the corrector splines cached on cb_table must not carry over to a
+    # table with other samples: the shifted table's first build solves its
+    # own knots, and the guard fires there
+    grid = supergrid(cb_table, 4)
+    h = HField(0.0, [((1, 0, 0), 0.06)])
+    ts.build_u0(cb_table, h, grid, 0.25)
     shifted_solutions = [
         dataclasses.replace(
             sol,
@@ -140,9 +141,11 @@ def test_positivity_guard_in_corrector_context(cb_table):
         )
         for sol in cb_table.solutions
     ]
-    bad = dataclasses.replace(cb_table, solutions=shifted_solutions, _state_spline=None)
+    bad = dataclasses.replace(cb_table, solutions=shifted_solutions)
     with pytest.raises(PositivityLossError):
         ts._CellContext(bad, 0.0)
+    with pytest.raises(PositivityLossError):
+        ts.build_u0(bad, h, grid, 0.25)
 
 
 def test_residual_decay_two_points(cb_table):
@@ -167,56 +170,81 @@ def test_save_u0(tmp_path, cb_table):
     state, manifest = fieldio.read_state(tmp_path, "u0")
     assert manifest["eps"] == 0.25
     assert manifest["second_order"] is True
-    assert manifest["corrector_solve_residual"] <= 1e-10
+    assert 0.0 < manifest["corrector_solve_residual"] <= 1e-10
     assert np.array_equal(state.nu_plus.values, u0.nu_plus.values)
 
 
-def test_shared_memo_factorizes_each_field_value_once(cb_table, monkeypatch):
-    # n = 4 samples 17 field values, n = 8 samples 33 that include them; a
-    # shared memo factorizes 33 cell operators, separate builds 50, and no
-    # build holds more than one factorization at a time
-    built, peak = [], [0]
-    live = weakref.WeakSet()
+def assert_same_state(a, b):
+    assert np.array_equal(a.nu_plus.values, b.nu_plus.values)
+    assert np.array_equal(a.nu_minus.values, b.nu_minus.values)
+    assert np.array_equal(a.v_full_values(), b.v_full_values())
 
-    class Tracked(ts._CellContext):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self.h)
-            live.add(self)
-            peak[0] = max(peak[0], len(live))
 
-    monkeypatch.setattr(ts, "_CellContext", Tracked)
+def test_first_build_factorizes_each_knot_once(cb_table, factorizations):
+    # n = 4 samples 17 field values; the first build on a table factorizes
+    # only its knots h >= 0, one at a time
+    table = dataclasses.replace(cb_table)  # same samples, empty caches
+    built, peak = factorizations
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    samples = {}
-    shared = {}
-    for n in (4, 8):
-        shared[n] = ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n, samples=samples)
-    assert len(built) == len(samples) == 33
-    assert peak[0] == 1
-    del built[:]
-    for n in (4, 8):
-        u0, cs = ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n)
-        assert cs.complete and len(cs.samples) == len(cs.macro_samples)
-        assert cs.max_solve_residual() == shared[n][1].max_solve_residual()
-        assert np.array_equal(u0.nu_plus.values, shared[n][0].nu_plus.values)
-        assert np.array_equal(u0.nu_minus.values, shared[n][0].nu_minus.values)
-        assert np.array_equal(u0.v_full_values(), shared[n][0].v_full_values())
-    assert len(built) == 50
+    u0, cs = ts.build_u0(table, h, supergrid(table, 4), 0.25)
+    assert len(cs.macro_samples) == 17
+    assert built == [float(k) for k in table.h_samples if k >= 0] and len(built) == 9
     assert peak[0] == 1
 
 
-def test_shared_memo_in_any_sweep_order(cb_table):
-    # one memo shared across supercell factors in any order, repeats
-    # included, gives every state bit for bit as its own fresh build
+def test_later_builds_factorize_nothing_in_any_order(cb_table, factorizations):
+    # after the first build, builds at any n and in any order, repeats
+    # included, factorize nothing and give every state bit for bit as a
+    # build on a table of its own
+    built, peak = factorizations
     h = HField(0.0, [((1, 0, 0), 0.08)])
+    table = dataclasses.replace(cb_table)
+    ts.build_u0(table, h, supergrid(table, 4), 0.25)
+    assert len(built) == 9
     ns = (8, 4, 8, 2, 4)
-    fresh = {n: ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n)[0] for n in set(ns)}
-    samples = {}
-    states = [
-        ts.build_u0(cb_table, h, supergrid(cb_table, n), 1.0 / n, samples=samples)[0] for n in ns
-    ]
-    assert len(samples) == 33
+    states = [ts.build_u0(table, h, supergrid(table, n), 1.0 / n)[0] for n in ns]
+    assert len(built) == 9
     for n, u0 in zip(ns, states):
-        assert np.array_equal(u0.nu_plus.values, fresh[n].nu_plus.values)
-        assert np.array_equal(u0.nu_minus.values, fresh[n].nu_minus.values)
-        assert np.array_equal(u0.v_full_values(), fresh[n].v_full_values())
+        own = dataclasses.replace(cb_table)
+        assert_same_state(u0, ts.build_u0(own, h, supergrid(own, n), 1.0 / n)[0])
+    assert peak[0] == 1
+
+
+def test_negative_knot_correctors_match_independent_solve(cb_table):
+    # w(-h) = -S w(h), P(-h) = S P(h), Q(-h) = -S Q(h): at a knot h < 0 the
+    # mirrored correctors equal a direct solve there
+    spline, _ = ts.tabulate_correctors(cb_table, [0])
+    knot = float(cb_table.h_samples[2])
+    assert knot < 0
+    direct = ts._solve_sample(cb_table, knot, [0], [(0, 0)])
+    for got, want in zip(spline(knot), (direct.w[0], direct.P[(0, 0)], direct.Q[(0, 0)])):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_asymmetric_knots_are_refused(cb_table):
+    table = dataclasses.replace(cb_table, h_samples=cb_table.h_samples + 1e-3)
+    with pytest.raises(StructuralError):
+        ts.tabulate_correctors(table, [0])
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_tabulated_u0_matches_direct_solves(cb_table, n):
+    # interpolation floor: u0 from the knot splines against u0 assembled
+    # from a direct six-solve hierarchy at every sampled field value
+    grid = supergrid(cb_table, n)
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+    u0, cs = ts.build_u0(cb_table, h, grid, 1.0 / n)
+    direct = [ts._solve_sample(cb_table, float(v), [0], [(0, 0)]) for v in cs.macro_samples]
+    exact = dataclasses.replace(
+        cs,
+        w={0: np.array([s.w[0] for s in direct])},
+        P={(0, 0): np.array([s.P[(0, 0)] for s in direct])},
+        Q={(0, 0): np.array([s.Q[(0, 0)] for s in direct])},
+    )
+    u0_exact = ts.assemble_u0(exact)
+    h_vals = h.sample(grid, 1.0 / n)
+    res = residual(u0, h_vals).norm_l2n()
+    res_exact = residual(u0_exact, h_vals).norm_l2n()
+    assert abs(res - res_exact) <= 1e-6 * res_exact
+    diff = u0.stacked() - u0_exact.stacked()
+    assert np.sqrt(sum(grid.l2n(d) ** 2 for d in diff)) <= 1e-6 * res_exact
