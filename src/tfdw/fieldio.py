@@ -32,12 +32,6 @@ def _grid_header(grid: Grid):
     }
 
 
-def grid_from_header(header) -> Grid:
-    lattice = LatticeSpec.from_descriptor(header["lattice"])
-    spec = GridSpec(tuple(header["resolution"]), tuple(header["supercell"]))
-    return Grid(lattice, spec)
-
-
 def parse_object(text, what, keys=()):
     """The JSON object in ``text`` (str or UTF-8 bytes); StructuralError
     naming ``what`` unless it parses to an object holding every key in
@@ -73,20 +67,22 @@ def read_field(path, grid: Grid | None = None) -> ScalarField:
     if header.get("format") != TFW_MAGIC:
         raise StructuralError(f"{path} is not a .tfw field file")
     try:
-        file_grid = grid_from_header(header)
+        lattice = LatticeSpec.from_descriptor(header["lattice"])
+        spec = GridSpec(tuple(header["resolution"]), tuple(header["supercell"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"{path}: the header does not describe a grid ({exc!r})") from exc
-    if grid is not None:
-        if grid != file_grid:
-            raise StructuralError(f"{path} carries a different grid than expected")
-        file_grid = grid
-    if len(payload) != 8 * file_grid.total_points:
+    # an expected grid is compared by its specs, so no second Grid is built
+    if grid is None:
+        grid = Grid(lattice, spec)
+    elif lattice != grid.lattice or spec != grid.spec:
+        raise StructuralError(f"{path} carries a different grid than expected")
+    if len(payload) != 8 * grid.total_points:
         raise StructuralError(
-            f"{path}: expected {file_grid.total_points} 8-byte values, "
+            f"{path}: expected {grid.total_points} 8-byte values, "
             f"found a payload of {len(payload)} bytes"
         )
     values = np.frombuffer(payload, dtype="<f8")
-    return ScalarField(file_grid, values.reshape(file_grid.shape).copy())
+    return ScalarField(grid, values.reshape(grid.shape).copy())
 
 
 def write_state(directory, name, state: State, extra=None):

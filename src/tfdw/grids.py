@@ -273,8 +273,15 @@ class Grid:
         return self._apply_symbol(values, -self.k_sq)
 
     def spectral_multiply(self, values, symbol):
-        """ifft(symbol * fft(values)) for a real-symbol diagonal operator."""
-        return self._apply_symbol(values, symbol)
+        """ifft(symbol * fft(values)) for a real-symbol diagonal operator.
+
+        A ``(c, c) + shape`` symbol on a ``(c,) + shape`` stack is a block
+        symbol: at each wavevector it multiplies the c coefficients by its
+        c x c matrix, out[i] = sum_j symbol[i, j] values[j]."""
+        if np.ndim(symbol) != np.ndim(values) + 1:
+            return self._apply_symbol(values, symbol)
+        spectrum = np.einsum("ij...,j...->i...", symbol, sfft.fftn(values, axes=AXES))
+        return sfft.ifftn(spectrum, axes=AXES, overwrite_x=True).real
 
     def helmholtz_inverse(self, values, c=1.0):
         """(c - Laplacian)^{-1}, the standard smoothing preconditioner."""
@@ -342,9 +349,6 @@ class Grid:
                     f"coefficient {coeffs.flat[0]:.3e} at k = (0,0,0)"
                 )
         return float(np.real(4.0 * np.pi * np.sum(np.conj(fh) * gh * self.inv_k_sq)))
-
-    def hminus1_norm(self, values, rel_tol=1e-10):
-        return float(np.sqrt(max(self.hminus1_inner(values, values, rel_tol), 0.0)))
 
     def coulomb_pairing(self, f, g):
         """D(f, g) = \\int V_f g with -Laplacian V_f = 4 pi f, computed

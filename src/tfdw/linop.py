@@ -47,6 +47,9 @@ FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
 # nearer a null mode the dense fiber is used instead
 COULOMB_ELIMINATION_RTOL = 1e-6
 ZONE_SNAP_TOL = 1e-12  # fractional coordinates this close to an integer are that integer
+# smallest |eigenvalue| of the mean-coefficient block that the preconditioner
+# inverts; below it the block counts as this far from singular
+ABS_SYMBOL_FLOOR = 1e-2
 
 
 def coefficient_fields(state: State, h=0.0):
@@ -104,17 +107,42 @@ class LinearizedOperator:
         return LinearOperator((self.n_dof, self.n_dof), matvec=self.matvec, dtype=float)
 
     def preconditioner(self):
-        """SPD inverse-Helmholtz block preconditioner as a LinearOperator.
+        """SPD absolute-value preconditioner |L_bar|^{-1} as a LinearOperator.
 
-        Diagonal symbols (1 + |k|^2)^{-1} on the density channels and
-        8 pi (1 + |k|^2)^{-1} on the potential channel.
+        L_bar is L with its coefficients replaced by their supercell means
+        F_bar_pm and nu_bar_pm.  It is Fourier-diagonal: at each wavevector k
+        it is the real symmetric block
+
+            [[|k|^2 + F_bar_+, 0, nu_bar_+],
+             [0, |k|^2 + F_bar_-, nu_bar_-],
+             [nu_bar_+, nu_bar_-, -|k|^2/(8 pi)]] = Q diag(lambda) Q^T,
+
+        and the preconditioner is the block symbol
+        Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one batched eigh over
+        the grid, built once per operator).  Its eigenvalues
+        1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at every k, so the
+        operator is symmetric positive definite although L is indefinite, as
+        MINRES requires; the floor keeps it bounded by 1/ABS_SYMBOL_FLOOR
+        where the mean block is nearly singular.  It
+        follows F_pm and the nu-V coupling, which an inverse-Helmholtz
+        symbol ignores, and on a uniform state, where L = L_bar, M L is the
+        sign of L (absolute-value preconditioning, Vecharynski and Knyazev,
+        SIAM J. Sci. Comput. 35, 2013).
         """
         g = self.grid
-        sym_nu = 1.0 / (1.0 + g.k_sq)
-        symbols = np.stack([sym_nu, sym_nu, EIGHT_PI * sym_nu])
+        F = [np.mean(self.F_plus), np.mean(self.F_minus)]
+        nu = [np.mean(self.nu_plus), np.mean(self.nu_minus)]
+        block = np.zeros(g.shape + (3, 3))
+        for s in range(2):
+            block[..., s, s] = g.k_sq + F[s]
+            block[..., s, 2] = block[..., 2, s] = nu[s]
+        block[..., 2, 2] = -g.k_sq / EIGHT_PI
+        lam, Q = np.linalg.eigh(block)
+        inv_abs = 1.0 / np.maximum(np.abs(lam), ABS_SYMBOL_FLOOR)
+        symbol = np.ascontiguousarray(np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q))
 
         def mv(x):
-            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbols).ravel()
+            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbol).ravel()
 
         return LinearOperator((self.n_dof, self.n_dof), matvec=mv, dtype=float)
 
@@ -436,7 +464,9 @@ def spectral_gap(op, tol=1e-8, seed=0, maxiter=400, dense_cutoff=DENSE_CUTOFF):
     shift-invert Lanczos at zero (ARPACK, at most ``maxiter`` restarts, seeded
     start vector): the largest eigenvalue of L^{-1} in modulus is 1/lambda
     for the lambda closest to zero, and each application of L^{-1} is a
-    MINRES solve under the inverse-Helmholtz preconditioner.  A failed run
+    MINRES solve under the SPD absolute-value preconditioner |L_bar|^{-1} of
+    the mean-coefficient block symbol, eigenvalues floored at
+    ABS_SYMBOL_FLOOR (LinearizedOperator.preconditioner).  A failed run
     raises EigensolverError whose residual_history holds the relative
     residual of every inner solve.
     """

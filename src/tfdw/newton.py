@@ -5,10 +5,12 @@ The iteration keeps the linearization frozen at the initial state,
     u^{k+1} = u^k - L_{u0}^{-1} F(u^k),
 
 solving each step with MINRES (the operator is symmetric but indefinite)
-under an inverse-Helmholtz block preconditioner.  Contraction of the
-increment sequence in the averaged H^2 norm is recorded as the convergence
-diagnostic; distances to the initial point and to the locally periodic
-approximation quantify the asymptotic error orders.
+preconditioned by the absolute value of the mean-coefficient symbol,
+|L_bar(k)|^{-1} with its eigenvalues floored at linop.ABS_SYMBOL_FLOOR,
+which is symmetric positive definite (LinearizedOperator.preconditioner).
+Contraction of the increment sequence in the averaged H^2 norm is recorded
+as the convergence diagnostic; distances to the initial point and to the
+locally periodic approximation quantify the asymptotic error orders.
 """
 
 from __future__ import annotations

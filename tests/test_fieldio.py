@@ -44,6 +44,28 @@ def test_field_grid_mismatch(tmp_path, grid):
         fieldio.read_field(path, other)
 
 
+def test_field_lattice_mismatch(tmp_path, grid):
+    path = tmp_path / "f.tfw"
+    fieldio.write_field(path, ScalarField(grid, np.zeros(grid.shape)))
+    lat = grid.lattice
+    other = Grid(LatticeSpec(lat.cell_vectors, lat.Z + 1.0, lat.rho_b_modes), grid.spec)
+    with pytest.raises(StructuralError, match="different grid"):
+        fieldio.read_field(path, other)
+
+
+def test_read_with_expected_grid_builds_no_grid(tmp_path, grid, monkeypatch):
+    path = tmp_path / "f.tfw"
+    fieldio.write_field(path, ScalarField(grid, np.arange(grid.total_points).reshape(grid.shape)))
+
+    def no_grid(*args):
+        raise AssertionError("read_field built a Grid")
+
+    monkeypatch.setattr(fieldio, "Grid", no_grid)
+    back = fieldio.read_field(path, grid)
+    assert back.grid is grid
+    assert np.array_equal(back.values.ravel(), np.arange(grid.total_points))
+
+
 def test_truncated_payload(tmp_path, grid):
     path = tmp_path / "f.tfw"
     fieldio.write_field(path, ScalarField(grid, np.zeros(grid.shape)))

@@ -313,12 +313,14 @@ def test_spectral_gap_nonconvergence_error(monkeypatch):
 
 
 def test_spectral_gap_inner_solve_stall(monkeypatch):
+    # on the uniform state the preconditioned operator is the sign of L
+    # (eigenvalues +-1), which MINRES solves in two steps and not in one
     minres = linop.minres
 
-    def three_steps(*args, **kwargs):
-        return minres(*args, **{**kwargs, "maxiter": 3})
+    def one_step(*args, **kwargs):
+        return minres(*args, **{**kwargs, "maxiter": 1})
 
-    monkeypatch.setattr(linop, "minres", three_steps)
+    monkeypatch.setattr(linop, "minres", one_step)
     with pytest.raises(EigensolverError) as err:
         spectral_gap(_jellium_supercell_op(), dense_cutoff=10)
     assert "inner MINRES solve" in str(err.value)
@@ -326,14 +328,62 @@ def test_spectral_gap_inner_solve_stall(monkeypatch):
     assert err.value.residual_history[0] > 1e-3
 
 
+# -- the absolute-value preconditioner |L_bar|^{-1} of the mean-coefficient block --
+
+
+def _gram(op, X):
+    """X^T M X for the columns of X."""
+    M = op.preconditioner()
+    return X.T @ np.column_stack([M @ x for x in X.T])
+
+
+def test_preconditioner_is_the_sign_inverse_on_jellium():
+    # on a uniform state the mean block is the operator itself, so M L is
+    # the sign of L and (M L)^2 = I
+    op = _jellium_supercell_op()
+    M, A = op.preconditioner(), op.as_linear_operator()
+    x = np.random.default_rng(3).standard_normal(op.n_dof)
+    y = M @ (A @ (M @ (A @ x)))
+    assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_preconditioner_spd_on_sheared_supercell(rng):
+    op = LinearizedOperator(sheared_state(rng, (2, 1, 1)), 0.05)
+    X = np.random.default_rng(8).standard_normal((op.n_dof, 8))
+    G = _gram(op, X)
+    assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+    assert np.min(np.linalg.eigvalsh(0.5 * (G + G.T))) > 0.0
+
+
+def test_preconditioner_floors_a_singular_mean_block():
+    # a uniform state with F_pm = 0: at k = 0 the mean block
+    # [[0, 0, nu], [0, 0, nu], [nu, nu, 0]] is singular on the spin mode
+    # (1, -1, 0), which M maps to 1/ABS_SYMBOL_FLOOR times itself
+    params = jellium.JelliumParams(0.6)
+    grid = Grid(jellium.jellium_lattice(params), GridSpec((4, 4, 4), (2, 1, 1)))
+    nu = params.nu0
+    tf = (35.0 / 9.0) * nu ** (4.0 / 3.0) - (20.0 / 9.0) * nu ** (2.0 / 3.0)
+    state = jellium.jellium_state(params, grid)
+    op = LinearizedOperator(State(state.nu_plus, state.nu_minus, state.V, -tf), 0.0)
+    assert np.max(np.abs(op.F_plus)) < 1e-14
+    spin = np.stack([np.ones(grid.shape), -np.ones(grid.shape), np.zeros(grid.shape)]).ravel()
+    Ms = op.preconditioner() @ spin
+    assert np.allclose(Ms, spin / linop.ABS_SYMBOL_FLOOR, rtol=0.0, atol=1e-10)
+    X = np.random.default_rng(9).standard_normal((op.n_dof, 8))
+    G = _gram(op, X)
+    assert np.all(np.isfinite(G))
+    assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+    assert np.min(np.linalg.eigvalsh(0.5 * (G + G.T))) > 0.0
+
+
 # -- fiber kernels: LDL^H inertia, shift-invert pair, Hellmann-Feynman gradient --
 
 
-def sheared_state(rng):
+def sheared_state(rng, supercell=(1, 1, 1)):
     lat = LatticeSpec(
         [[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]], 2.0, [((1, 0, 0), 0.2)]
     )
-    grid = Grid(lat, GridSpec((4, 4, 4)))
+    grid = Grid(lat, GridSpec((4, 4, 4), supercell))
     base = np.sqrt(lat.Z / (2 * lat.volume))
     V = random_smooth_field(grid, rng, 0.2, 1)
     return State(

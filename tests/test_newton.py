@@ -54,6 +54,15 @@ def test_convergence_and_contraction(sweep_point):
     assert all(r <= 0.5 for r in trace.contraction_ratios)
 
 
+def test_preconditioned_minres_iterations(sweep_point):
+    # the mean-coefficient |L_bar|^{-1} preconditioner takes 29 MINRES steps
+    # over the whole solve; the inverse-Helmholtz one took 71
+    grid, u0, h_vals = sweep_point
+    _, trace = newton_solve(u0, h_vals, NewtonOptions())
+    assert trace.converged
+    assert sum(trace.inner_iterations) <= 40
+
+
 def test_fixed_point_property(sweep_point):
     grid, u0, h_vals = sweep_point
     u_star, _ = newton_solve(u0, h_vals, NewtonOptions(tol=1e-10))
