@@ -204,7 +204,8 @@ def build_cb_table(
     SpinSymmetryError.
 
     The anchor solve is certified with a refined stability scan; subsequent
-    samples are checked on the declared xi grid.  Corrector divergence or a
+    samples are checked on the declared xi grid, each scan warm-started
+    from the eigenvectors of the one before.  Corrector divergence or a
     collapsing gap stops the march with a ContinuationStopError that reports
     the last good h and, as ``partial``, the samples accepted so far
     (``h_values``, ``solutions``, ``gaps``, in increasing h from 0).
@@ -281,16 +282,22 @@ def build_cb_table(
             )
         gap = None
         if verify_samples:
-            rep = verify_minimizer(
-                sol, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=False
+            # warm-started from the previous sample's fibers; only the last
+            # report is kept
+            report = verify_minimizer(
+                sol,
+                xi_grid=stability_xi_grid,
+                threshold=stability_threshold,
+                refine=False,
+                previous=report,
             )
-            if rep.classification != "stable":
+            if report.classification != "stable":
                 raise stop(
                     f"stability gap collapsed at h = {h_new:.6g} "
-                    f"({rep.classification}, gap {rep.global_gap:.3e})",
+                    f"({report.classification}, gap {report.global_gap:.3e})",
                     prev.h_value,
                 )
-            gap = rep.global_gap
+            gap = report.global_gap
         entries.append((sol, gap))
         dudh.append(solve_du_dh(sol))
 

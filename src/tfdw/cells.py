@@ -226,12 +226,13 @@ def solve_cell(
     )
 
 
-def verify_minimizer(sol: CellSolution, xi_grid=None, threshold=1e-6, refine=True):
+def verify_minimizer(sol: CellSolution, xi_grid=None, threshold=1e-6, refine=True, previous=None):
     """Stability certificate at a converged solution (delegates to the
-    fiber scan); usable for continuation only when the gap clears the
+    fiber scan, warm-started from the ``previous`` report on the same xi
+    grid); usable for continuation only when the gap clears the
     instability threshold."""
     return stability_scan(
-        sol.state, sol.h_value, xi_grid=xi_grid, threshold=threshold, refine=refine
+        sol.state, sol.h_value, xi_grid=xi_grid, threshold=threshold, refine=refine, previous=previous
     )
 
 

@@ -25,7 +25,7 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
@@ -39,10 +39,20 @@ from .grids import AXES, Grid, State, as_h_values
 from .fieldio import atomic_write_text
 
 EIGHT_PI = 8.0 * np.pi
-DENSE_CUTOFF = 2048  # dense eigensolve up to this many unknowns (faster and smaller below)
+# dense eigensolve up to this many unknowns; above it the shift-invert gap
+# under |L_bar|^{-1} is faster.  Measured on the eps-sweep u0 (2-vCPU VM, one
+# BLAS thread, best of 3): dense 0.048 s against shift-invert 0.082 s at 768
+# unknowns, 0.18 s against 0.13 s at 1152, 0.42 s against 0.21 s at 1536
+DENSE_CUTOFF = 1024
 SDW_CHANNEL_CUTOFF = 0.9
 FIBER_NCV = 6  # Lanczos basis of the fiber solve (4 to 12 cost the same, measured)
 FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
+# weight of the seeded random vector added to a warm start, relative to the
+# start's norm: it keeps every Fourier mode in the Lanczos start, far above
+# rounding and above the Lanczos tolerance FIBER_RESIDUAL_RTOL.  It bounds the
+# start's error from below: on the workhorse table a warm fiber takes 7 inner
+# solves at 1e-8, 10 at 1e-4 (16 cold)
+FIBER_START_BLEND = 1e-8
 # smallest |k + xi|^2 (relative to the largest) that the fiber eliminates;
 # nearer a null mode the dense fiber is used instead
 COULOMB_ELIMINATION_RTOL = 1e-6
@@ -119,7 +129,8 @@ class LinearizedOperator:
 
         and the preconditioner is the block symbol
         Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one batched eigh over
-        the grid, built once per operator).  Its eigenvalues
+        the distinct values of |k|^2, on which alone the block depends,
+        built once per operator).  Its eigenvalues
         1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at every k, so the
         operator is symmetric positive definite although L is indefinite, as
         MINRES requires; the floor keeps it bounded by 1/ABS_SYMBOL_FLOOR
@@ -132,14 +143,18 @@ class LinearizedOperator:
         g = self.grid
         F = [np.mean(self.F_plus), np.mean(self.F_minus)]
         nu = [np.mean(self.nu_plus), np.mean(self.nu_minus)]
-        block = np.zeros(g.shape + (3, 3))
+        k_sq, inverse = np.unique(g.k_sq.ravel(), return_inverse=True)
+        block = np.zeros(k_sq.shape + (3, 3))
         for s in range(2):
-            block[..., s, s] = g.k_sq + F[s]
+            block[..., s, s] = k_sq + F[s]
             block[..., s, 2] = block[..., 2, s] = nu[s]
-        block[..., 2, 2] = -g.k_sq / EIGHT_PI
+        block[..., 2, 2] = -k_sq / EIGHT_PI
         lam, Q = np.linalg.eigh(block)
         inv_abs = 1.0 / np.maximum(np.abs(lam), ABS_SYMBOL_FLOOR)
-        symbol = np.ascontiguousarray(np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q))
+        symbol = np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q)
+        # np.take gathers into a C-contiguous symbol; indexing with
+        # [..., inverse] leaves a transposed view, 1.5x slower to apply
+        symbol = np.take(symbol, inverse, axis=-1).reshape((3, 3) + g.shape)
 
         def mv(x):
             return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbol).ravel()
@@ -311,19 +326,23 @@ class FiberOperator:
             np.eye(N)[null].reshape((-1,) + self.grid.shape), axes=AXES
         ).reshape(-1, N)
 
-        # lower triangle of K; zhetrf(lower=1) reads nothing else
+        # zhetrf(lower=1) reads only the lower triangle of K, in Fortran
+        # order: the upper triangle of the C-order array KT = K^T is that
+        # memory, filled in place block by block (P^T = conj P, G Hermitian)
         n = 2 * N + len(Z)
-        K = np.zeros((n, n), dtype=complex)
+        KT = np.zeros((n, n), dtype=complex)
         for s in range(2):
-            rows = slice(s * N, (s + 1) * N)
+            cols = slice(s * N, (s + 1) * N)
             for t in range(s + 1):
-                np.multiply(P, np.outer(self.nu[s], self.nu[t]), out=K[rows, t * N : (t + 1) * N])
-            block = K[rows, rows]
-            block += self.kinetic
+                block = KT[t * N : (t + 1) * N, cols]
+                np.multiply(P.T, self.nu[t][:, None], out=block)
+                block *= self.nu[s]
+            block = KT[cols, cols]
+            block += self.kinetic.T
             block[np.diag_indices(N)] += self.F[s]
-            K[2 * N :, rows] = Z.conj() * self.nu[s]
+            np.multiply(Z.T.conj(), self.nu[s][:, None], out=KT[cols, 2 * N :])
         lwork = int(zhetrf_lwork(n, lower=1)[0].real)
-        factors, ipiv, info = zhetrf(K, lower=1, lwork=lwork, overwrite_a=True)
+        factors, ipiv, info = zhetrf(KT.T, lower=1, lwork=lwork, overwrite_a=True)
         if info > 0:
             return None
         self.n_negative = (N - len(Z)) + _ldl_negative_count(factors, ipiv)
@@ -341,21 +360,28 @@ class FiberOperator:
 
         return solve
 
-    def min_eigenpair(self):
+    def min_eigenpair(self, start=None):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
         negative eigenvalues, both from the one factorization of ``factor``.
 
         The count is read from D (exact at every xi, stable or not); the
         eigenpair is the largest one of H^{-1} by shift-invert Lanczos at
-        zero (ARPACK, seeded random start: a constant one stays inside the
-        k = 0 subspace of a uniform state), each application of H^{-1} a
-        pair of triangular solves on the factors of K and two products with
-        the Coulomb circulant, each application of H matrix-free, and its
-        eigenvalue is the Rayleigh quotient.  A stopped solve, or a pair
-        whose residual exceeds FIBER_RESIDUAL_RTOL max |H_ii|, raises
-        EigensolverError with that residual.  Where ``factor`` cannot serve,
-        the pair and the count come from the full spectrum of the dense
-        fiber."""
+        zero (ARPACK), each application of H^{-1} a pair of triangular
+        solves on the factors of K and two products with the Coulomb
+        circulant, each application of H matrix-free, and its eigenvalue is
+        the Rayleigh quotient.  Lanczos starts from a seeded random complex
+        vector with weight on every Fourier mode of every channel (a
+        constant one stays inside the k = 0 subspace of a uniform state).
+        ``start``, an approximate eigenvector such as the pair of a nearby
+        fiber, warm-starts it: the random vector is added at
+        FIBER_START_BLEND of the start's norm, so a start inside one
+        invariant subspace (a plane wave of a uniform state) cannot lock
+        the solve onto that subspace's eigenvalue.  Lanczos stops at the
+        relative tolerance FIBER_RESIDUAL_RTOL on H^{-1}; a stopped solve,
+        or a pair whose residual exceeds FIBER_RESIDUAL_RTOL max |H_ii|,
+        raises EigensolverError with that residual.  Where ``factor`` cannot
+        serve, the pair and the count come from the full spectrum of the
+        dense fiber, and ``start`` is unused."""
         solve = self.factor()
         if solve is None:
             vals, vecs = np.linalg.eigh(self.matrix)
@@ -373,11 +399,16 @@ class FiberOperator:
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(3 * N) + 1j * rng.standard_normal(3 * N)
+        if start is not None:
+            start = np.asarray(start, dtype=complex)
+            v0 = start + (FIBER_START_BLEND * np.linalg.norm(start) / np.linalg.norm(v0)) * v0
         shape = (3 * N, 3 * N)
         H = LinearOperator(shape, matvec=self.apply, dtype=complex)
         H_inv = LinearOperator(shape, matvec=inverse, dtype=complex)
         try:
-            _, vecs = eigsh(H, k=1, sigma=0.0, OPinv=H_inv, ncv=FIBER_NCV, v0=v0)
+            _, vecs = eigsh(
+                H, k=1, sigma=0.0, OPinv=H_inv, ncv=FIBER_NCV, v0=v0, tol=FIBER_RESIDUAL_RTOL
+            )
         except ArpackError as err:
             # residual of the Rayleigh pair of the last inverse iterate x = H^{-1} b
             res = float("nan")
@@ -539,6 +570,9 @@ class StabilityReport:
     threshold: float
     refined_xi: tuple[float, float, float] | None = None
     refined_gap: float | None = None
+    # eigenvector of each fiber record, the warm start of the next scan on
+    # the same xi grid; neither serialized nor compared
+    fiber_vectors: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def fiber_gaps(self):
@@ -633,6 +667,7 @@ def stability_scan(
     refine=True,
     refine_maxiter=200,
     character_cutoff=SDW_CHANNEL_CUTOFF,
+    previous: StabilityReport | None = None,
 ) -> StabilityReport:
     """Scan fibers over the zone, each built at the quasimomentum it is
     given (no wrap), optionally refining the minimal gap, and classify an
@@ -640,6 +675,11 @@ def stability_scan(
     fibers: those with a gap below ``threshold`` and those whose number of
     negative eigenvalues is not N.  A scan with such an inertia is never
     ``stable``, even when every sampled gap clears the threshold.
+
+    ``previous``, the report of a scan on the same xi grid at a nearby base
+    state (the preceding sample of a continuation), warm-starts each
+    fiber's eigensolve from that fiber's eigenvector there; the pairs are
+    the same to the solver's tolerance, and only the work changes.
 
     Refinement first looks for an eigenvalue branch crossing zero between
     samples: if the scan holds fibers of both inertias, the crossing between
@@ -653,11 +693,18 @@ def stability_scan(
     if xi_grid is None:
         xi_grid = monkhorst_pack(grid.lattice, (2, 2, 2))
 
-    def analyze_one(xi):
-        f = FiberOperator(op, xi, wrap=False)
-        return f.record(*f.min_eigenpair())
+    starts = [None] * len(xi_grid)
+    if previous is not None:
+        if [r.xi for r in previous.fiber_records] != [tuple(np.asarray(xi, dtype=float)) for xi in xi_grid]:
+            raise StructuralError("a warm-starting report must be on the same xi grid")
+        starts = previous.fiber_vectors
 
-    records = [analyze_one(xi) for xi in xi_grid]
+    records, vectors = [], []
+    for xi, start in zip(xi_grid, starts):
+        f = FiberOperator(op, xi, wrap=False)
+        val, vec = f.min_eigenpair(start)
+        records.append(f.record(val, vec))
+        vectors.append(vec)
 
     gaps = [r.gap for r in records]
     i_min = int(np.argmin(gaps))
@@ -667,7 +714,9 @@ def stability_scan(
     refined_gap = None
 
     if refine:
-        candidate = _inertia_crossing(op, records) or _descend(op, min_record, refine_maxiter)
+        candidate = _inertia_crossing(op, records) or _descend(
+            op, min_record, vectors[i_min], refine_maxiter
+        )
         if candidate.gap < global_gap:
             refined_xi = tuple(wrap_to_zone(grid, candidate.xi))
             refined_gap = candidate.gap
@@ -704,6 +753,7 @@ def stability_scan(
         threshold=threshold,
         refined_xi=refined_xi,
         refined_gap=refined_gap,
+        fiber_vectors=vectors,
     )
 
 
@@ -729,10 +779,12 @@ def _inertia_crossing(op: LinearizedOperator, records):
     return f.record(*f.min_eigenpair())
 
 
-def _descend(op: LinearizedOperator, start: FiberRecord, maxiter):
+def _descend(op: LinearizedOperator, start: FiberRecord, start_vec, maxiter):
     """BFGS on |lambda| over fractional quasimomentum t (xi = B^T t); the
     gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
-    smallest gap evaluated.
+    smallest gap evaluated.  Each evaluation warm-starts its eigensolve
+    from the eigenvector of the one before, the first from ``start_vec``,
+    the eigenvector of ``start``.
 
     Near its minimum the gap is almost a function of |xi| alone: on the
     workhorse anchor it varies by 2e-6 along a valley |t| ~ 0.396, so BFGS
@@ -742,10 +794,12 @@ def _descend(op: LinearizedOperator, start: FiberRecord, maxiter):
     rotations onto the three reciprocal axes at the same |xi|."""
     B = op.grid.lattice.reciprocal_vectors
     evaluated = []
+    last = [start_vec]
 
     def objective(t):
         f = FiberOperator(op, B.T @ t)
-        val, vec = f.min_eigenpair()
+        val, vec = f.min_eigenpair(last[0])
+        last[0] = vec
         evaluated.append(f.record(val, vec))
         return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
 

@@ -12,8 +12,10 @@ from tfdw.errors import (
     InfeasibleConstraintError,
     RangeError,
     SpinSymmetryError,
+    StructuralError,
 )
 from tfdw.grids import Grid, GridSpec, HField, ScalarField, State
+from tfdw.linop import FiberOperator, monkhorst_pack
 
 
 def rel_err(a, b):
@@ -302,6 +304,44 @@ def test_negative_field_samples_match_independent_solves(cb_table, lattice_mod):
     assert {r.n_negative for r in report.fiber_records} == {cb_table.grid.total_points}
 
     assert rel_err(cb_table.dudh[i].stacked(), cb.solve_du_dh(sample).stacked()) <= 1e-10
+
+
+def test_warm_started_scan_matches_cold_scan_with_less_work(cb_table, monkeypatch):
+    # the certificate at one knot, warm-started from the report of the knot
+    # before (as the continuation does), is the cold certificate to 1e-12
+    # for at most 60 % of its inner shift-invert solves
+    solves = []
+    factor = FiberOperator.factor
+
+    def counted_factor(self):
+        solve = factor(self)
+
+        def counted(b):
+            solves.append(1)
+            return solve(b)
+
+        return counted
+
+    monkeypatch.setattr(FiberOperator, "factor", counted_factor)
+    (i,) = np.nonzero(cb_table.h_samples == 0.025)[0]
+    previous = verify_minimizer(cb_table.solutions[i], refine=False)
+    sample = cb_table.solutions[i + 1]
+    del solves[:]
+    cold = verify_minimizer(sample, refine=False)
+    n_cold = len(solves)
+    warm = verify_minimizer(sample, refine=False, previous=previous)
+    n_warm = len(solves) - n_cold
+    assert n_warm <= 0.6 * n_cold
+    assert warm.classification == cold.classification == "stable"
+    for w, c in zip(warm.fiber_records, cold.fiber_records, strict=True):
+        assert w.xi == c.xi and w.n_negative == c.n_negative
+        assert w.gap == pytest.approx(c.gap, rel=1e-12)
+        assert w.eigenvalue == pytest.approx(c.eigenvalue, rel=1e-12)
+    assert len(warm.fiber_vectors) == len(warm.fiber_records)
+    assert replace(warm, fiber_vectors=None) == warm  # the vectors are not compared
+    with pytest.raises(StructuralError, match="same xi grid"):
+        xis = monkhorst_pack(cb_table.lattice, (3, 3, 3))
+        verify_minimizer(sample, xi_grid=xis, refine=False, previous=previous)
 
 
 def test_asymmetric_anchor_is_refused(lattice_mod, monkeypatch):

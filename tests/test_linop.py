@@ -574,7 +574,8 @@ def test_min_eigenpair_start_is_seeded_and_spans_every_mode(monkeypatch):
     # on a uniform state every Fourier mode spans an invariant subspace of the
     # fiber, so a start inside a few modes (a constant one is k = 0 alone)
     # leaves them only through rounding; the start is a seeded random complex
-    # vector with weight on every mode of every channel
+    # vector with weight on every mode of every channel, and a warm start
+    # keeps that vector at FIBER_START_BLEND of its norm
     starts = []
     eigsh = linop.eigsh
 
@@ -587,8 +588,42 @@ def test_min_eigenpair_start_is_seeded_and_spans_every_mode(monkeypatch):
     first, second = f.min_eigenpair(), f.min_eigenpair()
     assert np.array_equal(starts[0], starts[1])
     assert first[0] == second[0] and np.array_equal(first[1], second[1])
-    modes = np.abs(np.fft.fftn(starts[0].reshape((3,) + f.grid.shape), axes=(1, 2, 3)))
-    assert np.min(modes) > 1e-3 * np.max(modes)
+
+    def modes(v):
+        return np.abs(np.fft.fftn(v.reshape((3,) + f.grid.shape), axes=(1, 2, 3)))
+
+    assert np.min(modes(starts[0])) > 1e-3 * np.max(modes(starts[0]))
+    warm = 2.0 * first[1]  # one 3 x 3 block of the k = 0 mode only
+    assert np.count_nonzero(modes(warm) > 1e-12) <= 3
+    again = f.min_eigenpair(warm)
+    assert again[0] == pytest.approx(first[0], rel=1e-12)
+    blend = linop.FIBER_START_BLEND * np.linalg.norm(warm) / np.linalg.norm(starts[0])
+    assert np.allclose(starts[2], warm + blend * starts[0], rtol=0.0, atol=1e-15)
+    assert np.min(modes(starts[2])) > 1e-3 * blend * np.max(modes(starts[0]))
+
+
+@pytest.mark.parametrize("competing", [1.0243, -1.4599])
+def test_warm_start_in_a_competing_subspace_finds_the_nearest_eigenvalue(competing):
+    # on the uniform state each plane wave spans an invariant subspace of the
+    # fiber (a 3 x 3 block); a start that is an exact eigenvector of another
+    # block's eigenvalue must not lock the solve onto that eigenvalue
+    f = _jellium_fiber(0.8, (0.3, -0.2, 0.1))
+    N = f.n_points
+    nearest = min(np.linalg.eigvalsh(f.matrix), key=abs)
+    assert nearest == pytest.approx(-0.73367, abs=1e-5)
+    q = f.symbol.ravel()
+    blocks = np.zeros((N, 3, 3))
+    for s in range(2):
+        blocks[:, s, s] = q + f.F[s]
+        blocks[:, s, 2] = blocks[:, 2, s] = f.nu[s]
+    blocks[:, 2, 2] = -q / linop.EIGHT_PI
+    lam, Q = np.linalg.eigh(blocks)
+    j, i = np.unravel_index(np.argmin(np.abs(lam - competing)), lam.shape)
+    assert lam[j, i] == pytest.approx(competing, abs=1e-4)
+    wave = np.sqrt(N) * np.fft.ifftn(np.eye(N)[j].reshape(f.grid.shape)).ravel()
+    start = np.concatenate([c * wave for c in Q[j, :, i]])
+    assert np.linalg.norm(f.apply(start) - lam[j, i] * start) < 1e-12
+    assert f.min_eigenpair(start)[0] == pytest.approx(nearest, rel=1e-12)
 
 
 def test_min_eigenpair_singular_factorization_uses_full_spectrum(monkeypatch):
