@@ -12,11 +12,20 @@ Conventions used throughout the package:
 * Volume-averaged norms carry the ``1/(n1 n2 n3)`` prefactor, so constants
   and per-cell content measure the same on every supercell.
 * Spectral kernels act on the last three axes, so each takes one field or a
-  stack of fields of shape ``(c,) + shape`` in one batched transform.  They
-  use complex-to-complex transforms by design, never real-input ones: on a
-  sheared lattice the symbol |k|^2 is not symmetric under k -> -k on the
-  Nyquist planes of an even grid, so a half-spectrum transform would impose
-  a symmetry the symbol does not have and change the result there.
+  stack of fields of shape ``(c,) + shape`` in one batched transform.  Fields
+  are real, so the kernels use real-input transforms (``rfftn``/``irfftn``)
+  with the half axis along the grid's longest axis, and apply each symbol S in
+  its Hermitian fold S_h(k) = (S(k) + conj S(-k)) / 2 (-k the index negation
+  mod shape), kept on the half spectrum.  For real f,
+  real(ifft(S fft(f))) = ifft(S_h fft(f)) exactly, so the fold reproduces the
+  complex transform's result; it matters on a sheared lattice, where |k|^2 is
+  not symmetric under k -> -k on the Nyquist planes of an even grid.  The
+  fold is taken of the full symbol, never of |k|^2 before a nonlinear map.
+  Sobolev norms follow by Parseval from one forward transform F of f (the
+  unnormalized DFT) and no inverse:
+  sum_x |d_alpha f|^2 = (1/N) sum_k w(k) |m_alpha,h(k) F(k)|^2 over the half
+  spectrum, with w = 1 on the zero and Nyquist planes of the half axis (the
+  planes that hold their own mirrors) and w = 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -156,8 +165,12 @@ class Grid:
 
     Every spectral kernel transforms the last three axes, so it applies to a
     single field or to a ``(c,) + shape`` stack alike, and reductions (norms,
-    pairings) return one value per stacked field.  Transforms are complex to
-    complex (see the module notes for why not real-input).
+    pairings) return one value per stacked field.  The kernels use
+    real-input transforms over the half spectrum (``half_shape``, halved
+    along the longest axis) and apply Hermitian-folded symbols (``fold``),
+    which gives the complex transform's result exactly (see the module
+    notes); ``fft``/``ifft`` stay complex to complex, since they return or
+    take full coefficient arrays.
 
     All operations are pure; the instance only caches immutable arrays, so a
     Grid may be shared freely across threads.
@@ -192,6 +205,23 @@ class Grid:
             shape = [1, 1, 1]
             shape[j] = M
             self._nyquist.append(mask.reshape(shape))
+
+        # real-input transforms halve the longest axis (the first on a tie):
+        # it is transformed last, as rfftn requires.  Every axis is even
+        # (GridSpec), so irfftn recovers its length, and the last bin of the
+        # half axis is its Nyquist plane
+        r = int(np.argmax(self.shape))
+        self._rfft_axes = tuple(a for a in AXES if a != AXES[r]) + (AXES[r],)
+        self.half_shape = tuple(M // 2 + 1 if j == r else M for j, M in enumerate(self.shape))
+        self._half = (Ellipsis,) + tuple(slice(H) for H in self.half_shape)
+        self._mirror = (Ellipsis,) + np.ix_(
+            *((-np.arange(H)) % M for H, M in zip(self.half_shape, self.shape))
+        )
+        # Parseval weight of a half-spectrum bin: its mirror is in the
+        # discarded half except on the zero and Nyquist planes of that axis
+        w = np.full(self.half_shape[r], 2.0)
+        w[[0, -1]] = 1.0
+        self._hermitian_weight = w.reshape([-1 if j == r else 1 for j in range(3)])
 
         idx = [np.arange(M) for M in self.shape]
         I = np.meshgrid(*idx, indexing="ij")
@@ -235,27 +265,47 @@ class Grid:
     def ifft(self, coeffs):
         return sfft.ifftn(coeffs, axes=AXES).real / (FOURIER_PREFACTOR * self.w_quad)
 
+    def fold(self, symbol):
+        """Hermitian fold (S(k) + conj S(-k)) / 2 of a full-spectrum symbol
+        (fft order over the last three axes), on the half spectrum."""
+        symbol = np.asarray(symbol)
+        return 0.5 * (symbol[self._half] + np.conj(symbol[self._mirror]))
+
+    def _folded(self, key, build):
+        """The fold of the full symbol ``build()``, cached under ``key``."""
+        if key not in self._cache:
+            self._cache[key] = self.fold(build())
+        return self._cache[key]
+
+    def _rfft(self, values):
+        return sfft.rfftn(values, axes=self._rfft_axes)
+
+    def _irfft(self, spectrum):
+        return sfft.irfftn(spectrum, axes=self._rfft_axes, overwrite_x=True)
+
     def _apply_symbol(self, values, symbol):
-        """real(ifft(symbol * fft(values))), transformed and multiplied in
-        place."""
-        spectrum = sfft.fftn(values, axes=AXES)
+        """real(ifft(S * fft(values))) for the folded half-spectrum symbol
+        ``symbol`` = S_h, multiplied in place."""
+        spectrum = self._rfft(values)
         spectrum *= symbol
-        return sfft.ifftn(spectrum, axes=AXES, overwrite_x=True).real
+        return self._irfft(spectrum)
 
     def _multiplier(self, alpha):
-        """Fourier symbol prod_j (i k_j)^alpha_j of the derivative alpha,
-        cached.  Odd orders vanish on the Nyquist planes of their axis (the
-        unmatched mode of an even grid), which keeps them skew-adjoint."""
-        key = ("deriv", alpha)
-        if key not in self._cache:
+        """Folded Fourier symbol prod_j (i k_j)^alpha_j of the derivative
+        alpha, cached.  Odd orders vanish on the Nyquist planes of their axis
+        (the unmatched mode of an even grid), which keeps them
+        skew-adjoint."""
+
+        def build():
             mult = np.ones(self.shape, dtype=complex)
             for j, a in enumerate(alpha):
                 if a:
                     mult = mult * (1j * self.k_cart[j]) ** a
                     if a % 2:
                         mult = np.where(self._nyquist[j], 0.0, mult)
-            self._cache[key] = mult
-        return self._cache[key]
+            return mult
+
+        return self._folded(("deriv", alpha), build)
 
     def deriv(self, values, alpha):
         """Spectral partial derivative with multi-index ``alpha``."""
@@ -270,22 +320,27 @@ class Grid:
         return [self.deriv(values, tuple(int(j == a) for j in range(3))) for a in range(3)]
 
     def laplacian(self, values):
-        return self._apply_symbol(values, -self.k_sq)
+        return self._apply_symbol(values, self._folded(("laplacian",), lambda: -self.k_sq))
 
     def spectral_multiply(self, values, symbol):
-        """ifft(symbol * fft(values)) for a real-symbol diagonal operator.
+        """real(ifft(symbol * fft(values))) for a diagonal operator.
 
-        A ``(c, c) + shape`` symbol on a ``(c,) + shape`` stack is a block
-        symbol: at each wavevector it multiplies the c coefficients by its
-        c x c matrix, out[i] = sum_j symbol[i, j] values[j]."""
+        The symbol is given on the full spectrum (trailing axes ``shape``),
+        and is folded on every call, or already folded on the half spectrum
+        (trailing axes ``half_shape``, see ``fold``).  A ``(c, c) + shape``
+        symbol on a ``(c,) + shape`` stack is a block symbol: at each
+        wavevector it multiplies the c coefficients by its c x c matrix,
+        out[i] = sum_j symbol[i, j] values[j]."""
+        if np.shape(symbol)[-3:] == self.shape:
+            symbol = self.fold(symbol)
         if np.ndim(symbol) != np.ndim(values) + 1:
             return self._apply_symbol(values, symbol)
-        spectrum = np.einsum("ij...,j...->i...", symbol, sfft.fftn(values, axes=AXES))
-        return sfft.ifftn(spectrum, axes=AXES, overwrite_x=True).real
+        return self._irfft(np.einsum("ij...,j...->i...", symbol, self._rfft(values)))
 
     def helmholtz_inverse(self, values, c=1.0):
         """(c - Laplacian)^{-1}, the standard smoothing preconditioner."""
-        return self.spectral_multiply(values, 1.0 / (c + self.k_sq))
+        symbol = self._folded(("helmholtz", float(c)), lambda: 1.0 / (c + self.k_sq))
+        return self.spectral_multiply(values, symbol)
 
     def poisson(self, rhs, rel_tol=1e-10):
         """Unique mean-zero V with -Laplacian V = rhs, for mean-zero rhs
@@ -300,7 +355,7 @@ class Grid:
                 f"is {m * self.vol_supercell:.3e} (mean {m:.3e}); the mean-zero "
                 "compatibility condition fails"
             )
-        return self._apply_symbol(rhs, self.inv_k_sq)
+        return self._apply_symbol(rhs, self._folded(("poisson",), lambda: self.inv_k_sq))
 
     # -- quadrature and norms ----------------------------------------------
 
@@ -326,15 +381,26 @@ class Grid:
     def hk_norm(self, values, k):
         """Averaged Sobolev norm: sum of L^2_n norms of all derivatives
         of order <= k (the order-zero term included), one per stacked field.
-        One forward transform, then one inverse over the stack of the
-        derivative spectra."""
-        alphas = multi_indices(k)
-        coeffs = sfft.fftn(values, axes=AXES)
-        spectra = np.empty(coeffs.shape[:-3] + (len(alphas),) + self.shape, dtype=complex)
-        for i, alpha in enumerate(alphas):
-            np.multiply(coeffs, self._multiplier(alpha), out=spectra[..., i, :, :, :])
-        derivs = sfft.ifftn(spectra, axes=AXES, overwrite_x=True).real
-        return np.sum(self.l2n(derivs), axis=-1)
+        By Parseval from one forward transform and no inverse (module
+        notes)."""
+        coeffs = self._rfft(values)
+        power = (coeffs.real**2 + coeffs.imag**2).reshape(coeffs.shape[:-3] + (-1, 1))
+        # a matrix-vector product per field, so a stack sums as its fields do
+        return np.sum(np.sqrt(self._sobolev_weights(k) @ power), axis=(-2, -1))
+
+    def _sobolev_weights(self, k):
+        """``(derivatives, half points)`` matrix of w |m_alpha,h|^2 times the
+        norm's scale, one row per multi-index of order <= k; cached."""
+        key = ("sobolev", k)
+        if key not in self._cache:
+            scale = self.w_quad / (self.n_cells * self.total_points)
+            self._cache[key] = np.stack(
+                [
+                    (scale * self._hermitian_weight * np.abs(self._multiplier(a)) ** 2).ravel()
+                    for a in multi_indices(k)
+                ]
+            )
+        return self._cache[key]
 
     def hminus1_inner(self, f, g, rel_tol=1e-10):
         """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2."""
@@ -355,10 +421,12 @@ class Grid:
         spectrally.  This is the pairing that makes the Poisson equation the
         stationarity condition of (1/2) D(rho - rho_b, rho - rho_b); it equals
         the H^-1 inner product times (2 pi)^3 / |n Gamma| in the coefficient
-        normalization used here.  One value per stacked pair."""
-        fh = sfft.fftn(f, axes=AXES)
-        gh = sfft.fftn(g, axes=AXES)
-        s = np.sum(np.conj(fh) * gh * self.inv_k_sq, axis=AXES).real
+        normalization used here.  One value per stacked pair, summed over the
+        half spectrum with the Parseval weights of the module notes."""
+        fh = self._rfft(f)
+        gh = fh if g is f else self._rfft(g)
+        weight = self._folded(("poisson",), lambda: self.inv_k_sq) * self._hermitian_weight
+        s = np.sum((fh.real * gh.real + fh.imag * gh.imag) * weight, axis=AXES)
         return 4.0 * np.pi * s * self.w_quad / self.total_points
 
 

@@ -130,16 +130,29 @@ class LinearizedOperator:
         and the preconditioner is the block symbol
         Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one batched eigh over
         the distinct values of |k|^2, on which alone the block depends,
-        built once per operator).  Its eigenvalues
+        built once per operator and stored Hermitian-folded on the half
+        spectrum, ``Grid.fold``).  Its eigenvalues
         1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at every k, so the
         operator is symmetric positive definite although L is indefinite, as
-        MINRES requires; the floor keeps it bounded by 1/ABS_SYMBOL_FLOOR
+        MINRES requires; the fold averages the blocks at k and -k, which
+        keeps it so, and the floor keeps it bounded by 1/ABS_SYMBOL_FLOOR
         where the mean block is nearly singular.  It
         follows F_pm and the nu-V coupling, which an inverse-Helmholtz
         symbol ignores, and on a uniform state, where L = L_bar, M L is the
         sign of L (absolute-value preconditioning, Vecharynski and Knyazev,
         SIAM J. Sci. Comput. 35, 2013).
         """
+        g = self.grid
+        symbol = self.preconditioner_symbol()
+
+        def mv(x):
+            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbol).ravel()
+
+        return LinearOperator((self.n_dof, self.n_dof), matvec=mv, dtype=float)
+
+    def preconditioner_symbol(self):
+        """The preconditioner's folded ``(3, 3) + Grid.half_shape`` block
+        symbol (see ``preconditioner``)."""
         g = self.grid
         F = [np.mean(self.F_plus), np.mean(self.F_minus)]
         nu = [np.mean(self.nu_plus), np.mean(self.nu_minus)]
@@ -152,14 +165,7 @@ class LinearizedOperator:
         lam, Q = np.linalg.eigh(block)
         inv_abs = 1.0 / np.maximum(np.abs(lam), ABS_SYMBOL_FLOOR)
         symbol = np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q)
-        # np.take gathers into a C-contiguous symbol; indexing with
-        # [..., inverse] leaves a transposed view, 1.5x slower to apply
-        symbol = np.take(symbol, inverse, axis=-1).reshape((3, 3) + g.shape)
-
-        def mv(x):
-            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbol).ravel()
-
-        return LinearOperator((self.n_dof, self.n_dof), matvec=mv, dtype=float)
+        return g.fold(np.take(symbol, inverse, axis=-1).reshape((3, 3) + g.shape))
 
     def dense_matrix(self):
         """Real symmetric matrix of the operator on its own grid."""

@@ -93,7 +93,7 @@ class NewtonTrace:
 
 
 def h2_triple_norm(grid: Grid, fields):
-    return float(np.sqrt(sum(grid.hk_norm(f, 2) ** 2 for f in fields)))
+    return float(np.sqrt(np.sum(grid.hk_norm(np.asarray(fields), 2) ** 2)))
 
 
 def state_distance(a: State, b: State, order=2):
@@ -101,9 +101,8 @@ def state_distance(a: State, b: State, order=2):
     gauge constants included (the physically meaningful difference)."""
     grid = a.grid
     diffs = a.stacked() - b.stacked()
-    if order == 0:
-        return float(np.sqrt(sum(grid.l2n(d) ** 2 for d in diffs)))
-    return float(np.sqrt(sum(grid.hk_norm(d, order) ** 2 for d in diffs)))
+    norms = grid.l2n(diffs) if order == 0 else grid.hk_norm(diffs, order)
+    return float(np.sqrt(np.sum(norms**2)))
 
 
 def newton_solve(

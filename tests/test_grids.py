@@ -247,6 +247,14 @@ KERNEL_GRIDS = {
     "sheared-supercell-4x1x1": lambda: Grid(
         LatticeSpec(SHEARED, 2.0), GridSpec((4, 4, 4), (4, 1, 1))
     ),
+    # the real-input transform halves the longest axis: here the middle one
+    # and the last one
+    "sheared-supercell-1x3x1": lambda: Grid(
+        LatticeSpec(SHEARED, 2.0), GridSpec((4, 4, 4), (1, 3, 1))
+    ),
+    "sheared-supercell-1x1x3": lambda: Grid(
+        LatticeSpec(SHEARED, 2.0), GridSpec((4, 4, 4), (1, 1, 3))
+    ),
     "workhorse-cell": lambda: Grid(unit_cube(3.0, [((1, 0, 0), 0.15)]), GridSpec((8, 4, 4))),
 }
 
@@ -344,6 +352,45 @@ def test_spectral_multiply_block_symbol(grid_name):
     diagonal = np.stack([block[i, i] for i in range(3)])
     only_diagonal = block * np.eye(3).reshape(3, 3, 1, 1, 1)
     assert np.max(np.abs(g.spectral_multiply(x, only_diagonal) - g.spectral_multiply(x, diagonal))) <= tol
+
+
+class _CountingFFT:
+    """Stands in for ``scipy.fft`` and records each n-D transform it
+    forwards: its name and the axis it transforms last."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        fn = getattr(self._module, name)
+        if name not in ("fftn", "ifftn", "rfftn", "irfftn"):
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, kwargs.get("axes", (-1,))[-1]))
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("grid_name", list(KERNEL_GRIDS))
+def test_kernels_transform_the_half_spectrum_of_the_longest_axis(grid_name, monkeypatch):
+    from tfdw import grids
+
+    g = KERNEL_GRIDS[grid_name]()
+    counter = _CountingFFT(grids.sfft)
+    monkeypatch.setattr(grids, "sfft", counter)
+    x = np.random.default_rng(13).standard_normal((3,) + g.shape)
+    longest = int(np.argmax(g.shape)) - 3
+    g.hk_norm(x, 2)
+    # Parseval: one forward transform and no inverse
+    assert counter.calls == [("rfftn", longest)]
+    counter.calls.clear()
+    g.laplacian(x)
+    g.coulomb_pairing(x, x)
+    assert counter.calls == [("rfftn", longest), ("irfftn", longest), ("rfftn", longest)]
+    assert g.half_shape[longest] == g.shape[longest] // 2 + 1
 
 
 @pytest.mark.parametrize("grid_name", ["sheared-cell", "sheared-supercell-4x1x1"])
