@@ -26,7 +26,7 @@ from . import twoscale as ts
 from .cells import SolveOptions, save_solution, solve_cell
 from .errors import ConfigError, TfdwError
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode
-from .linop import monkhorst_pack
+from .linop import monkhorst_pack, stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
 
@@ -215,28 +215,13 @@ def _h_field(cfg):
 
 
 def _solve_opts(cfg, seed):
-    s = cfg.get("solver", {})
-    return SolveOptions(
-        tol=s.get("tol", 1e-11),
-        phase1_tol=s.get("phase1_tol", 1e-3),
-        phase1_maxiter=s.get("phase1_maxiter", 800),
-        newton_maxiter=s.get("newton_maxiter", 50),
-        nu_floor=s.get("nu_floor", 1e-8),
-        seed=seed,
-        perturbation=s.get("perturbation", 1e-3),
-    )
+    # the "solver" schema keys are fields of SolveOptions, unset ones its defaults
+    return SolveOptions(**cfg.get("solver", {}), seed=seed)
 
 
 def _newton_opts(cfg, seed):
-    s = cfg.get("newton", {})
-    return NewtonOptions(
-        tol=s.get("tol", 1e-10),
-        maxiter=s.get("maxiter", 30),
-        inner_factor=s.get("inner_factor", 0.01),
-        refresh_jacobian=s.get("refresh_jacobian", False),
-        check_gap=s.get("check_gap", False),
-        seed=seed,
-    )
+    # likewise the "newton" keys of NewtonOptions
+    return NewtonOptions(**cfg.get("newton", {}), seed=seed)
 
 
 def _stability(cfg, lattice):
@@ -341,9 +326,7 @@ def cmd_stability_scan(cfg, out, seed, verbose):
         sol = solve_cell(lattice, GridSpec(_resolution(cfg)), h_value, cell_cfg.get("init", "uniform"), opts)
         state = sol.state
     xi_grid, threshold, refine = _stability(cfg, lattice)
-    from .linop import stability_scan as scan
-
-    report = scan(state, h_value, xi_grid=xi_grid, threshold=threshold, refine=refine)
+    report = stability_scan(state, h_value, xi_grid=xi_grid, threshold=threshold, refine=refine)
     fieldio.atomic_write_text(os.path.join(out, "stability_report.json"), report.to_json())
     report.write_csv(os.path.join(out, "fiber_gaps.csv"))
     if verbose:

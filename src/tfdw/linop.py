@@ -14,9 +14,10 @@ cell-periodic functions.  The distance of the spectrum to zero over all fibers
 is the stability margin M^{-1}.
 
 A fiber is certified without its dense 3N x 3N matrix: its Coulomb block
--(-i grad + xi)^2/(8 pi) is diagonal in Fourier space, so eliminating it
-leaves a Hermitian block of dimension 2N (2N + 1 at Gamma) whose LDL^H
-factors give the fiber's inertia and apply its inverse (FiberOperator).
+-(-i grad + xi)^2/(8 pi) is diagonal in Fourier space, so eliminating it off
+its z' near-null modes leaves a Hermitian block of dimension 2N + z' whose
+LDL^H factors give the fiber's inertia and apply its inverse (FiberOperator).
+Every gap is the eigenvalue nearest zero by shift-invert Lanczos.
 """
 
 from __future__ import annotations
@@ -29,21 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg import eigh
 from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
-from scipy.optimize import brentq, minimize
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, minres
+from scipy.optimize import minimize
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
 from .errors import EigensolverError, StructuralError
 from .grids import AXES, Grid, State, as_h_values
 from .fieldio import atomic_write_text
 
 EIGHT_PI = 8.0 * np.pi
-# dense eigensolve up to this many unknowns; above it the shift-invert gap
-# under |L_bar|^{-1} is faster.  Measured on the eps-sweep u0 (2-vCPU VM, one
-# BLAS thread, best of 3): dense 0.048 s against shift-invert 0.082 s at 768
-# unknowns, 0.18 s against 0.13 s at 1152, 0.42 s against 0.21 s at 1536
-DENSE_CUTOFF = 1024
 SDW_CHANNEL_CUTOFF = 0.9
 FIBER_NCV = 6  # Lanczos basis of the fiber solve (4 to 12 cost the same, measured)
 FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
@@ -54,7 +49,8 @@ FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
 # solves at 1e-8, 10 at 1e-4 (16 cold)
 FIBER_START_BLEND = 1e-8
 # smallest |k + xi|^2 (relative to the largest) that the fiber eliminates;
-# nearer a null mode the dense fiber is used instead
+# the modes below it, exact nulls included, stay in K as bordered rows
+# carrying their own Coulomb entry -|k + xi|^2/(8 pi)
 COULOMB_ELIMINATION_RTOL = 1e-6
 ZONE_SNAP_TOL = 1e-12  # fractional coordinates this close to an integer are that integer
 # smallest |eigenvalue| of the mean-coefficient block that the preconditioner
@@ -258,19 +254,21 @@ class FiberOperator:
     In the point basis the fiber is H = [[A, B], [B^H, C]]: A is the 2N x 2N
     density block blockdiag(T + F_+, T + F_-), B stacks diag(nu_+) and
     diag(nu_-), and C = -T/(8 pi), where T = (-i grad + xi)^2 is the
-    circulant of the symbol |k + xi|^2.  C is negative definite off its null
-    modes u_Z (the z modes with k + xi = 0: one at Gamma, none elsewhere), so
-    Haynsworth elimination of C leaves the bordered block
+    circulant of the symbol |k + xi|^2.  On the plane waves C is diagonal,
+    -|k + xi|^2/(8 pi).  Keep the z' waves u_Z with |k + xi|^2 below
+    COULOMB_ELIMINATION_RTOL of the largest (exact or near nulls), C_Z their
+    entries; Haynsworth elimination of C, negative definite on the other
+    N - z' waves, leaves the bordered block
 
-        K = [[A + 8 pi B G B^H, B u_Z], [u_Z^H B^H, 0]]
+        K = [[A + 8 pi B G B^H, B u_Z], [u_Z^H B^H, C_Z]]
 
-    of dimension 2N + z, G the circulant of 1/|k + xi|^2 off the null modes.
-    K carries the inertia of H, n_negative = (N - z) + neg(K), so a stable
+    of dimension 2N + z', G the circulant of 1/|k + xi|^2 off the modes u_Z.
+    K carries the inertia of H, n_negative = (N - z') + neg(K), so a stable
     fiber has exactly N negative eigenvalues, and one Bunch-Kaufman
     factorization of K (``factor``) certifies the fiber: D has the inertia of K
     (Sylvester), and the same factors apply H^{-1} by block elimination in
     the shift-invert solve for the eigenvalue nearest zero.  The dense
-    3N x 3N ``matrix`` is assembled only when it is asked for.
+    ``matrix`` and its ``eigenvalues`` are references no certificate uses.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
@@ -301,35 +299,25 @@ class FiberOperator:
         return out.ravel()
 
     def eigenvalues(self):
+        """Full spectrum of the dense fiber, a reference for checks."""
         if self._eigvals is None:
             self._eigvals = np.linalg.eigvalsh(self.matrix)
         return self._eigvals
 
-    def eigenvalue(self, index):
-        """The index-th smallest eigenvalue alone."""
-        return float(eigh(self.matrix, eigvals_only=True, subset_by_index=[index, index])[0])
-
-    def gap(self):
-        return abs(self.min_eigenpair()[0])
-
     def factor(self):
         """Factor the Coulomb-eliminated block K once (zhetrf, Bunch-Kaufman),
         set ``n_negative`` from its D and return the solve b -> H^{-1} b by
-        block elimination on the factors.  None where the factorization
-        cannot serve: a Coulomb mode too close to null to eliminate in
-        floating point (|k + xi|^2 below COULOMB_ELIMINATION_RTOL of the
-        largest, yet not zero), or an exactly singular D."""
+        block elimination on the factors.  An exactly singular D (a zero
+        pivot) admits no solve and raises EigensolverError."""
         N = self.n_points
         q = self.symbol.ravel()
-        null = q == 0.0
-        if np.min(q[~null]) < COULOMB_ELIMINATION_RTOL * np.max(q):
-            return None
+        kept = q < COULOMB_ELIMINATION_RTOL * np.max(q)
         inv_q = np.zeros_like(q)
-        np.divide(EIGHT_PI, q, out=inv_q, where=~null)
+        np.divide(EIGHT_PI, q, out=inv_q, where=~kept)
         P = _circulant(self.grid, inv_q.reshape(self.grid.shape))  # -C^+ = 8 pi G
-        # null modes of C: the plane waves exp(i k.x)/sqrt(N) with k + xi = 0
+        # the kept modes of C: the plane waves exp(i k.x)/sqrt(N)
         Z = np.sqrt(N) * sfft.ifftn(
-            np.eye(N)[null].reshape((-1,) + self.grid.shape), axes=AXES
+            np.eye(N)[kept].reshape((-1,) + self.grid.shape), axes=AXES
         ).reshape(-1, N)
 
         # zhetrf(lower=1) reads only the lower triangle of K, in Fortran
@@ -347,10 +335,15 @@ class FiberOperator:
             block += self.kinetic.T
             block[np.diag_indices(N)] += self.F[s]
             np.multiply(Z.T.conj(), self.nu[s][:, None], out=KT[cols, 2 * N :])
+        corner = np.arange(2 * N, n)
+        KT[corner, corner] = -q[kept] / EIGHT_PI  # C_Z, zero at an exact null
         lwork = int(zhetrf_lwork(n, lower=1)[0].real)
         factors, ipiv, info = zhetrf(KT.T, lower=1, lwork=lwork, overwrite_a=True)
         if info > 0:
-            return None
+            raise EigensolverError(
+                f"the reduced block of the fiber at xi = {tuple(self.xi)} is exactly singular",
+                residual_history=[],
+            )
         self.n_negative = (N - len(Z)) + _ldl_negative_count(factors, ipiv)
 
         def solve(b):
@@ -368,40 +361,33 @@ class FiberOperator:
 
     def min_eigenpair(self, start=None):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
-        negative eigenvalues, both from the one factorization of ``factor``.
-
-        The count is read from D (exact at every xi, stable or not); the
-        eigenpair is the largest one of H^{-1} by shift-invert Lanczos at
-        zero (ARPACK), each application of H^{-1} a pair of triangular
-        solves on the factors of K and two products with the Coulomb
-        circulant, each application of H matrix-free, and its eigenvalue is
-        the Rayleigh quotient.  Lanczos starts from a seeded random complex
-        vector with weight on every Fourier mode of every channel (a
-        constant one stays inside the k = 0 subspace of a uniform state).
-        ``start``, an approximate eigenvector such as the pair of a nearby
-        fiber, warm-starts it: the random vector is added at
-        FIBER_START_BLEND of the start's norm, so a start inside one
-        invariant subspace (a plane wave of a uniform state) cannot lock
-        the solve onto that subspace's eigenvalue.  Lanczos stops at the
-        relative tolerance FIBER_RESIDUAL_RTOL on H^{-1}; a stopped solve,
-        or a pair whose residual exceeds FIBER_RESIDUAL_RTOL max |H_ii|,
-        raises EigensolverError with that residual.  Where ``factor`` cannot
-        serve, the pair and the count come from the full spectrum of the
-        dense fiber, and ``start`` is unused."""
+        negative eigenvalues, both from the one factorization of ``factor``:
+        the count from D (exact at every xi, stable or not), the pair by
+        shift-invert Lanczos at zero (_nearest_zero_pair) on the solve with
+        its factors, H applied matrix-free.  Lanczos starts from a seeded
+        random complex vector with weight on every Fourier mode of every
+        channel (a constant one stays inside the k = 0 subspace of a uniform
+        state).  ``start``, an approximate eigenvector such as the pair of a
+        nearby fiber, warm-starts it with that vector added at
+        FIBER_START_BLEND of its norm, so a start inside one invariant
+        subspace (a plane wave of a uniform state) cannot lock the solve
+        onto that subspace's eigenvalue.  Lanczos stops at the relative
+        tolerance FIBER_RESIDUAL_RTOL, the pair's residual must be within
+        FIBER_RESIDUAL_RTOL max |H_ii|, and an error carries the residual of
+        the last inverse iterate."""
         solve = self.factor()
-        if solve is None:
-            vals, vecs = np.linalg.eigh(self.matrix)
-            self._eigvals = vals
-            self.n_negative = int(np.count_nonzero(vals < 0.0))
-            i = int(np.argmin(np.abs(vals)))
-            return float(vals[i]), vecs[:, i]
         N = self.n_points
-        last = []
+        last = [np.nan, np.nan]
 
         def inverse(b):
-            x = solve(b)
-            last[:] = [b, x]
-            return x
+            last[:] = [b, solve(b)]
+            return last[1]
+
+        def history():
+            # residual of the Rayleigh pair of the last inverse iterate x = H^{-1} b
+            b, x = last
+            mu = np.vdot(x, b).real / np.vdot(x, x).real
+            return [float(np.linalg.norm(b - mu * x) / np.linalg.norm(x))]
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(3 * N) + 1j * rng.standard_normal(3 * N)
@@ -411,34 +397,12 @@ class FiberOperator:
         shape = (3 * N, 3 * N)
         H = LinearOperator(shape, matvec=self.apply, dtype=complex)
         H_inv = LinearOperator(shape, matvec=inverse, dtype=complex)
-        try:
-            _, vecs = eigsh(
-                H, k=1, sigma=0.0, OPinv=H_inv, ncv=FIBER_NCV, v0=v0, tol=FIBER_RESIDUAL_RTOL
-            )
-        except ArpackError as err:
-            # residual of the Rayleigh pair of the last inverse iterate x = H^{-1} b
-            res = float("nan")
-            if last:
-                b, x = last
-                mu = np.vdot(x, b).real / np.vdot(x, x).real
-                res = float(np.linalg.norm(b - mu * x) / np.linalg.norm(x))
-            raise EigensolverError(
-                f"shift-invert Lanczos on the fiber at xi = {tuple(self.xi)} stopped "
-                f"(residual of its last iterate {res:.3e}): {err}",
-                residual_history=[res],
-            ) from err
-        vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-        Hv = self.apply(vec)
-        val = float(np.vdot(vec, Hv).real)
-        res = float(np.linalg.norm(Hv - val * vec))
         t = self.kinetic[0, 0].real  # every diagonal entry of T
         bound = FIBER_RESIDUAL_RTOL * max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
-        if not res <= bound:
-            raise EigensolverError(
-                f"fiber eigenpair residual {res:.3e} exceeds {bound:.3e} at xi = {tuple(self.xi)}",
-                residual_history=[res],
-            )
-        return val, vec
+        where = f"the fiber at xi = {tuple(self.xi)}"
+        return _nearest_zero_pair(
+            H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, where, ncv=FIBER_NCV
+        )
 
     def eigenvalue_gradient(self, vec):
         """Hellmann-Feynman gradient in xi of a simple eigenvalue with unit
@@ -484,36 +448,22 @@ def channel_characters(vec, n_points):
     return float(sdw), float(cdw)
 
 
-def classify_character(sdw, cdw, cutoff=SDW_CHANNEL_CUTOFF):
-    if sdw > cutoff:
+def classify_character(sdw, cdw):
+    if sdw > SDW_CHANNEL_CUTOFF:
         return "sdw"
-    if cdw > cutoff:
+    if cdw > SDW_CHANNEL_CUTOFF:
         return "cdw"
     return "mixed"
 
 
-def spectral_gap(op, tol=1e-8, seed=0, maxiter=400, dense_cutoff=DENSE_CUTOFF):
-    """Distance of the spectrum to zero.
-
-    A FiberOperator answers through its own min_eigenpair; an array, or an
-    operator small enough to assemble densely, through a dense symmetric
-    eigensolve.  Larger operators use
-    shift-invert Lanczos at zero (ARPACK, at most ``maxiter`` restarts, seeded
-    start vector): the largest eigenvalue of L^{-1} in modulus is 1/lambda
-    for the lambda closest to zero, and each application of L^{-1} is a
-    MINRES solve under the SPD absolute-value preconditioner |L_bar|^{-1} of
-    the mean-coefficient block symbol, eigenvalues floored at
-    ABS_SYMBOL_FLOOR (LinearizedOperator.preconditioner).  A failed run
-    raises EigensolverError whose residual_history holds the relative
-    residual of every inner solve.
-    """
-    if isinstance(op, FiberOperator):
-        return op.gap()
-    if isinstance(op, np.ndarray):
-        return float(np.min(np.abs(np.linalg.eigvalsh(op))))
-    if op.n_dof <= dense_cutoff:
-        return float(np.min(np.abs(np.linalg.eigvalsh(op.dense_matrix()))))
-
+def spectral_gap(op: LinearizedOperator, tol=1e-8, seed=0):
+    """Distance of the spectrum of the operator to zero, by shift-invert
+    Lanczos at zero (_nearest_zero_pair, at most 400 restarts, seeded start
+    vector).  Each application of L^{-1} is a MINRES solve under the SPD
+    absolute-value preconditioner |L_bar|^{-1} of the mean-coefficient block
+    symbol (LinearizedOperator.preconditioner).  A failed run raises
+    EigensolverError whose residual_history holds the relative residual of
+    every inner solve."""
     A = op.as_linear_operator()
     M = op.preconditioner()
     history = []
@@ -531,24 +481,38 @@ def spectral_gap(op, tol=1e-8, seed=0, maxiter=400, dense_cutoff=DENSE_CUTOFF):
 
     L_inv = LinearOperator(A.shape, matvec=solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(op.n_dof)
+    val, _ = _nearest_zero_pair(
+        A, L_inv, v0, tol, lambda lam: max(100 * tol * abs(lam), 1e-11), history.copy,
+        "the operator", maxiter=400,
+    )
+    return abs(val)
+
+
+def _nearest_zero_pair(A, A_inv, v0, tol, bound, history, where, **eigsh_args):
+    """Eigenpair of the Hermitian operator A nearest zero: ARPACK's
+    shift-invert Lanczos at sigma = 0 on the solve ``A_inv``, started from
+    ``v0`` and stopped at the relative tolerance ``tol``.  Returns the
+    normalized Ritz vector with its Rayleigh quotient, whose residual must
+    not exceed ``bound(value)``.  A stopped Lanczos, or a missed bound,
+    raises EigensolverError carrying ``history()``, the caller's residual
+    history; ``where`` names the operator in the message."""
     try:
-        vals, vecs = eigsh(A, k=1, sigma=0.0, OPinv=L_inv, tol=tol, maxiter=maxiter, v0=v0)
-    except ArpackNoConvergence as err:
+        _, vecs = eigsh(A, k=1, sigma=0.0, OPinv=A_inv, v0=v0, tol=tol, **eigsh_args)
+    except ArpackError as err:
         raise EigensolverError(
-            f"shift-invert Lanczos did not reach tolerance {tol} after {maxiter} "
-            f"restarts ({len(history)} inner solves)",
-            residual_history=history,
+            f"shift-invert Lanczos on {where} did not reach tolerance {tol:.1e}: {err}",
+            residual_history=history(),
         ) from err
-    lam = float(vals[0])
-    v = vecs[:, 0]
-    true_res = float(np.linalg.norm(A @ v - lam * v))
-    if true_res > max(100 * tol * abs(lam), 1e-11):
+    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    Av = A @ vec
+    val = float(np.vdot(vec, Av).real)
+    res = float(np.linalg.norm(Av - val * vec))
+    if not res <= bound(val):
         raise EigensolverError(
-            f"shift-invert Lanczos eigenpair residual {true_res:.3e} exceeds "
-            f"tolerance {tol}",
-            residual_history=history,
+            f"eigenpair residual {res:.3e} of {where} exceeds {bound(val):.3e}",
+            residual_history=history(),
         )
-    return abs(lam)
+    return val, vec
 
 
 @dataclass
@@ -671,8 +635,6 @@ def stability_scan(
     xi_grid=None,
     threshold=1e-6,
     refine=True,
-    refine_maxiter=200,
-    character_cutoff=SDW_CHANNEL_CUTOFF,
     previous: StabilityReport | None = None,
 ) -> StabilityReport:
     """Scan fibers over the zone, each built at the quasimomentum it is
@@ -689,8 +651,9 @@ def stability_scan(
 
     Refinement first looks for an eigenvalue branch crossing zero between
     samples: if the scan holds fibers of both inertias, the crossing between
-    the closest such pair is the refined point.  Otherwise BFGS descends
-    |lambda| from the sampled minimum with the Hellmann-Feynman gradient.
+    the closest such pair, located by bisection on the inertia, is the
+    refined point.  Otherwise BFGS descends |lambda| from the sampled
+    minimum with the Hellmann-Feynman gradient.
     """
     grid = state.grid
     if not grid.is_cell:
@@ -720,9 +683,7 @@ def stability_scan(
     refined_gap = None
 
     if refine:
-        candidate = _inertia_crossing(op, records) or _descend(
-            op, min_record, vectors[i_min], refine_maxiter
-        )
+        candidate = _inertia_crossing(op, records) or _descend(op, min_record, vectors[i_min])
         if candidate.gap < global_gap:
             refined_xi = tuple(wrap_to_zone(grid, candidate.xi))
             refined_gap = candidate.gap
@@ -737,7 +698,7 @@ def stability_scan(
     if not failing:
         classification = "stable"
     else:
-        tags = {classify_character(r.sdw, r.cdw, character_cutoff) for r in failing}
+        tags = {classify_character(r.sdw, r.cdw) for r in failing}
         if tags >= {"sdw", "cdw"}:
             classification = "both"
         elif "sdw" in tags:
@@ -765,28 +726,30 @@ def stability_scan(
 
 def _inertia_crossing(op: LinearizedOperator, records):
     """Zero crossing between the closest pair of sampled fibers with N and
-    with another number of negative eigenvalues: brentq along the unwrapped
-    segment on the eigenvalue whose sign differs at its ends.  None when
-    every sample has the same inertia class."""
+    with another number of negative eigenvalues: bisection of the unwrapped
+    segment between them to 1e-15 of its length, each step keeping the half
+    whose ends differ in inertia.  The test n_negative == N at the midpoint
+    is exact (Sylvester's law on the factors of ``FiberOperator.factor``),
+    so no eigenvalue is computed until the record of the final midpoint.
+    None when every sample has the same inertia class."""
     N = op.n_points
     pairs = [(a, b) for a in records if a.n_negative == N for b in records if b.n_negative != N]
     if not pairs:
         return None
     a, b = min(pairs, key=lambda p: np.linalg.norm(np.subtract(p[1].xi, p[0].xi)))
-    index = N if b.n_negative > N else N - 1
     start, step = np.asarray(a.xi), np.subtract(b.xi, a.xi)
-    s = brentq(
-        lambda s: FiberOperator(op, start + s * step, wrap=False).eigenvalue(index),
-        0.0,
-        1.0,
-        xtol=1e-15,
-    )
-    f = FiberOperator(op, start + s * step, wrap=False)
+    lo, hi = 0.0, 1.0  # N negative eigenvalues at lo, another count at hi
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        f = FiberOperator(op, start + mid * step, wrap=False)
+        f.factor()
+        lo, hi = (mid, hi) if f.n_negative == N else (lo, mid)
+    f = FiberOperator(op, start + 0.5 * (lo + hi) * step, wrap=False)
     return f.record(*f.min_eigenpair())
 
 
-def _descend(op: LinearizedOperator, start: FiberRecord, start_vec, maxiter):
-    """BFGS on |lambda| over fractional quasimomentum t (xi = B^T t); the
+def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
+    """BFGS (at most 200 iterations) on |lambda| over fractional quasimomentum t (xi = B^T t); the
     gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
     smallest gap evaluated.  Each evaluation warm-starts its eigensolve
     from the eigenvector of the one before, the first from ``start_vec``,
@@ -815,5 +778,5 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec, maxiter):
             objective(e * radius / np.linalg.norm(b))
     best = min(evaluated + [start], key=lambda r: r.gap)
     t0 = np.linalg.solve(B.T, np.asarray(best.xi))
-    minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": maxiter, "gtol": 1e-6})
+    minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": 200, "gtol": 1e-6})
     return min(evaluated, key=lambda r: r.gap)

@@ -29,17 +29,17 @@ from .grids import Grid, ScalarField, State, as_h_values, random_smooth_field
 from .linop import LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
 
+INNER_MAXITER = 4000  # MINRES steps of one inner solve (twice that on its retry)
+GAP_THRESHOLD = 1e-6  # smallest gap of the frozen operator that check_gap accepts
+
 
 @dataclass
 class NewtonOptions:
     tol: float = 1e-10                  # residual target, averaged (L^2_n)^3 norm
     maxiter: int = 30
     inner_factor: float = 0.01          # inner tolerance relative to the outer target
-    inner_maxiter: int = 4000
     refresh_jacobian: bool = False      # re-linearize each step (off: frozen)
     check_gap: bool = False             # gap of the frozen operator before iterating
-    gap_threshold: float = 1e-6
-    gap_iters: int = 400                # Lanczos restarts of linop.spectral_gap
     seed: int = 0
 
 
@@ -127,11 +127,11 @@ def newton_solve(
     op = LinearizedOperator(u0, h_sf)
     trace = NewtonTrace()
     if opts.check_gap:
-        trace.gap_estimate = spectral_gap(op, seed=opts.seed, maxiter=opts.gap_iters)
-        if trace.gap_estimate < opts.gap_threshold:
+        trace.gap_estimate = spectral_gap(op, seed=opts.seed)
+        if trace.gap_estimate < GAP_THRESHOLD:
             raise StabilityGapError(
                 f"gap {trace.gap_estimate:.3e} of the frozen operator is "
-                f"below the threshold {opts.gap_threshold:.1e}"
+                f"below the threshold {GAP_THRESHOLD:.1e}"
             )
 
     A = op.as_linear_operator()
@@ -156,14 +156,14 @@ def newton_solve(
         def cb(_):
             inner_count[0] += 1
 
-        d, info = minres(A, b, M=M, rtol=rtol, maxiter=opts.inner_maxiter, callback=cb)
+        d, info = minres(A, b, M=M, rtol=rtol, maxiter=INNER_MAXITER, callback=cb)
         # judge the achieved linear residual in the averaged norm: it only
         # needs to sit safely below the outer target
         achieved = np.linalg.norm(A @ d - b) * l2n_per_flat
         if info != 0 or achieved > 0.05 * opts.tol:
             d, info = minres(
                 A, b, x0=d, M=M, rtol=max(rtol * 1e-3, 1e-14),
-                maxiter=2 * opts.inner_maxiter, callback=cb,
+                maxiter=2 * INNER_MAXITER, callback=cb,
             )
             achieved = np.linalg.norm(A @ d - b) * l2n_per_flat
             if achieved > 0.5 * opts.tol:

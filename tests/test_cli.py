@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from tfdw import cauchy_born, cli
+from tfdw.cells import SolveOptions
 from tfdw.errors import DescentFailureError, DivergenceError, EigensolverError, LinearSolveError
+from tfdw.newton import NewtonOptions
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -19,6 +22,14 @@ LATTICE = {
     "Z": 3.0,
     "rho_b_modes": [{"m": [1, 0, 0], "amp": 0.15}],
 }
+
+
+@pytest.mark.parametrize("section, options", [("solver", SolveOptions), ("newton", NewtonOptions)])
+def test_option_schema_keys_are_dataclass_fields(section, options):
+    # the CLI builds its options as options(**cfg[section], seed=seed)
+    keys = set(cli.CONFIG_SCHEMA["properties"][section]["properties"])
+    fields = {f.name for f in dataclasses.fields(options)}
+    assert keys <= fields - {"seed"}
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

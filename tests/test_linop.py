@@ -24,7 +24,7 @@ from tfdw.linop import (
     wrap_to_zone,
 )
 from tfdw.residual import residual_system
-from tfdw.studies import extended_as_cell
+from tfdw.studies import extended_as_cell, measure_stability_in_n
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,23 +117,13 @@ def test_fiber_requires_cell_state():
 def test_spectral_gap_against_analytic_minimum():
     params, grid, op = jellium_op(1.0)
     xis = monkhorst_pack(grid.lattice, (3, 3, 3))
-    numeric = min(FiberOperator(op, xi).gap() for xi in xis)
+    numeric = min(abs(FiberOperator(op, xi).min_eigenpair()[0]) for xi in xis)
     analytic = np.inf
     for xi in xis:
         for k1, k2, k3 in zip(*(k.ravel() for k in grid.k_cart)):
             q = (k1 + xi[0], k2 + xi[1], k3 + xi[2])
             analytic = min(analytic, min(abs(v) for v in jellium.eigenvalues(params, q)))
     assert abs(numeric - analytic) < 1e-8
-
-
-def test_spectral_gap_shifted_operator():
-    _, grid, op = jellium_op(0.5)
-    f = FiberOperator(op, (0.1, 0.0, 0.0))
-    base = np.linalg.eigvalsh(f.matrix)
-    s = 10.0 + abs(base.min())
-    shifted = f.matrix + s * np.eye(f.matrix.shape[0])
-    gap_shifted = spectral_gap(np.asarray(shifted))
-    assert gap_shifted == pytest.approx(base.min() + s, rel=1e-12)
 
 
 def test_gap_vanishes_at_threshold():
@@ -273,8 +263,8 @@ def test_spectral_gap_iterative_matches_dense():
     lat = jellium.jellium_lattice(params)
     grid = Grid(lat, GridSpec((4, 4, 4), (2, 1, 1)))
     op = LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
-    dense_gap = spectral_gap(op)  # within the dense cutoff
-    iter_gap = spectral_gap(op, tol=1e-9, seed=0, dense_cutoff=10)
+    dense_gap = float(np.min(np.abs(np.linalg.eigvalsh(op.dense_matrix()))))
+    iter_gap = spectral_gap(op, tol=1e-9, seed=0)
     assert iter_gap == pytest.approx(dense_gap, rel=1e-9)
 
 
@@ -303,9 +293,14 @@ def _jellium_supercell_op():
 def test_spectral_gap_nonconvergence_error(monkeypatch):
     # a three-vector Lanczos basis and one restart cannot converge: the error
     # carries the relative residual of every inner solve
-    monkeypatch.setattr(linop, "eigsh", functools.partial(linop.eigsh, ncv=3))
+    eigsh = linop.eigsh
+
+    def one_restart(*args, **kwargs):
+        return eigsh(*args, **{**kwargs, "ncv": 3, "maxiter": 1})
+
+    monkeypatch.setattr(linop, "eigsh", one_restart)
     with pytest.raises(EigensolverError) as err:
-        spectral_gap(_jellium_supercell_op(), maxiter=1, dense_cutoff=10)
+        spectral_gap(_jellium_supercell_op())
     history = err.value.residual_history
     assert len(history) >= 1
     assert all(np.isfinite(history)) and max(history) < 1e-9
@@ -322,7 +317,7 @@ def test_spectral_gap_inner_solve_stall(monkeypatch):
 
     monkeypatch.setattr(linop, "minres", one_step)
     with pytest.raises(EigensolverError) as err:
-        spectral_gap(_jellium_supercell_op(), dense_cutoff=10)
+        spectral_gap(_jellium_supercell_op())
     assert "inner MINRES solve" in str(err.value)
     assert len(err.value.residual_history) == 1
     assert err.value.residual_history[0] > 1e-3
@@ -403,15 +398,12 @@ def test_fiber_gradient_matches_central_differences(rng):
     index = int(np.argmin(np.abs(np.linalg.eigvalsh(f.matrix))))
     grad = f.eigenvalue_gradient(vec)
     step = 1e-4
+
+    def eigenvalue(at):
+        return np.linalg.eigvalsh(FiberOperator(op, at).matrix)[index]
+
     fd = np.array(
-        [
-            (
-                FiberOperator(op, xi + step * e).eigenvalue(index)
-                - FiberOperator(op, xi - step * e).eigenvalue(index)
-            )
-            / (2 * step)
-            for e in np.eye(3)
-        ]
+        [(eigenvalue(xi + step * e) - eigenvalue(xi - step * e)) / (2 * step) for e in np.eye(3)]
     )
     assert np.max(np.abs(grad)) > 0.1  # a nontrivial slope
     assert np.max(np.abs(grad - fd)) <= 1e-6
@@ -420,12 +412,13 @@ def test_fiber_gradient_matches_central_differences(rng):
 def test_sheared_reciprocal_vectors_wrap_to_exact_gamma():
     # solving for the fractional coordinates of b_j on a sheared lattice
     # leaves them a few 1e-17 off integers; the wrapped fiber must be the
-    # exact Gamma fiber, whose k = 0 Coulomb mode the factorization eliminates
+    # exact Gamma fiber, whose k = 0 Coulomb mode is exactly null
     op = LinearizedOperator(sheared_state(np.random.default_rng(1234)), 0.05)
     for b in op.grid.lattice.reciprocal_vectors:
         assert np.all(wrap_to_zone(op.grid, b) == 0.0)
         f = FiberOperator(op, b)
-        assert f.factor() is not None
+        assert np.min(f.symbol) == 0.0
+        f.factor()
         assert f.n_negative == np.count_nonzero(np.linalg.eigvalsh(f.matrix) < 0.0)
 
 
@@ -544,9 +537,13 @@ def test_reduced_block_inertia_and_inverse(cell_solution, factored_dims, make, n
     assert np.max(np.abs(H @ X - np.eye(3 * N))) <= 1e-12
 
 
-def test_certified_scan_never_assembles_the_dense_fiber(cell_solution, factored_dims, monkeypatch):
+def test_certified_scan_never_assembles_the_dense_fiber(
+    cell_solution, lattice_mod, factored_dims, monkeypatch
+):
     # the stable workhorse scan, refinement included, factors only 2N (+1 at
-    # Gamma) blocks and never builds the 3N x 3N fiber
+    # Gamma) blocks and never builds the 3N x 3N fiber; neither do the
+    # inertia bisection of an unstable scan, a near-null fiber or the
+    # supercell scans of the stability-in-n study
     def dense(self):
         raise AssertionError("dense 3N x 3N fiber assembled")
 
@@ -557,15 +554,28 @@ def test_certified_scan_never_assembles_the_dense_fiber(cell_solution, factored_
     assert factored_dims.count(2 * N + 1) == 1 and set(factored_dims) == {2 * N, 2 * N + 1}
     assert len(factored_dims) > len(report.fiber_records)  # the refinement is covered
 
+    params = jellium.JelliumParams(0.2)
+    lat = jellium.jellium_lattice(params)
+    state = jellium.jellium_state(params, Grid(lat, GridSpec((4, 4, 4))))
+    report = stability_scan(state, 0.0, xi_grid=monkhorst_pack(lat, (3, 3, 3)), refine=True)
+    assert report.refined_gap < 1e-10
+    _workhorse_fiber(cell_solution.state, (1e-7, 0.0, 0.0), wrap=False).min_eigenpair()
+    reports, _ = measure_stability_in_n(lattice_mod, (8, 4, 4), n_values=(1, 2, 4))
+    assert all(r.classification == "stable" for r in reports.values())
 
-def test_near_null_coulomb_mode_uses_dense_fiber(cell_solution):
-    # |k + xi|^2 of 1e-14 relative cannot be eliminated in floating point:
-    # the fiber falls back to its full spectrum, with the right inertia
-    f = _workhorse_fiber(cell_solution.state, (1e-7, 0.0, 0.0), wrap=False)
-    assert f.factor() is None
+
+@pytest.mark.parametrize("t1", [1e-7, 1e-3, 1.0 - 1e-7], ids=["1e-7-b1", "1e-3-b1", "b1-minus-1e-7-b1"])
+def test_near_null_coulomb_mode_is_bordered(cell_solution, factored_dims, t1):
+    # a Coulomb mode with |k + xi|^2 below COULOMB_ELIMINATION_RTOL of the
+    # largest (k = 0 near Gamma, k = -b_1 near the unwrapped b_1) is not
+    # eliminated but kept in K as one bordered row with its own Coulomb
+    # entry; the inertia and the pair are the full spectrum's
+    f = _workhorse_fiber(cell_solution.state, (t1, 0.0, 0.0), wrap=False)
     val, vec = f.min_eigenpair()
+    N = f.n_points
+    assert factored_dims == [2 * N + 1]
     vals = np.linalg.eigvalsh(f.matrix)
-    assert f.n_negative == np.count_nonzero(vals < 0) == f.n_points
+    assert f.n_negative == np.count_nonzero(vals < 0) == N
     assert val == pytest.approx(vals[int(np.argmin(np.abs(vals)))], rel=1e-12)
     assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
 
@@ -626,9 +636,9 @@ def test_warm_start_in_a_competing_subspace_finds_the_nearest_eigenvalue(competi
     assert f.min_eigenpair(start)[0] == pytest.approx(nearest, rel=1e-12)
 
 
-def test_min_eigenpair_singular_factorization_uses_full_spectrum(monkeypatch):
+def test_min_eigenpair_singular_factorization_raises(monkeypatch):
     # zhetrf reports an exactly zero pivot (info > 0): no solve with the
-    # factors exists, so the pair and the count come from the full spectrum
+    # factors exists, and the error names the fiber
     zhetrf = linop.zhetrf
 
     def singular(*args, **kwargs):
@@ -636,12 +646,11 @@ def test_min_eigenpair_singular_factorization_uses_full_spectrum(monkeypatch):
         return factors, ipiv, 1
 
     monkeypatch.setattr(linop, "zhetrf", singular)
-    f = _jellium_fiber(0.2)
-    val, vec = f.min_eigenpair()
-    vals = np.linalg.eigh(f.matrix)[0]
-    assert f.n_negative == np.count_nonzero(vals < 0) == f.n_points + 1
-    assert val == vals[int(np.argmin(np.abs(vals)))]
-    assert np.linalg.norm(f.matrix @ vec - val * vec) <= 1e-12 * np.max(np.abs(f.matrix))
+    f = _jellium_fiber(0.2, (0.3, -0.2, 0.1))
+    with pytest.raises(EigensolverError, match="exactly singular") as err:
+        f.min_eigenpair()
+    assert str(tuple(f.xi)) in str(err.value)
+    assert f.n_negative is None
 
 
 def test_min_eigenpair_arpack_failure_raises(monkeypatch):
@@ -688,7 +697,7 @@ def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
     # t = (0.3962, 0, 0), while BFGS from a diagonal sample stops on the flat
     # valley |t| ~ 0.396 at 0.5920545851544 (3.4e-6 above it)
     calls = []
-    for name in ("min_eigenpair", "eigenvalues", "eigenvalue"):
+    for name in ("min_eigenpair", "eigenvalues"):
         method = getattr(FiberOperator, name)
 
         def counted(*args, method=method):

@@ -8,7 +8,7 @@ from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
 from tfdw.errors import EigensolverError
 from tfdw.grids import Grid, GridSpec, HField, ScalarField, State, random_smooth_field
-from tfdw.linop import DENSE_CUTOFF, LinearizedOperator, spectral_gap
+from tfdw.linop import LinearizedOperator, spectral_gap
 from tfdw.newton import (
     NewtonOptions,
     newton_solve,
@@ -164,25 +164,21 @@ def test_gap_precondition_estimate(cb_table):
         warnings.simplefilter("error")
         _, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True))
     assert trace.converged
-    # 1536 unknowns lie above the dense cutoff: the shift-invert gap matches
-    # the dense spectrum's
+    # the shift-invert gap on 1536 unknowns matches the dense spectrum's
     op = LinearizedOperator(u0, h_vals)
-    assert op.n_dof > DENSE_CUTOFF
     exact = float(np.min(np.abs(np.linalg.eigvalsh(op.dense_matrix()))))
     assert trace.gap_estimate == pytest.approx(exact, abs=1e-10)
     assert trace.gap_estimate == pytest.approx(0.6341, abs=1e-4)
     # a direct call on the shift-invert path finds the same gap
-    assert spectral_gap(op, dense_cutoff=10) == pytest.approx(exact, rel=1e-9)
+    assert spectral_gap(op) == pytest.approx(exact, rel=1e-9)
 
 
 def test_gap_precondition_above_dense_cutoff(cb_table):
-    # n = 16 of the eps-sweep: 6144 unknowns, past the dense cutoff
+    # n = 16 of the eps-sweep: 6144 unknowns
     n = 16
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (n, 1, 1)))
     h = HField(0.0, [((1, 0, 0), 0.08)])
     u0, _ = ts.build_u0(cb_table, h, grid, 1.0 / n)
-    op = LinearizedOperator(u0, h.sample(grid, 1.0 / n))
-    assert op.n_dof > DENSE_CUTOFF
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, trace = newton_solve(
