@@ -93,7 +93,7 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
     iterations = 0
     for iterations in range(1, opts.phase1_maxiter + 1):
         rho = nup * nup + num * num
-        V = grid.poisson(4.0 * np.pi * (rho - rho_b))
+        V = grid.poisson(4.0 * np.pi * (rho - rho_b), scale=4.0 * np.pi * grid.l2n(rho_b))
         # the energy gradient in (nu_+, nu_-) is twice the channel residuals
         # at the eliminated potential
         eliminated = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V))
@@ -139,7 +139,7 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
             )
 
     rho = nup * nup + num * num
-    V = grid.poisson(4.0 * np.pi * (rho - rho_b))
+    V = grid.poisson(4.0 * np.pi * (rho - rho_b), scale=4.0 * np.pi * grid.l2n(rho_b))
     out = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V), 0.0)
     return out, iterations, trace
 

@@ -62,9 +62,14 @@ def energy_supercell(state: State, h=0.0, rho_b=None) -> EnergyBreakdown:
 
     src = state.rho_values() - rho_b
     m = grid.mean(src)
-    if abs(m) > COULOMB_MEAN_TOL * max(grid.l2n(src), 1e-300):
+    # relative to the background's charge: rho - rho_b itself is roundoff
+    # on a uniform background
+    tolerance = COULOMB_MEAN_TOL * grid.l2n(rho_b)
+    if abs(m) > tolerance:
         raise SolvabilityError(
-            f"Coulomb term needs mean-zero rho - rho_b; mean is {m:.3e}"
+            f"Coulomb term needs mean-zero rho - rho_b; mean is {m:.3e}",
+            mean=m,
+            tolerance=float(tolerance),
         )
     src = src - m
     coulomb = 0.5 * grid.coulomb_pairing(src, src)

@@ -342,18 +342,26 @@ class Grid:
         symbol = self._folded(("helmholtz", float(c)), lambda: 1.0 / (c + self.k_sq))
         return self.spectral_multiply(values, symbol)
 
-    def poisson(self, rhs, rel_tol=1e-10):
+    def poisson(self, rhs, rel_tol=1e-10, scale=None):
         """Unique mean-zero V with -Laplacian V = rhs, for mean-zero rhs
-        (each stacked right-hand side is checked on its own)."""
+        (each stacked right-hand side is checked on its own).  A mean counts
+        as zero within ``rel_tol`` of ``scale``: the size of the charge the
+        caller's right-hand side balances, such as 4 pi |rho_b| for
+        4 pi (rho - rho_b), or by default the norm of rhs itself (which
+        rejects the roundoff left by a balanced uniform charge)."""
         means = np.ravel(np.mean(rhs, axis=AXES))
-        scales = np.maximum(np.ravel(self.l2n(rhs)), 1e-300)
-        bad = np.flatnonzero(np.abs(means) > rel_tol * scales)
+        if scale is None:
+            scale = np.maximum(np.ravel(self.l2n(rhs)), 1e-300)
+        tolerance = rel_tol * np.broadcast_to(scale, means.shape)
+        bad = np.flatnonzero(np.abs(means) > tolerance)
         if bad.size:
             m = means[bad[0]]
             raise SolvabilityError(
                 "poisson right-hand side has nonzero mean: coefficient at k = (0,0,0) "
                 f"is {m * self.vol_supercell:.3e} (mean {m:.3e}); the mean-zero "
-                "compatibility condition fails"
+                "compatibility condition fails",
+                mean=float(m),
+                tolerance=float(tolerance[bad[0]]),
             )
         return self._apply_symbol(rhs, self._folded(("poisson",), lambda: self.inv_k_sq))
 
@@ -402,17 +410,22 @@ class Grid:
             )
         return self._cache[key]
 
-    def hminus1_inner(self, f, g, rel_tol=1e-10):
-        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2."""
+    def hminus1_inner(self, f, g, rel_tol=1e-10, scale=None):
+        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2.
+        Each argument's mean counts as zero within ``rel_tol`` of ``scale``
+        (as in ``poisson``: the caller's charge, by default the argument's
+        own norm)."""
         fh = self.fft(f)
         gh = self.fft(g)
         for name, vals, coeffs in (("first", f, fh), ("second", g, gh)):
-            if abs(coeffs.flat[0]) > rel_tol * max(
-                self.l2n(vals) * FOURIER_PREFACTOR * self.vol_supercell, 1e-300
-            ):
+            size = max(self.l2n(vals), 1e-300) if scale is None else scale
+            tolerance = rel_tol * size * FOURIER_PREFACTOR * self.vol_supercell
+            if abs(coeffs.flat[0]) > tolerance:
                 raise SolvabilityError(
                     f"H^-1 pairing needs mean-zero fields: the {name} argument has "
-                    f"coefficient {coeffs.flat[0]:.3e} at k = (0,0,0)"
+                    f"coefficient {coeffs.flat[0]:.3e} at k = (0,0,0)",
+                    coefficient=float(abs(coeffs.flat[0])),
+                    tolerance=float(tolerance),
                 )
         return float(np.real(4.0 * np.pi * np.sum(np.conj(fh) * gh * self.inv_k_sq)))
 

@@ -17,7 +17,20 @@ A fiber is certified without its dense 3N x 3N matrix: its Coulomb block
 -(-i grad + xi)^2/(8 pi) is diagonal in Fourier space, so eliminating it off
 its z' near-null modes leaves a Hermitian block of dimension 2N + z' whose
 LDL^H factors give the fiber's inertia and apply its inverse (FiberOperator).
-Every gap is the eigenvalue nearest zero by shift-invert Lanczos.
+Every gap is the eigenvalue nearest zero by shift-invert Lanczos.  The same
+factorization at xi = 0, real there, solves every dense cell system
+(LinearizedOperator.dense_solve).
+
+Time reversal pairs the fibers of a scan.  Every grid axis is even, so the
+fftfreq mode window W of each axis satisfies -W = W + 1, and with
+G = b_1 + b_2 + b_3 the fiber at G - xi is a unitary transform of the
+conjugate fiber at xi:
+
+    H(G - xi) = D conj(H(xi)) D^H,   D = diag(exp(-i G.x)).
+
+Both have the same inertia and spectrum, and D conj(v) is an eigenvector of
+H(G - xi) for every eigenvector v of H(xi).  The fiber at -xi has another
+mode window, so its discrete spectrum differs from that at xi.
 """
 
 from __future__ import annotations
@@ -25,12 +38,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg.lapack import zhetrf, zhetrf_lwork, zhetrs
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.optimize import minimize
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
@@ -172,18 +186,25 @@ class LinearizedOperator:
         )
 
     def dense_solve(self, rhs, border=None):
-        """Solve L x = rhs (flat, in the ``State.stacked`` layout) with the
-        dense matrix.  ``border = (column, row)`` first borders the matrix by
-        one extra column and row (zero corner) for one more unknown, and
-        ``rhs`` then carries one more entry."""
-        H = self.dense_matrix()
-        if border is not None:
-            n = H.shape[0]
-            K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = H
-            K[:n, -1], K[-1, :n] = border
-            H = K
-        return np.linalg.solve(H, rhs)
+        """Solve L x = rhs (flat, in the ``State.stacked`` layout) on the
+        factors of the Gamma fiber (``factor_cell``).  ``border = (column,
+        row)`` adds one more unknown m, L x + column m = rhs[:-1] and
+        row . x = rhs[-1] (``rhs`` then carries one more entry), by block
+        elimination: two solves on the same factors."""
+        solve = self.factor_cell()
+        if border is None:
+            return solve(rhs)
+        column, row = border
+        x, y = solve(rhs[:-1]), solve(column)
+        m = (row @ x - rhs[-1]) / (row @ y)
+        return np.append(x - m * y, m)
+
+    def factor_cell(self):
+        """The solve b -> L^{-1} b on the grid, from the one real
+        factorization of its Gamma fiber (FiberOperator.factor): a block of
+        order 2N + 1 in place of the 3N x 3N ``dense_matrix``, which it
+        inverts."""
+        return FiberOperator(self, np.zeros(3), wrap=False).factor()
 
 
 def _block_matrix(T, F, nu):
@@ -267,20 +288,35 @@ class FiberOperator:
     fiber has exactly N negative eigenvalues, and one Bunch-Kaufman
     factorization of K (``factor``) certifies the fiber: D has the inertia of K
     (Sylvester), and the same factors apply H^{-1} by block elimination in
-    the shift-invert solve for the eigenvalue nearest zero.  The dense
-    ``matrix`` and its ``eigenvalues`` are references no certificate uses.
+    the shift-invert solve for the eigenvalue nearest zero.  At xi = 0 the
+    fiber is the real cell operator and factors in real arithmetic; its
+    solve is every dense cell solve (LinearizedOperator.factor_cell).  The
+    fiber at G - xi needs no factorization once the fiber at xi is solved
+    (``time_reversed``, module notes).  The dense ``matrix`` and its
+    ``eigenvalues`` are references no certificate uses.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
         if not op.grid.is_cell:
             raise StructuralError("fibers require a cell-periodic base state")
-        self.grid = op.grid
+        g = self.grid = op.grid
         self.n_points = op.n_points
-        self.xi = wrap_to_zone(self.grid, xi) if wrap else np.asarray(xi, dtype=float)
+        self.xi = wrap_to_zone(g, xi) if wrap else np.asarray(xi, dtype=float)
         self.F = np.stack([op.F_plus.ravel(), op.F_minus.ravel()])
         self.nu = np.stack([op.nu_plus.ravel(), op.nu_minus.ravel()])
-        self.symbol = sum((self.grid.k_cart[a] + self.xi[a]) ** 2 for a in range(3))
-        self.kinetic = _circulant(self.grid, self.symbol)
+        q = sum((g.k_cart[a] + self.xi[a]) ** 2 for a in range(3))
+        gamma = not np.any(self.xi)
+        if gamma:
+            # the real cell operator: the Hermitian fold (q(k) + q(-k))/2 of
+            # the Grid kernels, which is q itself but at the Nyquist modes
+            # of a sheared lattice, and the kinetic matrix of dense_matrix
+            q = 0.5 * (q + q.ravel()[_difference_index(g)[0]].reshape(g.shape))
+        self.symbol = q
+        self.kinetic = _dense_kinetic(g) if gamma else _circulant(g, q)
+        self.kept = q.ravel() < COULOMB_ELIMINATION_RTOL * np.max(q)
+        # at Gamma every circulant is real, and so is K when the one kept
+        # mode is the constant k = 0 (a kept plane wave k != 0 is complex)
+        self.dtype = float if gamma and np.count_nonzero(self.kept) == 1 else complex
         self._eigvals = None
         self.n_negative = None
 
@@ -305,13 +341,14 @@ class FiberOperator:
         return self._eigvals
 
     def factor(self):
-        """Factor the Coulomb-eliminated block K once (zhetrf, Bunch-Kaufman),
-        set ``n_negative`` from its D and return the solve b -> H^{-1} b by
-        block elimination on the factors.  An exactly singular D (a zero
-        pivot) admits no solve and raises EigensolverError."""
+        """Factor the Coulomb-eliminated block K once (Bunch-Kaufman: zhetrf,
+        or dsytrf where the fiber is real), set ``n_negative`` from its D and
+        return the solve b -> H^{-1} b by block elimination on the factors.
+        An exactly singular D (a zero pivot) admits no solve and raises
+        EigensolverError."""
         N = self.n_points
         q = self.symbol.ravel()
-        kept = q < COULOMB_ELIMINATION_RTOL * np.max(q)
+        kept = self.kept
         inv_q = np.zeros_like(q)
         np.divide(EIGHT_PI, q, out=inv_q, where=~kept)
         P = _circulant(self.grid, inv_q.reshape(self.grid.shape))  # -C^+ = 8 pi G
@@ -319,12 +356,14 @@ class FiberOperator:
         Z = np.sqrt(N) * sfft.ifftn(
             np.eye(N)[kept].reshape((-1,) + self.grid.shape), axes=AXES
         ).reshape(-1, N)
+        if self.dtype is float:
+            P, Z = P.real, Z.real
 
-        # zhetrf(lower=1) reads only the lower triangle of K, in Fortran
+        # the factorization reads only the lower triangle of K, in Fortran
         # order: the upper triangle of the C-order array KT = K^T is that
         # memory, filled in place block by block (P^T = conj P, G Hermitian)
         n = 2 * N + len(Z)
-        KT = np.zeros((n, n), dtype=complex)
+        KT = np.zeros((n, n), dtype=self.dtype)
         for s in range(2):
             cols = slice(s * N, (s + 1) * N)
             for t in range(s + 1):
@@ -337,8 +376,7 @@ class FiberOperator:
             np.multiply(Z.T.conj(), self.nu[s][:, None], out=KT[cols, 2 * N :])
         corner = np.arange(2 * N, n)
         KT[corner, corner] = -q[kept] / EIGHT_PI  # C_Z, zero at an exact null
-        lwork = int(zhetrf_lwork(n, lower=1)[0].real)
-        factors, ipiv, info = zhetrf(KT.T, lower=1, lwork=lwork, overwrite_a=True)
+        factors, ipiv, info, trs = _bunch_kaufman(KT.T)
         if info > 0:
             raise EigensolverError(
                 f"the reduced block of the fiber at xi = {tuple(self.xi)} is exactly singular",
@@ -352,7 +390,7 @@ class FiberOperator:
             r = np.asarray(b).reshape(3, N)
             Pr = P @ r[2]
             rhs = np.concatenate([(r[:2] + self.nu * Pr).ravel(), Z.conj() @ r[2]])
-            y = zhetrs(factors, ipiv, rhs, lower=1)[0]
+            y = trs(factors, ipiv, rhs, lower=1)[0]
             w = y[: 2 * N]
             W = P @ np.sum(self.nu * w.reshape(2, N), axis=0) - Pr + y[2 * N :] @ Z
             return np.concatenate([w, W])
@@ -365,9 +403,9 @@ class FiberOperator:
         the count from D (exact at every xi, stable or not), the pair by
         shift-invert Lanczos at zero (_nearest_zero_pair) on the solve with
         its factors, H applied matrix-free.  Lanczos starts from a seeded
-        random complex vector with weight on every Fourier mode of every
-        channel (a constant one stays inside the k = 0 subspace of a uniform
-        state).  ``start``, an approximate eigenvector such as the pair of a
+        random complex vector (its real part where the fiber is real, at
+        Gamma) with weight on every Fourier mode of every channel (a
+        constant one stays inside the k = 0 subspace of a uniform state).  ``start``, an approximate eigenvector such as the pair of a
         nearby fiber, warm-starts it with that vector added at
         FIBER_START_BLEND of its norm, so a start inside one invariant
         subspace (a plane wave of a uniform state) cannot lock the solve
@@ -391,18 +429,46 @@ class FiberOperator:
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(3 * N) + 1j * rng.standard_normal(3 * N)
+        if self.dtype is float:
+            v0 = v0.real
         if start is not None:
-            start = np.asarray(start, dtype=complex)
+            start = np.real(start) if self.dtype is float else np.asarray(start)
             v0 = start + (FIBER_START_BLEND * np.linalg.norm(start) / np.linalg.norm(v0)) * v0
         shape = (3 * N, 3 * N)
-        H = LinearOperator(shape, matvec=self.apply, dtype=complex)
-        H_inv = LinearOperator(shape, matvec=inverse, dtype=complex)
-        t = self.kinetic[0, 0].real  # every diagonal entry of T
-        bound = FIBER_RESIDUAL_RTOL * max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
-        where = f"the fiber at xi = {tuple(self.xi)}"
+        H = LinearOperator(shape, matvec=self.apply, dtype=self.dtype)
+        H_inv = LinearOperator(shape, matvec=inverse, dtype=self.dtype)
+        bound = self._residual_bound()
         return _nearest_zero_pair(
-            H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, where, ncv=FIBER_NCV
+            H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, self._where(), ncv=FIBER_NCV
         )
+
+    def time_reversed(self, val, vec, n_negative):
+        """The eigenpair nearest zero of this fiber, at G - xi, from the pair
+        (val, vec) and the inertia of the fiber at xi, with no
+        factorization: H(G - xi) = D conj(H(xi)) D^H with
+        D = diag(exp(-i G.x)), G = b_1 + b_2 + b_3, both fibers unwrapped
+        (module notes).  Returns (val, D conj(vec)), sets ``n_negative``,
+        and checks the pair's residual against this fiber's own H,
+        matrix-free, with the bound of ``min_eigenpair``."""
+        phase = _bloch_phase(self.grid, (-1, -1, -1))  # D = exp(-i G.x)
+        vec = (phase * np.conj(np.reshape(vec, (3, self.n_points)))).ravel()
+        res = float(np.linalg.norm(self.apply(vec) - val * vec))
+        if not res <= self._residual_bound():
+            raise EigensolverError(
+                f"time-reversed eigenpair residual {res:.3e} of {self._where()} exceeds "
+                f"{self._residual_bound():.3e}",
+                residual_history=[res],
+            )
+        self.n_negative = n_negative
+        return val, vec
+
+    def _residual_bound(self):
+        """FIBER_RESIDUAL_RTOL max |H_ii|, the bound on an eigenpair's residual."""
+        t = self.kinetic[0, 0].real  # every diagonal entry of T
+        return FIBER_RESIDUAL_RTOL * max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
+
+    def _where(self):
+        return f"the fiber at xi = {tuple(self.xi)}"
 
     def eigenvalue_gradient(self, vec):
         """Hellmann-Feynman gradient in xi of a simple eigenvalue with unit
@@ -422,8 +488,30 @@ class FiberOperator:
         )
 
 
+def _bloch_phase(grid: Grid, n):
+    """exp(i b.x) at the grid points (flat) for the reciprocal lattice
+    vector b = sum_j n_j b_j."""
+    return np.exp(2j * np.pi * sum(nj * f for nj, f in zip(n, grid.cell_fraction))).ravel()
+
+
+def _bunch_kaufman(K):
+    """Bunch-Kaufman LDL^H factorization of the Hermitian K from its lower
+    triangle, in place (zhetrf, or dsytrf for a real K): the factors, the
+    pivots, LAPACK's info (> 0 at an exactly singular D) and the matching
+    solve routine (zhetrs, dsytrs)."""
+    if np.iscomplexobj(K):
+        names = ("hetrf", "hetrs", "hetrf_lwork")
+    else:
+        names = ("sytrf", "sytrs", "sytrf_lwork")
+    trf, trs, trf_lwork = get_lapack_funcs(names, (K,))
+    lwork = int(trf_lwork(len(K), lower=1)[0].real)
+    factors, ipiv, info = trf(K, lower=1, lwork=lwork, overwrite_a=True)
+    return factors, ipiv, info, trs
+
+
 def _ldl_negative_count(factors, ipiv):
-    """Negative eigenvalues of the block-diagonal D of zhetrf(lower=1): one
+    """Negative eigenvalues of the block-diagonal D of a lower Bunch-Kaufman
+    factorization (``_bunch_kaufman``): one
     per negative 1x1 pivot; a 2x2 block (ipiv[k] == ipiv[k+1] < 0) has one
     when its determinant is negative, else two or none by the sign of its
     leading entry."""
@@ -589,26 +677,18 @@ class StabilityReport:
 
 
 def monkhorst_pack(lattice, q):
-    """Uniform q1 x q2 x q3 sampling of the Brillouin zone (Gamma included)."""
+    """Uniform q1 x q2 x q3 sampling of the Brillouin zone (Gamma included):
+    the Monkhorst-Pack fractions (2 r - q + 1)/(2 q), taken modulo 1 into
+    [0, 1), the convention of commensurate_xis.  On an even q every
+    fraction t has its time-reversal partner 1 - t in the set, so the fibers
+    pair up in stability_scan: (2, 2, 2) gives the corners {1/4, 3/4}^3, 4
+    pairs, and Gamma."""
     B = lattice.reciprocal_vectors
-    pts = []
-    for r1 in range(q[0]):
-        for r2 in range(q[1]):
-            for r3 in range(q[2]):
-                frac = np.array(
-                    [
-                        (2 * r1 - q[0] + 1) / (2 * q[0]),
-                        (2 * r2 - q[1] + 1) / (2 * q[1]),
-                        (2 * r3 - q[2] + 1) / (2 * q[2]),
-                    ]
-                )
-                pts.append(B.T @ frac)
-    pts.append(np.zeros(3))
-    uniq = []
-    for p in pts:
-        if not any(np.allclose(p, u, atol=1e-12) for u in uniq):
-            uniq.append(p)
-    return uniq
+    fractions = [sorted(((2 * r - n + 1) % (2 * n)) / (2 * n) for r in range(n)) for n in q]
+    points = list(itertools.product(*fractions))  # distinct and exact; Gamma where all q_j are odd
+    if (0.0, 0.0, 0.0) not in points:
+        points.append((0.0, 0.0, 0.0))
+    return [B.T @ np.array(t) for t in points]
 
 
 def commensurate_xis(lattice, supercell):
@@ -644,6 +724,13 @@ def stability_scan(
     negative eigenvalues is not N.  A scan with such an inertia is never
     ``stable``, even when every sampled gap clears the threshold.
 
+    A fiber whose time-reversal partner G - xi (fractions 1 - t, module
+    notes) was already solved in the scan is not factored: it takes the
+    partner's eigenvalue and inertia, and the mapped eigenvector, whose
+    residual is checked against its own H (FiberOperator.time_reversed).
+    The default 2 x 2 x 2 grid (monkhorst_pack) thus factors 5 fibers: 4 of
+    its 8 corners and Gamma.
+
     ``previous``, the report of a scan on the same xi grid at a nearby base
     state (the preceding sample of a continuation), warm-starts each
     fiber's eigensolve from that fiber's eigenvector there; the pairs are
@@ -668,10 +755,21 @@ def stability_scan(
             raise StructuralError("a warm-starting report must be on the same xi grid")
         starts = previous.fiber_vectors
 
-    records, vectors = [], []
+    B = grid.lattice.reciprocal_vectors
+    records, vectors, factored = [], [], []  # factored: (fractions, index) of solved fibers
     for xi, start in zip(xi_grid, starts):
         f = FiberOperator(op, xi, wrap=False)
-        val, vec = f.min_eigenpair(start)
+        t = np.linalg.solve(B.T, f.xi)
+        partner = next(
+            (i for s, i in factored if np.all(np.abs(s + t - 1.0) <= ZONE_SNAP_TOL)), None
+        )
+        if partner is None:
+            val, vec = f.min_eigenpair(start)
+            if np.any(f.xi):  # Gamma's fiber is folded and pairs with none
+                factored.append((t, len(records)))
+        else:
+            r = records[partner]
+            val, vec = f.time_reversed(r.eigenvalue, vectors[partner], r.n_negative)
         records.append(f.record(val, vec))
         vectors.append(vec)
 
@@ -753,17 +851,23 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
     gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
     smallest gap evaluated.  Each evaluation warm-starts its eigensolve
     from the eigenvector of the one before, the first from ``start_vec``,
-    the eigenvector of ``start``.
+    the eigenvector of ``start`` carried to the first zone.
 
     Near its minimum the gap is almost a function of |xi| alone: on the
     workhorse anchor it varies by 2e-6 along a valley |t| ~ 0.396, so BFGS
     from a body-diagonal sample stops on that valley (gradient below its
     tolerance) 3.4e-6 above the minimum on the b_1 axis.  The descent
     therefore starts from the smallest gap among the sampled fiber and its
-    rotations onto the three reciprocal axes at the same |xi|."""
+    rotations onto the three reciprocal axes at the same |xi|, taken in the
+    first zone (a sampled xi may be unwrapped, as the corner 3/4 of
+    monkhorst_pack)."""
     B = op.grid.lattice.reciprocal_vectors
     evaluated = []
-    last = [start_vec]
+    # the start wrapped by b = sum_j n_j b_j: the periodic part u of its
+    # Bloch vector becomes exp(i b.x) u, the warm start of the wrapped fibers
+    xi0 = wrap_to_zone(op.grid, start.xi)
+    n = np.round(np.linalg.solve(B.T, np.subtract(start.xi, xi0)))
+    last = [(_bloch_phase(op.grid, n) * np.reshape(start_vec, (3, -1))).ravel()]
 
     def objective(t):
         f = FiberOperator(op, B.T @ t)
@@ -772,11 +876,11 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
         evaluated.append(f.record(val, vec))
         return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
 
-    radius = np.linalg.norm(start.xi)
+    radius = np.linalg.norm(xi0)
     if radius > 0.0:
         for e, b in zip(np.eye(3), B):
             objective(e * radius / np.linalg.norm(b))
     best = min(evaluated + [start], key=lambda r: r.gap)
-    t0 = np.linalg.solve(B.T, np.asarray(best.xi))
+    t0 = np.linalg.solve(B.T, wrap_to_zone(op.grid, best.xi))
     minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": 200, "gtol": 1e-6})
     return min(evaluated, key=lambda r: r.gap)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
 
 from . import fieldio
 from .cauchy_born import CBTable, cb_field, field_source, gather, macro_layout
@@ -82,8 +81,9 @@ class CorrectorSet:
 
 
 class _CellContext:
-    """Dense factorization of the linearized cell operator at one field
-    value, with the helpers the corrector sources need."""
+    """Factorization of the linearized cell operator at one field value
+    (LinearizedOperator.factor_cell), with the helpers the corrector sources
+    need."""
 
     def __init__(self, table: CBTable, h: float, nu_floor=1e-12):
         grid = table.grid
@@ -98,14 +98,12 @@ class _CellContext:
                 "second-order source is singular"
             )
         self.op = LinearizedOperator(state, h)
-        # the matrix is exactly symmetric, so its transpose is the same matrix
-        # in Fortran order, which getrf factors in place instead of copying
-        self.lu = lu_factor(self.op.dense_matrix().T, overwrite_a=True)
+        self._solve = self.op.factor_cell()
 
     def solve(self, rhs):
         """Solve L_h x = rhs for a ``(3,) + shape`` stack; returns x in the
         same layout and the achieved residual."""
-        x = lu_solve(self.lu, rhs.ravel()).reshape(rhs.shape)
+        x = self._solve(rhs.ravel()).reshape(rhs.shape)
         res = self.op.apply(x) - rhs
         rn = np.sqrt(sum(self.grid.l2n(r) ** 2 for r in res))
         return x, float(rn)

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from tfdw import cells, fieldio
+from tfdw import cells, fieldio, jellium
 from tfdw.cells import (
     CellSolution,
     SolveOptions,
@@ -17,8 +17,8 @@ from tfdw.cells import (
 from tfdw.energy import energy_supercell
 from tfdw.errors import DescentFailureError, PositivityLossError, StructuralError
 from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
-from tfdw.jellium import JelliumParams, jellium_lattice
-from tfdw.linop import monkhorst_pack
+from tfdw.jellium import JelliumParams, jellium_lattice, jellium_state
+from tfdw.linop import monkhorst_pack, stability_scan
 from tfdw.residual import variational_pairing
 
 
@@ -30,6 +30,28 @@ def test_jellium_exact_constant_solution():
     assert np.max(np.abs(sol.state.nu_plus.values - 0.75)) < 1e-12
     assert sol.state.gauge == pytest.approx(-params.multiplier, abs=1e-12)
     assert sol.min_nu == pytest.approx(0.75, abs=1e-12)
+
+
+def test_uniform_background_solves_to_the_jellium_state():
+    # rho - rho_b is roundoff on a uniform background: the energy's and the
+    # Poisson solve's mean-zero checks count it against the background's
+    # charge, not against its own norm
+    sol = solve_cell(LatticeSpec.cubic(1.0, 3.0, []), GridSpec((8, 4, 4)))
+    params = JelliumParams(np.sqrt(1.5))  # rho_b = 2 nu0^2 = 3
+    exact = jellium_state(params, sol.grid)
+    assert np.max(np.abs(sol.state.stacked() - exact.stacked())) <= 1e-12
+    assert sol.state.gauge == pytest.approx(exact.gauge, abs=1e-12)
+    # every fiber of the default scan, the 4 time-reversed corners included,
+    # has the oracle's gap and inertia over its own mode window (a
+    # degenerate spectrum: the symbol depends on |k + xi| alone)
+    report = stability_scan(sol.state, 0.0, refine=False)
+    g = sol.grid
+    assert len(report.fiber_records) == 9
+    for r in report.fiber_records:
+        modes = np.stack([g.k_cart[a].ravel() + r.xi[a] for a in range(3)], axis=1)
+        lam = np.array([jellium.eigenvalues(params, k) for k in modes])
+        assert r.gap == pytest.approx(np.min(np.abs(lam)), rel=1e-12)
+        assert r.n_negative == np.count_nonzero(lam < 0.0) == g.total_points
 
 
 def test_modulated_solution_properties(cell_solution, lattice_mod, cell_grid):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tfdw.energy import energy_supercell, zeeman_coupling
+from tfdw.energy import COULOMB_MEAN_TOL, energy_supercell, zeeman_coupling
 from tfdw.errors import SolvabilityError
 from tfdw.grids import (
     Grid,
@@ -108,11 +108,18 @@ def test_breakdown_signs_and_total(rng):
 
 
 def test_coulomb_mean_violation():
+    # a charged state raises with its mean and the tolerance, which scales
+    # with the background's charge; the roundoff left by a neutral uniform
+    # state passes
     lat = LatticeSpec.cubic(1.0, 1.0)
     grid = Grid(lat, GridSpec((4, 4, 4)))
     state = make_state(grid, np.ones(grid.shape), np.ones(grid.shape))  # rho = 2 != 1
-    with pytest.raises(SolvabilityError):
+    with pytest.raises(SolvabilityError) as err:
         energy_supercell(state, 0.0)
+    assert err.value.diagnostics() == {"mean": pytest.approx(1.0), "tolerance": COULOMB_MEAN_TOL}
+    params = JelliumParams(np.sqrt(1.5))
+    uniform = Grid(jellium_lattice(params), GridSpec((8, 4, 4)))
+    energy_supercell(jellium_state(params, uniform), 0.0)
 
 
 def test_zeeman_zero_magnetization(rng):

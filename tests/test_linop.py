@@ -1,9 +1,10 @@
 import functools
+import types
 
 import numpy as np
 import pytest
 
-from tfdw import jellium, linop
+from tfdw import cauchy_born, cells, jellium, linop, twoscale
 from tfdw.errors import EigensolverError, StructuralError
 from tfdw.grids import (
     Grid,
@@ -422,6 +423,30 @@ def test_sheared_reciprocal_vectors_wrap_to_exact_gamma():
         assert f.n_negative == np.count_nonzero(np.linalg.eigvalsh(f.matrix) < 0.0)
 
 
+@pytest.mark.parametrize("lattice", ["workhorse", "sheared"])
+def test_cell_solves_equal_the_dense_matrix_solve(cell_solution, lattice):
+    # dense_solve, bordered (the dual's mu row) or not, and the corrector
+    # context's solve run on the real Gamma factors of the Coulomb-eliminated
+    # block (order 2N + 1) and must match a solve with the 3N x 3N
+    # dense_matrix
+    state = cell_solution.state if lattice == "workhorse" else sheared_state(np.random.default_rng(7))
+    op = LinearizedOperator(state, 0.05)
+    H = op.dense_matrix()
+    rng = np.random.default_rng(3)
+    b, column, row = rng.standard_normal((3, op.n_dof))
+
+    def close(x, ref):
+        return np.isrealobj(x) and np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    assert close(op.dense_solve(b), np.linalg.solve(H, b))
+    bordered = np.block([[H, column[:, None]], [row[None, :], np.zeros((1, 1))]])
+    rhs = np.append(b, 0.7)
+    assert close(op.dense_solve(rhs, (column, row)), np.linalg.solve(bordered, rhs))
+    table = types.SimpleNamespace(grid=state.grid, state_at=lambda h: state)
+    x, _ = twoscale._CellContext(table, 0.05).solve(b.reshape((3,) + state.grid.shape))
+    assert close(x.ravel(), np.linalg.solve(H, b))
+
+
 def test_min_eigenpair_matches_full_spectrum(cell_solution):
     op = LinearizedOperator(cell_solution.state, 0.0)
     xi = cell_solution.grid.lattice.reciprocal_vectors.T @ np.array([0.25, -0.25, 0.25])
@@ -488,15 +513,16 @@ def test_ldl_inertia_and_shift_invert_match_eigh(make, extra_negative, floor):
 
 @pytest.fixture
 def factored_dims(monkeypatch):
-    """Dimensions of the matrices handed to zhetrf, in call order."""
+    """Dimensions of the matrices handed to the Bunch-Kaufman
+    factorization, in call order."""
     dims = []
-    zhetrf = linop.zhetrf
+    bunch_kaufman = linop._bunch_kaufman
 
-    def recording(a, **kwargs):
+    def recording(a):
         dims.append(a.shape[0])
-        return zhetrf(a, **kwargs)
+        return bunch_kaufman(a)
 
-    monkeypatch.setattr(linop, "zhetrf", recording)
+    monkeypatch.setattr(linop, "_bunch_kaufman", recording)
     return dims
 
 
@@ -562,6 +588,27 @@ def test_certified_scan_never_assembles_the_dense_fiber(
     _workhorse_fiber(cell_solution.state, (1e-7, 0.0, 0.0), wrap=False).min_eigenpair()
     reports, _ = measure_stability_in_n(lattice_mod, (8, 4, 4), n_values=(1, 2, 4))
     assert all(r.classification == "stable" for r in reports.values())
+
+    # a table build and its corrector tabulation never assemble the dense
+    # 3N cell matrix either: every cell solve runs on the Gamma fiber's
+    # factors.  Each march sample's scan factors 5 of its 9 fibers (4
+    # corners and Gamma); the other 4 corners are time-reversal partners
+    monkeypatch.setattr(LinearizedOperator, "dense_matrix", dense)
+    per_scan = []
+    scan = cells.stability_scan
+
+    def counting(*args, **kwargs):
+        before = len(factored_dims)
+        report = scan(*args, **kwargs)
+        per_scan.append((len(factored_dims) - before, len(report.fiber_records), kwargs["refine"]))
+        return report
+
+    monkeypatch.setattr(cells, "stability_scan", counting)
+    table = cauchy_born.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), 0.025, 0.0125)
+    twoscale.tabulate_correctors(table, [0])
+    anchor, *march = per_scan
+    assert anchor[1:] == (9, True) and anchor[0] > 5  # the refinement factors more
+    assert march == [(5, 9, False)] * 2
 
 
 @pytest.mark.parametrize("t1", [1e-7, 1e-3, 1.0 - 1e-7], ids=["1e-7-b1", "1e-3-b1", "b1-minus-1e-7-b1"])
@@ -637,15 +684,15 @@ def test_warm_start_in_a_competing_subspace_finds_the_nearest_eigenvalue(competi
 
 
 def test_min_eigenpair_singular_factorization_raises(monkeypatch):
-    # zhetrf reports an exactly zero pivot (info > 0): no solve with the
-    # factors exists, and the error names the fiber
-    zhetrf = linop.zhetrf
+    # the factorization reports an exactly zero pivot (info > 0): no solve
+    # with the factors exists, and the error names the fiber
+    bunch_kaufman = linop._bunch_kaufman
 
-    def singular(*args, **kwargs):
-        factors, ipiv, _ = zhetrf(*args, **kwargs)
-        return factors, ipiv, 1
+    def singular(a):
+        factors, ipiv, _, trs = bunch_kaufman(a)
+        return factors, ipiv, 1, trs
 
-    monkeypatch.setattr(linop, "zhetrf", singular)
+    monkeypatch.setattr(linop, "_bunch_kaufman", singular)
     f = _jellium_fiber(0.2, (0.3, -0.2, 0.1))
     with pytest.raises(EigensolverError, match="exactly singular") as err:
         f.min_eigenpair()

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_grids import KERNELS, _reference_kernels
-from tfdw import linop
+from tfdw import jellium, linop
 from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
-from tfdw.linop import LinearizedOperator
+from tfdw.linop import FiberOperator, LinearizedOperator, stability_scan
 
 # few examples and no deadline keep tier-1 near its time; derandomized, so
 # every run draws the same examples
@@ -59,3 +59,60 @@ def test_folded_preconditioner_block_is_spd_on_random_grids(g, seed):
     lam = np.linalg.eigvalsh(blocks)
     assert np.min(lam) > 0.0
     assert np.max(lam) <= (1.0 + 1e-12) / linop.ABS_SYMBOL_FLOOR
+
+
+@st.composite
+def sheared_cells(draw):
+    """A sheared cell as in ``sheared_grids``, one cell, resolutions 4 or 6."""
+    diag = draw(st.lists(st.floats(0.8, 1.25), min_size=3, max_size=3))
+    shear = draw(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3))
+    cell = np.diag(diag)
+    cell[1, 0], cell[2, 0], cell[2, 1] = shear
+    resolution = draw(st.tuples(*[st.sampled_from((4, 6))] * 3))
+    return Grid(LatticeSpec(cell, 2.0), GridSpec(resolution))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    sheared_cells(),
+    st.tuples(*[st.floats(0.02, 0.98)] * 3),
+    st.sampled_from(("random", "jellium-0.2")),
+    st.integers(0, 2**32 - 1),
+)
+def test_time_reversed_fiber_equals_its_direct_factorization(g, t, kind, seed):
+    # a scan over xi, -xi and G - xi (G = b_1 + b_2 + b_3) factors xi and
+    # -xi and maps G - xi from xi; every record must be the one a direct
+    # factorization at its own xi gives: the same inertia, the same
+    # eigenvalue to 1e-13 and an eigenvector within the residual bound.
+    # The unstable uniform state (nu0 = 0.2, one extra negative eigenvalue
+    # near Gamma) has a degenerate spectrum
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        nu_plus, nu_minus = 1.0 + 0.2 * rng.standard_normal((2,) + g.shape)
+        v = 0.5 * rng.standard_normal(g.shape)
+        state = State(ScalarField(g, nu_plus), ScalarField(g, nu_minus), ScalarField(g, v - np.mean(v)), -0.3)
+    else:
+        state = jellium.jellium_state(jellium.JelliumParams(0.2), g)
+    B = g.lattice.reciprocal_vectors
+    t = np.asarray(t)
+    xis = [B.T @ t, B.T @ -t, B.T @ (1.0 - t)]
+    factored = []
+    factor = FiberOperator.factor
+
+    def counting(self):
+        factored.append(self.xi)
+        return factor(self)
+
+    FiberOperator.factor = counting
+    try:
+        report = stability_scan(state, 0.0, xi_grid=xis, refine=False)
+    finally:
+        FiberOperator.factor = factor
+    assert len(factored) == 2  # G - xi is not factored
+    op = LinearizedOperator(state, 0.0)
+    for xi, record, vec in zip(xis, report.fiber_records, report.fiber_vectors):
+        f = FiberOperator(op, xi, wrap=False)
+        val, _ = f.min_eigenpair()
+        assert record.n_negative == f.n_negative
+        assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
+        assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
