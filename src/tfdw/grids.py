@@ -410,22 +410,17 @@ class Grid:
             )
         return self._cache[key]
 
-    def hminus1_inner(self, f, g, rel_tol=1e-10, scale=None):
-        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2.
-        Each argument's mean counts as zero within ``rel_tol`` of ``scale``
-        (as in ``poisson``: the caller's charge, by default the argument's
-        own norm)."""
+    def hminus1_inner(self, f, g, rel_tol=1e-10):
+        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2."""
         fh = self.fft(f)
         gh = self.fft(g)
         for name, vals, coeffs in (("first", f, fh), ("second", g, gh)):
-            size = max(self.l2n(vals), 1e-300) if scale is None else scale
-            tolerance = rel_tol * size * FOURIER_PREFACTOR * self.vol_supercell
-            if abs(coeffs.flat[0]) > tolerance:
+            if abs(coeffs.flat[0]) > rel_tol * max(
+                self.l2n(vals) * FOURIER_PREFACTOR * self.vol_supercell, 1e-300
+            ):
                 raise SolvabilityError(
                     f"H^-1 pairing needs mean-zero fields: the {name} argument has "
-                    f"coefficient {coeffs.flat[0]:.3e} at k = (0,0,0)",
-                    coefficient=float(abs(coeffs.flat[0])),
-                    tolerance=float(tolerance),
+                    f"coefficient {coeffs.flat[0]:.3e} at k = (0,0,0)"
                 )
         return float(np.real(4.0 * np.pi * np.sum(np.conj(fh) * gh * self.inv_k_sq)))
 

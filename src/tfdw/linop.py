@@ -56,6 +56,7 @@ EIGHT_PI = 8.0 * np.pi
 SDW_CHANNEL_CUTOFF = 0.9
 FIBER_NCV = 6  # Lanczos basis of the fiber solve (4 to 12 cost the same, measured)
 FIBER_RESIDUAL_RTOL = 1e-12  # eigenpair residual bound, relative to max |H_ii|
+BORDERED_RESIDUAL_RTOL = 1e-12  # bordered cell solve's normwise backward error bound
 # weight of the seeded random vector added to a warm start, relative to the
 # start's norm: it keeps every Fourier mode in the Lanczos start, far above
 # rounding and above the Lanczos tolerance FIBER_RESIDUAL_RTOL.  It bounds the
@@ -187,17 +188,51 @@ class LinearizedOperator:
 
     def dense_solve(self, rhs, border=None):
         """Solve L x = rhs (flat, in the ``State.stacked`` layout) on the
-        factors of the Gamma fiber (``factor_cell``).  ``border = (column,
+        factors of the Gamma fiber (``factor_cell``), which need L itself
+        nonsingular (an exactly singular L raises EigensolverError from
+        ``FiberOperator.factor``, bordered or not).  ``border = (column,
         row)`` adds one more unknown m, L x + column m = rhs[:-1] and
         row . x = rhs[-1] (``rhs`` then carries one more entry), by block
-        elimination: two solves on the same factors."""
-        solve = self.factor_cell()
+        elimination on the same factors.
+        Block elimination alone loses accuracy as L nears singularity even
+        where the bordered matrix is well conditioned (the dual's mu row at
+        the spin-wave threshold, where the soft mode of L is the border),
+        so one step of iterative refinement follows it (Govaerts and Pryce,
+        Numer. Math. 58, 1990), and a bordered solution whose residual
+        exceeds BORDERED_RESIDUAL_RTOL of the system's scale raises
+        EigensolverError."""
+        fiber = FiberOperator(self, np.zeros(3), wrap=False)
+        solve = fiber.factor()
         if border is None:
             return solve(rhs)
         column, row = border
-        x, y = solve(rhs[:-1]), solve(column)
-        m = (row @ x - rhs[-1]) / (row @ y)
-        return np.append(x - m * y, m)
+        y = solve(column)
+
+        def eliminate(b, c):
+            x = solve(b)
+            m = (row @ x - c) / (row @ y)
+            return x - m * y, m
+
+        def residual(x, m):
+            return rhs[:-1] - fiber.apply(x) - column * m, rhs[-1] - row @ x
+
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular border fails below
+            x, m = eliminate(rhs[:-1], rhs[-1])
+            dx, dm = eliminate(*residual(x, m))
+            x, m = x + dx, m + dm
+            r, c = residual(x, m)
+        res = np.hypot(np.linalg.norm(r), c)
+        scale = np.linalg.norm(rhs) + np.hypot(np.linalg.norm(x), m) * max(
+            fiber.max_diagonal(), np.linalg.norm(column), np.linalg.norm(row)
+        )
+        if not res <= BORDERED_RESIDUAL_RTOL * scale:
+            raise EigensolverError(
+                f"bordered cell solve residual {res:.3e} exceeds "
+                f"{BORDERED_RESIDUAL_RTOL:.0e} of its scale {scale:.3e}: the "
+                "bordered matrix is singular to working precision",
+                residual_history=[float(res)],
+            )
+        return np.append(x, m)
 
     def factor_cell(self):
         """The solve b -> L^{-1} b on the grid, from the one real
@@ -290,7 +325,11 @@ class FiberOperator:
     (Sylvester), and the same factors apply H^{-1} by block elimination in
     the shift-invert solve for the eigenvalue nearest zero.  At xi = 0 the
     fiber is the real cell operator and factors in real arithmetic; its
-    solve is every dense cell solve (LinearizedOperator.factor_cell).  The
+    solve is every dense cell solve (LinearizedOperator.factor_cell).  Its
+    symbol there is the Hermitian fold (q(k) + q(-k))/2 of the Grid
+    kernels, which differs from |k|^2 only at the Nyquist modes of a sheared
+    lattice; every fiber at xi != 0 keeps the unfolded symbol, so on a
+    sheared lattice the family jumps at Gamma in its high spectrum.  The
     fiber at G - xi needs no factorization once the fiber at xi is solved
     (``time_reversed``, module notes).  The dense ``matrix`` and its
     ``eigenvalues`` are references no certificate uses.
@@ -450,7 +489,7 @@ class FiberOperator:
         (module notes).  Returns (val, D conj(vec)), sets ``n_negative``,
         and checks the pair's residual against this fiber's own H,
         matrix-free, with the bound of ``min_eigenpair``."""
-        phase = _bloch_phase(self.grid, (-1, -1, -1))  # D = exp(-i G.x)
+        phase = np.exp(-2j * np.pi * sum(self.grid.cell_fraction)).ravel()  # D = exp(-i G.x)
         vec = (phase * np.conj(np.reshape(vec, (3, self.n_points)))).ravel()
         res = float(np.linalg.norm(self.apply(vec) - val * vec))
         if not res <= self._residual_bound():
@@ -462,10 +501,14 @@ class FiberOperator:
         self.n_negative = n_negative
         return val, vec
 
+    def max_diagonal(self):
+        """max |H_ii|, the scale of H in its residual bounds."""
+        t = self.kinetic[0, 0].real  # every diagonal entry of T
+        return max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
+
     def _residual_bound(self):
         """FIBER_RESIDUAL_RTOL max |H_ii|, the bound on an eigenpair's residual."""
-        t = self.kinetic[0, 0].real  # every diagonal entry of T
-        return FIBER_RESIDUAL_RTOL * max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
+        return FIBER_RESIDUAL_RTOL * self.max_diagonal()
 
     def _where(self):
         return f"the fiber at xi = {tuple(self.xi)}"
@@ -486,12 +529,6 @@ class FiberOperator:
         return FiberRecord(
             tuple(np.asarray(self.xi, dtype=float)), abs(val), val, sdw, cdw, self.n_negative
         )
-
-
-def _bloch_phase(grid: Grid, n):
-    """exp(i b.x) at the grid points (flat) for the reciprocal lattice
-    vector b = sum_j n_j b_j."""
-    return np.exp(2j * np.pi * sum(nj * f for nj, f in zip(n, grid.cell_fraction))).ravel()
 
 
 def _bunch_kaufman(K):
@@ -851,7 +888,7 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
     gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
     smallest gap evaluated.  Each evaluation warm-starts its eigensolve
     from the eigenvector of the one before, the first from ``start_vec``,
-    the eigenvector of ``start`` carried to the first zone.
+    the eigenvector of ``start``.
 
     Near its minimum the gap is almost a function of |xi| alone: on the
     workhorse anchor it varies by 2e-6 along a valley |t| ~ 0.396, so BFGS
@@ -863,11 +900,7 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
     monkhorst_pack)."""
     B = op.grid.lattice.reciprocal_vectors
     evaluated = []
-    # the start wrapped by b = sum_j n_j b_j: the periodic part u of its
-    # Bloch vector becomes exp(i b.x) u, the warm start of the wrapped fibers
-    xi0 = wrap_to_zone(op.grid, start.xi)
-    n = np.round(np.linalg.solve(B.T, np.subtract(start.xi, xi0)))
-    last = [(_bloch_phase(op.grid, n) * np.reshape(start_vec, (3, -1))).ravel()]
+    last = [start_vec]
 
     def objective(t):
         f = FiberOperator(op, B.T @ t)
@@ -876,7 +909,7 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
         evaluated.append(f.record(val, vec))
         return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
 
-    radius = np.linalg.norm(xi0)
+    radius = np.linalg.norm(wrap_to_zone(op.grid, start.xi))
     if radius > 0.0:
         for e, b in zip(np.eye(3), B):
             objective(e * radius / np.linalg.norm(b))

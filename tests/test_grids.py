@@ -3,7 +3,6 @@ import pytest
 
 from tfdw.errors import GridMismatchError, SolvabilityError, StructuralError
 from tfdw.grids import (
-    FOURIER_PREFACTOR,
     Grid,
     GridSpec,
     HField,
@@ -209,23 +208,18 @@ def test_poisson_solvability_error():
     assert err.value.diagnostics() == {"mean": pytest.approx(0.1), "tolerance": pytest.approx(1e-11)}
 
 
-def test_mean_zero_checks_scale_by_the_callers_charge():
+def test_poisson_mean_zero_check_scales_by_the_callers_charge():
     # a neutral uniform charge leaves a right-hand side of pure roundoff,
     # whose mean is O(1) of its own norm: against the caller's charge it is
     # zero, and a charged field still raises with its payload
     g = make_grid()
     roundoff = 1e-16 * (1.0 + cos_mode(g))
-    checks = [
-        (g.poisson, 1.0),  # tolerance on the mean
-        (lambda f, **kw: g.hminus1_inner(f, f, **kw), FOURIER_PREFACTOR * g.vol_supercell),  # on fhat(0)
-    ]
-    for check, unit in checks:
-        with pytest.raises(SolvabilityError):
-            check(roundoff)
-        check(roundoff, scale=3.0)
-        with pytest.raises(SolvabilityError) as err:
-            check(roundoff + 1e-6, scale=3.0)
-        assert err.value.diagnostics()["tolerance"] == pytest.approx(3e-10 * unit)
+    with pytest.raises(SolvabilityError):
+        g.poisson(roundoff)
+    g.poisson(roundoff, scale=3.0)
+    with pytest.raises(SolvabilityError) as err:
+        g.poisson(roundoff + 1e-6, scale=3.0)
+    assert err.value.diagnostics()["tolerance"] == pytest.approx(3e-10)
 
 
 # -- derivatives --------------------------------------------------------------

@@ -423,6 +423,25 @@ def test_sheared_reciprocal_vectors_wrap_to_exact_gamma():
         assert f.n_negative == np.count_nonzero(np.linalg.eigvalsh(f.matrix) < 0.0)
 
 
+def test_gamma_fiber_is_the_folded_cell_operator_on_a_sheared_lattice():
+    # at xi = 0 the fiber's symbol is the Hermitian fold (q(k) + q(-k))/2 of
+    # the Grid kernels, so the Gamma fiber is dense_matrix; every fiber at
+    # xi != 0 keeps the unfolded |k + xi|^2, which differs only at the
+    # Nyquist modes of a sheared lattice: there the family jumps at Gamma.
+    # On this unrelaxed state the top of the spectrum moves by ~85 (of 436)
+    # while the inertia stays and the eigenvalue nearest zero moves 2.7e-8
+    # relative; on a solved sheared cell it moves 2e-15 (README)
+    op = LinearizedOperator(sheared_state(np.random.default_rng(1234)), 0.05)
+    gamma = FiberOperator(op, np.zeros(3))
+    near = FiberOperator(op, 1e-9 * op.grid.lattice.reciprocal_vectors[0])
+    assert np.array_equal(gamma.matrix, op.dense_matrix())
+    spectra = [np.linalg.eigvalsh(f.matrix) for f in (gamma, near)]
+    assert np.max(np.abs(spectra[0] - spectra[1])) > 10.0
+    pairs = [f.min_eigenpair() for f in (gamma, near)]
+    assert gamma.n_negative == near.n_negative == op.n_points
+    assert abs(pairs[0][0] - pairs[1][0]) <= 1e-7 * abs(pairs[1][0])
+
+
 @pytest.mark.parametrize("lattice", ["workhorse", "sheared"])
 def test_cell_solves_equal_the_dense_matrix_solve(cell_solution, lattice):
     # dense_solve, bordered (the dual's mu row) or not, and the corrector
@@ -445,6 +464,30 @@ def test_cell_solves_equal_the_dense_matrix_solve(cell_solution, lattice):
     table = types.SimpleNamespace(grid=state.grid, state_at=lambda h: state)
     x, _ = twoscale._CellContext(table, 0.05).solve(b.reshape((3,) + state.grid.shape))
     assert close(x.ravel(), np.linalg.solve(H, b))
+
+
+def test_bordered_solve_resolves_the_soft_mode_of_a_near_singular_operator():
+    # just above the spin-wave threshold the Gamma block of the jellium
+    # operator has an eigenvalue ~2e-12 whose eigenvector is the dual's mu
+    # border, while the bordered matrix has condition number ~5e3: block
+    # elimination alone leaves a relative error ~5e-6 here, the refined
+    # step must match the dense bordered solve
+    _, grid, op = jellium_op(jellium.sdw_threshold() * (1.0 + 1e-11))
+    H = op.dense_matrix()
+    assert np.min(np.abs(np.linalg.eigvalsh(H))) < 1e-11
+    nu = op.nu_plus.ravel()
+    zero = np.zeros_like(nu)
+    column = np.concatenate([-nu, nu, zero])
+    row = 2.0 * grid.w_quad * np.concatenate([nu, -nu, zero])
+    bordered = np.block([[H, column[:, None]], [row[None, :], np.zeros((1, 1))]])
+    rhs = np.append(np.random.default_rng(1).standard_normal(op.n_dof), 0.3)
+    ref = np.linalg.solve(bordered, rhs)
+    assert np.linalg.norm(op.dense_solve(rhs, (column, row)) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    # a zero row makes the bordered matrix singular: the step's residual
+    # check reports it instead of returning inf or nan
+    with pytest.raises(EigensolverError, match="bordered cell solve"):
+        op.dense_solve(rhs, (column, np.zeros_like(row)))
 
 
 def test_min_eigenpair_matches_full_spectrum(cell_solution):
