@@ -15,9 +15,6 @@ another in averaged per-cell units.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -207,8 +204,12 @@ def build_cb_table(
     samples are checked on the declared xi grid, each scan warm-started
     from the eigenvectors of the one before.  Corrector divergence or a
     collapsing gap stops the march with a ContinuationStopError that reports
-    the last good h and, as ``partial``, the samples accepted so far
-    (``h_values``, ``solutions``, ``gaps``, in increasing h from 0).
+    the last good h, as ``partial`` the samples accepted so far
+    (``h_values``, ``solutions``, ``gaps``, in increasing h from 0), and
+    what the march knew at the stop: the predictor step ``dh``, the last
+    certified sample's gap ``last_gap`` and its ``last_min_nu`` against
+    ``c_nu``.  A corrector that leaves the positive branch after a step from
+    a sample well inside C_nu points at the step, not at the branch.
     """
     opts = opts or SolveOptions()
     if isinstance(grid, GridSpec):
@@ -237,10 +238,17 @@ def build_cb_table(
     entries = [(anchor, report.global_gap)]
     dudh = [solve_du_dh(anchor)]  # one du/dh per sample: predictor and table
 
-    def stop(message, last_good_h):
+    def stop(message, dh):
+        last, gap = entries[-1]
+        gap_text = "unchecked" if gap is None else f"{gap:.4g}"
         return ContinuationStopError(
-            message,
-            last_good_h=last_good_h,
+            f"{message} (predictor step dh = {dh:.4g}; the last certified sample, h = {last.h_value:.6g}, "
+            f"has gap {gap_text} and min nu {last.min_nu:.4g} >= C_nu {c_nu:.4g})",
+            last_good_h=last.h_value,
+            dh=float(dh),
+            last_gap=gap,
+            last_min_nu=float(last.min_nu),
+            c_nu=float(c_nu),
             partial={
                 "h_values": [sol.h_value for sol, _ in entries],
                 "solutions": [sol for sol, _ in entries],
@@ -261,7 +269,7 @@ def build_cb_table(
         try:
             state, res_norm, n_iter, history = newton_polish(predictor, h_new, march_opts)
         except TfdwError as exc:
-            raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", prev.h_value) from exc
+            raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", dh) from exc
         min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
         sol = CellSolution(
             state=state,
@@ -276,10 +284,7 @@ def build_cb_table(
             newton_residuals=history,
         )
         if not sol.C_nu_ok:
-            raise stop(
-                f"nu dropped below the certified bound C_nu = {c_nu:.3e} at h = {h_new:.6g}",
-                prev.h_value,
-            )
+            raise stop(f"nu dropped to {min_nu:.4g} below C_nu at h = {h_new:.6g}", dh)
         gap = None
         if verify_samples:
             # warm-started from the previous sample's fibers; only the last
@@ -295,7 +300,7 @@ def build_cb_table(
                 raise stop(
                     f"stability gap collapsed at h = {h_new:.6g} "
                     f"({report.classification}, gap {report.global_gap:.3e})",
-                    prev.h_value,
+                    dh,
                 )
             gap = report.global_gap
         entries.append((sol, gap))
@@ -440,7 +445,7 @@ def save_table(directory, table: CBTable):
         "c_nu": table.c_nu,
         "residual_norms": [s.residual_norm for s in table.solutions],
     }
-    fieldio.atomic_write_text(os.path.join(directory, "table.json"), json.dumps(manifest, indent=2, sort_keys=True))
+    fieldio.write_json(os.path.join(directory, "table.json"), manifest)
 
 
 def _is_number(value):
@@ -504,9 +509,4 @@ def load_table(directory) -> CBTable:
 
 def export_curves_csv(table: CBTable, path):
     """CSV of (h, E_CB, m_tot) over the tabulated samples."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["h", "E_CB", "m_tot"])
-    for h, e, m in zip(table.h_samples, table.E_CB, table.m_tot):
-        writer.writerow([f"{h:.17g}", f"{e:.17g}", f"{m:.17g}"])
-    fieldio.atomic_write_text(path, buf.getvalue())
+    fieldio.write_csv(path, ["h", "E_CB", "m_tot"], zip(table.h_samples, table.E_CB, table.m_tot))

@@ -165,8 +165,8 @@ def newton_polish(state: State, h_value, opts: SolveOptions, rho_b=None):
         min_nu = min(work.nu_plus.values.min(), work.nu_minus.values.min())
         if min_nu < opts.nu_floor:
             raise PositivityLossError(
-                f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) during Newton; "
-                "the interior-branch assumption is violated"
+                f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) during Newton",
+                min_nu=float(min_nu),
             )
         iterations += 1
         history.append(residual(work, h_value, rho_b).norm_l2n())

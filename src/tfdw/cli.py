@@ -1,9 +1,9 @@
 """Command-line surface: JSON configs in, CSV/JSON reports out.
 
 Commands map one-to-one onto module pipelines; the CLI never computes
-numbers itself beyond the shared log-log slope fit.  All outputs are written
-atomically with 17-significant-digit floats, so identical configs and seeds
-give byte-identical files.
+numbers itself beyond the shared log-log slope fit.  Every output is written
+atomically in the one report format of ``tfdw.fieldio``, so identical configs
+and seeds give byte-identical files.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 solver failure
 (with a machine-readable error JSON on stdout).
@@ -230,10 +230,6 @@ def _stability(cfg, lattice):
     return xi_grid, s.get("threshold", 1e-6), s.get("refine", True)
 
 
-def _write_json(path, payload):
-    fieldio.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _build_table(cfg, lattice, opts):
     c = _section(cfg, "cb")
     xi_grid, threshold, _ = _stability(cfg, lattice)
@@ -282,7 +278,7 @@ def cmd_solve_cell(cfg, out, seed, verbose):
         "phase1_iterations": sol.phase1_iterations,
         "newton_iterations": sol.newton_iterations,
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    fieldio.write_json(os.path.join(out, "summary.json"), summary)
     if verbose:
         print(json.dumps(summary, sort_keys=True))
     return 0
@@ -304,7 +300,7 @@ def cmd_jellium_scan(cfg, out, seed, verbose):
             jellium.JelliumParams(jellium.sdw_threshold() + 1e-12)
         ),
     }
-    _write_json(os.path.join(out, "jellium_threshold.json"), payload)
+    fieldio.write_json(os.path.join(out, "jellium_threshold.json"), payload)
     if verbose:
         print(json.dumps(payload, sort_keys=True))
     return 0
@@ -388,9 +384,9 @@ def cmd_eps_study(cfg, out, seed, verbose):
         drop_largest=ecfg.get("drop_largest", True),
     )
     result.write_csv(os.path.join(out, "eps_study.csv"))
-    fieldio.atomic_write_text(os.path.join(out, "eps_slopes.json"), result.slopes_json())
+    fieldio.write_json(os.path.join(out, "eps_slopes.json"), result.slopes)
     if verbose:
-        print(result.slopes_json())
+        print(fieldio.json_text(result.slopes))
     return 0
 
 
@@ -406,9 +402,9 @@ def cmd_legendre_check(cfg, out, seed, verbose):
         m_margin=lcfg.get("m_margin", 0.85),
         solve_opts=opts,
     )
-    fieldio.atomic_write_text(os.path.join(out, "legendre_check.csv"), studies.legendre_rows_csv(rows))
+    studies.write_legendre_csv(os.path.join(out, "legendre_check.csv"), rows)
     payload = {"max_rel_err": max(r.rel_err for r in rows)}
-    _write_json(os.path.join(out, "legendre_summary.json"), payload)
+    fieldio.write_json(os.path.join(out, "legendre_summary.json"), payload)
     if verbose:
         print(json.dumps(payload, sort_keys=True))
     return 0

@@ -54,16 +54,17 @@ class StabilityGapError(TfdwError):
 
 
 class ContinuationStopError(TfdwError):
-    """Parameter continuation stopped early; carries the last good value and,
-    as ``partial``, the samples accepted before the stop."""
+    """Parameter continuation stopped early; carries the last good value,
+    as ``partial`` the samples accepted before the stop, and any further
+    JSON-ready diagnostics by keyword."""
 
-    def __init__(self, message, last_good_h, partial=None):
-        super().__init__(message)
+    def __init__(self, message, last_good_h, partial=None, **diagnostics):
+        super().__init__(message, **diagnostics)
         self.last_good_h = last_good_h
         self.partial = partial
 
     def diagnostics(self):
-        out = {"last_good_h": float(self.last_good_h)}
+        out = {"last_good_h": float(self.last_good_h), **super().diagnostics()}
         if self.partial is not None:
             out["partial"] = {
                 "h_values": [float(h) for h in self.partial["h_values"]],

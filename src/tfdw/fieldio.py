@@ -1,12 +1,19 @@
-"""Portable field files (".tfw") and state/solution manifests.
+"""Portable field files (".tfw"), state manifests and the report format.
 
 A .tfw file is a single JSON header line (UTF-8, newline terminated) carrying
 the grid metadata, followed by the raw field values as little-endian 8-byte
 IEEE-754 floats in row-major axis order.
+
+Every report, CSV or JSON, is written here and atomically: CSV floats carry
+17 significant digits (they round-trip exactly), ints stay ints, None is an
+empty cell and lines end in "\n"; JSON is indented by 2 with sorted keys.
+Identical inputs therefore give byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -96,7 +103,7 @@ def write_state(directory, name, state: State, extra=None):
     manifest = {"fields": files, "gauge": state.gauge}
     if extra:
         manifest.update(extra)
-    atomic_write_text(os.path.join(directory, f"{name}.json"), json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(os.path.join(directory, f"{name}.json"), manifest)
     return manifest
 
 
@@ -128,3 +135,22 @@ def atomic_write_bytes(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def json_text(payload):
+    """The report JSON text of ``payload``: indent 2, sorted keys."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_json(path, payload):
+    atomic_write_text(path, json_text(payload))
+
+
+def write_csv(path, header, rows):
+    """A CSV report: the header row, then ``rows`` with floats to 17
+    significant digits, ints as ints and None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())

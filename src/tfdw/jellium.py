@@ -10,14 +10,12 @@ charge channels.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StructuralError
-from .fieldio import atomic_write_text
+from .fieldio import write_csv
 from .grids import Grid, LatticeSpec, State, constant_field
 
 
@@ -141,17 +139,8 @@ def sweep_table(nu0_values, xi_values):
     return rows
 
 
-def sweep_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["nu0", "xi", "lambda_1", "lambda_plus", "lambda_minus"])
-    for row in rows:
-        writer.writerow([f"{v:.17g}" for v in row])
-    return buf.getvalue()
-
-
 def write_sweep_csv(path, rows):
-    atomic_write_text(path, sweep_csv(rows))
+    write_csv(path, ["nu0", "xi", "lambda_1", "lambda_plus", "lambda_minus"], rows)
 
 
 def sdw_threshold_bisection(lo=0.1, hi=1.0, tol=1e-10):

@@ -35,11 +35,8 @@ mode window, so its discrete spectrum differs from that at xi.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +45,9 @@ from scipy.linalg.lapack import get_lapack_funcs
 from scipy.optimize import minimize
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
+from . import fieldio
 from .errors import EigensolverError, StructuralError
 from .grids import AXES, Grid, State, as_h_values
-from .fieldio import atomic_write_text
 
 EIGHT_PI = 8.0 * np.pi
 SDW_CHANNEL_CUTOFF = 0.9
@@ -674,7 +671,7 @@ class StabilityReport:
         return [(r.xi, r.gap) for r in self.fiber_records]
 
     def to_json(self):
-        return json.dumps(
+        return fieldio.json_text(
             {
                 "global_gap": self.global_gap,
                 "M": self.M,
@@ -694,23 +691,12 @@ class StabilityReport:
                     }
                     for r in self.fiber_records
                 ],
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
 
-    def fibers_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["xi1", "xi2", "xi3", "gap", "class"])
-        for r in self.fiber_records:
-            writer.writerow(
-                [f"{r.xi[0]:.17g}", f"{r.xi[1]:.17g}", f"{r.xi[2]:.17g}", f"{r.gap:.17g}", r.character]
-            )
-        return buf.getvalue()
-
     def write_csv(self, path):
-        atomic_write_text(path, self.fibers_csv())
+        rows = [(*r.xi, r.gap, r.character) for r in self.fiber_records]
+        fieldio.write_csv(path, ["xi1", "xi2", "xi3", "gap", "class"], rows)
 
 
 def monkhorst_pack(lattice, q):

@@ -15,16 +15,13 @@ locally periodic approximation quantify the asymptotic error orders.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import minres
 
+from . import fieldio
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
-from .fieldio import atomic_write_text
 from .grids import Grid, ScalarField, State, as_h_values, random_smooth_field
 from .linop import LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
@@ -59,37 +56,20 @@ class NewtonTrace:
         return max(self.contraction_ratios) if self.contraction_ratios else 0.0
 
     def to_json(self):
-        return json.dumps(
-            {
-                "iterates": self.iterates,
-                "increments": self.increments,
-                "contraction_ratios": self.contraction_ratios,
-                "inner_iterations": self.inner_iterations,
-                "distance_to_u0": self.distance_to_u0,
-                "distance_to_cb": self.distance_to_cb,
-                "gap_estimate": self.gap_estimate,
-                "converged": self.converged,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["step", "residual", "increment", "ratio"])
-        for k, res in enumerate(self.iterates):
-            inc = f"{self.increments[k]:.17g}" if k < len(self.increments) else ""
-            ratio = (
-                f"{self.contraction_ratios[k - 1]:.17g}"
-                if 1 <= k <= len(self.contraction_ratios)
-                else ""
-            )
-            writer.writerow([k, f"{res:.17g}", inc, ratio])
-        return buf.getvalue()
+        return fieldio.json_text(asdict(self))
 
     def write_csv(self, path):
-        atomic_write_text(path, self.to_csv())
+        """One row per iterate k: its residual, the increment that leaves it
+        and the contraction ratio that reaches it (empty where none is)."""
+
+        def entry(values, i):
+            return values[i] if 0 <= i < len(values) else None
+
+        rows = [
+            (k, res, entry(self.increments, k), entry(self.contraction_ratios, k - 1))
+            for k, res in enumerate(self.iterates)
+        ]
+        fieldio.write_csv(path, ["step", "residual", "increment", "ratio"], rows)
 
 
 def h2_triple_norm(grid: Grid, fields):

@@ -6,9 +6,6 @@ study-level arithmetic is ordinary least squares on log-log data.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +16,7 @@ from . import cauchy_born as cb
 from . import twoscale as ts
 from .cells import SolveOptions, solve_cell
 from .errors import StructuralError
-from .fieldio import atomic_write_text
+from .fieldio import write_csv
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode, ScalarField, State
 from .linop import stability_scan
 from .newton import NewtonOptions, newton_solve
@@ -60,30 +57,9 @@ class EpsStudyResult:
     slopes: dict
     table: cb.CBTable | None = None
 
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["n", "eps", "ansatz_residual", "newton_distance_u0", "cb_distance", "contraction_max"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.n,
-                    f"{r.eps:.17g}",
-                    f"{r.ansatz_residual:.17g}",
-                    f"{r.newton_distance_u0:.17g}",
-                    f"{r.cb_distance:.17g}",
-                    f"{r.contraction_max:.17g}",
-                ]
-            )
-        return buf.getvalue()
-
     def write_csv(self, path):
-        atomic_write_text(path, self.to_csv())
-
-    def slopes_json(self):
-        return json.dumps(self.slopes, indent=2, sort_keys=True)
+        columns = ["n", "eps", "ansatz_residual", "newton_distance_u0", "cb_distance", "contraction_max"]
+        write_csv(path, columns, ([getattr(r, c) for c in columns] for r in self.rows))
 
 
 def run_eps_study(
@@ -199,21 +175,9 @@ def run_legendre_study(
     return rows, (m_values, np.array(duals))
 
 
-def legendre_rows_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["h", "E_CB", "legendre_value", "minimizing_m", "rel_err"])
-    for r in rows:
-        writer.writerow(
-            [
-                f"{r.h:.17g}",
-                f"{r.E_CB:.17g}",
-                f"{r.legendre_value:.17g}",
-                f"{r.minimizing_m:.17g}",
-                f"{r.rel_err:.17g}",
-            ]
-        )
-    return buf.getvalue()
+def write_legendre_csv(path, rows):
+    columns = ["h", "E_CB", "legendre_value", "minimizing_m", "rel_err"]
+    write_csv(path, columns, ([getattr(r, c) for c in columns] for r in rows))
 
 
 def extended_as_cell(lattice: LatticeSpec, resolution, state: State, n: int, axis=0):

@@ -22,8 +22,11 @@ every eps.  The assembled state
 
     u0(x) = u_cb(x; h(eps x)) + eps u1 + eps^2 u2
 
-satisfies the full Euler-Lagrange system up to a residual of third order in
-eps (in averaged norms), which the sweep studies measure as a slope.
+satisfies the full Euler-Lagrange system up to a residual the analysis
+bounds at third order in eps (in averaged norms).  The sweep studies measure
+its slope: 3.9997 on the eps-sweep benchmark, a full order higher, most
+likely because the odd-order correctors are small under a nearly uniform
+background (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -255,31 +255,38 @@ def test_c10_stability_constant_in_n(lattice_mod):
     )
 
 
-def test_c11_determinism(tmp_path):
-    cfg = {
-        "seed": 0,
-        "lattice": {
-            "cell_vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-            "Z": 3.0,
-            "rho_b_modes": [{"m": [1, 0, 0], "amp": 0.15}],
-        },
-        "grid": {"resolution": [8, 4, 4]},
-        "h": {"modes": [{"m": [1, 0, 0], "amp": 0.05}]},
-        "cb": {"h_range": 0.06, "step": 0.02, "verify_samples": False},
-        "eps": {"n_values": [2, 4]},
-    }
+# one small config with the sections of all 8 commands; the two-scale
+# commands build their table
+C11_CONFIG = {
+    "seed": 0,
+    "lattice": {
+        "cell_vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "Z": 3.0,
+        "rho_b_modes": [{"m": [1, 0, 0], "amp": 0.15}],
+    },
+    "grid": {"resolution": [8, 4, 4]},
+    "h": {"modes": [{"m": [1, 0, 0], "amp": 0.05}]},
+    "cb": {"h_range": 0.06, "step": 0.02, "verify_samples": False},
+    "eps": {"n_values": [2, 4]},
+    "cell": {"h_value": 0.02},
+    "two_scale": {"n": 4},
+    "legendre": {"h_values": [0.03], "m_count": 7},
+    "jellium": {"nu0_count": 10, "xi_count": 5},
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_c11_determinism(tmp_path, command):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    outputs = []
+    path.write_text(json.dumps(C11_CONFIG))
+    trees = []
     for run in ("a", "b"):
         out = tmp_path / run
-        rc = cli.main(["eps-study", "--config", str(path), "--out", str(out), "--seed", "0"])
-        assert rc == 0
-        outputs.append(
-            (
-                (out / "eps_study.csv").read_bytes(),
-                (out / "eps_slopes.json").read_bytes(),
-            )
-        )
-    identical = outputs[0] == outputs[1]
-    report("C11 determinism", identical, "two seeded eps-study runs produce byte-identical CSVs")
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    identical = bool(trees[0]) and trees[0] == trees[1]
+    report(
+        "C11 determinism",
+        identical,
+        f"two seeded {command} runs write the same {len(trees[0])} files, byte for byte",
+    )

@@ -10,11 +10,12 @@ from tfdw.errors import (
     ContinuationStopError,
     DivergenceError,
     InfeasibleConstraintError,
+    PositivityLossError,
     RangeError,
     SpinSymmetryError,
     StructuralError,
 )
-from tfdw.grids import Grid, GridSpec, HField, ScalarField, State
+from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
 from tfdw.linop import FiberOperator, monkhorst_pack
 
 
@@ -232,6 +233,31 @@ def test_continuation_stop_without_certificates_is_json(lattice_mod, monkeypatch
     assert payload["partial"]["h_values"] == [0.0, 0.025]
     gaps = payload["partial"]["gaps"]
     assert 0.5 < gaps[0] < 0.7 and gaps[1] is None
+
+
+def test_continuation_stop_names_the_step_gap_and_nu_bound():
+    # near the spin-wave edge of a Z = 0.3 cube the corrector from h = 0.04
+    # leaves the positive branch at h = 0.045, while the last certified
+    # sample sits well inside C_nu and its gap fell from 0.0857 to 0.0582 in
+    # one step: the stop names the predictor step, that gap and min nu
+    # against C_nu, and asserts no cause
+    with pytest.raises(ContinuationStopError) as err:
+        cb.build_cb_table(
+            LatticeSpec.cubic(1.0, 0.3, [((1, 0, 0), 0.015)]), GridSpec((8, 4, 4)), h_range=0.05, step=0.005
+        )
+    stop = err.value
+    payload = json.loads(json.dumps(stop.diagnostics()))
+    assert payload["last_good_h"] == pytest.approx(0.04, abs=1e-15)
+    assert payload["dh"] == pytest.approx(0.005, abs=1e-15)
+    assert payload["last_gap"] == payload["partial"]["gaps"][-1] == pytest.approx(0.05824, abs=1e-5)
+    assert payload["last_min_nu"] == pytest.approx(0.2504, abs=1e-4)
+    assert payload["c_nu"] == pytest.approx(0.1936, abs=1e-4)
+    message = str(stop)
+    assert "corrector failed at h = 0.045" in message
+    assert "dh = 0.005" in message and "gap 0.05824" in message
+    assert "min nu 0.2504 >= C_nu 0.1936" in message
+    assert isinstance(stop.__cause__, PositivityLossError)
+    assert "interior" not in message
 
 
 def test_table_save_load_roundtrip(tmp_path, cb_table):

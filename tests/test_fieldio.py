@@ -114,3 +114,14 @@ def test_atomic_overwrite(tmp_path):
     fieldio.atomic_write_text(path, "two")
     assert path.read_text() == "two"
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+def test_write_csv_format(tmp_path):
+    # 0.1 + 0.2 needs all 17 significant digits to come back exactly
+    x = 0.1 + 0.2
+    path = tmp_path / "r.csv"
+    fieldio.write_csv(path, ["k", "x", "y"], [(3, x, None), (np.int64(4), np.float64(-x), "sdw")])
+    text = path.read_bytes().decode()
+    assert text == "k,x,y\n3,0.30000000000000004,\n4,-0.30000000000000004,sdw\n"
+    assert float(text.split("\n")[1].split(",")[1]) == x
+    assert list(tmp_path.iterdir()) == [path]  # no stray temp files

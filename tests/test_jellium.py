@@ -113,10 +113,10 @@ def test_neutral_background():
     assert lat.Z == pytest.approx(params.rho_b_const)
 
 
-def test_sweep_csv():
+def test_sweep_csv(tmp_path):
     rows = jellium.sweep_table([0.3, 0.6], [0.0, 1.0])
-    text = jellium.sweep_csv(rows)
-    lines = text.strip().split("\n")
+    jellium.write_sweep_csv(tmp_path / "sweep.csv", rows)
+    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "nu0,xi,lambda_1,lambda_plus,lambda_minus"
     assert len(lines) == 5
 

@@ -147,7 +147,7 @@ def test_stability_scan_stable_and_unstable():
         assert report.M > 0
 
 
-def test_stability_report_serialization():
+def test_stability_report_serialization(tmp_path):
     params = jellium.JelliumParams(0.5)
     lat = jellium.jellium_lattice(params)
     grid = Grid(lat, GridSpec((4, 4, 4)))
@@ -160,7 +160,8 @@ def test_stability_report_serialization():
     payload = json.loads(report.to_json())
     assert payload["classification"] == "stable"
     assert [f["n_negative"] for f in payload["fibers"]] == [grid.total_points] * len(report.fiber_records)
-    lines = report.fibers_csv().strip().split("\n")
+    report.write_csv(tmp_path / "fibers.csv")
+    lines = (tmp_path / "fibers.csv").read_text().strip().split("\n")
     assert lines[0] == "xi1,xi2,xi3,gap,class"
     assert len(lines) == len(report.fiber_records) + 1
 

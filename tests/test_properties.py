@@ -1,12 +1,14 @@
 """Property tests over random sheared lattices and grids (hypothesis)."""
 
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_grids import KERNELS, _reference_kernels
-from tfdw import jellium, linop
-from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
+from tfdw import fieldio, jellium, linop
+from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State
 from tfdw.linop import FiberOperator, LinearizedOperator, stability_scan
 
 # few examples and no deadline keep tier-1 near its time; derandomized, so
@@ -15,15 +17,15 @@ PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, d
 
 
 @st.composite
-def sheared_grids(draw):
+def sheared_grids(draw, max_supercell=3):
     """A lower-triangular cell (positive diagonal, sheared off it), even
-    resolutions 4..8 and supercell factors 1..3 per axis."""
+    resolutions 4..8 and supercell factors 1..max_supercell per axis."""
     diag = draw(st.lists(st.floats(0.8, 1.25), min_size=3, max_size=3))
     shear = draw(st.lists(st.floats(-0.4, 0.4), min_size=3, max_size=3))
     cell = np.diag(diag)
     cell[1, 0], cell[2, 0], cell[2, 1] = shear
     resolution = draw(st.tuples(*[st.sampled_from((4, 6, 8))] * 3))
-    supercell = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    supercell = draw(st.tuples(*[st.integers(1, max_supercell)] * 3))
     return Grid(LatticeSpec(cell, 2.0), GridSpec(resolution, supercell))
 
 
@@ -59,6 +61,36 @@ def test_folded_preconditioner_block_is_spd_on_random_grids(g, seed):
     lam = np.linalg.eigvalsh(blocks)
     assert np.min(lam) > 0.0
     assert np.max(lam) <= (1.0 + 1e-12) / linop.ABS_SYMBOL_FLOOR
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(
+    sheared_grids(max_supercell=2),
+    st.floats(0.5, 4.0),
+    st.tuples(st.tuples(st.integers(1, 2), st.integers(-2, 2), st.integers(-2, 2)), _FINITE, _FINITE),
+    _FINITE,
+    st.integers(0, 2**32 - 1),
+)
+def test_state_files_round_trip_bitwise(g, Z, mode, gauge, seed):
+    # the lattice (its background mode included), the grid, the three
+    # fields to the last bit (a signed zero, a subnormal and exponents
+    # across the double range included) and the gauge all come back from
+    # write_state/read_state
+    g = Grid(LatticeSpec(g.lattice.cell_vectors, Z, [Mode(*mode)]), g.spec)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((3,) + g.shape) * 10.0 ** rng.integers(-300, 300, (3,) + g.shape)
+    values.flat[:2] = -0.0, 5e-324
+    state = State(*(ScalarField(g, v) for v in values), gauge)
+    with tempfile.TemporaryDirectory() as directory:
+        fieldio.write_state(directory, "s", state)
+        back, _ = fieldio.read_state(directory, "s")
+    assert back.grid == g
+    assert back.gauge == gauge
+    for field, expected in zip((back.nu_plus, back.nu_minus, back.V), values):
+        assert field.values.tobytes() == expected.tobytes()
 
 
 @st.composite
