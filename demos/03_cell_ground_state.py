@@ -8,9 +8,9 @@ fibers.
 
 import numpy as np
 
-from tfdw.cells import SolveOptions, solve_cell, verify_minimizer
+from tfdw.cells import SolveOptions, solve_cell
 from tfdw.grids import GridSpec, LatticeSpec
-from tfdw.linop import monkhorst_pack
+from tfdw.linop import monkhorst_pack, stability_scan
 
 lattice = LatticeSpec.cubic(1.0, 3.0, [((1, 0, 0), 0.15)])
 print("background: rho_b = 3 + 0.15 cos(2 pi x1), three electrons per unit cell")
@@ -33,7 +33,7 @@ print(f"\nat h = 0.05 the cell magnetization is m_tot = {m:.6f}")
 
 # Certification: the linearization must be gapped away from zero on every
 # sampled fiber for the solution to anchor a continuation.
-report = verify_minimizer(sol, xi_grid=monkhorst_pack(lattice, (2, 2, 2)), refine=True)
+report = stability_scan(sol.state, sol.h_value, xi_grid=monkhorst_pack(lattice, (2, 2, 2)), refine=True)
 print(f"\nstability: {report.classification}, gap {report.global_gap:.4f}, M = {report.M:.4f}")
 print("per-fiber gaps:")
 for (xi, gap) in report.fiber_gaps[:4]:

@@ -6,8 +6,6 @@ thermodynamic pair (dE/dh = -m per cell).  The dual problem fixes m instead
 and recovers E(h) as a Legendre transform, which is checked numerically.
 """
 
-import numpy as np
-
 from tfdw import cauchy_born as cb
 from tfdw.cells import SolveOptions
 from tfdw.grids import GridSpec, LatticeSpec
@@ -33,7 +31,7 @@ print(f"-m(h)/|Gamma|:      {-table.m_at(h0) / lattice.volume:+.8f}")
 # dual route: constrain the magnetization and let a second multiplier play
 # the field; the constrained energies Legendre-transform back to E(h)
 m_star = 0.5 * table.m_at(h0)
-dual = cb.dual_energy(lattice, table.grid, m_star, table=table, full_result=True)
+dual = cb.dual_energy(table, m_star)
 print(f"\nconstrained solve at m = {m_star:.6f}:")
 print(f"  field multiplier mu = {dual.field_multiplier:+.6f}")
 print(f"  constraint defect    = {dual.constraint_defect:.2e}")

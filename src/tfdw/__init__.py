@@ -16,9 +16,9 @@ from .errors import TfdwError
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode, ScalarField, State, constant_field
 from .jellium import JelliumParams, cdw_condition, sdw_threshold
 from .linop import FiberOperator, LinearizedOperator, StabilityReport, spectral_gap, stability_scan
-from .newton import NewtonOptions, NewtonTrace, newton_solve, operator_drift
+from .newton import NewtonOptions, NewtonTrace, newton_solve
 from .residual import Residual, gauge_fit, normalize_state, residual
-from .cells import CellSolution, SolveOptions, solve_cell, verify_minimizer
+from .cells import CellSolution, SolveOptions, solve_cell
 from .cauchy_born import CBTable, build_cb_table, cb_field, dual_energy
 from .twoscale import (
     CorrectorSet,

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import fieldio
-from .cells import CellSolution, SolveOptions, newton_polish, solve_cell, verify_minimizer
+from .cells import CellSolution, SolveOptions, newton_polish, solve_cell
 from .energy import energy_supercell
 from .errors import (
     ContinuationStopError,
@@ -35,7 +35,7 @@ from .errors import (
     TfdwError,
 )
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, as_h_values
-from .linop import LinearizedOperator
+from .linop import LinearizedOperator, stability_scan
 from .residual import residual, residual_system
 
 SPIN_SYMMETRY_TOL = 1e-12  # anchor max |nu_+ - nu_-|; the cell solve targets 1e-11
@@ -227,13 +227,14 @@ def build_cb_table(
             f"the zero-field anchor is not spin-symmetric (max |nu_+ - nu_-| = {asymmetry:.3e})",
             asymmetry=asymmetry,
         )
-    report = verify_minimizer(anchor, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=True)
+    report = stability_scan(
+        anchor.state, anchor.h_value, xi_grid=stability_xi_grid, threshold=stability_threshold, refine=True
+    )
     if report.classification != "stable":
         raise StabilityGapError(
             f"zero-field solution is not stable ({report.classification}, gap {report.global_gap:.3e})"
         )
     c_nu = 0.5 * anchor.min_nu if opts.c_nu is None else opts.c_nu
-    march_opts = SolveOptions(**{**opts.__dict__, "c_nu": c_nu})
 
     entries = [(anchor, report.global_gap)]
     dudh = [solve_du_dh(anchor)]  # one du/dh per sample: predictor and table
@@ -267,7 +268,7 @@ def build_cb_table(
             prev.state.gauge + dh * dudh_prev.gauge,
         )
         try:
-            state, res_norm, n_iter, history = newton_polish(predictor, h_new, march_opts)
+            state, res_norm, n_iter, history = newton_polish(predictor, h_new, opts)
         except TfdwError as exc:
             raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", dh) from exc
         min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
@@ -289,8 +290,9 @@ def build_cb_table(
         if verify_samples:
             # warm-started from the previous sample's fibers; only the last
             # report is kept
-            report = verify_minimizer(
-                sol,
+            report = stability_scan(
+                state,
+                h_new,
                 xi_grid=stability_xi_grid,
                 threshold=stability_threshold,
                 refine=False,
@@ -354,15 +356,9 @@ class DualSolution:
     constraint_defect: float
 
 
-def dual_energy(
-    lattice: LatticeSpec,
-    grid: Grid | GridSpec,
-    m_target: float,
-    opts: SolveOptions | None = None,
-    table: CBTable | None = None,
-    full_result=False,
-):
-    """Cell energy at fixed cell magnetization.
+def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = None) -> DualSolution:
+    """Cell energy at fixed cell magnetization, started from the table's
+    state at the field whose magnetization is ``m_target``.
 
     The solve carries two multipliers: the gauge constant for the
     normalization and a field-like multiplier mu for the magnetization,
@@ -370,18 +366,10 @@ def dual_energy(
     system treats mu as an explicit unknown against the constraint row.
     """
     opts = opts or SolveOptions()
-    if isinstance(grid, GridSpec):
-        grid = Grid(lattice, grid)
-    rho_b = lattice.rho_b_values(grid)
-
-    if table is not None:
-        mu = table.h_for_m(m_target)
-        work = table.state_at(mu)
-    else:
-        mu = 0.0
-        work = solve_cell(lattice, grid, mu, "uniform", opts).state.copy()
-
-    vol = lattice.volume
+    grid = table.grid
+    rho_b = table.lattice.rho_b_values(grid)
+    mu = table.h_for_m(m_target)
+    work = table.state_at(mu)
 
     def constraint(state):
         return grid.integrate(state.m_values()) - m_target
@@ -415,8 +403,8 @@ def dual_energy(
             f"(last error {history[-1]:.3e})"
         )
 
-    energy = energy_supercell(work, 0.0, rho_b).total / vol
-    result = DualSolution(
+    energy = energy_supercell(work, 0.0, rho_b).total / table.lattice.volume
+    return DualSolution(
         state=work,
         m_target=float(m_target),
         field_multiplier=float(mu),
@@ -424,7 +412,6 @@ def dual_energy(
         residual_norm=float(residual(work, mu, rho_b).norm_l2n()),
         constraint_defect=float(constraint(work)),
     )
-    return result if full_result else result.energy
 
 
 def save_table(directory, table: CBTable):

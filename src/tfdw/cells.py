@@ -5,7 +5,7 @@ Two phases: a preconditioned projected gradient descent on the spin channels
 retraction after every step), then a full Newton iteration on the coupled
 (nu_+, nu_-, V) system assembled densely on the cell grid.  The returned
 solution is a certified stationary point; minimality is only checked through
-the linearized gap (verify_minimizer).
+the linearized gap (linop.stability_scan).
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from . import fieldio
 from .energy import EnergyBreakdown, energy_supercell
 from .errors import DescentFailureError, DivergenceError, PositivityLossError, StructuralError
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, random_smooth_field
-from .linop import LinearizedOperator, stability_scan
+# stability_scan stays importable from here: pipebench/tests checks that
+# the tracer restores tfdw.cells.stability_scan
+from .linop import LinearizedOperator, stability_scan  # noqa: F401
 from .residual import _channel_residuals, gauge_fit, normalize_state, residual, residual_system
 
 
@@ -226,27 +228,10 @@ def solve_cell(
     )
 
 
-def verify_minimizer(sol: CellSolution, xi_grid=None, threshold=1e-6, refine=True, previous=None):
-    """Stability certificate at a converged solution (delegates to the
-    fiber scan, warm-started from the ``previous`` report on the same xi
-    grid); usable for continuation only when the gap clears the
-    instability threshold."""
-    return stability_scan(
-        sol.state, sol.h_value, xi_grid=xi_grid, threshold=threshold, refine=refine, previous=previous
-    )
-
-
 def save_solution(directory, name, sol: CellSolution):
     extra = {
         "h_value": sol.h_value,
-        "energy": {
-            "thomas_fermi": sol.energy.thomas_fermi,
-            "weizsacker": sol.energy.weizsacker,
-            "dirac": sol.energy.dirac,
-            "coulomb": sol.energy.coulomb,
-            "zeeman": sol.energy.zeeman,
-            "total": sol.energy.total,
-        },
+        "energy": sol.energy.as_dict(),
         "residual_norm": sol.residual_norm,
         "min_nu": sol.min_nu,
         "C_nu_ok": sol.C_nu_ok,

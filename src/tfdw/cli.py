@@ -66,7 +66,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "resolution": {"type": "array", "items": {"type": "integer"}, "minItems": 3, "maxItems": 3},
-                "supercell": {"type": "array", "items": {"type": "integer"}, "minItems": 3, "maxItems": 3},
             },
             "required": ["resolution"],
             "additionalProperties": False,
@@ -124,7 +123,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n": {"type": "integer", "minimum": 1},
                 "table_dir": {"type": "string"},
-                "include_second": {"type": "boolean"},
             },
             "required": ["n"],
             "additionalProperties": False,
@@ -344,7 +342,7 @@ def cmd_cb_table(cfg, out, seed, verbose):
 def cmd_two_scale_build(cfg, out, seed, verbose):
     tcfg, table, grid_n, h_field = _two_scale_inputs(cfg, seed)
     n = tcfg["n"]
-    u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n, include_second=tcfg.get("include_second", True))
+    u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n)
     res = residual(u0, h_field.sample(grid_n, 1.0 / n)).norm_l2n()
     ts.save_u0(out, "u0", u0, cs, {"ansatz_residual": res})
     if verbose:
@@ -378,10 +376,9 @@ def cmd_eps_study(cfg, out, seed, verbose):
         ecfg["n_values"],
         cb_range=ccfg["h_range"],
         cb_step=ccfg["step"],
-        solve_opts=_solve_opts(cfg, seed),
         newton_opts=_newton_opts(cfg, seed),
-        verify_samples=ccfg.get("verify_samples", True),
         drop_largest=ecfg.get("drop_largest", True),
+        table=_build_table(cfg, lattice, _solve_opts(cfg, seed)),
     )
     result.write_csv(os.path.join(out, "eps_study.csv"))
     fieldio.write_json(os.path.join(out, "eps_slopes.json"), result.slopes)

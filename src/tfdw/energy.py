@@ -8,7 +8,6 @@ is exactly the stationarity condition of (1/2) D(rho - rho_b, rho - rho_b).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,10 +30,9 @@ class EnergyBreakdown:
     def total(self):
         return self.thomas_fermi + self.weizsacker + self.dirac + self.coulomb + self.zeeman
 
-    def to_json(self):
-        d = asdict(self)
-        d["total"] = self.total
-        return json.dumps(d, sort_keys=True)
+    def as_dict(self):
+        """The five terms and their total."""
+        return {**asdict(self), "total": self.total}
 
 
 def energy_supercell(state: State, h=0.0, rho_b=None) -> EnergyBreakdown:

@@ -55,9 +55,18 @@ def parse_object(text, what, keys=()):
     return obj
 
 
+def _read_bytes(path):
+    """The bytes of the file at ``path``; StructuralError naming the path
+    when it cannot be read (missing, a directory, not permitted)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise StructuralError(f"{path} cannot be read ({exc.strerror})") from exc
+
+
 def read_manifest(path, keys=()):
-    with open(path, "rb") as fh:
-        return parse_object(fh.read(), str(path), keys)
+    return parse_object(_read_bytes(path), str(path), keys)
 
 
 def write_field(path, fld: ScalarField):
@@ -67,9 +76,7 @@ def write_field(path, fld: ScalarField):
 
 
 def read_field(path, grid: Grid | None = None) -> ScalarField:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    header_line, _, payload = _read_bytes(path).partition(b"\n")
     header = parse_object(header_line, f"{path}: the header line")
     if header.get("format") != TFW_MAGIC:
         raise StructuralError(f"{path} is not a .tfw field file")

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import minres
 
 from . import fieldio
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
-from .grids import Grid, ScalarField, State, as_h_values, random_smooth_field
+from .grids import Grid, ScalarField, State, as_h_values
 from .linop import LinearizedOperator, spectral_gap
 from .residual import gauge_fit, residual, residual_system
 
@@ -76,13 +76,10 @@ def h2_triple_norm(grid: Grid, fields):
     return float(np.sqrt(np.sum(grid.hk_norm(np.asarray(fields), 2) ** 2)))
 
 
-def state_distance(a: State, b: State, order=2):
-    """Averaged H^k distance between states; potentials compared with their
+def state_distance(a: State, b: State):
+    """Averaged H^2 distance between states; potentials compared with their
     gauge constants included (the physically meaningful difference)."""
-    grid = a.grid
-    diffs = a.stacked() - b.stacked()
-    norms = grid.l2n(diffs) if order == 0 else grid.hk_norm(diffs, order)
-    return float(np.sqrt(np.sum(norms**2)))
+    return h2_triple_norm(a.grid, a.stacked() - b.stacked())
 
 
 def newton_solve(
@@ -182,48 +179,8 @@ def newton_solve(
         trace.iterates[-1] = res_norm
 
     trace.converged = bool(res_norm <= opts.tol)
-    trace.distance_to_u0 = state_distance(work, u0, order=2)
+    trace.distance_to_u0 = state_distance(work, u0)
     if u_cb is not None:
-        trace.distance_to_cb = state_distance(work, u_cb, order=2)
+        trace.distance_to_cb = state_distance(work, u_cb)
     return work, trace
 
-
-def operator_drift(u: State, u_ref: State, h=0.0, n_probes=6, seed=0):
-    """Probe-set estimate of the operator difference ||L_u - L_{u'}||: the
-    difference is purely multiplicative, so it is applied directly.
-
-    The probe set contains the three single-channel constants plus seeded
-    smooth random triples; returns the max Rayleigh-type ratio in the
-    averaged norm."""
-    grid = u.grid
-    op_a = LinearizedOperator(u, h)
-    op_b = LinearizedOperator(u_ref, h)
-    dF_plus = op_a.F_plus - op_b.F_plus
-    dF_minus = op_a.F_minus - op_b.F_minus
-    dnu_plus = op_a.nu_plus - op_b.nu_plus
-    dnu_minus = op_a.nu_minus - op_b.nu_minus
-
-    def apply_diff(w_plus, w_minus, w_v):
-        return (
-            dF_plus * w_plus + dnu_plus * w_v,
-            dF_minus * w_minus + dnu_minus * w_v,
-            dnu_plus * w_plus + dnu_minus * w_minus,
-        )
-
-    ones = np.ones(grid.shape)
-    zeros = np.zeros(grid.shape)
-    probes = [(ones, zeros, zeros), (zeros, ones, zeros), (zeros, zeros, ones)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_probes):
-        probes.append(
-            tuple(random_smooth_field(grid, rng, 1.0, 2, supercell_modes=True) for _ in range(3))
-        )
-
-    worst = 0.0
-    for p in probes:
-        out = apply_diff(*p)
-        num = np.sqrt(sum(grid.l2n(o) ** 2 for o in out))
-        den = np.sqrt(sum(grid.l2n(q) ** 2 for q in p))
-        if den > 0:
-            worst = max(worst, num / den)
-    return float(worst)

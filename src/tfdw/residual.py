@@ -129,10 +129,6 @@ def residual_system(state: State, h=0.0, rho_b=None):
     return np.stack([r_plus, r_minus, f_v])
 
 
-def residual_norm(state: State, h=0.0, rho_b=None) -> float:
-    return residual(state, h, rho_b).norm_l2n()
-
-
 def gauge_fit(state: State, h=0.0) -> float:
     """Least-squares gauge: the constant g minimizing
     ||r_+(g)||^2 + ||r_-(g)||^2 over the additive constant in V."""

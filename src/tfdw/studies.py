@@ -25,7 +25,8 @@ from .residual import residual
 
 def fit_loglog_slope(xs, ys, drop_largest=True):
     """OLS slope of log(y) against log(x); by default the largest x
-    (pre-asymptotic) point is excluded."""
+    (pre-asymptotic) point is excluded.  None when a fitted value is not
+    positive and finite (an exactly vanishing distance has no order)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if drop_largest and len(xs) > 2:
@@ -33,6 +34,9 @@ def fit_loglog_slope(xs, ys, drop_largest=True):
         xs, ys = xs[keep], ys[keep]
     if len(xs) < 2:
         raise StructuralError("slope fit needs at least two points")
+    data = np.concatenate([xs, ys])
+    if not np.all(np.isfinite(data) & (data > 0)):
+        return None
     lx, ly = np.log(xs), np.log(ys)
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
@@ -69,25 +73,17 @@ def run_eps_study(
     n_values,
     cb_range,
     cb_step,
-    solve_opts: SolveOptions | None = None,
     newton_opts: NewtonOptions | None = None,
-    verify_samples=True,
     drop_largest=True,
     table: cb.CBTable | None = None,
 ) -> EpsStudyResult:
     """For each supercell factor n: build the two-scale state, measure its
-    residual, run the frozen-Jacobian iteration and record distances."""
-    solve_opts = solve_opts or SolveOptions()
+    residual, run the frozen-Jacobian iteration and record distances.  The
+    table is built over [-cb_range, cb_range] with default options unless
+    given."""
     newton_opts = newton_opts or NewtonOptions()
     if table is None:
-        table = cb.build_cb_table(
-            lattice,
-            GridSpec(tuple(resolution)),
-            h_range=cb_range,
-            step=cb_step,
-            opts=solve_opts,
-            verify_samples=verify_samples,
-        )
+        table = cb.build_cb_table(lattice, GridSpec(tuple(resolution)), h_range=cb_range, step=cb_step)
 
     def run_one(n):
         grid_n = Grid(lattice, GridSpec(tuple(resolution), (n, 1, 1)))
@@ -147,10 +143,7 @@ def run_legendre_study(
     solve_opts = solve_opts or SolveOptions()
     lo, hi = table.m_range()
     m_values = np.linspace(m_margin * lo, m_margin * hi, m_count)
-    duals = [
-        cb.dual_energy(table.lattice, table.grid, m, opts=solve_opts, table=table)
-        for m in m_values
-    ]
+    duals = [cb.dual_energy(table, m, solve_opts).energy for m in m_values]
     spline = CubicSpline(m_values, duals)
     vol = table.lattice.volume
     rows = []

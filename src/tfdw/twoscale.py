@@ -306,16 +306,14 @@ def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
     return State.from_stack(grid, total)
 
 
-def build_u0(table: CBTable, h_field: HField, grid: Grid, eps: float = None, include_second=True):
+def build_u0(table: CBTable, h_field: HField, grid: Grid, eps: float = None):
     """Convenience pipeline: correctors plus assembled state.  The first
     build on ``table`` for a set of active axes tabulates the correctors on
     its knots; every later build, at any eps, reuses them."""
     if eps is None:
         eps = 1.0 / max(grid.spec.supercell)
-    cs = first_order_correctors(table, h_field, eps, grid)
-    if include_second:
-        cs = second_order_correctors(cs)
-    return assemble_u0(cs, include_second=include_second), cs
+    cs = second_order_correctors(first_order_correctors(table, h_field, eps, grid))
+    return assemble_u0(cs), cs
 
 
 def save_u0(directory, name, state: State, cs: CorrectorSet, extra=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tfdw import cauchy_born as cb
-from tfdw.cells import SolveOptions, solve_cell, verify_minimizer
+from tfdw.cells import SolveOptions, solve_cell
 from tfdw.errors import (
     ContinuationStopError,
     DivergenceError,
@@ -16,7 +16,7 @@ from tfdw.errors import (
     StructuralError,
 )
 from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
-from tfdw.linop import FiberOperator, monkhorst_pack
+from tfdw.linop import FiberOperator, monkhorst_pack, stability_scan
 
 
 def rel_err(a, b):
@@ -140,20 +140,20 @@ def test_cb_field_modulated_matches_pointwise_spline(cb_table):
 
 
 def test_dual_energy_symmetric_point(cb_table):
-    e0 = cb.dual_energy(cb_table.lattice, cb_table.grid, 0.0, table=cb_table)
+    e0 = cb.dual_energy(cb_table, 0.0).energy
     assert e0 == pytest.approx(cb_table.energy_at(0.0), rel=1e-9)
 
 
 def test_dual_energy_even_in_m(cb_table):
     m = 0.5 * cb_table.m_range()[1]
-    ep = cb.dual_energy(cb_table.lattice, cb_table.grid, m, table=cb_table)
-    em = cb.dual_energy(cb_table.lattice, cb_table.grid, -m, table=cb_table)
+    ep = cb.dual_energy(cb_table, m).energy
+    em = cb.dual_energy(cb_table, -m).energy
     assert ep == pytest.approx(em, rel=1e-10)
 
 
 def test_dual_energy_constraint_enforced(cb_table):
     m = 0.4 * cb_table.m_range()[1]
-    res = cb.dual_energy(cb_table.lattice, cb_table.grid, m, table=cb_table, full_result=True)
+    res = cb.dual_energy(cb_table, m)
     assert abs(res.constraint_defect) < 1e-11
     assert res.residual_norm < 1e-10
     # the magnetization multiplier plays the role of a constant field
@@ -163,7 +163,7 @@ def test_dual_energy_constraint_enforced(cb_table):
 def test_dual_energy_infeasible(cb_table):
     lo, hi = cb_table.m_range()
     with pytest.raises(InfeasibleConstraintError):
-        cb.dual_energy(cb_table.lattice, cb_table.grid, 2 * hi, table=cb_table)
+        cb.dual_energy(cb_table, 2 * hi)
 
 
 def test_legendre_identity_single_point(cb_table):
@@ -279,6 +279,15 @@ def test_table_save_load_roundtrip(tmp_path, cb_table):
     assert len(lines) == len(cb_table.h_samples) + 1
 
 
+def test_table_missing_a_field_file_raises_structural_error(tmp_path, cb_table):
+    # a table directory that lost one .tfw file is refused with a typed
+    # error naming that file
+    cb.save_table(tmp_path / "table", cb_table)
+    (tmp_path / "table" / "dudh_001_V.tfw").unlink()
+    with pytest.raises(StructuralError, match="dudh_001_V.tfw"):
+        cb.load_table(tmp_path / "table")
+
+
 def test_table_solves_du_dh_once_per_sample(lattice_mod, monkeypatch):
     # du/dh is solved once per sample of the h >= 0 march; each h < 0 sample
     # takes -S du/dh of its partner (S swaps the spin channels)
@@ -325,7 +334,7 @@ def test_negative_field_samples_match_independent_solves(cb_table, lattice_mod):
     assert cb_table.m_tot[i] == pytest.approx(m_cold, rel=1e-12)
     assert m_cold < 0.0
 
-    report = verify_minimizer(sample, refine=False)
+    report = stability_scan(sample.state, sample.h_value, refine=False)
     assert report.global_gap == pytest.approx(cb_table.gaps[i], rel=1e-12)
     assert {r.n_negative for r in report.fiber_records} == {cb_table.grid.total_points}
 
@@ -350,12 +359,12 @@ def test_warm_started_scan_matches_cold_scan_with_less_work(cb_table, monkeypatc
 
     monkeypatch.setattr(FiberOperator, "factor", counted_factor)
     (i,) = np.nonzero(cb_table.h_samples == 0.025)[0]
-    previous = verify_minimizer(cb_table.solutions[i], refine=False)
+    previous = stability_scan(cb_table.solutions[i].state, cb_table.solutions[i].h_value, refine=False)
     sample = cb_table.solutions[i + 1]
     del solves[:]
-    cold = verify_minimizer(sample, refine=False)
+    cold = stability_scan(sample.state, sample.h_value, refine=False)
     n_cold = len(solves)
-    warm = verify_minimizer(sample, refine=False, previous=previous)
+    warm = stability_scan(sample.state, sample.h_value, refine=False, previous=previous)
     n_warm = len(solves) - n_cold
     assert n_warm <= 0.6 * n_cold
     assert warm.classification == cold.classification == "stable"
@@ -367,7 +376,7 @@ def test_warm_started_scan_matches_cold_scan_with_less_work(cb_table, monkeypatc
     assert replace(warm, fiber_vectors=None) == warm  # the vectors are not compared
     with pytest.raises(StructuralError, match="same xi grid"):
         xis = monkhorst_pack(cb_table.lattice, (3, 3, 3))
-        verify_minimizer(sample, xi_grid=xis, refine=False, previous=previous)
+        stability_scan(sample.state, sample.h_value, xi_grid=xis, refine=False, previous=previous)
 
 
 def test_asymmetric_anchor_is_refused(lattice_mod, monkeypatch):
@@ -384,7 +393,7 @@ def test_asymmetric_anchor_is_refused(lattice_mod, monkeypatch):
         return replace(sol, state=State(ScalarField(s.grid, nu_plus), s.nu_minus, s.V, s.gauge))
 
     monkeypatch.setattr(cb, "solve_cell", perturbed)
-    monkeypatch.setattr(cb, "verify_minimizer", lambda *a, **k: certified.append(a))
+    monkeypatch.setattr(cb, "stability_scan", lambda *a, **k: certified.append(a))
     with pytest.raises(SpinSymmetryError) as err:
         cb.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), h_range=0.025, step=0.0125)
     assert err.value.diagnostics()["asymmetry"] == pytest.approx(1e-9, rel=1e-6)

@@ -12,7 +12,6 @@ from tfdw.cells import (
     newton_polish,
     save_solution,
     solve_cell,
-    verify_minimizer,
 )
 from tfdw.energy import energy_supercell
 from tfdw.errors import DescentFailureError, PositivityLossError, StructuralError
@@ -156,9 +155,10 @@ def test_grid_refinement_stability(lattice_mod, cell_solution):
     assert abs(e_fine - e_coarse) <= 1e-8 * abs(e_fine)
 
 
-def test_verify_minimizer_stable(cell_solution):
-    report = verify_minimizer(
-        cell_solution,
+def test_cell_solution_is_certified_stable(cell_solution):
+    report = stability_scan(
+        cell_solution.state,
+        cell_solution.h_value,
         xi_grid=monkhorst_pack(cell_solution.grid.lattice, (2, 2, 2)),
         refine=False,
     )

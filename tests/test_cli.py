@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ def test_schema_violation_exits_2(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == "ConfigError"
     assert "schema" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value", [("grid", "supercell", [2, 1, 1]), ("two_scale", "include_second", False)]
+)
+def test_keys_no_command_reads_are_schema_violations(tmp_path, capsys, section, key, value):
+    base = {"grid": {"resolution": [8, 4, 4]}, "two_scale": {"n": 4}}
+    cfg = write_config(tmp_path, {**base, section: {**base[section], key: value}})
+    assert cli.main(["two-scale-build", "--config", cfg]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError"
+    assert key in payload["message"]
 
 
 def test_solver_error_exits_3(tmp_path, capsys):
@@ -256,6 +269,25 @@ def test_damaged_table_exits_3(tmp_path, capsys, cb_table):
         assert "sample_000_nu_plus.tfw" in payload["message"]
 
 
+def test_missing_table_dir_exits_3(tmp_path, capsys):
+    # a table directory that does not exist answers with the error JSON
+    # naming the path, not with a traceback
+    missing = tmp_path / "no_table"
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "two_scale": {"n": 4, "table_dir": str(missing)},
+        },
+    )
+    assert cli.main(["two-scale-build", "--config", cfg]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "StructuralError"
+    assert str(missing) in payload["message"]
+
+
 def _without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
@@ -344,3 +376,50 @@ def test_legendre_check_cli(tmp_path):
     assert cli.main(["legendre-check", "--config", cfg]) == 0
     payload = json.loads((tmp_path / "out" / "legendre_summary.json").read_text())
     assert payload["max_rel_err"] <= 1e-6
+
+
+def test_eps_study_slopes_are_null_where_the_distances_vanish(tmp_path):
+    # under a constant field u0 is exact and Newton takes no step, so both
+    # distances are exactly 0: their slopes are null, never NaN, and no
+    # log(0) warning is raised
+    def no_constant(name):
+        raise AssertionError(f"{name} in eps_slopes.json")
+
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "h": {"value": 0.01},
+            "cb": {"h_range": 0.02, "step": 0.01},
+            "eps": {"n_values": [2, 4, 6]},
+        },
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["eps-study", "--config", cfg]) == 0
+    slopes = json.loads((tmp_path / "out" / "eps_slopes.json").read_text(), parse_constant=no_constant)
+    assert slopes["newton_distance_u0"] is None and slopes["cb_distance"] is None
+    assert isinstance(slopes["ansatz_residual"], float)
+
+
+def test_eps_study_honors_the_stability_section(tmp_path, capsys):
+    # a threshold above the workhorse gap (about 0.59) refuses the anchor in
+    # every command that builds a table
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "h": {"modes": [{"m": [1, 0, 0], "amp": 0.01}]},
+            "cb": {"h_range": 0.02, "step": 0.01, "verify_samples": False},
+            "eps": {"n_values": [2, 4]},
+            "stability": {"threshold": 0.7},
+        },
+    )
+    for command in ("cb-table", "eps-study"):
+        assert cli.main([command, "--config", cfg]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "StabilityGapError"

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -103,8 +102,9 @@ def test_breakdown_signs_and_total(rng):
     assert e.dirac <= 0 and e.coulomb >= 0
     parts = e.thomas_fermi + e.weizsacker + e.dirac + e.coulomb + e.zeeman
     assert e.total == pytest.approx(parts, rel=1e-12)
-    payload = json.loads(e.to_json())
+    payload = e.as_dict()
     assert set(payload) == {"thomas_fermi", "weizsacker", "dirac", "coulomb", "zeeman", "total"}
+    assert payload["total"] == e.total
 
 
 def test_coulomb_mean_violation():

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from tfdw import cauchy_born, cells, jellium, linop, twoscale
+from tfdw import cauchy_born, jellium, linop, twoscale
 from tfdw.errors import EigensolverError, StructuralError
 from tfdw.grids import (
     Grid,
@@ -639,7 +639,7 @@ def test_certified_scan_never_assembles_the_dense_fiber(
     # corners and Gamma); the other 4 corners are time-reversal partners
     monkeypatch.setattr(LinearizedOperator, "dense_matrix", dense)
     per_scan = []
-    scan = cells.stability_scan
+    scan = cauchy_born.stability_scan
 
     def counting(*args, **kwargs):
         before = len(factored_dims)
@@ -647,7 +647,7 @@ def test_certified_scan_never_assembles_the_dense_fiber(
         per_scan.append((len(factored_dims) - before, len(report.fiber_records), kwargs["refine"]))
         return report
 
-    monkeypatch.setattr(cells, "stability_scan", counting)
+    monkeypatch.setattr(cauchy_born, "stability_scan", counting)
     table = cauchy_born.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), 0.025, 0.0125)
     twoscale.tabulate_correctors(table, [0])
     anchor, *march = per_scan

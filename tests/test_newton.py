@@ -12,7 +12,6 @@ from tfdw.linop import LinearizedOperator, spectral_gap
 from tfdw.newton import (
     NewtonOptions,
     newton_solve,
-    operator_drift,
     state_distance,
 )
 from tfdw.residual import gauge_fit, residual
@@ -125,34 +124,6 @@ def test_trace_serialization(sweep_point, tmp_path):
     lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "step,residual,increment,ratio"
     assert len(lines) == len(trace.iterates) + 1
-
-
-def test_operator_drift_zero_and_shift(cell_solution):
-    state = cell_solution.state
-    assert operator_drift(state, state, 0.0) == 0.0
-    shifted = State(state.nu_plus, state.nu_minus, state.V, state.gauge + 0.37)
-    drift = operator_drift(shifted, state, 0.0)
-    assert drift == pytest.approx(0.37, rel=1e-12)
-
-
-def test_operator_drift_bounded_by_sup_norm(cell_solution, rng):
-    state = cell_solution.state
-    grid = state.grid
-    ratios = []
-    for amp in (1e-3, 1e-2):
-        pert = amp * random_smooth_field(grid, rng, 1.0, 1)
-        other = State(
-            ScalarField(grid, state.nu_plus.values + pert),
-            ScalarField(grid, state.nu_minus.values - 0.5 * pert),
-            state.V,
-            state.gauge,
-        )
-        drift = operator_drift(other, state, 0.0)
-        sup = np.max(np.abs(pert))
-        assert drift > 0
-        ratios.append(drift / sup)
-    # the constant in drift <= C * sup-norm is stable across amplitudes
-    assert 0.1 < ratios[0] / ratios[1] < 10.0
 
 
 def test_gap_precondition_estimate(cb_table):

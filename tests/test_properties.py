@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from test_grids import KERNELS, _reference_kernels
 from tfdw import fieldio, jellium, linop
-from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State
+from tfdw.energy import energy_supercell
+from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State, random_smooth_field
 from tfdw.linop import FiberOperator, LinearizedOperator, stability_scan
+from tfdw.residual import normalize_state, residual_system, variational_pairing
 
 # few examples and no deadline keep tier-1 near its time; derandomized, so
 # every run draws the same examples
@@ -148,3 +150,43 @@ def test_time_reversed_fiber_equals_its_direct_factorization(g, t, kind, seed):
         assert record.n_negative == f.n_negative
         assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
         assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(sheared_grids(max_supercell=1), st.integers(0, 2**32 - 1))
+def test_energy_residual_and_linearization_agree_on_sheared_cells(g, seed):
+    # on a sheared cell under a constant field, central differences match
+    # at second order: those of the energy along a direction tangent to the
+    # normalization match the residual pairing, and those of the residual
+    # system match the linearized operator (a state with a nonzero gauge).
+    # Halving the step must cut each relative error about fourfold
+    h = 0.05
+    rng = np.random.default_rng(seed)
+    lat = g.lattice
+    base = np.sqrt(lat.Z / (2.0 * lat.volume))
+    nup, num = (base * (1.0 + 0.2 * random_smooth_field(g, rng, 1.0, 1)) for _ in range(2))
+    state = normalize_state(State(ScalarField(g, nup), ScalarField(g, num), ScalarField(g, 0.0 * nup)))
+    nup, num = state.nu_plus.values, state.nu_minus.values
+    rho_b = lat.rho_b_values(g)
+    v = g.poisson(4.0 * np.pi * (state.rho_values() - rho_b), scale=4.0 * np.pi * g.l2n(rho_b))
+    state = State(state.nu_plus, state.nu_minus, ScalarField(g, v), 0.3)
+    d = np.array([random_smooth_field(g, rng, 1.0, 1) for _ in range(3)])
+    mu = (g.inner(d[0], nup) + g.inner(d[1], num)) / (g.inner(nup, nup) + g.inner(num, num))
+    d_plus, d_minus = d[0] - mu * nup, d[1] - mu * num
+    pairing = variational_pairing(state, d_plus, d_minus, h)
+    Ld = LinearizedOperator(state, h).apply(d)
+
+    def energy(t):
+        moved = State(ScalarField(g, nup + t * d_plus), ScalarField(g, num + t * d_minus), state.V)
+        return energy_supercell(normalize_state(moved), h).total
+
+    def system(t):
+        return residual_system(State.from_stack(g, state.stacked() + t * d), h)
+
+    energy_err, system_err = [], []
+    for t in (1e-2, 5e-3):
+        energy_err.append(abs((energy(t) - energy(-t)) / (2 * t) - pairing) / abs(pairing))
+        system_err.append(np.linalg.norm((system(t) - system(-t)) / (2 * t) - Ld) / np.linalg.norm(Ld))
+    for err in (energy_err, system_err):
+        assert err[0] <= 1e-3
+        assert err[1] <= 0.3 * err[0]

@@ -18,7 +18,6 @@ from tfdw.residual import (
     normalize_state,
     odd_power,
     residual,
-    residual_norm,
     residual_system,
 )
 

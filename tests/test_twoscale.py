@@ -65,7 +65,7 @@ def test_first_order_linearity_in_gradient_data(cb_table):
     norms = {}
     for amp in (0.01, 0.005):
         h = HField(0.0, [((1, 0, 0), amp)])
-        u0, cs = ts.build_u0(cb_table, h, grid, 0.25, include_second=False)
+        u0 = ts.assemble_u0(ts.first_order_correctors(cb_table, h, 0.25, grid), include_second=False)
         lead = cb.cb_field(cb_table, h.sample(grid, 0.25), 0.25)
         diff = [
             u0.nu_plus.values - lead.nu_plus.values,
