@@ -271,7 +271,7 @@ def build_cb_table(
             state, res_norm, n_iter, history = newton_polish(predictor, h_new, opts)
         except TfdwError as exc:
             raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", dh) from exc
-        min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
+        min_nu = state.min_nu()
         sol = CellSolution(
             state=state,
             h_value=h_new,
@@ -367,7 +367,6 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
     """
     opts = opts or SolveOptions()
     grid = table.grid
-    rho_b = table.lattice.rho_b_values(grid)
     mu = table.h_for_m(m_target)
     work = table.state_at(mu)
 
@@ -376,7 +375,7 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
 
     history = []
     for _ in range(opts.newton_maxiter):
-        r = residual(work, mu, rho_b)
+        r = residual(work, mu)
         c_m = constraint(work)
         err = np.sqrt(r.norm_l2n() ** 2 + c_m**2)
         history.append(err)
@@ -389,11 +388,11 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
             np.stack([-nup, num, zero]).ravel(),
             np.stack([2.0 * grid.w_quad * nup, -2.0 * grid.w_quad * num, zero]).ravel(),
         )
-        rhs = np.append(residual_system(work, mu, rho_b).ravel(), c_m)
+        rhs = np.append(residual_system(work, mu).ravel(), c_m)
         d = LinearizedOperator(work, mu).dense_solve(rhs, border)
         work = State.from_stack(grid, work.stacked().ravel() - d[:-1])
         mu = mu - float(d[-1])
-        if min(work.nu_plus.values.min(), work.nu_minus.values.min()) < opts.nu_floor:
+        if work.min_nu() < opts.nu_floor:
             raise InfeasibleConstraintError(
                 f"constrained solve lost positivity targeting m = {m_target:.6g}"
             )
@@ -403,13 +402,13 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
             f"(last error {history[-1]:.3e})"
         )
 
-    energy = energy_supercell(work, 0.0, rho_b).total / table.lattice.volume
+    energy = energy_supercell(work, 0.0).total / table.lattice.volume
     return DualSolution(
         state=work,
         m_target=float(m_target),
         field_multiplier=float(mu),
         energy=float(energy),
-        residual_norm=float(residual(work, mu, rho_b).norm_l2n()),
+        residual_norm=float(residual(work, mu).norm_l2n()),
         constraint_defect=float(constraint(work)),
     )
 
@@ -467,7 +466,7 @@ def load_table(directory) -> CBTable:
     for i, h_value in enumerate(h):
         state, _ = fieldio.read_state(directory, f"sample_{i:03d}", grid)
         du, _ = fieldio.read_state(directory, f"dudh_{i:03d}", grid)
-        min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
+        min_nu = state.min_nu()
         solutions.append(
             CellSolution(
                 state=state,

@@ -72,7 +72,7 @@ def initial_state(lattice: LatticeSpec, grid: Grid, preset="uniform", seed=0, pe
     return normalize_state(state)
 
 
-def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
+def _phase1_descent(state: State, h_value, opts: SolveOptions):
     """Projected gradient descent on (nu_+, nu_-); V eliminated each step.
 
     Returns (state, iterations, energy_trace); energy decreases monotonically
@@ -80,26 +80,29 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
     energy raises DescentFailureError with the trace.
     """
     grid = state.grid
+    rho_b = grid.rho_b
+    charge = 4.0 * np.pi * grid.l2n(rho_b)
     nup = state.nu_plus.values.copy()
     num = state.nu_minus.values.copy()
+
+    def eliminated(a, b):
+        V = grid.poisson(4.0 * np.pi * (a * a + b * b - rho_b), scale=charge)
+        return State(ScalarField(grid, a), ScalarField(grid, b), ScalarField(grid, V))
 
     def make_state(a, b):
         s = State(ScalarField(grid, a), ScalarField(grid, b), state.V, 0.0)
         return normalize_state(s)
 
     def energy_of(a, b):
-        return energy_supercell(make_state(a, b), h_value, rho_b).total
+        return energy_supercell(make_state(a, b), h_value).total
 
     trace = [energy_of(nup, num)]
     step = 1.0
     iterations = 0
     for iterations in range(1, opts.phase1_maxiter + 1):
-        rho = nup * nup + num * num
-        V = grid.poisson(4.0 * np.pi * (rho - rho_b), scale=4.0 * np.pi * grid.l2n(rho_b))
         # the energy gradient in (nu_+, nu_-) is twice the channel residuals
         # at the eliminated potential
-        eliminated = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V))
-        gp, gm = (2.0 * r for r in _channel_residuals(eliminated, h_value))
+        gp, gm = (2.0 * r for r in _channel_residuals(eliminated(nup, num), h_value))
         denom = grid.inner(nup, nup) + grid.inner(num, num)
         mu = (grid.inner(gp, nup) + grid.inner(gm, num)) / denom
         pgp = gp - mu * nup
@@ -140,13 +143,10 @@ def _phase1_descent(state: State, h_value, rho_b, opts: SolveOptions):
                 energy_trace=trace,
             )
 
-    rho = nup * nup + num * num
-    V = grid.poisson(4.0 * np.pi * (rho - rho_b), scale=4.0 * np.pi * grid.l2n(rho_b))
-    out = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V), 0.0)
-    return out, iterations, trace
+    return eliminated(nup, num), iterations, trace
 
 
-def newton_polish(state: State, h_value, opts: SolveOptions, rho_b=None):
+def newton_polish(state: State, h_value, opts: SolveOptions):
     """Full Newton on the coupled (nu_+, nu_-, V) system, dense on the cell.
 
     Each step solves the symmetric linearization against the scaled residual;
@@ -154,24 +154,22 @@ def newton_polish(state: State, h_value, opts: SolveOptions, rho_b=None):
     (state, residual_norm, iterations, residual_history).
     """
     grid = state.grid
-    if rho_b is None:
-        rho_b = grid.lattice.rho_b_values(grid)
     work = state.copy()
-    history = [residual(work, h_value, rho_b).norm_l2n()]
+    history = [residual(work, h_value).norm_l2n()]
     iterations = 0
     target = 0.1 * opts.tol
     while history[-1] > target and iterations < opts.newton_maxiter:
-        rhs = residual_system(work, h_value, rho_b).ravel()
+        rhs = residual_system(work, h_value).ravel()
         d = LinearizedOperator(work, h_value).dense_solve(rhs)
         work = State.from_stack(grid, work.stacked().ravel() - d)
-        min_nu = min(work.nu_plus.values.min(), work.nu_minus.values.min())
+        min_nu = work.min_nu()
         if min_nu < opts.nu_floor:
             raise PositivityLossError(
                 f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) during Newton",
-                min_nu=float(min_nu),
+                min_nu=min_nu,
             )
         iterations += 1
-        history.append(residual(work, h_value, rho_b).norm_l2n())
+        history.append(residual(work, h_value).norm_l2n())
     if history[-1] > opts.tol:
         raise DivergenceError(
             f"cell Newton stalled at residual {history[-1]:.3e} after {iterations} steps"
@@ -179,7 +177,7 @@ def newton_polish(state: State, h_value, opts: SolveOptions, rho_b=None):
     # exact retraction onto the constraint, then the least-squares gauge
     work = normalize_state(work)
     work = State(work.nu_plus, work.nu_minus, work.V, gauge_fit(work, h_value))
-    history.append(residual(work, h_value, rho_b).norm_l2n())
+    history.append(residual(work, h_value).norm_l2n())
     return work, history[-1], iterations, history
 
 
@@ -194,7 +192,6 @@ def solve_cell(
     opts = opts or SolveOptions()
     if isinstance(grid, GridSpec):
         grid = Grid(lattice, grid)
-    rho_b = lattice.rho_b_values(grid)
 
     if isinstance(init, State):
         start, preset = init.copy(), "state"
@@ -202,21 +199,21 @@ def solve_cell(
         preset = init
         start = initial_state(lattice, grid, init, opts.seed, opts.perturbation)
 
-    phase1_state, p1_iter, _trace = _phase1_descent(start, h_value, rho_b, opts)
+    phase1_state, p1_iter, _trace = _phase1_descent(start, h_value, opts)
     phase1_state = State(
         phase1_state.nu_plus,
         phase1_state.nu_minus,
         phase1_state.V,
         gauge_fit(phase1_state, h_value),
     )
-    state, res_norm, n_iter, history = newton_polish(phase1_state, h_value, opts, rho_b)
+    state, res_norm, n_iter, history = newton_polish(phase1_state, h_value, opts)
 
-    min_nu = float(min(state.nu_plus.values.min(), state.nu_minus.values.min()))
+    min_nu = state.min_nu()
     c_nu = opts.c_nu if opts.c_nu is not None else opts.nu_floor
     return CellSolution(
         state=state,
         h_value=float(h_value),
-        energy=energy_supercell(state, h_value, rho_b),
+        energy=energy_supercell(state, h_value),
         residual_norm=res_norm,
         min_nu=min_nu,
         C_nu_ok=bool(min_nu >= c_nu),

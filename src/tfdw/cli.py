@@ -24,7 +24,7 @@ from . import fieldio, jellium
 from . import studies
 from . import twoscale as ts
 from .cells import SolveOptions, save_solution, solve_cell
-from .errors import ConfigError, TfdwError
+from .errors import ConfigError, StructuralError, TfdwError
 from .grids import Grid, GridSpec, HField, LatticeSpec, Mode
 from .linop import monkhorst_pack, stability_scan
 from .newton import NewtonOptions, newton_solve
@@ -172,13 +172,12 @@ CONFIG_SCHEMA = {
 
 
 def load_config(path):
+    """The config object at ``path``; ConfigError unless it is a readable
+    JSON object that satisfies CONFIG_SCHEMA."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        cfg = fieldio.read_manifest(path)
+    except StructuralError as exc:
+        raise ConfigError(f"config {exc}") from exc
     import jsonschema
 
     try:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import SolvabilityError
-from .grids import ScalarField, State, as_h_values
+from .grids import State, as_h_values
 
 COULOMB_MEAN_TOL = 1e-8
 
@@ -35,19 +35,13 @@ class EnergyBreakdown:
         return {**asdict(self), "total": self.total}
 
 
-def energy_supercell(state: State, h=0.0, rho_b=None) -> EnergyBreakdown:
-    """Evaluate the functional at a state (V is eliminated through the
-    Coulomb pairing; state.V and state.gauge do not enter).
-
-    ``rho_b`` defaults to the background of the state's lattice.
-    """
+def energy_supercell(state: State, h=0.0) -> EnergyBreakdown:
+    """Evaluate the functional at a state against the background of its
+    grid (V is eliminated through the Coulomb pairing; state.V and
+    state.gauge do not enter)."""
     grid = state.grid
     nup = state.nu_plus.values
     num = state.nu_minus.values
-    if rho_b is None:
-        rho_b = grid.lattice.rho_b_values(grid)
-    elif isinstance(rho_b, ScalarField):
-        rho_b = rho_b.values
 
     tf = grid.integrate(np.abs(nup) ** (10.0 / 3.0) + np.abs(num) ** (10.0 / 3.0))
     # spectral form sum_k |k|^2 |nu_hat|^2: exactly the quadratic form of the
@@ -58,11 +52,11 @@ def energy_supercell(state: State, h=0.0, rho_b=None) -> EnergyBreakdown:
     weiz = parseval * float(np.sum(grid.k_sq * np.abs(coeffs) ** 2))
     dirac = -grid.integrate(np.abs(nup) ** (8.0 / 3.0) + np.abs(num) ** (8.0 / 3.0))
 
-    src = state.rho_values() - rho_b
+    src = state.rho_values() - grid.rho_b
     m = grid.mean(src)
     # relative to the background's charge: rho - rho_b itself is roundoff
     # on a uniform background
-    tolerance = COULOMB_MEAN_TOL * grid.l2n(rho_b)
+    tolerance = COULOMB_MEAN_TOL * grid.l2n(grid.rho_b)
     if abs(m) > tolerance:
         raise SolvabilityError(
             f"Coulomb term needs mean-zero rho - rho_b; mean is {m:.3e}",

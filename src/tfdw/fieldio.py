@@ -39,13 +39,18 @@ def _grid_header(grid: Grid):
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_object(text, what, keys=()):
     """The JSON object in ``text`` (str or UTF-8 bytes); StructuralError
     naming ``what`` unless it parses to an object holding every key in
-    ``keys``."""
+    ``keys``.  The literals NaN and (-)Infinity, which Python's json reads
+    but JSON does not have, are rejected."""
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, constants
         raise StructuralError(f"{what} is not JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} is not a JSON object")

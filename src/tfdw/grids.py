@@ -41,6 +41,7 @@ from .errors import GridMismatchError, SolvabilityError, StructuralError
 TWO_PI = 2.0 * np.pi
 FOURIER_PREFACTOR = (2.0 * np.pi) ** (-1.5)
 AXES = (-3, -2, -1)  # the spatial axes; leading axes index stacked fields
+MEAN_ZERO_TOL = 1e-10  # a mean counts as zero within this fraction of its scale
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,8 @@ class Grid:
     take full coefficient arrays.
 
     All operations are pure; the instance only caches immutable arrays, so a
-    Grid may be shared freely across threads.
+    Grid may be shared freely across threads.  The lattice's background
+    density on the grid is one of them (``rho_b``).
     """
 
     def __init__(self, lattice: LatticeSpec, spec: GridSpec):
@@ -249,6 +251,16 @@ class Grid:
             and self.lattice == other.lattice
             and self.spec == other.spec
         )
+
+    @property
+    def rho_b(self):
+        """The lattice's background density at the grid points, computed
+        once per grid; the array is read-only."""
+        if "rho_b" not in self._cache:
+            values = self.lattice.rho_b_values(self)
+            values.flags.writeable = False
+            self._cache["rho_b"] = values
+        return self._cache["rho_b"]
 
     def cell_grid(self):
         """The unit-cell grid with the same per-cell resolution."""
@@ -337,22 +349,22 @@ class Grid:
             return self._apply_symbol(values, symbol)
         return self._irfft(np.einsum("ij...,j...->i...", symbol, self._rfft(values)))
 
-    def helmholtz_inverse(self, values, c=1.0):
-        """(c - Laplacian)^{-1}, the standard smoothing preconditioner."""
-        symbol = self._folded(("helmholtz", float(c)), lambda: 1.0 / (c + self.k_sq))
+    def helmholtz_inverse(self, values):
+        """(1 - Laplacian)^{-1}, the standard smoothing preconditioner."""
+        symbol = self._folded(("helmholtz",), lambda: 1.0 / (1.0 + self.k_sq))
         return self.spectral_multiply(values, symbol)
 
-    def poisson(self, rhs, rel_tol=1e-10, scale=None):
+    def poisson(self, rhs, scale=None):
         """Unique mean-zero V with -Laplacian V = rhs, for mean-zero rhs
         (each stacked right-hand side is checked on its own).  A mean counts
-        as zero within ``rel_tol`` of ``scale``: the size of the charge the
-        caller's right-hand side balances, such as 4 pi |rho_b| for
+        as zero within ``MEAN_ZERO_TOL`` of ``scale``: the size of the charge
+        the caller's right-hand side balances, such as 4 pi |rho_b| for
         4 pi (rho - rho_b), or by default the norm of rhs itself (which
         rejects the roundoff left by a balanced uniform charge)."""
         means = np.ravel(np.mean(rhs, axis=AXES))
         if scale is None:
             scale = np.maximum(np.ravel(self.l2n(rhs)), 1e-300)
-        tolerance = rel_tol * np.broadcast_to(scale, means.shape)
+        tolerance = MEAN_ZERO_TOL * np.broadcast_to(scale, means.shape)
         bad = np.flatnonzero(np.abs(means) > tolerance)
         if bad.size:
             m = means[bad[0]]
@@ -410,12 +422,14 @@ class Grid:
             )
         return self._cache[key]
 
-    def hminus1_inner(self, f, g, rel_tol=1e-10):
-        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2."""
+    def hminus1_inner(self, f, g):
+        """Homogeneous H^{-1} inner product: 4 pi sum'_k fhat* ghat / |k|^2,
+        for fields whose means are zero within ``MEAN_ZERO_TOL`` of their
+        norms."""
         fh = self.fft(f)
         gh = self.fft(g)
         for name, vals, coeffs in (("first", f, fh), ("second", g, gh)):
-            if abs(coeffs.flat[0]) > rel_tol * max(
+            if abs(coeffs.flat[0]) > MEAN_ZERO_TOL * max(
                 self.l2n(vals) * FOURIER_PREFACTOR * self.vol_supercell, 1e-300
             ):
                 raise SolvabilityError(
@@ -539,6 +553,10 @@ class State:
 
     def v_full_values(self):
         return self.V.values + self.gauge
+
+    def min_nu(self):
+        """The smallest value of either spin channel."""
+        return float(min(self.nu_plus.values.min(), self.nu_minus.values.min()))
 
     def copy(self):
         g = self.grid

@@ -110,11 +110,10 @@ def cdw_condition(params: JelliumParams):
     return bool(params.sdw_coefficient > -8.0 * np.sqrt(np.pi) * params.nu0)
 
 
-def jellium_lattice(params: JelliumParams, cell=1.0):
-    """Cubic lattice whose constant background realizes these parameters
-    (Z = rho_b * |Gamma|)."""
-    a = float(cell)
-    return LatticeSpec.cubic(a, params.rho_b_const * a**3)
+def jellium_lattice(params: JelliumParams):
+    """Unit cube whose constant background realizes these parameters
+    (Z = rho_b * |Gamma| = rho_b)."""
+    return LatticeSpec.cubic(1.0, params.rho_b_const)
 
 
 def jellium_state(params: JelliumParams, grid: Grid) -> State:

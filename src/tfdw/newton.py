@@ -87,7 +87,6 @@ def newton_solve(
     h_field,
     opts: NewtonOptions | None = None,
     u_cb: State | None = None,
-    rho_b=None,
 ):
     """Iterate to a solution of the Euler-Lagrange system near u0.
 
@@ -98,8 +97,6 @@ def newton_solve(
     opts = opts or NewtonOptions()
     grid = u0.grid
     h_sf = ScalarField(grid, as_h_values(h_field, grid))
-    if rho_b is None:
-        rho_b = grid.lattice.rho_b_values(grid)
 
     op = LinearizedOperator(u0, h_sf)
     trace = NewtonTrace()
@@ -118,14 +115,14 @@ def newton_solve(
     inner_target = opts.inner_factor * opts.tol / l2n_per_flat
 
     work = u0.copy()
-    res_norm = residual(work, h_sf, rho_b).norm_l2n()
+    res_norm = residual(work, h_sf).norm_l2n()
     trace.iterates.append(res_norm)
     grow_count = 0
 
     for _ in range(opts.maxiter):
         if res_norm <= opts.tol:
             break
-        b = residual_system(work, h_sf, rho_b).ravel()
+        b = residual_system(work, h_sf).ravel()
         b_norm = np.linalg.norm(b)
         rtol = min(max(inner_target / max(b_norm, 1e-300), 1e-13), 0.1)
         inner_count = [0]
@@ -168,14 +165,14 @@ def newton_solve(
             op = LinearizedOperator(work, h_sf)
             A = op.as_linear_operator()
             M = op.preconditioner()
-        res_norm = residual(work, h_sf, rho_b).norm_l2n()
+        res_norm = residual(work, h_sf).norm_l2n()
         trace.iterates.append(res_norm)
 
     if trace.increments:
         # settle the gauge at its least-squares value (only ever lowers the
         # channel residuals)
         work = State(work.nu_plus, work.nu_minus, work.V, gauge_fit(work, h_sf))
-        res_norm = residual(work, h_sf, rho_b).norm_l2n()
+        res_norm = residual(work, h_sf).norm_l2n()
         trace.iterates[-1] = res_norm
 
     trace.converged = bool(res_norm <= opts.tol)

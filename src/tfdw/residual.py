@@ -87,15 +87,12 @@ def _channel_residuals(state: State, hv):
     return r_plus, r_minus
 
 
-def residual(state: State, h=0.0, rho_b=None) -> Residual:
+def residual(state: State, h=0.0) -> Residual:
+    """The residual fields at the background of the state's grid."""
     grid = state.grid
     hv = as_h_values(h, grid)
-    if rho_b is None:
-        rho_b = grid.lattice.rho_b_values(grid)
-    elif isinstance(rho_b, ScalarField):
-        rho_b = rho_b.values
     r_plus, r_minus = _channel_residuals(state, hv)
-    src = 4.0 * np.pi * (state.rho_values() - rho_b)
+    src = 4.0 * np.pi * (state.rho_values() - grid.rho_b)
     mean_src = grid.mean(src)
     r_pois = -grid.laplacian(state.V.values) - (src - mean_src)
     defect = grid.integrate(state.rho_values()) / grid.n_cells - grid.lattice.Z
@@ -107,7 +104,7 @@ def residual(state: State, h=0.0, rho_b=None) -> Residual:
     )
 
 
-def residual_system(state: State, h=0.0, rho_b=None):
+def residual_system(state: State, h=0.0):
     """Residual triple with the Poisson row scaled by -1/(8 pi), mean kept:
 
         F_V = (1/8 pi) Lap V + (1/2)(rho - rho_b)
@@ -118,13 +115,9 @@ def residual_system(state: State, h=0.0, rho_b=None):
     """
     grid = state.grid
     hv = as_h_values(h, grid)
-    if rho_b is None:
-        rho_b = grid.lattice.rho_b_values(grid)
-    elif isinstance(rho_b, ScalarField):
-        rho_b = rho_b.values
     r_plus, r_minus = _channel_residuals(state, hv)
     f_v = (1.0 / (8.0 * np.pi)) * grid.laplacian(state.V.values) + 0.5 * (
-        state.rho_values() - rho_b
+        state.rho_values() - grid.rho_b
     )
     return np.stack([r_plus, r_minus, f_v])
 
@@ -144,16 +137,14 @@ def gauge_fit(state: State, h=0.0) -> float:
     return -(grid.inner(a_plus, nup) + grid.inner(a_minus, num)) / denom
 
 
-def normalize_state(state: State, Z=None) -> State:
+def normalize_state(state: State) -> State:
     """Retraction onto the normalization constraint by uniform rescaling
-    nu -> c nu with c = sqrt(Z / ((1/n^3) \\int rho))."""
+    nu -> c nu with c = sqrt(Z / ((1/n^3) \\int rho)), Z the lattice's."""
     grid = state.grid
-    if Z is None:
-        Z = grid.lattice.Z
     avg = grid.integrate(state.rho_values()) / grid.n_cells
     if avg <= 0.0:
         raise DegenerateStateError("state carries no density to normalize")
-    c = float(np.sqrt(Z / avg))
+    c = float(np.sqrt(grid.lattice.Z / avg))
     return State(c * state.nu_plus, c * state.nu_minus, state.V, state.gauge)
 
 

@@ -205,29 +205,25 @@ def measure_stability_in_n(
     resolution,
     n_values=(1, 2, 4),
     n_xi=8,
-    axis=0,
     h_value=0.0,
-    solve_opts: SolveOptions | None = None,
     threshold=1e-6,
 ):
     """Measure the stability constant M on increasing supercells.
 
-    The cell ground state is extended periodically and the n-fold supercell
-    is treated as a single large cell; the scan samples a fixed set of
-    physical quasimomenta, folded into the [0, 1) fractions of each
-    supercell's own reciprocal basis (the commensurate_xis convention), so
-    each supercell fiber is exactly the union of the cell fibers at the
-    physical quasimomenta it folds, and M(n) equals M(1).
+    The cell ground state (default solver options) is extended periodically
+    along the first lattice vector and the n-fold supercell is treated as a
+    single large cell; the scan samples a fixed set of physical
+    quasimomenta, folded into the [0, 1) fractions of each supercell's own
+    reciprocal basis (the commensurate_xis convention), so each supercell
+    fiber is exactly the union of the cell fibers at the physical
+    quasimomenta it folds, and M(n) equals M(1).
     """
-    solve_opts = solve_opts or SolveOptions()
-    sol = solve_cell(lattice, GridSpec(tuple(resolution)), h_value, "uniform", solve_opts)
-    b_axis = lattice.reciprocal_vectors[axis]
-    physical_xis = [(j / n_xi) * b_axis for j in range(n_xi)]
+    sol = solve_cell(lattice, GridSpec(tuple(resolution)), h_value)
+    b1 = lattice.reciprocal_vectors[0]
+    physical_xis = [(j / n_xi) * b1 for j in range(n_xi)]
     out = {}
     for n in n_values:
-        big_lattice, big_grid, big_state = extended_as_cell(
-            lattice, resolution, sol.state, int(n), axis
-        )
+        big_lattice, big_grid, big_state = extended_as_cell(lattice, resolution, sol.state, int(n))
         B = big_lattice.reciprocal_vectors
         folded = []
         for xi in physical_xis:

@@ -44,6 +44,7 @@ from .linop import LinearizedOperator
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
+NU_FLOOR = 1e-12  # the second-order source carries nu^(-1/3)
 
 
 @dataclass
@@ -88,14 +89,14 @@ class _CellContext:
     (LinearizedOperator.factor_cell), with the helpers the corrector sources
     need."""
 
-    def __init__(self, table: CBTable, h: float, nu_floor=1e-12):
+    def __init__(self, table: CBTable, h: float):
         grid = table.grid
         self.grid = grid
         self.h = h
         state = table.state_at(h)
         self.nup = state.nu_plus.values
         self.num = state.nu_minus.values
-        if min(self.nup.min(), self.num.min()) <= nu_floor:
+        if state.min_nu() <= NU_FLOOR:
             raise PositivityLossError(
                 f"cell state at h = {h:.6g} is not positive; the nu^(-1/3) "
                 "second-order source is singular"

@@ -107,7 +107,6 @@ def test_c2_sdw_threshold_bisection():
 
 def test_c3_variational_consistency(lattice_mod):
     grid = Grid(lattice_mod, GridSpec((8, 8, 8)))
-    rho_b = lattice_mod.rho_b_values(grid)
     base = np.sqrt(lattice_mod.Z / (2.0 * lattice_mod.volume))
     rng = np.random.default_rng(42)
     slopes = []
@@ -129,7 +128,7 @@ def test_c3_variational_consistency(lattice_mod):
         mu = (grid.inner(d_plus, nup) + grid.inner(d_minus, num)) / denom
         d_plus, d_minus = d_plus - mu * nup, d_minus - mu * num
 
-        V = grid.poisson(4 * np.pi * (state.rho_values() - rho_b))
+        V = grid.poisson(4 * np.pi * (state.rho_values() - grid.rho_b))
         vstate = State(state.nu_plus, state.nu_minus, ScalarField(grid, V), 0.0)
         pairing = variational_pairing(vstate, d_plus, d_minus, 0.03)
 
@@ -142,7 +141,7 @@ def test_c3_variational_consistency(lattice_mod):
                     0.0,
                 )
             )
-            return energy_supercell(s, 0.03, rho_b).total
+            return energy_supercell(s, 0.03).total
 
         ts_vals = np.array([0.02, 0.01, 0.005])
         errs = np.array([abs((energy_at(t) - energy_at(-t)) / (2 * t) - pairing) for t in ts_vals])

@@ -99,8 +99,7 @@ def test_converged_stationarity(cell_solution, rng):
 def test_phase1_energy_monotone(lattice_mod, cell_grid):
     opts = SolveOptions(seed=5, perturbation=5e-2)
     start = initial_state(lattice_mod, cell_grid, "perturbed", opts.seed, opts.perturbation)
-    rho_b = lattice_mod.rho_b_values(cell_grid)
-    _, iters, trace = _phase1_descent(start, 0.0, rho_b, opts)
+    _, iters, trace = _phase1_descent(start, 0.0, opts)
     assert iters >= 1
     diffs = np.diff(trace)
     assert np.all(diffs <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
@@ -113,8 +112,8 @@ def test_phase1_energy_increase_raises_with_trace(lattice_mod, cell_grid, monkey
     energy = cells.energy_supercell
     seen = []
 
-    def bumped(state, h, rho_b=None):
-        total = energy(state, h, rho_b).total
+    def bumped(state, h):
+        total = energy(state, h).total
         nu = state.nu_plus.values
         if seen and np.allclose(nu, seen[-1], rtol=1e-12, atol=0.0):
             total += 10.0
@@ -124,12 +123,11 @@ def test_phase1_energy_increase_raises_with_trace(lattice_mod, cell_grid, monkey
     monkeypatch.setattr(cells, "energy_supercell", bumped)
     opts = SolveOptions(seed=5, perturbation=5e-2)
     start = initial_state(lattice_mod, cell_grid, "perturbed", opts.seed, opts.perturbation)
-    rho_b = lattice_mod.rho_b_values(cell_grid)
     with pytest.raises(DescentFailureError, match="energy increased at iteration 1") as err:
-        _phase1_descent(start, 0.0, rho_b, opts)
+        _phase1_descent(start, 0.0, opts)
     trace = err.value.energy_trace
     assert len(trace) == 2
-    assert trace[0] == energy(start, 0.0, rho_b).total
+    assert trace[0] == energy(start, 0.0).total
     assert trace[1] > trace[0] + 5.0
 
 

@@ -67,6 +67,38 @@ def test_missing_section_exits_2(tmp_path, capsys, command, section):
     assert f"'{section}'" in payload["message"]
 
 
+def _latin1_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"out": "caf\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp_path: str(tmp_path),
+        _latin1_config,
+        # json.dumps writes the non-JSON literals NaN and Infinity
+        lambda tmp_path: write_config(
+            tmp_path, {"lattice": {**LATTICE, "cell_vectors": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]}}
+        ),
+        lambda tmp_path: write_config(
+            tmp_path, {"lattice": LATTICE, "grid": {"resolution": [8, 4, 4]}, "cell": {"h_value": float("inf")}}
+        ),
+    ],
+    ids=["a-directory", "not-utf-8", "nan-cell-vector", "infinite-field"],
+)
+def test_unreadable_config_exits_2(tmp_path, capsys, make):
+    # a config that cannot be read, decoded or parsed as JSON (NaN and
+    # Infinity are not JSON) is a configuration error, not a traceback or a
+    # solver failure
+    rc = cli.main(["solve-cell", "--config", make(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigError"
+    assert str(tmp_path) in payload["message"]
+
+
 def test_schema_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"grid": {"resolution": [8, 4]}})
     rc = cli.main(["solve-cell", "--config", cfg])
@@ -312,11 +344,14 @@ def _with(key, change):
         ("table.json", _with("c_nu", lambda v: str(v))),
         ("table.json", _with("h_samples", lambda v: v[::-1])),
         ("table.json", _with("h_samples", lambda v: v[:-1] + [v[-1] + 0.01])),
+        ("table.json", _with("E_CB", lambda v: [float("nan")] + v[1:])),
+        ("table.json", _with("c_nu", lambda v: float("inf"))),
     ],
     ids=[
         "truncated", "not-an-object", "table-missing-key", "state-missing-key", "fields-missing-key",
         "h-samples-not-a-list", "energy-not-numbers", "m-holds-null", "gaps-not-numbers",
         "residual-norms-short", "c-nu-not-a-number", "h-samples-decreasing", "h-samples-asymmetric",
+        "energy-holds-nan", "c-nu-infinite",
     ],
 )
 def test_damaged_manifest_exits_3(tmp_path, capsys, cb_table, name, damage):

@@ -56,6 +56,16 @@ def test_lattice_invariants():
     assert abs(np.mean(rho_b) - 2.0) < 1e-14
 
 
+def test_grid_background_is_the_lattice_background_computed_once():
+    lat = unit_cube(Z=2.0, modes=[((1, 0, 0), 0.3), ((0, 1, 1), 0.1, 0.5)])
+    g = make_grid((8, 4, 4), (2, 1, 1), lattice=lat)
+    assert g.rho_b.tobytes() == lat.rho_b_values(g).tobytes()
+    assert g.rho_b is g.rho_b
+    assert not g.rho_b.flags.writeable
+    with pytest.raises(ValueError):
+        g.rho_b[0, 0, 0] = 0.0
+
+
 # -- transform ---------------------------------------------------------------
 
 

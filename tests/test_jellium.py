@@ -109,7 +109,7 @@ def test_threshold_bisection():
 def test_neutral_background():
     params = jellium.JelliumParams(0.5)
     assert params.rho_b_const == pytest.approx(2 * 0.25)
-    lat = jellium.jellium_lattice(params, cell=1.0)
+    lat = jellium.jellium_lattice(params)
     assert lat.Z == pytest.approx(params.rho_b_const)
 
 

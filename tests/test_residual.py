@@ -40,16 +40,18 @@ def test_jellium_state_is_exact():
 
 
 def test_source_cancellation(rng):
-    # replacing rho_b by the state's own rho leaves only -Lap V
-    lat = LatticeSpec.cubic(1.0, 2.0)
+    # channels that carry the modulated background, nu_+ = nu_- =
+    # sqrt(rho_b / 2), cancel the source: the Poisson row is only -Lap V
+    lat = LatticeSpec.cubic(1.0, 2.0, [((1, 0, 0), 0.3), ((0, 1, 0), 0.2, 0.4)])
     grid = Grid(lat, GridSpec((4, 4, 4)))
-    nup = 1.0 + 0.2 * random_smooth_field(grid, rng, 1.0, 1)
-    num = 1.0 + 0.2 * random_smooth_field(grid, rng, 1.0, 1)
+    nu = np.sqrt(grid.rho_b / 2.0)
     V = random_smooth_field(grid, rng, 1.0, 1)
     V -= np.mean(V)
-    state = State(ScalarField(grid, nup), ScalarField(grid, num), ScalarField(grid, V), 0.3)
-    r = residual(state, 0.0, rho_b=state.rho_values())
+    state = State(ScalarField(grid, nu), ScalarField(grid, nu.copy()), ScalarField(grid, V), 0.3)
+    assert np.max(np.abs(grid.laplacian(V))) > 1.0
+    r = residual(state, 0.0)
     assert np.max(np.abs(r.r_poisson.values + grid.laplacian(V))) < 1e-12
+    assert abs(r.constraint_defect) < 1e-13
 
 
 def test_odd_extension_matches_plain_powers_on_positive_branch(rng):
