@@ -29,11 +29,11 @@ print("applied field: h(eps x) = 0.08 cos(2 pi eps x1), quasi-1d supercells (n, 
 rows = []
 print(" n    eps      |F(u_cb)|    |F(u0)|      steps  contraction  |u*-u0|_H2   |u*-u_cb|_H2")
 for n in (4, 6, 8, 12, 16):
-    eps = 1.0 / n
     grid = Grid(lattice, GridSpec((8, 4, 4), (n, 1, 1)))
-    h_vals = h.sample(grid, eps)
-    u_cb = cb.cb_field(table, h_vals, eps)
-    u0, correctors = ts.build_u0(table, h, grid, eps)
+    eps = grid.eps
+    h_vals = h.sample(grid)
+    u_cb = cb.cb_field(table, h_vals)
+    u0, correctors = ts.build_u0(table, h, grid)
     res_cb = residual(u_cb, h_vals).norm_l2n()
     res_u0 = residual(u0, h_vals).norm_l2n()
     u_star, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-10), u_cb=u_cb)

@@ -330,17 +330,17 @@ def build_cb_table(
     )
 
 
-def cb_field(table: CBTable, h_field, eps=None, grid=None) -> State:
+def cb_field(table: CBTable, h, grid=None) -> State:
     """Modulate the constant-field map by a slowly varying field: at each
     supercell point x the state is the tabulated cell solution for the local
     field value, evaluated at the point's position within its cell.  The
-    field is a ScalarField (its grid is the supercell), or a constant or an
-    HField on ``grid``."""
-    if isinstance(h_field, ScalarField):
-        grid = h_field.grid
+    field is a ScalarField (its grid is the supercell; an HField enters
+    sampled, ``HField.sample``), or a constant on ``grid``."""
+    if isinstance(h, ScalarField):
+        grid = h.grid
     elif grid is None:
         raise StructuralError("cb_field needs a supercell grid unless given a ScalarField")
-    h_vals = as_h_values(h_field, grid, eps)
+    h_vals = as_h_values(h, grid)
     uniq, inverse, micro = macro_layout(table, h_vals, grid)
     rows = table.state_spline()(uniq)  # one flat stacked state per distinct value
     return State.from_stack(grid, gather(rows, inverse, micro, grid.shape))

@@ -76,8 +76,9 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
     """Projected gradient descent on (nu_+, nu_-); V eliminated each step.
 
     Returns (state, iterations, energy_trace); energy decreases monotonically
-    (backtracking line search), and a step whose retracted state has a higher
-    energy raises DescentFailureError with the trace.
+    (backtracking line search).  A step whose retracted state has a higher
+    energy, or a projected gradient or trial density that a field too large
+    overflows, raises DescentFailureError with the trace.
     """
     grid = state.grid
     rho_b = grid.rho_b
@@ -96,6 +97,12 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
     def energy_of(a, b):
         return energy_supercell(make_state(a, b), h_value).total
 
+    def finite(value, what):
+        if np.isfinite(value):
+            return value
+        msg = f"{what} overflows at iteration {iterations} under the field h = {h_value:.3e}"
+        raise DescentFailureError(msg, energy_trace=trace)
+
     trace = [energy_of(nup, num)]
     step = 1.0
     iterations = 0
@@ -107,7 +114,8 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
         mu = (grid.inner(gp, nup) + grid.inner(gm, num)) / denom
         pgp = gp - mu * nup
         pgm = gm - mu * num
-        pg_norm = np.sqrt(grid.l2n(pgp) ** 2 + grid.l2n(pgm) ** 2)
+        with np.errstate(over="ignore"):
+            pg_norm = finite(np.sqrt(grid.l2n(pgp) ** 2 + grid.l2n(pgm) ** 2), "projected gradient")
         if pg_norm <= opts.phase1_tol:
             break
         dp, dm = grid.helmholtz_inverse(np.stack([pgp, pgm]))
@@ -119,7 +127,11 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
         t = min(4.0 * step, 1.0)
         accepted = False
         while t > 1e-16:
-            e_try = energy_of(nup - t * dp, num - t * dm)
+            a, b = nup - t * dp, num - t * dm
+            with np.errstate(over="ignore"):
+                # the retraction would rescale an overflowed density to zero
+                finite(grid.integrate(a * a + b * b), "trial density")
+            e_try = energy_of(a, b)
             if e_try <= e0 - 1e-4 * t * slope:
                 accepted = True
                 break

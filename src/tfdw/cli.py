@@ -341,8 +341,8 @@ def cmd_cb_table(cfg, out, seed, verbose):
 def cmd_two_scale_build(cfg, out, seed, verbose):
     tcfg, table, grid_n, h_field = _two_scale_inputs(cfg, seed)
     n = tcfg["n"]
-    u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n)
-    res = residual(u0, h_field.sample(grid_n, 1.0 / n)).norm_l2n()
+    u0, cs = ts.build_u0(table, h_field, grid_n)
+    res = residual(u0, h_field.sample(grid_n)).norm_l2n()
     ts.save_u0(out, "u0", u0, cs, {"ansatz_residual": res})
     if verbose:
         print(f"n = {n}: ansatz residual {res:.6e}")
@@ -352,9 +352,9 @@ def cmd_two_scale_build(cfg, out, seed, verbose):
 def cmd_newton_study(cfg, out, seed, verbose):
     tcfg, table, grid_n, h_field = _two_scale_inputs(cfg, seed)
     n = tcfg["n"]
-    u0, cs = ts.build_u0(table, h_field, grid_n, 1.0 / n)
-    h_vals = h_field.sample(grid_n, 1.0 / n)
-    u_cb = cb.cb_field(table, h_vals, 1.0 / n)
+    u0, cs = ts.build_u0(table, h_field, grid_n)
+    h_vals = h_field.sample(grid_n)
+    u_cb = cb.cb_field(table, h_vals)
     u_star, trace = newton_solve(u0, h_vals, _newton_opts(cfg, seed), u_cb=u_cb)
     trace.write_csv(os.path.join(out, "newton_trace.csv"))
     fieldio.atomic_write_text(os.path.join(out, "newton_summary.json"), trace.to_json())

@@ -245,6 +245,12 @@ class Grid:
     def domain(self):
         return "cell" if self.is_cell else "supercell"
 
+    @property
+    def eps(self):
+        """The scale ratio eps = 1/n of the n-fold supercell: a slow field
+        h(y) is sampled as h(eps x).  It is 1 on a cell."""
+        return 1.0 / max(self.spec.supercell)
+
     def __eq__(self, other):
         return (
             isinstance(other, Grid)
@@ -619,82 +625,70 @@ class HField:
     """Applied collinear field given on the slow (macroscopic) unit cell.
 
     ``h(y) = value + sum_j amp_j cos(2 pi m_j . f(y) + phase_j)`` where f are
-    cell-fractional coordinates of the slow variable.  On a supercell with
-    scale ratio eps the sampled field is ``h(eps x)``; slow-variable gradient
-    and Hessian are available analytically, which the two-scale correctors
-    need exactly.
+    cell-fractional coordinates of the slow variable.  On a supercell grid
+    the sampled field is ``h(eps x)`` with the grid's scale ratio
+    ``eps = grid.eps``; slow-variable gradient and Hessian are available
+    analytically, which the two-scale correctors need exactly.  The solvers
+    take the field only as values on their grid (``sample``).
     """
 
     def __init__(self, value=0.0, modes=()):
         self.value = float(value)
         self.modes = tuple(m if isinstance(m, Mode) else Mode(*m) for m in modes)
 
-    def check_compatible(self, grid, eps):
+    def check_compatible(self, grid):
         """h(eps x) must be periodic on the supercell: eps * n_j * m_j integral."""
         for mode in self.modes:
             for j in range(3):
-                t = eps * grid.spec.supercell[j] * mode.m[j]
+                t = grid.eps * grid.spec.supercell[j] * mode.m[j]
                 if abs(t - round(t)) > 1e-12:
                     raise StructuralError(
                         f"mode {mode.m} is not periodic on supercell "
-                        f"{grid.spec.supercell} at eps = {eps}"
+                        f"{grid.spec.supercell} at eps = {grid.eps}"
                     )
 
-    def _slow_fraction(self, grid, eps):
+    def _mode_terms(self, grid):
+        """(mode, phase 2 pi m . f(eps x) + phase, A^-1 m) per mode on ``grid``."""
+        self.check_compatible(grid)
+        f = [grid.eps * grid.spec.supercell[j] * grid.supercell_fraction[j] for j in range(3)]
+        Ainv = np.linalg.inv(grid.lattice.cell_vectors)
         return [
-            eps * grid.spec.supercell[j] * grid.supercell_fraction[j] for j in range(3)
+            (mode, TWO_PI * sum(c * fj for c, fj in zip(mode.m, f)) + mode.phase, Ainv @ np.array(mode.m, float))
+            for mode in self.modes
         ]
 
-    def sample(self, grid, eps):
+    def sample(self, grid):
         """ScalarField of h(eps x) on the supercell grid."""
-        self.check_compatible(grid, eps)
-        f = self._slow_fraction(grid, eps)
         vals = np.full(grid.shape, self.value)
-        for mode in self.modes:
-            vals = vals + mode.amp * np.cos(
-                TWO_PI * sum(c * fj for c, fj in zip(mode.m, f)) + mode.phase
-            )
+        for mode, phase, _ in self._mode_terms(grid):
+            vals = vals + mode.amp * np.cos(phase)
         return ScalarField(grid, vals)
 
-    def grad_slow(self, grid, eps):
+    def grad_slow(self, grid):
         """Cartesian slow-variable gradient of h at y = eps x (3 arrays)."""
-        self.check_compatible(grid, eps)
-        f = self._slow_fraction(grid, eps)
-        Ainv = np.linalg.inv(grid.lattice.cell_vectors)
         out = [np.zeros(grid.shape) for _ in range(3)]
-        for mode in self.modes:
-            phase = TWO_PI * sum(c * fj for c, fj in zip(mode.m, f)) + mode.phase
-            mfrac = Ainv @ np.array(mode.m, dtype=float)
+        for mode, phase, mfrac in self._mode_terms(grid):
             s = -TWO_PI * mode.amp * np.sin(phase)
             for a in range(3):
                 out[a] = out[a] + s * mfrac[a]
         return out
 
-    def hess_slow(self, grid, eps):
+    def hess_slow(self, grid):
         """Cartesian slow-variable Hessian of h (dict over ordered pairs)."""
-        self.check_compatible(grid, eps)
-        f = self._slow_fraction(grid, eps)
-        Ainv = np.linalg.inv(grid.lattice.cell_vectors)
-        out = {}
-        for a in range(3):
-            for b in range(3):
-                out[(a, b)] = np.zeros(grid.shape)
-        for mode in self.modes:
-            phase = TWO_PI * sum(c * fj for c, fj in zip(mode.m, f)) + mode.phase
-            mfrac = Ainv @ np.array(mode.m, dtype=float)
+        out = {(a, b): np.zeros(grid.shape) for a in range(3) for b in range(3)}
+        for mode, phase, mfrac in self._mode_terms(grid):
             c = -(TWO_PI**2) * mode.amp * np.cos(phase)
             for a in range(3):
                 for b in range(3):
                     out[(a, b)] = out[(a, b)] + c * mfrac[a] * mfrac[b]
         return out
 
-    def active_axes(self, grid, eps):
+    def active_axes(self, grid):
         """Axes along which h actually varies on this supercell."""
         axes = set()
-        for mode in self.modes:
+        for mode, _, mfrac in self._mode_terms(grid):
             if mode.amp == 0.0:
                 continue
-            mfrac = np.linalg.inv(grid.lattice.cell_vectors) @ np.array(mode.m, float)
             for a in range(3):
                 if abs(mfrac[a]) > 1e-14:
                     axes.add(a)
@@ -714,8 +708,10 @@ class HField:
         return cls(d.get("value", 0.0), modes)
 
 
-def as_h_values(h, grid, eps=None):
-    """Accept a constant, a ScalarField or an HField as the applied field."""
+def as_h_values(h, grid):
+    """The applied field as values on ``grid``: None (zero field), a
+    constant, or a ScalarField on that grid.  A slowly varying HField
+    reaches the solvers sampled (``HField.sample``)."""
     if h is None:
         return np.zeros(grid.shape)
     if np.isscalar(h):
@@ -724,8 +720,4 @@ def as_h_values(h, grid, eps=None):
         if h.grid != grid:
             raise GridMismatchError("applied field lives on a different grid")
         return h.values
-    if isinstance(h, HField):
-        if eps is None:
-            eps = 1.0 / max(grid.spec.supercell)
-        return h.sample(grid, eps).values
     raise StructuralError(f"cannot interpret applied field of type {type(h)!r}")

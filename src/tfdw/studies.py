@@ -22,11 +22,14 @@ from .linop import stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
 
+SLOPE_FLOOR = 1e-12  # averaged norms at or below this are roundoff, not an order
+
 
 def fit_loglog_slope(xs, ys, drop_largest=True):
     """OLS slope of log(y) against log(x); by default the largest x
-    (pre-asymptotic) point is excluded.  None when a fitted value is not
-    positive and finite (an exactly vanishing distance has no order)."""
+    (pre-asymptotic) point is excluded.  None when a fitted x is not
+    positive and finite, or a fitted y is not finite or is at or below
+    ``SLOPE_FLOOR``: a distance that vanishes to roundoff has no order."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if drop_largest and len(xs) > 2:
@@ -34,8 +37,7 @@ def fit_loglog_slope(xs, ys, drop_largest=True):
         xs, ys = xs[keep], ys[keep]
     if len(xs) < 2:
         raise StructuralError("slope fit needs at least two points")
-    data = np.concatenate([xs, ys])
-    if not np.all(np.isfinite(data) & (data > 0)):
+    if not (np.all(np.isfinite(xs) & (xs > 0)) and np.all(np.isfinite(ys) & (ys > SLOPE_FLOOR))):
         return None
     lx, ly = np.log(xs), np.log(ys)
     A = np.vstack([lx, np.ones_like(lx)]).T
@@ -87,16 +89,15 @@ def run_eps_study(
 
     def run_one(n):
         grid_n = Grid(lattice, GridSpec(tuple(resolution), (n, 1, 1)))
-        eps = 1.0 / n
-        h_vals = h_field.sample(grid_n, eps)
-        u0, cs = ts.build_u0(table, h_field, grid_n, eps)
+        h_vals = h_field.sample(grid_n)
+        u0, cs = ts.build_u0(table, h_field, grid_n)
         res_u0 = residual(u0, h_vals).norm_l2n()
         res_first = residual(ts.assemble_u0(cs, include_second=False), h_vals).norm_l2n()
-        u_cb = cb.cb_field(table, h_vals, eps)
+        u_cb = cb.cb_field(table, h_vals)
         u_star, trace = newton_solve(u0, h_vals, newton_opts, u_cb=u_cb)
         return EpsStudyRow(
             n=n,
-            eps=eps,
+            eps=grid_n.eps,
             ansatz_residual=res_u0,
             newton_distance_u0=trace.distance_to_u0,
             cb_distance=trace.distance_to_cb,
@@ -173,24 +174,18 @@ def write_legendre_csv(path, rows):
     write_csv(path, columns, ([getattr(r, c) for c in columns] for r in rows))
 
 
-def extended_as_cell(lattice: LatticeSpec, resolution, state: State, n: int, axis=0):
-    """Re-declare an n-fold supercell along one axis as a single large cell:
-    scaled lattice vectors, per-cell charge and mode indices, and the state
-    values tiled periodically.  Exact on the collocation grid."""
+def extended_as_cell(lattice: LatticeSpec, resolution, state: State, n: int):
+    """Re-declare an n-fold supercell along the first lattice vector as a
+    single large cell: scaled lattice vector, per-cell charge and mode
+    indices, and the state values tiled periodically.  Exact on the
+    collocation grid."""
     A = lattice.cell_vectors.copy()
-    A[axis] = A[axis] * n
-    scale = [1, 1, 1]
-    scale[axis] = n
-    modes = [
-        Mode(tuple(int(m.m[j] * scale[j]) for j in range(3)), m.amp, m.phase)
-        for m in lattice.rho_b_modes
-    ]
+    A[0] = A[0] * n
+    modes = [Mode((m.m[0] * n,) + m.m[1:], m.amp, m.phase) for m in lattice.rho_b_modes]
     big_lattice = LatticeSpec(A, lattice.Z * n, modes)
-    res = list(resolution)
-    res[axis] = res[axis] * n
-    big_grid = Grid(big_lattice, GridSpec(tuple(res)))
-    reps = [1, 1, 1]
-    reps[axis] = n
+    res = tuple(resolution)
+    big_grid = Grid(big_lattice, GridSpec((res[0] * n,) + res[1:]))
+    reps = (n, 1, 1)
     big_state = State(
         ScalarField(big_grid, np.tile(state.nu_plus.values, reps)),
         ScalarField(big_grid, np.tile(state.nu_minus.values, reps)),

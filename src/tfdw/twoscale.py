@@ -70,7 +70,6 @@ class CorrectorSet:
 
     table: CBTable
     h_field: HField
-    eps: float
     grid: Grid                          # supercell grid
     macro_samples: np.ndarray           # distinct sampled field values
     inverse: np.ndarray                 # flat supercell point -> sample index
@@ -184,15 +183,13 @@ def second_order_sources(ctx: _CellContext, sample: SampleSolves, alpha, beta):
     return A, B
 
 
-def _macro_layout(table: CBTable, h_field: HField, grid: Grid, eps: float):
+def _macro_layout(table: CBTable, h_field: HField, grid: Grid):
     if not isinstance(h_field, HField):
         raise StructuralError("two-scale construction needs an analytic HField")
     n_eff = max(grid.spec.supercell)
     if any(n not in (1, n_eff) for n in grid.spec.supercell):
         raise StructuralError(f"supercell factors {grid.spec.supercell} must be 1 or the sweep factor")
-    if abs(eps * n_eff - 1.0) > 1e-12:
-        raise StructuralError(f"eps = {eps} does not match supercell factor {n_eff}")
-    return macro_layout(table, h_field.sample(grid, eps).values, grid)
+    return macro_layout(table, h_field.sample(grid).values, grid)
 
 
 def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
@@ -254,13 +251,13 @@ def tabulate_correctors(table: CBTable, axes):
     return CubicSpline(h, np.array(rows), axis=0), residual
 
 
-def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Grid) -> CorrectorSet:
+def first_order_correctors(table: CBTable, h_field: HField, grid: Grid) -> CorrectorSet:
     """Correctors at every distinct sampled field value from the table's
     corrector splines (``tabulate_correctors``, run on the first request for
     the field's active axes and cached on the table).  The set carries the
     second-order values too; ``second_order_correctors`` marks it complete."""
-    uniq, inverse, micro = _macro_layout(table, h_field, grid, eps)
-    axes = h_field.active_axes(grid, eps)
+    uniq, inverse, micro = _macro_layout(table, h_field, grid)
+    axes = h_field.active_axes(grid)
     pairs = _pairs(axes)
     w, P, Q, residual = {}, {}, {}, 0.0
     if axes:
@@ -272,7 +269,7 @@ def first_order_correctors(table: CBTable, h_field: HField, eps: float, grid: Gr
         P = dict(zip(pairs, blocks[len(axes) : len(axes) + len(pairs)]))
         Q = dict(zip(pairs, blocks[len(axes) + len(pairs) :]))
     return CorrectorSet(
-        table=table, h_field=h_field, eps=eps, grid=grid, macro_samples=uniq, inverse=inverse,
+        table=table, h_field=h_field, grid=grid, macro_samples=uniq, inverse=inverse,
         micro=micro, w=w, P=P, Q=Q, active_axes=axes, active_pairs=pairs, solve_residual=residual,
     )
 
@@ -288,39 +285,37 @@ def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
     """Evaluate the two-scale sums on the supercell in atomic units."""
     if include_second and not cs.complete:
         raise StructuralError("second-order correctors have not been built")
-    eps = cs.eps
     grid = cs.grid
 
     def supercell(rows):
         return gather(rows, cs.inverse, cs.micro, grid.shape)
 
-    total = cb_field(cs.table, cs.h_field, eps, grid).stacked()
-    grads = cs.h_field.grad_slow(grid, eps)
+    total = cb_field(cs.table, cs.h_field.sample(grid)).stacked()
+    grads = cs.h_field.grad_slow(grid)
     for a in cs.active_axes:
-        total += eps * supercell(cs.w[a]) * grads[a]
+        total += grid.eps * supercell(cs.w[a]) * grads[a]
 
     if include_second:
-        hess = cs.h_field.hess_slow(grid, eps)
+        hess = cs.h_field.hess_slow(grid)
         for a, b in cs.active_pairs:
             fac_A = grads[a] * grads[b]
-            total += eps**2 * (supercell(cs.P[a, b]) * fac_A + supercell(cs.Q[a, b]) * hess[a, b])
+            total += grid.eps**2 * (supercell(cs.P[a, b]) * fac_A + supercell(cs.Q[a, b]) * hess[a, b])
     return State.from_stack(grid, total)
 
 
-def build_u0(table: CBTable, h_field: HField, grid: Grid, eps: float = None):
-    """Convenience pipeline: correctors plus assembled state.  The first
-    build on ``table`` for a set of active axes tabulates the correctors on
-    its knots; every later build, at any eps, reuses them."""
-    if eps is None:
-        eps = 1.0 / max(grid.spec.supercell)
-    cs = second_order_correctors(first_order_correctors(table, h_field, eps, grid))
+def build_u0(table: CBTable, h_field: HField, grid: Grid):
+    """Convenience pipeline: correctors plus assembled state at the grid's
+    scale ratio ``grid.eps``.  The first build on ``table`` for a set of
+    active axes tabulates the correctors on its knots; every later build,
+    on any supercell, reuses them."""
+    cs = second_order_correctors(first_order_correctors(table, h_field, grid))
     return assemble_u0(cs), cs
 
 
 def save_u0(directory, name, state: State, cs: CorrectorSet, extra=None):
     """Persist the assembled state with its construction metadata."""
     meta = {
-        "eps": cs.eps,
+        "eps": cs.grid.eps,
         "h_field": cs.h_field.descriptor(),
         "supercell": list(cs.grid.spec.supercell),
         "corrector_solve_residual": cs.solve_residual,

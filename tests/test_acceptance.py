@@ -181,11 +181,11 @@ def test_c5_constant_field_degeneracy(cb_table):
     h = HField(0.05)
     for n in (2, 4, 8):
         grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (n, 1, 1)))
-        u0, cs = ts.build_u0(cb_table, h, grid, 1.0 / n)
-        lead = cb.cb_field(cb_table, h.sample(grid, 1.0 / n), 1.0 / n)
+        u0, cs = ts.build_u0(cb_table, h, grid)
+        lead = cb.cb_field(cb_table, h.sample(grid))
         exact = exact and np.array_equal(u0.nu_plus.values, lead.nu_plus.values)
         exact = exact and np.array_equal(u0.v_full_values(), lead.v_full_values())
-        worst = max(worst, residual(u0, h.sample(grid, 1.0 / n)).norm_l2n())
+        worst = max(worst, residual(u0, h.sample(grid)).norm_l2n())
     report(
         "C5 constant-field-degeneracy",
         exact and worst <= 1e-9,

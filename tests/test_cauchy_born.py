@@ -123,16 +123,23 @@ def test_cb_field_range_check(cb_table):
         cb.cb_field(cb_table, boom)
 
 
+def test_cb_field_takes_a_slow_field_only_sampled(cb_table):
+    # an HField reaches cb_field as its values on the grid, not unsampled
+    grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (4, 1, 1)))
+    with pytest.raises(StructuralError):
+        cb.cb_field(cb_table, HField(0.0, [((1, 0, 0), 0.06)]), grid=grid)
+
+
 def test_cb_field_modulated_matches_pointwise_spline(cb_table):
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (4, 1, 1)))
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    state = cb.cb_field(cb_table, h, eps=0.25, grid=grid)
-    h_vals = h.sample(grid, 0.25).values
+    h_vals = h.sample(grid)
+    state = cb.cb_field(cb_table, h_vals)
     # spot-check a few points against a direct per-point spline evaluation
     rng = np.random.default_rng(0)
     for _ in range(5):
         i = tuple(rng.integers(0, s) for s in grid.shape)
-        cell_state = cb_table.state_at(float(np.round(h_vals[i], 12)))
+        cell_state = cb_table.state_at(float(np.round(h_vals.values[i], 12)))
         micro = (i[0] % 8, i[1] % 4, i[2] % 4)
         assert state.nu_plus.values[i] == pytest.approx(
             cell_state.nu_plus.values[micro], abs=1e-12

@@ -192,6 +192,34 @@ def test_error_payload_carries_diagnostics(tmp_path, capsys, monkeypatch, error,
     assert payload[key] == value
 
 
+@pytest.mark.parametrize(
+    "h_value, error",
+    [(1e200, "DescentFailureError"), (4e152, "DescentFailureError"), (1e10, "PositivityLossError")],
+    ids=["gradient-overflow", "trial-overflow", "large"],
+)
+def test_solve_cell_names_a_field_too_large(tmp_path, capsys, h_value, error):
+    # a field that overflows phase 1 (its projected gradient at 1e200, its
+    # first trial density at 4e152) stops the descent naming h, without a
+    # floating-point warning; a merely large one loses positivity in Newton
+    cfg = write_config(
+        tmp_path,
+        {
+            "out": str(tmp_path / "out"),
+            "lattice": LATTICE,
+            "grid": {"resolution": [8, 4, 4]},
+            "cell": {"h_value": h_value},
+        },
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve-cell", "--config", cfg]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == error
+    if error == "DescentFailureError":
+        assert f"h = {h_value:.3e}" in payload["message"]
+        assert payload["energy_trace"] and all(np.isfinite(payload["energy_trace"]))
+
+
 def test_jellium_scan_threshold(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -415,8 +443,9 @@ def test_legendre_check_cli(tmp_path):
 
 def test_eps_study_slopes_are_null_where_the_distances_vanish(tmp_path):
     # under a constant field u0 is exact and Newton takes no step, so both
-    # distances are exactly 0: their slopes are null, never NaN, and no
-    # log(0) warning is raised
+    # distances are exactly 0 and both ansatz residuals are roundoff (about
+    # 1e-13): all four slopes are null, never NaN or an order fitted to
+    # roundoff, and no log(0) warning is raised
     def no_constant(name):
         raise AssertionError(f"{name} in eps_slopes.json")
 
@@ -436,7 +465,7 @@ def test_eps_study_slopes_are_null_where_the_distances_vanish(tmp_path):
         assert cli.main(["eps-study", "--config", cfg]) == 0
     slopes = json.loads((tmp_path / "out" / "eps_slopes.json").read_text(), parse_constant=no_constant)
     assert slopes["newton_distance_u0"] is None and slopes["cb_distance"] is None
-    assert isinstance(slopes["ansatz_residual"], float)
+    assert slopes["ansatz_residual"] is None and slopes["ansatz_residual_first_order"] is None
 
 
 def test_eps_study_honors_the_stability_section(tmp_path, capsys):

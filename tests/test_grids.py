@@ -473,27 +473,33 @@ def test_domain_tag():
 # -- macroscopic field ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_eps_is_the_inverse_supercell_factor(n):
+    assert make_grid((4, 4, 4), (n, 1, 1)).eps == 1.0 / n
+    assert make_grid((4, 4, 4)).eps == 1.0
+
+
 def test_hfield_compatibility():
     g = make_grid((4, 4, 4), (4, 1, 1))
     h = HField(0.0, [((1, 0, 0), 0.1)])
-    h.check_compatible(g, 0.25)
+    h.check_compatible(g)
     bad = HField(0.0, [((0, 1, 0), 0.1)])  # varies along a non-swept axis
     with pytest.raises(StructuralError):
-        bad.check_compatible(g, 0.25)
+        bad.check_compatible(g)
 
 
 def test_hfield_sample_and_derivatives():
     g = make_grid((4, 4, 4), (4, 1, 1))
-    eps = 0.25
+    eps = 0.25  # the grid's own scale ratio
     h = HField(0.2, [((1, 0, 0), 0.07, 0.3)])
-    vals = h.sample(g, eps).values
+    vals = h.sample(g).values
     x = eps * 4 * g.supercell_fraction[0]
     assert np.max(np.abs(vals - (0.2 + 0.07 * np.cos(TWO_PI * x + 0.3)))) < 1e-14
-    grad = h.grad_slow(g, eps)
-    hess = h.hess_slow(g, eps)
+    grad = h.grad_slow(g)
+    hess = h.hess_slow(g)
     expected_g = -TWO_PI * 0.07 * np.sin(TWO_PI * x + 0.3)
     expected_h = -(TWO_PI**2) * 0.07 * np.cos(TWO_PI * x + 0.3)
     assert np.max(np.abs(grad[0] - expected_g)) < 1e-13
     assert np.max(np.abs(hess[(0, 0)] - expected_h)) < 1e-12
     assert np.max(np.abs(grad[1])) == 0.0
-    assert h.active_axes(g, eps) == [0]
+    assert h.active_axes(g) == [0]

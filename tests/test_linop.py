@@ -576,7 +576,7 @@ def _workhorse_fiber(state, frac, wrap=True):
 
 
 def _supercell_fiber(state):
-    _, _, big = extended_as_cell(state.grid.lattice, state.grid.shape, state, 2, 0)
+    _, _, big = extended_as_cell(state.grid.lattice, state.grid.shape, state, 2)
     return _workhorse_fiber(big, (0.5, 0.0, 0.0), wrap=False)
 
 

@@ -23,16 +23,16 @@ def sweep_point(cb_table):
     n = 6
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (n, 1, 1)))
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    u0, _ = ts.build_u0(cb_table, h, grid, 1.0 / n)
-    h_vals = h.sample(grid, 1.0 / n)
+    u0, _ = ts.build_u0(cb_table, h, grid)
+    h_vals = h.sample(grid)
     return grid, u0, h_vals
 
 
 def test_fixed_point_zero_iterations(cb_table):
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (2, 1, 1)))
     h = HField(0.05)
-    u0, _ = ts.build_u0(cb_table, h, grid, 0.5)
-    h_vals = h.sample(grid, 0.5)
+    u0, _ = ts.build_u0(cb_table, h, grid)
+    h_vals = h.sample(grid)
     u_star, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-9))
     assert trace.converged
     assert trace.increments == []
@@ -99,7 +99,7 @@ def test_local_uniqueness(sweep_point, rng):
 
 def test_distances_recorded(sweep_point, cb_table):
     grid, u0, h_vals = sweep_point
-    u_cb = cb.cb_field(cb_table, h_vals, 1.0 / 6.0)
+    u_cb = cb.cb_field(cb_table, h_vals)
     u_star, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-10), u_cb=u_cb)
     assert trace.distance_to_u0 > 0
     assert trace.distance_to_cb > trace.distance_to_u0  # eps vs eps^3 scale
@@ -129,8 +129,8 @@ def test_trace_serialization(sweep_point, tmp_path):
 def test_gap_precondition_estimate(cb_table):
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (4, 1, 1)))
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    u0, _ = ts.build_u0(cb_table, h, grid, 0.25)
-    h_vals = h.sample(grid, 0.25)
+    u0, _ = ts.build_u0(cb_table, h, grid)
+    h_vals = h.sample(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-9, check_gap=True))
@@ -149,11 +149,11 @@ def test_gap_precondition_above_dense_cutoff(cb_table):
     n = 16
     grid = Grid(cb_table.lattice, GridSpec((8, 4, 4), (n, 1, 1)))
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    u0, _ = ts.build_u0(cb_table, h, grid, 1.0 / n)
+    u0, _ = ts.build_u0(cb_table, h, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, trace = newton_solve(
-            u0, h.sample(grid, 1.0 / n), NewtonOptions(tol=1e-9, check_gap=True)
+            u0, h.sample(grid), NewtonOptions(tol=1e-9, check_gap=True)
         )
     assert trace.converged
     # near the cell fibers' gap 0.592 at h = 0

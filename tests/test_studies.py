@@ -29,6 +29,16 @@ def test_slope_fit_drop_largest():
     assert fit_loglog_slope(xs, ys, drop_largest=False) != pytest.approx(2.0, abs=0.1)
 
 
+def test_slope_fit_refuses_roundoff():
+    # norms at roundoff level (as a constant-field ansatz residual reads)
+    # have no order, even when they happen to drift with x
+    xs = [0.5, 0.25, 0.125]
+    assert fit_loglog_slope(xs, [1.1e-13, 1.0e-13, 0.8e-13], drop_largest=False) is None
+    assert fit_loglog_slope(xs, [1.0e-3, 1.0e-8, 1.0e-13], drop_largest=False) is None
+    # only the kept data count: the dropped largest x may sit at the floor
+    assert fit_loglog_slope(xs, [1.0e-13, 1.0e-6, 1.0e-9]) == pytest.approx(np.log2(1e3))
+
+
 def test_slope_fit_needs_points():
     with pytest.raises(StructuralError):
         fit_loglog_slope([1.0], [1.0], drop_largest=False)

@@ -18,20 +18,20 @@ def supergrid(table, n):
 def test_constant_field_degenerates_to_cb(cb_table):
     grid = supergrid(cb_table, 4)
     h = HField(0.05)  # a table knot
-    u0, cs = ts.build_u0(cb_table, h, grid, 0.25)
+    u0, cs = ts.build_u0(cb_table, h, grid)
     assert cs.active_axes == [] and cs.active_pairs == []
-    lead = cb.cb_field(cb_table, h.sample(grid, 0.25), 0.25)
+    lead = cb.cb_field(cb_table, h.sample(grid))
     assert np.array_equal(u0.nu_plus.values, lead.nu_plus.values)
     assert np.array_equal(u0.nu_minus.values, lead.nu_minus.values)
     assert np.array_equal(u0.v_full_values(), lead.v_full_values())
-    res = residual(u0, h.sample(grid, 0.25)).norm_l2n()
+    res = residual(u0, h.sample(grid)).norm_l2n()
     assert res <= 1e-9
 
 
 def test_corrector_solves_satisfy_their_systems(cb_table):
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    cs = ts.first_order_correctors(cb_table, h, 0.25, grid)
+    cs = ts.first_order_correctors(cb_table, h, grid)
     cs = ts.second_order_correctors(cs)
     assert 0.0 < cs.solve_residual <= 1e-10
     # re-verify the solves at one off-knot field value through the operator
@@ -52,7 +52,7 @@ def test_leading_order_is_cell_exact(cb_table):
     # map satisfies the constant-field system pointwise in h
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    cs = ts.first_order_correctors(cb_table, h, 0.25, grid)
+    cs = ts.first_order_correctors(cb_table, h, grid)
     for h_val in cs.macro_samples[:: max(1, len(cs.macro_samples) // 4)]:
         state = cb_table.state_at(float(h_val))
         assert residual(state, float(h_val)).norm_l2n() <= 1e-8
@@ -65,8 +65,8 @@ def test_first_order_linearity_in_gradient_data(cb_table):
     norms = {}
     for amp in (0.01, 0.005):
         h = HField(0.0, [((1, 0, 0), amp)])
-        u0 = ts.assemble_u0(ts.first_order_correctors(cb_table, h, 0.25, grid), include_second=False)
-        lead = cb.cb_field(cb_table, h.sample(grid, 0.25), 0.25)
+        u0 = ts.assemble_u0(ts.first_order_correctors(cb_table, h, grid), include_second=False)
+        lead = cb.cb_field(cb_table, h.sample(grid))
         diff = [
             u0.nu_plus.values - lead.nu_plus.values,
             u0.nu_minus.values - lead.nu_minus.values,
@@ -99,7 +99,7 @@ def test_second_order_sources_with_zeroed_first_order(cb_table):
 def test_corrector_macro_smoothness(cb_table):
     grid = supergrid(cb_table, 8)
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    cs = ts.first_order_correctors(cb_table, h, 0.125, grid)
+    cs = ts.first_order_correctors(cb_table, h, grid)
     stacked = cs.w[0]
     hs = cs.macro_samples
     if len(hs) >= 4:
@@ -113,13 +113,11 @@ def test_corrector_macro_smoothness(cb_table):
 def test_structural_checks(cb_table):
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    with pytest.raises(StructuralError):
-        ts.first_order_correctors(cb_table, h, 0.5, grid)  # eps mismatch
-    cs = ts.first_order_correctors(cb_table, h, 0.25, grid)
+    cs = ts.first_order_correctors(cb_table, h, grid)
     with pytest.raises(StructuralError):
         ts.assemble_u0(cs, include_second=True)  # second order missing
     with pytest.raises(StructuralError):
-        ts.first_order_correctors(cb_table, h.sample(grid, 0.25), 0.25, grid)
+        ts.first_order_correctors(cb_table, h.sample(grid), grid)
 
 
 def test_positivity_guard_in_corrector_context(cb_table):
@@ -128,7 +126,7 @@ def test_positivity_guard_in_corrector_context(cb_table):
     # own knots, and the guard fires there
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    ts.build_u0(cb_table, h, grid, 0.25)
+    ts.build_u0(cb_table, h, grid)
     shifted_solutions = [
         dataclasses.replace(
             sol,
@@ -145,7 +143,7 @@ def test_positivity_guard_in_corrector_context(cb_table):
     with pytest.raises(PositivityLossError):
         ts._CellContext(bad, 0.0)
     with pytest.raises(PositivityLossError):
-        ts.build_u0(bad, h, grid, 0.25)
+        ts.build_u0(bad, h, grid)
 
 
 def test_residual_decay_two_points(cb_table):
@@ -155,15 +153,15 @@ def test_residual_decay_two_points(cb_table):
     res = {}
     for n in (6, 12):
         grid = supergrid(cb_table, n)
-        u0, _ = ts.build_u0(cb_table, h, grid, 1.0 / n)
-        res[n] = residual(u0, h.sample(grid, 1.0 / n)).norm_l2n()
+        u0, _ = ts.build_u0(cb_table, h, grid)
+        res[n] = residual(u0, h.sample(grid)).norm_l2n()
     assert res[12] <= res[6] / 2**2.5
 
 
 def test_save_u0(tmp_path, cb_table):
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
-    u0, cs = ts.build_u0(cb_table, h, grid, 0.25)
+    u0, cs = ts.build_u0(cb_table, h, grid)
     ts.save_u0(tmp_path, "u0", u0, cs, {"note": 1})
     from tfdw import fieldio
 
@@ -186,7 +184,7 @@ def test_first_build_factorizes_each_knot_once(cb_table, factorizations):
     table = dataclasses.replace(cb_table)  # same samples, empty caches
     built, peak = factorizations
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    u0, cs = ts.build_u0(table, h, supergrid(table, 4), 0.25)
+    u0, cs = ts.build_u0(table, h, supergrid(table, 4))
     assert len(cs.macro_samples) == 17
     assert built == [float(k) for k in table.h_samples if k >= 0] and len(built) == 9
     assert peak[0] == 1
@@ -199,14 +197,14 @@ def test_later_builds_factorize_nothing_in_any_order(cb_table, factorizations):
     built, peak = factorizations
     h = HField(0.0, [((1, 0, 0), 0.08)])
     table = dataclasses.replace(cb_table)
-    ts.build_u0(table, h, supergrid(table, 4), 0.25)
+    ts.build_u0(table, h, supergrid(table, 4))
     assert len(built) == 9
     ns = (8, 4, 8, 2, 4)
-    states = [ts.build_u0(table, h, supergrid(table, n), 1.0 / n)[0] for n in ns]
+    states = [ts.build_u0(table, h, supergrid(table, n))[0] for n in ns]
     assert len(built) == 9
     for n, u0 in zip(ns, states):
         own = dataclasses.replace(cb_table)
-        assert_same_state(u0, ts.build_u0(own, h, supergrid(own, n), 1.0 / n)[0])
+        assert_same_state(u0, ts.build_u0(own, h, supergrid(own, n))[0])
     assert peak[0] == 1
 
 
@@ -233,7 +231,7 @@ def test_tabulated_u0_matches_direct_solves(cb_table, n):
     # from a direct six-solve hierarchy at every sampled field value
     grid = supergrid(cb_table, n)
     h = HField(0.0, [((1, 0, 0), 0.08)])
-    u0, cs = ts.build_u0(cb_table, h, grid, 1.0 / n)
+    u0, cs = ts.build_u0(cb_table, h, grid)
     direct = [ts._solve_sample(cb_table, float(v), [0], [(0, 0)]) for v in cs.macro_samples]
     exact = dataclasses.replace(
         cs,
@@ -242,7 +240,7 @@ def test_tabulated_u0_matches_direct_solves(cb_table, n):
         Q={(0, 0): np.array([s.Q[(0, 0)] for s in direct])},
     )
     u0_exact = ts.assemble_u0(exact)
-    h_vals = h.sample(grid, 1.0 / n)
+    h_vals = h.sample(grid)
     res = residual(u0, h_vals).norm_l2n()
     res_exact = residual(u0_exact, h_vals).norm_l2n()
     assert abs(res - res_exact) <= 1e-6 * res_exact
