@@ -47,12 +47,15 @@ def field_source(nu_plus, nu_minus):
     return np.stack([nu_plus, -nu_minus, np.zeros_like(nu_plus)])
 
 
-def solve_du_dh(sol: CellSolution) -> State:
+def solve_du_dh(sol: CellSolution, operator: LinearizedOperator | None = None) -> State:
     """Differentiate the stationarity system in h: the derivative triple
-    solves  L_h (du/dh) = (nu_+, -nu_-, 0)."""
+    solves  L_h (du/dh) = (nu_+, -nu_-, 0).  ``operator``, L_h at the
+    solution where the caller holds it, lends its Gamma factors
+    (LinearizedOperator.gamma)."""
     s = sol.state
     rhs = field_source(s.nu_plus.values, s.nu_minus.values).ravel()
-    return State.from_stack(sol.grid, LinearizedOperator(s, sol.h_value).dense_solve(rhs))
+    op = operator or LinearizedOperator(s, sol.h_value)
+    return State.from_stack(sol.grid, op.dense_solve(rhs))
 
 
 def macro_layout(table, h_values, grid):
@@ -202,7 +205,12 @@ def build_cb_table(
 
     The anchor solve is certified with a refined stability scan; subsequent
     samples are checked on the declared xi grid, each scan warm-started
-    from the eigenvectors of the one before.  Corrector divergence or a
+    from the eigenvectors of the one before.  A march sample's scan and its
+    du/dh solve share one LinearizedOperator, so its Gamma block is
+    factored once; the operator lives for that sample only.  The anchor's
+    du/dh factors its own: the Gamma factors would otherwise stay alive
+    through the anchor's refinement, the peak of the build's memory.
+    Corrector divergence or a
     collapsing gap stops the march with a ContinuationStopError that reports
     the last good h, as ``partial`` the samples accepted so far
     (``h_values``, ``solutions``, ``gaps``, in increasing h from 0), and
@@ -287,6 +295,7 @@ def build_cb_table(
         if not sol.C_nu_ok:
             raise stop(f"nu dropped to {min_nu:.4g} below C_nu at h = {h_new:.6g}", dh)
         gap = None
+        op = LinearizedOperator(state, h_new)
         if verify_samples:
             # warm-started from the previous sample's fibers; only the last
             # report is kept
@@ -297,6 +306,7 @@ def build_cb_table(
                 threshold=stability_threshold,
                 refine=False,
                 previous=report,
+                operator=op,
             )
             if report.classification != "stable":
                 raise stop(
@@ -306,7 +316,8 @@ def build_cb_table(
                 )
             gap = report.global_gap
         entries.append((sol, gap))
-        dudh.append(solve_du_dh(sol))
+        dudh.append(solve_du_dh(sol, operator=op))
+        del op  # its Gamma factors serve this sample only
 
     def mirror(sol):
         flipped = spin_flip(sol.state)

@@ -77,8 +77,9 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
 
     Returns (state, iterations, energy_trace); energy decreases monotonically
     (backtracking line search).  A step whose retracted state has a higher
-    energy, or a projected gradient or trial density that a field too large
-    overflows, raises DescentFailureError with the trace.
+    energy, a line search that finds no decrease, or a projected gradient or
+    trial density that a field too large overflows, raises
+    DescentFailureError with the trace; the last two name the field.
     """
     grid = state.grid
     rho_b = grid.rho_b
@@ -138,7 +139,7 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
             t *= 0.5
         if not accepted:
             raise DescentFailureError(
-                f"descent stagnated at iteration {iterations} "
+                f"descent stagnated at iteration {iterations} under the field h = {h_value:.3e} "
                 f"(projected gradient {pg_norm:.3e})",
                 energy_trace=trace,
             )

@@ -92,13 +92,6 @@ def eigenvalues(params: JelliumParams, xi):
     return float(lam1), float(vals[1]), float(vals[0])
 
 
-def symmetric_channel_product(params: JelliumParams, xi):
-    """lambda_plus * lambda_minus from the 2x2 determinant:
-    -(1/8 pi) xi^2 (xi^2 + c) - 2 nu0^2."""
-    t = _xi_sq(xi)
-    return -t * (t + params.sdw_coefficient) / (8.0 * np.pi) - 2.0 * params.nu0**2
-
-
 def sdw_threshold():
     """The spin-wave stability threshold on nu0: (2/5)^{3/2}."""
     return (2.0 / 5.0) ** 1.5

@@ -21,16 +21,29 @@ Every gap is the eigenvalue nearest zero by shift-invert Lanczos.  The same
 factorization at xi = 0, real there, solves every dense cell system
 (LinearizedOperator.dense_solve).
 
-Time reversal pairs the fibers of a scan.  Every grid axis is even, so the
-fftfreq mode window W of each axis satisfies -W = W + 1, and with
-G = b_1 + b_2 + b_3 the fiber at G - xi is a unitary transform of the
-conjugate fiber at xi:
+Symmetry maps the fibers of a scan onto one another.  Let R be a signed
+permutation of the cell axes that the grid shape and the reciprocal metric
+admit (mirrors x_a -> -x_a, swaps of axes with equal n and equal metric),
+acting on grid functions by (R u)(x) = u(R x), and let the multipliers be
+invariant, F o R = F and nu o R = nu.  Every grid axis is even, so the
+fftfreq mode window W of each axis satisfies -W = W + 1, and the fiber whose
+fractions are R t, with t_a -> 1 - t_a on the axes R mirrors, is
 
-    H(G - xi) = D conj(H(xi)) D^H,   D = diag(exp(-i G.x)).
+    H(xi') = D R H(xi) R^H D^H,   D = diag(exp(-i G_S.x)),
 
-Both have the same inertia and spectrum, and D conj(v) is an eigenvector of
-H(G - xi) for every eigenvector v of H(xi).  The fiber at -xi has another
-mode window, so its discrete spectrum differs from that at xi.
+G_S the sum of the reciprocal vectors b_a of the mirrored axes S.  Time
+reversal, H(G - xi) = D conj(H(xi)) D^H with G = b_1 + b_2 + b_3, is the one
+antiunitary element; F and nu are real, so it is always admitted, alone
+and composed with each admitted R (it then flips the axes R leaves).  Both
+fibers have the same spectrum and inertia, and u'(x) = exp(-i G_S.x) u(R x)
+(conjugated under time reversal) is an eigenvector of H(xi') for every
+eigenvector u of H(xi).  A stability scan factors one fiber per orbit.  The
+state's invariance holds to roundoff, not bitwise: R is admitted once per
+operator when delta_R = max(|F o R - F|, |nu o R - nu|) is within
+SYMMETRY_RTOL of the multipliers' scale, and a mapped fiber takes the
+solved fiber's inertia only where its gap exceeds delta_R plus the
+residual bound (Weyl).  The fiber at -xi has another mode window, so its
+discrete spectrum differs from that at xi.
 """
 
 from __future__ import annotations
@@ -65,6 +78,9 @@ FIBER_START_BLEND = 1e-8
 # carrying their own Coulomb entry -|k + xi|^2/(8 pi)
 COULOMB_ELIMINATION_RTOL = 1e-6
 ZONE_SNAP_TOL = 1e-12  # fractional coordinates this close to an integer are that integer
+# a signed axis permutation is a symmetry of the fibers where it keeps the
+# reciprocal metric and F, nu to this much of their largest entry
+SYMMETRY_RTOL = 1e-12
 # smallest |eigenvalue| of the mean-coefficient block that the preconditioner
 # inverts; below it the block counts as this far from singular
 ABS_SYMBOL_FLOOR = 1e-2
@@ -198,8 +214,8 @@ class LinearizedOperator:
         Numer. Math. 58, 1990), and a bordered solution whose residual
         exceeds BORDERED_RESIDUAL_RTOL of the system's scale raises
         EigensolverError."""
-        fiber = FiberOperator(self, np.zeros(3), wrap=False)
-        solve = fiber.factor()
+        fiber = self.gamma
+        solve = fiber.solver()
         if border is None:
             return solve(rhs)
         column, row = border
@@ -231,12 +247,22 @@ class LinearizedOperator:
             )
         return np.append(x, m)
 
+    @functools.cached_property
+    def gamma(self):
+        """The Gamma fiber, the real cell operator, factored once and
+        keeping its factors (FiberOperator.solver): they serve every cell
+        solve on this operator and the Gamma record of a scan given it
+        (``stability_scan``)."""
+        fiber = FiberOperator(self, np.zeros(3), wrap=False)
+        fiber.solver()
+        return fiber
+
     def factor_cell(self):
         """The solve b -> L^{-1} b on the grid, from the one real
         factorization of its Gamma fiber (FiberOperator.factor): a block of
         order 2N + 1 in place of the 3N x 3N ``dense_matrix``, which it
         inverts."""
-        return FiberOperator(self, np.zeros(3), wrap=False).factor()
+        return self.gamma.solver()
 
 
 def _block_matrix(T, F, nu):
@@ -326,9 +352,9 @@ class FiberOperator:
     symbol there is the Hermitian fold (q(k) + q(-k))/2 of the Grid
     kernels, which differs from |k|^2 only at the Nyquist modes of a sheared
     lattice; every fiber at xi != 0 keeps the unfolded symbol, so on a
-    sheared lattice the family jumps at Gamma in its high spectrum.  The
-    fiber at G - xi needs no factorization once the fiber at xi is solved
-    (``time_reversed``, module notes).  The dense ``matrix`` and its
+    sheared lattice the family jumps at Gamma in its high spectrum.  A
+    fiber in the symmetry orbit of a solved one needs no factorization
+    (``mapped``, module notes).  The dense ``matrix`` and its
     ``eigenvalues`` are references no certificate uses.
     """
 
@@ -354,6 +380,7 @@ class FiberOperator:
         # mode is the constant k = 0 (a kept plane wave k != 0 is complex)
         self.dtype = float if gamma and np.count_nonzero(self.kept) == 1 else complex
         self._eigvals = None
+        self._solve = None
         self.n_negative = None
 
     @functools.cached_property
@@ -381,7 +408,8 @@ class FiberOperator:
         or dsytrf where the fiber is real), set ``n_negative`` from its D and
         return the solve b -> H^{-1} b by block elimination on the factors.
         An exactly singular D (a zero pivot) admits no solve and raises
-        EigensolverError."""
+        EigensolverError.  Every call factors anew; ``solver`` keeps the
+        factors."""
         N = self.n_points
         q = self.symbol.ravel()
         kept = self.kept
@@ -419,19 +447,27 @@ class FiberOperator:
                 residual_history=[],
             )
         self.n_negative = (N - len(Z)) + _ldl_negative_count(factors, ipiv)
+        nu = self.nu  # the solve, kept on the fiber, must not refer back to it
 
         def solve(b):
             # C^+ = -P: K (w, alpha) = (b_w - B C^+ b_W, u_Z^H b_W), then
             # W = C^+ (b_W - B^H w) + u_Z alpha
             r = np.asarray(b).reshape(3, N)
             Pr = P @ r[2]
-            rhs = np.concatenate([(r[:2] + self.nu * Pr).ravel(), Z.conj() @ r[2]])
+            rhs = np.concatenate([(r[:2] + nu * Pr).ravel(), Z.conj() @ r[2]])
             y = trs(factors, ipiv, rhs, lower=1)[0]
             w = y[: 2 * N]
-            W = P @ np.sum(self.nu * w.reshape(2, N), axis=0) - Pr + y[2 * N :] @ Z
+            W = P @ np.sum(nu * w.reshape(2, N), axis=0) - Pr + y[2 * N :] @ Z
             return np.concatenate([w, W])
 
         return solve
+
+    def solver(self):
+        """The solve of ``factor``, made on the first call and kept on the
+        fiber; a fiber that never calls it keeps no factors."""
+        if self._solve is None:
+            self._solve = self.factor()
+        return self._solve
 
     def min_eigenpair(self, start=None):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
@@ -448,8 +484,9 @@ class FiberOperator:
         onto that subspace's eigenvalue.  Lanczos stops at the relative
         tolerance FIBER_RESIDUAL_RTOL, the pair's residual must be within
         FIBER_RESIDUAL_RTOL max |H_ii|, and an error carries the residual of
-        the last inverse iterate."""
-        solve = self.factor()
+        the last inverse iterate.  A solve the fiber keeps (``solver``)
+        spares the factorization."""
+        solve = self._solve or self.factor()
         N = self.n_points
         last = [np.nan, np.nan]
 
@@ -478,20 +515,25 @@ class FiberOperator:
             H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, self._where(), ncv=FIBER_NCV
         )
 
-    def time_reversed(self, val, vec, n_negative):
-        """The eigenpair nearest zero of this fiber, at G - xi, from the pair
-        (val, vec) and the inertia of the fiber at xi, with no
-        factorization: H(G - xi) = D conj(H(xi)) D^H with
-        D = diag(exp(-i G.x)), G = b_1 + b_2 + b_3, both fibers unwrapped
-        (module notes).  Returns (val, D conj(vec)), sets ``n_negative``,
-        and checks the pair's residual against this fiber's own H,
-        matrix-free, with the bound of ``min_eigenpair``."""
-        phase = np.exp(-2j * np.pi * sum(self.grid.cell_fraction)).ravel()  # D = exp(-i G.x)
-        vec = (phase * np.conj(np.reshape(vec, (3, self.n_points)))).ravel()
+    def mapped(self, g: FiberSymmetry, val, vec, n_negative):
+        """The eigenpair nearest zero of this fiber, the image under ``g`` of
+        the solved fiber with pair (val, vec) and inertia ``n_negative``,
+        with no factorization: u'(x) = exp(-i G_S.x) u(R x), conjugated
+        under time reversal (module notes).  Returns (val, u'), sets
+        ``n_negative``, and checks the pair's residual against this fiber's
+        own H, matrix-free, with the bound of ``min_eigenpair``."""
+        w = np.reshape(vec, (3, self.n_points))[:, g.gather]
+        if g.conj:
+            w = np.conj(w)
+        flipped = np.flatnonzero(g.flip)
+        if flipped.size:
+            fractions = sum(self.grid.cell_fraction[a] for a in flipped)
+            w = np.exp(-2j * np.pi * fractions).ravel() * w  # D = exp(-i G_S.x)
+        vec = w.ravel()
         res = float(np.linalg.norm(self.apply(vec) - val * vec))
         if not res <= self._residual_bound():
             raise EigensolverError(
-                f"time-reversed eigenpair residual {res:.3e} of {self._where()} exceeds "
+                f"mapped eigenpair residual {res:.3e} of {self._where()} exceeds "
                 f"{self._residual_bound():.3e}",
                 residual_history=[res],
             )
@@ -699,13 +741,107 @@ class StabilityReport:
         fieldio.write_csv(path, ["xi1", "xi2", "xi3", "gap", "class"], rows)
 
 
+@dataclass(frozen=True, eq=False)
+class FiberSymmetry:
+    """One element of the fibers' symmetry group (module notes): the
+    signed axis permutation R, (R u)[i] = u[j] with j_{source[b]} =
+    signs[b] i_b mod n in grid indices, composed with time reversal when
+    ``conj``.  It maps the fiber at fractions t onto the fiber at
+    fractions t[source], each flipped to 1 - t[source] on the axes
+    ``flip``."""
+
+    source: tuple[int, int, int]  # axis b of the image reads axis source[b]
+    signs: tuple[int, int, int]  # -1 mirrors axis b of the image
+    conj: bool  # time reversal
+    gather: np.ndarray  # flat point map: (R u).ravel() = u.ravel()[gather]
+    delta: float  # max(|F o R - F|, |nu o R - nu|), the bound of Weyl's transfer
+
+    @property
+    def flip(self):
+        """The image axes S whose fraction flips, t -> 1 - t[source]: those
+        R mirrors, or those it keeps under time reversal."""
+        return (np.asarray(self.signs) < 0) != self.conj
+
+
+def _axis_maps(grid: Grid):
+    """The signed axis permutations that keep the grid's shape and its
+    reciprocal metric M (Q^T M Q = M, Q the action on fractions): their
+    (source, signs) and the (E, N) stack of their flat point maps, cached
+    on the grid."""
+    key = "axis_maps"
+    if key not in grid._cache:
+        B = grid.lattice.reciprocal_vectors
+        M = B @ B.T
+        index = np.arange(grid.total_points).reshape(grid.shape)
+        maps, gathers = [], []
+        for source in itertools.permutations(range(3)):
+            if any(grid.shape[a] != grid.shape[b] for b, a in enumerate(source)):
+                continue
+            for signs in itertools.product((1, -1), repeat=3):
+                Q = np.zeros((3, 3))
+                Q[range(3), source] = signs
+                if np.max(np.abs(Q.T @ M @ Q - M)) > SYMMETRY_RTOL * np.max(np.abs(M)):
+                    continue
+                gather = np.transpose(index, source)
+                for b in np.flatnonzero(np.asarray(signs) < 0):
+                    gather = np.roll(np.flip(gather, b), 1, b)  # i_b -> -i_b mod n_b
+                maps.append((source, signs))
+                gathers.append(gather.ravel())
+        grid._cache[key] = maps, np.array(gathers)
+    return grid._cache[key]
+
+
+def fiber_symmetries(op: LinearizedOperator):
+    """The symmetry group of the fibers of ``op`` (module notes): each
+    signed axis permutation the grid admits (``_axis_maps``) that keeps the
+    multipliers, delta_R within SYMMETRY_RTOL of max |F|, |nu|, alone and
+    under time reversal, the identity first."""
+    maps, gathers = _axis_maps(op.grid)
+    coeffs = np.stack([op.F_plus, op.F_minus, op.nu_plus, op.nu_minus]).reshape(4, 1, -1)
+    deltas = np.max(np.abs(coeffs[:, 0, gathers] - coeffs), axis=(0, 2))
+    bound = SYMMETRY_RTOL * np.max(np.abs(coeffs))
+    return [
+        FiberSymmetry(source, signs, conj, gather, float(delta))
+        for (source, signs), gather, delta in zip(maps, gathers, deltas)
+        if delta <= bound
+        for conj in (False, True)
+    ]
+
+
+class _Orbits:
+    """The fibers of one operator solved so far, by eigensolve, and the
+    solve of the next fiber: the image of a solved one under a symmetry
+    (FiberOperator.mapped) where one is and Weyl transfers its inertia,
+    else a factorization (FiberOperator.min_eigenpair)."""
+
+    def __init__(self, op: LinearizedOperator):
+        self.group = fiber_symmetries(op)
+        self.source = np.array([g.source for g in self.group])
+        self.flip = np.array([g.flip for g in self.group])
+        self.B = op.grid.lattice.reciprocal_vectors
+        self.solved = []  # (fractions of its images, eigenvalue, eigenvector, n_negative)
+
+    def solve(self, f: FiberOperator, start=None):
+        t = np.linalg.solve(self.B.T, f.xi)
+        for images, val, vec, n_negative in self.solved:
+            for i in np.flatnonzero(np.all(np.abs(images - t) <= ZONE_SNAP_TOL, axis=1)):
+                if abs(val) > self.group[i].delta + f._residual_bound():
+                    return f.mapped(self.group[i], val, vec, n_negative)
+        val, vec = f.min_eigenpair(start)
+        if np.any(f.xi):  # Gamma's fiber is folded and maps to none
+            images = np.where(self.flip, 1.0 - t[self.source], t[self.source])
+            self.solved.append((images, val, vec, f.n_negative))
+        return val, vec
+
+
 def monkhorst_pack(lattice, q):
     """Uniform q1 x q2 x q3 sampling of the Brillouin zone (Gamma included):
     the Monkhorst-Pack fractions (2 r - q + 1)/(2 q), taken modulo 1 into
     [0, 1), the convention of commensurate_xis.  On an even q every
-    fraction t has its time-reversal partner 1 - t in the set, so the fibers
-    pair up in stability_scan: (2, 2, 2) gives the corners {1/4, 3/4}^3, 4
-    pairs, and Gamma."""
+    fraction t has its mirror image 1 - t in the set, so the fibers fall
+    into symmetry orbits in stability_scan: (2, 2, 2) gives Gamma and the
+    corners {1/4, 3/4}^3, 4 time-reversal pairs on any cell, one orbit on
+    the workhorse cell, whose state is even in every axis."""
     B = lattice.reciprocal_vectors
     fractions = [sorted(((2 * r - n + 1) % (2 * n)) / (2 * n) for r in range(n)) for n in q]
     points = list(itertools.product(*fractions))  # distinct and exact; Gamma where all q_j are odd
@@ -739,6 +875,7 @@ def stability_scan(
     threshold=1e-6,
     refine=True,
     previous: StabilityReport | None = None,
+    operator: LinearizedOperator | None = None,
 ) -> StabilityReport:
     """Scan fibers over the zone, each built at the quasimomentum it is
     given (no wrap), optionally refining the minimal gap, and classify an
@@ -747,17 +884,24 @@ def stability_scan(
     negative eigenvalues is not N.  A scan with such an inertia is never
     ``stable``, even when every sampled gap clears the threshold.
 
-    A fiber whose time-reversal partner G - xi (fractions 1 - t, module
-    notes) was already solved in the scan is not factored: it takes the
-    partner's eigenvalue and inertia, and the mapped eigenvector, whose
-    residual is checked against its own H (FiberOperator.time_reversed).
-    The default 2 x 2 x 2 grid (monkhorst_pack) thus factors 5 fibers: 4 of
-    its 8 corners and Gamma.
+    The scan factors one fiber per symmetry orbit (module notes).  The
+    group is found once per scan (``fiber_symmetries``); a fiber whose
+    fractions are the image of an already solved fiber's is not factored:
+    it takes that fiber's eigenvalue, its inertia where Weyl transfers it,
+    and the mapped eigenvector, whose residual is checked against its own H
+    (FiberOperator.mapped).  The default 2 x 2 x 2 grid (monkhorst_pack)
+    thus factors 2 fibers on the workhorse cell, one corner and Gamma, and
+    at most 5 (4 corners and Gamma) on any cell, where time reversal alone
+    pairs the corners.
 
     ``previous``, the report of a scan on the same xi grid at a nearby base
     state (the preceding sample of a continuation), warm-starts each
     fiber's eigensolve from that fiber's eigenvector there; the pairs are
     the same to the solver's tolerance, and only the work changes.
+    ``operator``, the LinearizedOperator at (state, h) where the caller
+    holds one, lends the scan its Gamma fiber, whose factors the caller's
+    cell solves then reuse (LinearizedOperator.gamma); they stay alive
+    through the refinement.
 
     Refinement first looks for an eigenvalue branch crossing zero between
     samples: if the scan holds fibers of both inertias, the crossing between
@@ -768,7 +912,7 @@ def stability_scan(
     grid = state.grid
     if not grid.is_cell:
         raise StructuralError("stability_scan needs a cell-periodic state")
-    op = LinearizedOperator(state, h)
+    op = operator or LinearizedOperator(state, h)
     if xi_grid is None:
         xi_grid = monkhorst_pack(grid.lattice, (2, 2, 2))
 
@@ -778,21 +922,13 @@ def stability_scan(
             raise StructuralError("a warm-starting report must be on the same xi grid")
         starts = previous.fiber_vectors
 
-    B = grid.lattice.reciprocal_vectors
-    records, vectors, factored = [], [], []  # factored: (fractions, index) of solved fibers
+    orbits = _Orbits(op)
+    records, vectors = [], []
     for xi, start in zip(xi_grid, starts):
-        f = FiberOperator(op, xi, wrap=False)
-        t = np.linalg.solve(B.T, f.xi)
-        partner = next(
-            (i for s, i in factored if np.all(np.abs(s + t - 1.0) <= ZONE_SNAP_TOL)), None
-        )
-        if partner is None:
-            val, vec = f.min_eigenpair(start)
-            if np.any(f.xi):  # Gamma's fiber is folded and pairs with none
-                factored.append((t, len(records)))
-        else:
-            r = records[partner]
-            val, vec = f.time_reversed(r.eigenvalue, vectors[partner], r.n_negative)
+        # the Gamma fiber of a given operator keeps its factors for the
+        # caller; the scan's own is dropped after its record
+        f = FiberOperator(op, xi, wrap=False) if np.any(xi) or operator is None else op.gamma
+        val, vec = orbits.solve(f, start)
         records.append(f.record(val, vec))
         vectors.append(vec)
 
@@ -804,7 +940,7 @@ def stability_scan(
     refined_gap = None
 
     if refine:
-        candidate = _inertia_crossing(op, records) or _descend(op, min_record, vectors[i_min])
+        candidate = _inertia_crossing(op, records) or _descend(op, min_record, vectors[i_min], orbits)
         if candidate.gap < global_gap:
             refined_xi = tuple(wrap_to_zone(grid, candidate.xi))
             refined_gap = candidate.gap
@@ -869,12 +1005,14 @@ def _inertia_crossing(op: LinearizedOperator, records):
     return f.record(*f.min_eigenpair())
 
 
-def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
+def _descend(op: LinearizedOperator, start: FiberRecord, start_vec, orbits: _Orbits):
     """BFGS (at most 200 iterations) on |lambda| over fractional quasimomentum t (xi = B^T t); the
     gradient is sign(lambda) B dlambda/dxi.  Returns the record of the
-    smallest gap evaluated.  Each evaluation warm-starts its eigensolve
-    from the eigenvector of the one before, the first from ``start_vec``,
-    the eigenvector of ``start``.
+    smallest gap evaluated.  Each eigensolve warm-starts from the
+    eigenvector of the evaluation before, the first from ``start_vec``, the
+    eigenvector of ``start``; a fiber in the orbit of one the scan or the
+    descent solved is mapped (``orbits``), and a point evaluated before is
+    not solved again.
 
     Near its minimum the gap is almost a function of |xi| alone: on the
     workhorse anchor it varies by 2e-6 along a valley |t| ~ 0.396, so BFGS
@@ -883,23 +1021,30 @@ def _descend(op: LinearizedOperator, start: FiberRecord, start_vec):
     therefore starts from the smallest gap among the sampled fiber and its
     rotations onto the three reciprocal axes at the same |xi|, taken in the
     first zone (a sampled xi may be unwrapped, as the corner 3/4 of
-    monkhorst_pack)."""
+    monkhorst_pack); on the workhorse cell the swap of its equal axes maps
+    the b_2 probe onto the b_3 one."""
     B = op.grid.lattice.reciprocal_vectors
-    evaluated = []
+    evaluated = []  # (t, record, eigenvector, objective value and gradient)
     last = [start_vec]
 
     def objective(t):
+        for s, _, vec, result in evaluated:
+            if np.array_equal(s, t):
+                last[0] = vec
+                return result
         f = FiberOperator(op, B.T @ t)
-        val, vec = f.min_eigenpair(last[0])
+        val, vec = orbits.solve(f, last[0])
         last[0] = vec
-        evaluated.append(f.record(val, vec))
-        return abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
+        result = abs(val), np.sign(val) * (B @ f.eigenvalue_gradient(vec))
+        evaluated.append((np.array(t), f.record(val, vec), vec, result))
+        return result
 
     radius = np.linalg.norm(wrap_to_zone(op.grid, start.xi))
     if radius > 0.0:
         for e, b in zip(np.eye(3), B):
             objective(e * radius / np.linalg.norm(b))
-    best = min(evaluated + [start], key=lambda r: r.gap)
-    t0 = np.linalg.solve(B.T, wrap_to_zone(op.grid, best.xi))
+    starts = [(r, s) for s, r, _, _ in evaluated]
+    starts.append((start, np.linalg.solve(B.T, wrap_to_zone(op.grid, start.xi))))
+    t0 = min(starts, key=lambda rs: rs[0].gap)[1]
     minimize(objective, t0, jac=True, method="BFGS", options={"maxiter": 200, "gtol": 1e-6})
-    return min(evaluated, key=lambda r: r.gap)
+    return min((r for _, r, _, _ in evaluated), key=lambda r: r.gap)

@@ -301,9 +301,9 @@ def test_table_solves_du_dh_once_per_sample(lattice_mod, monkeypatch):
     made = []
     solve = cb.solve_du_dh
 
-    def counted(sol):
+    def counted(sol, **kwargs):
         made.append(sol)
-        return solve(sol)
+        return solve(sol, **kwargs)
 
     monkeypatch.setattr(cb, "solve_du_dh", counted)
     table = cb.build_cb_table(

@@ -131,6 +131,17 @@ def test_phase1_energy_increase_raises_with_trace(lattice_mod, cell_grid, monkey
     assert trace[1] > trace[0] + 5.0
 
 
+def test_phase1_stagnation_names_the_field(lattice_mod, cell_grid):
+    # at h = 1e150 the projected gradient (3.5e150) is finite, but no step
+    # of the line search lowers the energy: the descent stops naming h,
+    # with the finite energy trace up to the stop
+    with pytest.raises(DescentFailureError, match="descent stagnated") as err:
+        solve_cell(lattice_mod, cell_grid, 1e150)
+    assert "h = 1.000e+150" in str(err.value)
+    trace = err.value.energy_trace
+    assert trace and all(np.isfinite(trace))
+
+
 def test_newton_superlinear_decay(cell_solution):
     hist = [r for r in cell_solution.newton_residuals if r > 0]
     # once below 1e-4 the decay is at least quadratic-ish per step

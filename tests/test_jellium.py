@@ -38,12 +38,19 @@ def test_eigenvalues_closed_case():
     assert lam_m == pytest.approx(2 / 3 - np.sqrt(22) / 3, rel=1e-14)
 
 
+def symmetric_channel_product(params, xi):
+    """lambda_plus * lambda_minus from the 2x2 determinant:
+    -(1/8 pi) |xi|^2 (|xi|^2 + c) - 2 nu0^2, the oracle of the branches."""
+    t = float(np.dot(xi, xi))
+    return -t * (t + params.sdw_coefficient) / (8.0 * np.pi) - 2.0 * params.nu0**2
+
+
 def test_symmetric_channel_product_identity(rng):
     for _ in range(10):
         params = jellium.JelliumParams(rng.uniform(0.15, 1.4))
         xi = rng.normal(size=3) * rng.uniform(0.0, 3.0)
         _, lam_p, lam_m = jellium.eigenvalues(params, xi)
-        det = jellium.symmetric_channel_product(params, xi)
+        det = symmetric_channel_product(params, xi)
         assert lam_p * lam_m == pytest.approx(det, rel=1e-11, abs=1e-13)
 
 

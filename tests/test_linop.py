@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from tfdw import cauchy_born, jellium, linop, twoscale
+from tfdw.cells import initial_state, solve_cell
 from tfdw.errors import EigensolverError, StructuralError
 from tfdw.grids import (
     Grid,
     GridSpec,
     LatticeSpec,
+    Mode,
     ScalarField,
     State,
     random_smooth_field,
@@ -622,7 +624,8 @@ def test_certified_scan_never_assembles_the_dense_fiber(
     N = cell_solution.grid.total_points
     assert report.classification == "stable"
     assert factored_dims.count(2 * N + 1) == 1 and set(factored_dims) == {2 * N, 2 * N + 1}
-    assert len(factored_dims) > len(report.fiber_records)  # the refinement is covered
+    # the scan factors one corner and Gamma; the rest is the refinement
+    assert factored_dims[:2] == [2 * N, 2 * N + 1] and len(factored_dims) > 2
 
     params = jellium.JelliumParams(0.2)
     lat = jellium.jellium_lattice(params)
@@ -635,11 +638,14 @@ def test_certified_scan_never_assembles_the_dense_fiber(
 
     # a table build and its corrector tabulation never assemble the dense
     # 3N cell matrix either: every cell solve runs on the Gamma fiber's
-    # factors.  Each march sample's scan factors 5 of its 9 fibers (4
-    # corners and Gamma); the other 4 corners are time-reversal partners
+    # factors.  Each march sample's scan factors 2 of its 9 fibers, one
+    # corner and Gamma: the other 7 corners are its images under the
+    # mirrors and time reversal.  A march sample's du/dh solve factors
+    # nothing: it reuses the factors of its scan's Gamma fiber (the
+    # anchor's, after the refinement, factors its own)
     monkeypatch.setattr(LinearizedOperator, "dense_matrix", dense)
-    per_scan = []
-    scan = cauchy_born.stability_scan
+    per_scan, per_du_dh = [], []
+    scan, solve_du_dh = cauchy_born.stability_scan, cauchy_born.solve_du_dh
 
     def counting(*args, **kwargs):
         before = len(factored_dims)
@@ -647,12 +653,69 @@ def test_certified_scan_never_assembles_the_dense_fiber(
         per_scan.append((len(factored_dims) - before, len(report.fiber_records), kwargs["refine"]))
         return report
 
+    def counting_du_dh(*args, **kwargs):
+        before = len(factored_dims)
+        du = solve_du_dh(*args, **kwargs)
+        per_du_dh.append(len(factored_dims) - before)
+        return du
+
     monkeypatch.setattr(cauchy_born, "stability_scan", counting)
+    monkeypatch.setattr(cauchy_born, "solve_du_dh", counting_du_dh)
     table = cauchy_born.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), 0.025, 0.0125)
     twoscale.tabulate_correctors(table, [0])
     anchor, *march = per_scan
-    assert anchor[1:] == (9, True) and anchor[0] > 5  # the refinement factors more
-    assert march == [(5, 9, False)] * 2
+    assert anchor[1:] == (9, True) and anchor[0] > 2  # the refinement factors more
+    assert march == [(2, 9, False)] * 2
+    assert per_du_dh == [1, 0, 0]
+
+
+def _modes(*phases):
+    # Z = 3 on the unit cube, one background mode along each axis with its
+    # own amplitude, so no swap of axes is a symmetry
+    return LatticeSpec.cubic(
+        1.0, 3.0, [Mode(m, amp, phase) for m, amp, phase in zip(np.eye(3, dtype=int), (0.15, 0.1, 0.05), phases)]
+    )
+
+
+@pytest.mark.parametrize(
+    "lattice, init, mirrors, factored",
+    [
+        (LatticeSpec.cubic(1.0, 3.0, [((1, 0, 0), 0.15)]), "uniform", 3, 2),
+        (_modes(0.0, 0.0, 0.0), "uniform", 3, 2),
+        (_modes(0.3, 0.0, 0.0), "uniform", 2, 2),
+        (_modes(0.3, 0.3, 0.3), "uniform", 0, 5),
+        (LatticeSpec.cubic(1.0, 3.0, [((1, 0, 0), 0.15)]), "perturbed", 0, 5),
+    ],
+    ids=["workhorse", "even-modes", "phase-0.3-x1", "phase-0.3-all", "perturbed-start"],
+)
+def test_scan_factors_one_fiber_per_orbit(factored_dims, lattice, init, mirrors, factored):
+    # the 2x2x2 corners form one orbit under the mirrors the state admits
+    # and time reversal (which flips every axis, so with the mirrors of two
+    # axes it flips the third alone): a state even in each axis, or in two,
+    # factors one corner and Gamma.  A phase on every mode, or the
+    # perturbed start itself (not a solution), breaks every mirror, and
+    # time reversal alone pairs the corners: 4 corners and Gamma.  Every
+    # record is the one a direct factorization at its own xi gives
+    grid = Grid(lattice, GridSpec((8, 4, 4)))
+    if init == "uniform":
+        state = solve_cell(lattice, grid, 0.02).state
+    else:
+        state = initial_state(lattice, grid, "perturbed", 3, 0.05)
+    op = LinearizedOperator(state, 0.02)
+    group = linop.fiber_symmetries(op)
+    pure_mirrors = {
+        a for g in group if g.source == (0, 1, 2) and not g.conj and sum(g.signs) == 1 for a in np.flatnonzero(g.flip)
+    }
+    assert len(pure_mirrors) == mirrors
+    del factored_dims[:]
+    report = stability_scan(state, 0.02, refine=False, operator=op)
+    assert len(factored_dims) == factored
+    for record, vec in zip(report.fiber_records, report.fiber_vectors):
+        f = FiberOperator(op, record.xi, wrap=False)
+        val, _ = f.min_eigenpair()
+        assert record.n_negative == f.n_negative == grid.total_points
+        assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
+        assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
 
 
 @pytest.mark.parametrize("t1", [1e-7, 1e-3, 1.0 - 1e-7], ids=["1e-7-b1", "1e-3-b1", "b1-minus-1e-7-b1"])
@@ -797,7 +860,10 @@ def test_refined_anchor_scan_is_cheap_and_converged(cell_solution, monkeypatch):
 
         monkeypatch.setattr(FiberOperator, name, counted)
     report = stability_scan(cell_solution.state, 0.0, refine=True)
-    assert len(calls) <= 25
+    # one corner and Gamma, two axis probes (the b_3 probe is the b_2
+    # probe's image under the swap of the equal axes) and the BFGS steps,
+    # whose first point is the best probe, already solved
+    assert len(calls) <= 12
     assert report.refined_gap <= 0.5977276017707
     assert report.refined_gap == pytest.approx(0.592052552178043, rel=1e-9)
     assert report.classification == "stable"

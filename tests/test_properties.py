@@ -1,16 +1,17 @@
 """Property tests over random sheared lattices and grids (hypothesis)."""
 
+import itertools
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_grids import KERNELS, _reference_kernels
 from tfdw import fieldio, jellium, linop
 from tfdw.energy import energy_supercell
 from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State, random_smooth_field
-from tfdw.linop import FiberOperator, LinearizedOperator, stability_scan
+from tfdw.linop import FiberOperator, LinearizedOperator, monkhorst_pack, stability_scan
 from tfdw.residual import normalize_state, residual_system, variational_pairing
 
 # few examples and no deadline keep tier-1 near its time; derandomized, so
@@ -150,6 +151,93 @@ def test_time_reversed_fiber_equals_its_direct_factorization(g, t, kind, seed):
         assert record.n_negative == f.n_negative
         assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
         assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
+
+
+def _transformed(u, source, signs):
+    """u(R x) on the grid of the last three axes of ``u``: (R u)[i] = u[j]
+    with j_{source[b]} = signs[b] i_b mod n, by explicit indices."""
+    i = np.indices(u.shape[-3:])
+    j = [None] * 3
+    for b in range(3):
+        j[source[b]] = (signs[b] * i[b]) % u.shape[-3 + source[b]]
+    return u[(Ellipsis, *j)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(0.8, 1.25), min_size=3, max_size=3),
+    st.tuples(*[st.sampled_from((0.0, 0.3))] * 3),
+    st.tuples(*[st.sampled_from((4, 6))] * 3),
+    st.sets(st.integers(0, 2)),
+    st.integers(0, 2**32 - 1),
+)
+@example([1.0, 1.1, 0.9], (0.0, 0.0, 0.0), (4, 4, 6), {0, 1, 2}, 0)  # one orbit of 8 corners
+def test_symmetry_mapped_fibers_equal_their_direct_factorizations(diag, shear, resolution, even, seed):
+    # a cell whose shear couples some axes, and a random state made even
+    # in the axes ``even`` (x_a -> -x_a): a mirror is a symmetry only where
+    # the cell vectors of the axes it flips are orthogonal to the others
+    # and the state is even, and every such mirror is admitted.  The scan
+    # over the 2 x 2 x 2 corners factors Gamma and one corner per orbit of
+    # the group; every record, mapped or not, is the one a direct
+    # factorization at its own xi gives: the same inertia, the same
+    # eigenvalue to 1e-13 and an eigenvector within the residual bound
+    cell = np.diag(diag)
+    cell[1, 0], cell[2, 0], cell[2, 1] = shear
+    g = Grid(LatticeSpec(cell, 2.0), GridSpec(resolution))
+    rng = np.random.default_rng(seed)
+    fields = rng.standard_normal((3,) + g.shape)
+    for a in even:
+        signs = tuple(-1 if b == a else 1 for b in range(3))
+        fields = 0.5 * (fields + _transformed(fields, (0, 1, 2), signs))
+    nu_plus, nu_minus = 1.0 + 0.2 * fields[:2]
+    v = 0.5 * (fields[2] - np.mean(fields[2]))
+    state = State(ScalarField(g, nu_plus), ScalarField(g, nu_minus), ScalarField(g, v), -0.3)
+    op = LinearizedOperator(state, 0.05)
+    coeffs = np.stack([op.F_plus, op.F_minus, op.nu_plus, op.nu_minus])
+    gram = cell @ cell.T
+
+    group = linop.fiber_symmetries(op)
+    for e in group:
+        Q = np.zeros((3, 3))
+        Q[range(3), e.source] = e.signs
+        assert np.allclose(Q @ gram @ Q.T, gram, rtol=0.0, atol=1e-12)
+        moved = _transformed(coeffs, e.source, e.signs)
+        assert np.max(np.abs(moved - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+    admitted = {frozenset(np.flatnonzero(np.asarray(e.signs) < 0)) for e in group if e.source == (0, 1, 2)}
+    for mask in itertools.product((False, True), repeat=3):
+        flipped = frozenset(np.flatnonzero(mask))
+        orthogonal = all(abs(gram[a, b]) == 0.0 for a in flipped for b in set(range(3)) - flipped)
+        assert (flipped in admitted) == (orthogonal and flipped <= even)
+
+    # orbits of the corners under the group, from its action on fractions
+    corners = [tuple(c) for c in itertools.product((0.25, 0.75), repeat=3)]
+    orbits = {}
+    for c in corners:
+        images = set()
+        for e in group:
+            flip = (np.asarray(e.signs) < 0) != e.conj
+            images.add(tuple(np.where(flip, 1.0 - np.asarray(c)[list(e.source)], np.asarray(c)[list(e.source)])))
+        orbits.setdefault(min(images), c)
+    factored = []
+    factor = FiberOperator.factor
+
+    def counting(self):
+        factored.append(self.xi)
+        return factor(self)
+
+    FiberOperator.factor = counting
+    try:
+        report = stability_scan(state, 0.05, refine=False, operator=op)
+    finally:
+        FiberOperator.factor = factor
+    assert len(factored) == 1 + len(orbits)
+    for record, vec in zip(report.fiber_records, report.fiber_vectors, strict=True):
+        f = FiberOperator(op, record.xi, wrap=False)
+        val, _ = f.min_eigenpair()
+        assert record.n_negative == f.n_negative
+        assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
+        assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
+    assert [r.xi for r in report.fiber_records] == [tuple(xi) for xi in monkhorst_pack(g.lattice, (2, 2, 2))]
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
