@@ -44,12 +44,12 @@ def energy_supercell(state: State, h=0.0) -> EnergyBreakdown:
     num = state.nu_minus.values
 
     tf = grid.integrate(np.abs(nup) ** (10.0 / 3.0) + np.abs(num) ** (10.0 / 3.0))
-    # spectral form sum_k |k|^2 |nu_hat|^2: exactly the quadratic form of the
-    # -Laplacian in the residual, so the functional and its Euler-Lagrange
-    # map stay variationally consistent for every representable field
-    parseval = (2.0 * np.pi) ** 3 / grid.vol_supercell
-    coeffs = grid.fft(np.stack([nup, num]))
-    weiz = parseval * float(np.sum(grid.k_sq * np.abs(coeffs) ** 2))
+    # spectral form w_quad sum |k|^2_h |y|^2 over the half-spectrum
+    # coordinates y (Grid.to_y): exactly the quadratic form of the -Laplacian
+    # in the residual, so the functional and its Euler-Lagrange map stay
+    # variationally consistent for every representable field
+    y = grid.to_y(np.stack([nup, num]))
+    weiz = grid.w_quad * float(np.sum(grid.k_sq_half * (y.real**2 + y.imag**2)))
     dirac = -grid.integrate(np.abs(nup) ** (8.0 / 3.0) + np.abs(num) ** (8.0 / 3.0))
 
     src = state.rho_values() - grid.rho_b

@@ -26,6 +26,12 @@ Conventions used throughout the package:
   sum_x |d_alpha f|^2 = (1/N) sum_k w(k) |m_alpha,h(k) F(k)|^2 over the half
   spectrum, with w = 1 on the zero and Nyquist planes of the half axis (the
   planes that hold their own mirrors) and w = 2 elsewhere.
+* The same weights make y = sqrt(w/N) F, its complex bins viewed as float
+  pairs, isometric coordinates of f (``to_y``): |y| = |f|, and
+  sum_x |d_alpha f|^2 = sum |m_alpha,h y|^2.  A solver that iterates on y
+  applies every Fourier multiplier bin-wise, with no transform; the
+  self-conjugate bins (index 0 or M/2 on every axis) hold real values, and
+  their imaginary parts are kept at exactly 0.
 """
 
 from __future__ import annotations
@@ -224,6 +230,10 @@ class Grid:
         w = np.full(self.half_shape[r], 2.0)
         w[[0, -1]] = 1.0
         self._hermitian_weight = w.reshape([-1 if j == r else 1 for j in range(3)])
+        # the isometric coordinates y = sqrt(w / N) rfftn(f) (``to_y``); the
+        # self-conjugate bins, index 0 or M/2 on every axis, are real
+        self._y_scale = np.sqrt(self._hermitian_weight / self.total_points)
+        self._self_conjugate = (Ellipsis,) + np.ix_(*([0, M // 2] for M in self.shape))
 
         idx = [np.arange(M) for M in self.shape]
         I = np.meshgrid(*idx, indexing="ij")
@@ -301,6 +311,32 @@ class Grid:
     def _irfft(self, spectrum):
         return sfft.irfftn(spectrum, axes=self._rfft_axes, overwrite_x=True)
 
+    def to_y(self, values):
+        """Isometric half-spectrum coordinates y = sqrt(w / N) rfftn(f) of
+        real fields (one per stacked field), w the Parseval weight of each
+        bin (module notes): a complex ``half_shape`` array whose float view
+        has the Euclidean norm of the grid values, with the imaginary parts
+        of the self-conjugate bins exactly 0.  A Fourier multiplier S acts
+        on y bin-wise by its fold S_h, and the pairing of two coordinate
+        vectors (as float views) is the plain sum over grid points of the
+        fields' product."""
+        y = self._rfft(values)
+        y *= self._y_scale
+        y.imag[self._self_conjugate] = 0.0
+        return y
+
+    def from_y(self, y):
+        """The real fields of half-spectrum coordinates (inverse of
+        ``to_y``, and its transpose: the float views pair as the fields
+        do)."""
+        return self._irfft(y / self._y_scale)
+
+    @property
+    def k_sq_half(self):
+        """|k|^2 folded on the half spectrum: the symbol of -Laplacian on
+        the coordinates of ``to_y``; cached."""
+        return self._folded(("k_sq",), lambda: self.k_sq)
+
     def _apply_symbol(self, values, symbol):
         """real(ifft(S * fft(values))) for the folded half-spectrum symbol
         ``symbol`` = S_h, multiplied in place."""
@@ -338,22 +374,18 @@ class Grid:
         return [self.deriv(values, tuple(int(j == a) for j in range(3))) for a in range(3)]
 
     def laplacian(self, values):
-        return self._apply_symbol(values, self._folded(("laplacian",), lambda: -self.k_sq))
+        out = self._apply_symbol(values, self.k_sq_half)
+        return np.negative(out, out=out)
 
     def spectral_multiply(self, values, symbol):
         """real(ifft(symbol * fft(values))) for a diagonal operator.
 
         The symbol is given on the full spectrum (trailing axes ``shape``),
         and is folded on every call, or already folded on the half spectrum
-        (trailing axes ``half_shape``, see ``fold``).  A ``(c, c) + shape``
-        symbol on a ``(c,) + shape`` stack is a block symbol: at each
-        wavevector it multiplies the c coefficients by its c x c matrix,
-        out[i] = sum_j symbol[i, j] values[j]."""
+        (trailing axes ``half_shape``, see ``fold``)."""
         if np.shape(symbol)[-3:] == self.shape:
             symbol = self.fold(symbol)
-        if np.ndim(symbol) != np.ndim(values) + 1:
-            return self._apply_symbol(values, symbol)
-        return self._irfft(np.einsum("ij...,j...->i...", symbol, self._rfft(values)))
+        return self._apply_symbol(values, symbol)
 
     def helmholtz_inverse(self, values):
         """(1 - Laplacian)^{-1}, the standard smoothing preconditioner."""
@@ -409,22 +441,23 @@ class Grid:
         of order <= k (the order-zero term included), one per stacked field.
         By Parseval from one forward transform and no inverse (module
         notes)."""
-        coeffs = self._rfft(values)
-        power = (coeffs.real**2 + coeffs.imag**2).reshape(coeffs.shape[:-3] + (-1, 1))
+        return self.hk_norm_y(self.to_y(values), k)
+
+    def hk_norm_y(self, y, k):
+        """``hk_norm`` of the fields whose half-spectrum coordinates are
+        ``y`` (``to_y``), by Parseval with no transform."""
+        power = (y.real**2 + y.imag**2).reshape(y.shape[:-3] + (-1, 1))
         # a matrix-vector product per field, so a stack sums as its fields do
         return np.sum(np.sqrt(self._sobolev_weights(k) @ power), axis=(-2, -1))
 
     def _sobolev_weights(self, k):
-        """``(derivatives, half points)`` matrix of w |m_alpha,h|^2 times the
+        """``(derivatives, half points)`` matrix of |m_alpha,h|^2 times the
         norm's scale, one row per multi-index of order <= k; cached."""
         key = ("sobolev", k)
         if key not in self._cache:
-            scale = self.w_quad / (self.n_cells * self.total_points)
+            scale = self.w_quad / self.n_cells
             self._cache[key] = np.stack(
-                [
-                    (scale * self._hermitian_weight * np.abs(self._multiplier(a)) ** 2).ravel()
-                    for a in multi_indices(k)
-                ]
+                [(scale * np.abs(self._multiplier(a)) ** 2).ravel() for a in multi_indices(k)]
             )
         return self._cache[key]
 

@@ -103,7 +103,9 @@ def coefficient_fields(state: State, h=0.0):
 
 
 class LinearizedOperator:
-    """Applies the symmetric linearization at a fixed base state."""
+    """Applies the symmetric linearization at a fixed base state, on grid
+    values (``apply``) or on the isometric half-spectrum coordinates of
+    its grid (``half_spectrum_pair``), where the iterative solves run."""
 
     def __init__(self, state: State, h=0.0):
         self.grid = state.grid
@@ -124,59 +126,91 @@ class LinearizedOperator:
     def apply(self, triple):
         """L applied to a perturbation triple; returns the ``(3,) + shape``
         stack of its three rows."""
-        w_plus, w_minus, w_v = triple
         lap_plus, lap_minus, lap_v = self.grid.laplacian(np.asarray(triple))
+        out = self._multiply(triple)
+        out[0] -= lap_plus
+        out[1] -= lap_minus
+        out[2] += lap_v / EIGHT_PI
+        return out
+
+    def _multiply(self, triple):
+        """The zeroth-order part of L, pointwise: the rows
+        (F_+ w_+ + nu_+ W, F_- w_- + nu_- W, nu_+ w_+ + nu_- w_-)."""
+        w_plus, w_minus, w_v = triple
         return np.stack(
             [
-                -lap_plus + self.F_plus * w_plus + self.nu_plus * w_v,
-                -lap_minus + self.F_minus * w_minus + self.nu_minus * w_v,
-                self.nu_plus * w_plus + self.nu_minus * w_minus + lap_v / EIGHT_PI,
+                self.F_plus * w_plus + self.nu_plus * w_v,
+                self.F_minus * w_minus + self.nu_minus * w_v,
+                self.nu_plus * w_plus + self.nu_minus * w_minus,
             ]
         )
 
-    def matvec(self, x):
-        return self.apply(np.reshape(x, (3,) + self.grid.shape)).ravel()
+    def half_spectrum_pair(self):
+        """(A_y, M_y): L and its SPD preconditioner |L_bar|^{-1} as
+        LinearOperators on the float view, raveled, of the isometric
+        half-spectrum coordinates y of a ``(3,) + shape`` stack
+        (``Grid.to_y``).  The pair refers to the operator, not the operator
+        to the pair, so no reference cycle keeps either alive.
 
-    def as_linear_operator(self):
-        return LinearOperator((self.n_dof, self.n_dof), matvec=self.matvec, dtype=float)
+        The map to y preserves the Euclidean norm and pairing, so MINRES on
+        (A_y, M_y, to_y b) runs the iteration of (L, M, b) in other
+        coordinates.  A_y applies the multipliers F_pm, nu_pm in real space
+        between one inverse and one forward transform and adds the kinetic
+        diagonal diag(|k|^2, |k|^2, -|k|^2/(8 pi)) bin-wise; M_y applies the
+        folded block of ``preconditioner_symbol`` bin-wise, with no
+        transform.  So a MINRES step makes one transform pair.
 
-    def preconditioner(self):
-        """SPD absolute-value preconditioner |L_bar|^{-1} as a LinearOperator.
+        |L_bar|^{-1} is the absolute-value preconditioner: L_bar is L with
+        its coefficients replaced by their supercell means, Fourier-diagonal,
+        and M_y inverts the absolute value of its block at every k
+        (``preconditioner_symbol``).  Its eigenvalues are positive although
+        L is indefinite, as MINRES requires, and on a uniform state, where
+        L = L_bar, M_y A_y is the sign of L (Vecharynski and Knyazev, SIAM
+        J. Sci. Comput. 35, 2013)."""
+        g = self.grid
+        shape = (3,) + g.half_shape
+        n = 2 * int(np.prod(shape))
+        # the float view interleaves real and imaginary parts along the last
+        # array axis: every bin-wise factor repeats there
+        k_sq = np.repeat(g.k_sq_half, 2, axis=-1)
+        kinetic = np.stack([k_sq, k_sq, -k_sq / EIGHT_PI])
+        block = np.repeat(self.preconditioner_symbol(), 2, axis=-1)
+
+        def a_y(x):
+            x = np.ascontiguousarray(x, dtype=float)
+            out = g.to_y(self._multiply(g.from_y(x.view(complex).reshape(shape)))).view(float)
+            out += kinetic * x.reshape(kinetic.shape)
+            return out.ravel()
+
+        def m_y(x):
+            x = np.reshape(x, block.shape[1:])
+            return np.einsum("ij...,j...->i...", block, x).ravel()
+
+        return (
+            LinearOperator((n, n), matvec=a_y, dtype=float),
+            LinearOperator((n, n), matvec=m_y, dtype=float),
+        )
+
+    def preconditioner_symbol(self):
+        """The folded ``(3, 3) + Grid.half_shape`` block symbol of the
+        preconditioner |L_bar|^{-1} (``half_spectrum_pair``).
 
         L_bar is L with its coefficients replaced by their supercell means
-        F_bar_pm and nu_bar_pm.  It is Fourier-diagonal: at each wavevector k
-        it is the real symmetric block
+        F_bar_pm and nu_bar_pm.  At each wavevector k it is the real
+        symmetric block
 
             [[|k|^2 + F_bar_+, 0, nu_bar_+],
              [0, |k|^2 + F_bar_-, nu_bar_-],
              [nu_bar_+, nu_bar_-, -|k|^2/(8 pi)]] = Q diag(lambda) Q^T,
 
-        and the preconditioner is the block symbol
-        Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one batched eigh over
-        the distinct values of |k|^2, on which alone the block depends,
-        built once per operator and stored Hermitian-folded on the half
-        spectrum, ``Grid.fold``).  Its eigenvalues
-        1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at every k, so the
-        operator is symmetric positive definite although L is indefinite, as
-        MINRES requires; the fold averages the blocks at k and -k, which
-        keeps it so, and the floor keeps it bounded by 1/ABS_SYMBOL_FLOOR
-        where the mean block is nearly singular.  It
-        follows F_pm and the nu-V coupling, which an inverse-Helmholtz
-        symbol ignores, and on a uniform state, where L = L_bar, M L is the
-        sign of L (absolute-value preconditioning, Vecharynski and Knyazev,
-        SIAM J. Sci. Comput. 35, 2013).
-        """
-        g = self.grid
-        symbol = self.preconditioner_symbol()
-
-        def mv(x):
-            return g.spectral_multiply(np.reshape(x, (3,) + g.shape), symbol).ravel()
-
-        return LinearOperator((self.n_dof, self.n_dof), matvec=mv, dtype=float)
-
-    def preconditioner_symbol(self):
-        """The preconditioner's folded ``(3, 3) + Grid.half_shape`` block
-        symbol (see ``preconditioner``)."""
+        and the symbol is Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one
+        batched eigh over the distinct values of |k|^2, on which alone the
+        block depends, Hermitian-folded on the half spectrum, ``Grid.fold``).
+        Its eigenvalues 1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at
+        every k; the fold averages the blocks at k and -k, which keeps them
+        so, and the floor keeps them bounded by 1/ABS_SYMBOL_FLOOR where the
+        mean block is nearly singular.  It follows F_pm and the nu-V
+        coupling, which an inverse-Helmholtz symbol ignores."""
         g = self.grid
         F = [np.mean(self.F_plus), np.mean(self.F_minus)]
         nu = [np.mean(self.nu_plus), np.mean(self.nu_minus)]
@@ -374,7 +408,7 @@ class FiberOperator:
             # of a sheared lattice, and the kinetic matrix of dense_matrix
             q = 0.5 * (q + q.ravel()[_difference_index(g)[0]].reshape(g.shape))
         self.symbol = q
-        self.kinetic = _dense_kinetic(g) if gamma else _circulant(g, q)
+        self._gamma = gamma
         self.kept = q.ravel() < COULOMB_ELIMINATION_RTOL * np.max(q)
         # at Gamma every circulant is real, and so is K when the one kept
         # mode is the constant k = 0 (a kept plane wave k != 0 is complex)
@@ -384,14 +418,24 @@ class FiberOperator:
         self.n_negative = None
 
     @functools.cached_property
+    def kinetic(self):
+        """The dense N x N circulant of T, built only for a fiber that is
+        factored (``factor``) or assembled (``matrix``)."""
+        return _dense_kinetic(self.grid) if self._gamma else _circulant(self.grid, self.symbol)
+
+    @functools.cached_property
     def matrix(self):
         """The dense 3N x 3N fiber H."""
         return _block_matrix(self.kinetic, self.F, self.nu)
 
     def apply(self, x):
-        """H x, matrix-free from the kinetic circulant."""
-        w = np.asarray(x).reshape(3, self.n_points)
-        Tw = w @ self.kinetic.T
+        """H x, matrix-free: T by FFT with the fiber's ``symbol``, real on a
+        real x at Gamma, where the symbol is folded."""
+        w = np.asarray(x).reshape((3,) + self.grid.shape)
+        Tw = sfft.ifftn(self.symbol * sfft.fftn(w, axes=AXES), axes=AXES)
+        if self._gamma and np.isrealobj(w):
+            Tw = Tw.real
+        w, Tw = w.reshape(3, self.n_points), Tw.reshape(3, self.n_points)
         out = np.empty_like(Tw)
         out[:2] = Tw[:2] + self.F * w[:2] + self.nu * w[2]
         out[2] = np.sum(self.nu * w[:2], axis=0) - Tw[2] / EIGHT_PI
@@ -542,7 +586,7 @@ class FiberOperator:
 
     def max_diagonal(self):
         """max |H_ii|, the scale of H in its residual bounds."""
-        t = self.kinetic[0, 0].real  # every diagonal entry of T
+        t = np.mean(self.symbol)  # every diagonal entry of T
         return max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
 
     def _residual_bound(self):
@@ -623,13 +667,13 @@ def classify_character(sdw, cdw):
 def spectral_gap(op: LinearizedOperator, tol=1e-8, seed=0):
     """Distance of the spectrum of the operator to zero, by shift-invert
     Lanczos at zero (_nearest_zero_pair, at most 400 restarts, seeded start
-    vector).  Each application of L^{-1} is a MINRES solve under the SPD
-    absolute-value preconditioner |L_bar|^{-1} of the mean-coefficient block
-    symbol (LinearizedOperator.preconditioner).  A failed run raises
+    vector) on the half-spectrum coordinates of its grid.  Each
+    application of L^{-1} is a MINRES solve under the SPD absolute-value
+    preconditioner |L_bar|^{-1} of the mean-coefficient block symbol
+    (LinearizedOperator.half_spectrum_pair).  A failed run raises
     EigensolverError whose residual_history holds the relative residual of
     every inner solve."""
-    A = op.as_linear_operator()
-    M = op.preconditioner()
+    A, M = op.half_spectrum_pair()
     history = []
 
     def solve(b):
@@ -644,10 +688,10 @@ def spectral_gap(op: LinearizedOperator, tol=1e-8, seed=0):
         return x
 
     L_inv = LinearOperator(A.shape, matvec=solve, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(op.n_dof)
+    v0 = np.random.default_rng(seed).standard_normal((3,) + op.grid.shape)
     val, _ = _nearest_zero_pair(
-        A, L_inv, v0, tol, lambda lam: max(100 * tol * abs(lam), 1e-11), history.copy,
-        "the operator", maxiter=400,
+        A, L_inv, op.grid.to_y(v0).view(float).ravel(), tol,
+        lambda lam: max(100 * tol * abs(lam), 1e-11), history.copy, "the operator", maxiter=400,
     )
     return abs(val)
 

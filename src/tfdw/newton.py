@@ -7,7 +7,13 @@ The iteration keeps the linearization frozen at the initial state,
 solving each step with MINRES (the operator is symmetric but indefinite)
 preconditioned by the absolute value of the mean-coefficient symbol,
 |L_bar(k)|^{-1} with its eigenvalues floored at linop.ABS_SYMBOL_FLOOR,
-which is symmetric positive definite (LinearizedOperator.preconditioner).
+which is symmetric positive definite.  MINRES runs on the isometric
+half-spectrum coordinates y of the grid (Grid.to_y, where |y| is the
+Euclidean norm of the grid values): there the preconditioner is applied
+bin-wise and the operator with one transform pair
+(LinearizedOperator.half_spectrum_pair), and the step's H^2 norm follows
+from y by Parseval.  The residual F(u^k) is evaluated once per iterate
+(residual.residual_system), and its averaged norm is read from it.
 Contraction of the increment sequence in the averaged H^2 norm is recorded
 as the convergence diagnostic; distances to the initial point and to the
 locally periodic approximation quantify the asymptotic error orders.
@@ -23,8 +29,8 @@ from scipy.sparse.linalg import minres
 from . import fieldio
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .grids import Grid, ScalarField, State, as_h_values
-from .linop import LinearizedOperator, spectral_gap
-from .residual import gauge_fit, residual, residual_system
+from .linop import EIGHT_PI, LinearizedOperator, spectral_gap
+from .residual import gauge_fit, residual_system
 
 INNER_MAXITER = 4000  # MINRES steps of one inner solve (twice that on its retry)
 GAP_THRESHOLD = 1e-6  # smallest gap of the frozen operator that check_gap accepts
@@ -72,14 +78,23 @@ class NewtonTrace:
         fieldio.write_csv(path, ["step", "residual", "increment", "ratio"], rows)
 
 
-def h2_triple_norm(grid: Grid, fields):
-    return float(np.sqrt(np.sum(grid.hk_norm(np.asarray(fields), 2) ** 2)))
+def h2_triple_norm(grid: Grid, y):
+    """Averaged H^2 norm of a ``(3,) + shape`` stack from its half-spectrum
+    coordinates ``y`` (Grid.to_y)."""
+    return float(np.sqrt(np.sum(grid.hk_norm_y(y, 2) ** 2)))
 
 
 def state_distance(a: State, b: State):
     """Averaged H^2 distance between states; potentials compared with their
     gauge constants included (the physically meaningful difference)."""
-    return h2_triple_norm(a.grid, a.stacked() - b.stacked())
+    return h2_triple_norm(a.grid, a.grid.to_y(a.stacked() - b.stacked()))
+
+
+def _residual_norm(grid: Grid, f):
+    """Averaged (L^2_n)^3 norm of the residual (Residual.norm_l2n) from the
+    ``residual_system`` stack f: the full Poisson residual is -8 pi f_V."""
+    r_plus, r_minus, r_poisson = grid.l2n(f) * np.array([1.0, 1.0, EIGHT_PI])
+    return float(np.sqrt(r_plus**2 + r_minus**2 + r_poisson**2))
 
 
 def newton_solve(
@@ -108,21 +123,21 @@ def newton_solve(
                 f"below the threshold {GAP_THRESHOLD:.1e}"
             )
 
-    A = op.as_linear_operator()
-    M = op.preconditioner()
+    A, M = op.half_spectrum_pair()
     # conversion between the flat euclidean norm and the averaged L^2 norm
     l2n_per_flat = np.sqrt(grid.w_quad / grid.n_cells)
     inner_target = opts.inner_factor * opts.tol / l2n_per_flat
 
     work = u0.copy()
-    res_norm = residual(work, h_sf).norm_l2n()
+    f = residual_system(work, h_sf)
+    res_norm = _residual_norm(grid, f)
     trace.iterates.append(res_norm)
     grow_count = 0
 
     for _ in range(opts.maxiter):
         if res_norm <= opts.tol:
             break
-        b = residual_system(work, h_sf).ravel()
+        b = grid.to_y(f).view(float).ravel()
         b_norm = np.linalg.norm(b)
         rtol = min(max(inner_target / max(b_norm, 1e-300), 1e-13), 0.1)
         inner_count = [0]
@@ -148,7 +163,7 @@ def newton_solve(
                 )
         trace.inner_iterations.append(inner_count[0])
 
-        d = d.reshape((3,) + grid.shape)
+        d = d.view(complex).reshape((3,) + grid.half_shape)
         inc = h2_triple_norm(grid, d)
         if trace.increments:
             ratio = inc / trace.increments[-1]
@@ -160,19 +175,18 @@ def newton_solve(
                 )
         trace.increments.append(float(inc))
 
-        work = State.from_stack(grid, work.stacked() - d)
+        work = State.from_stack(grid, work.stacked() - grid.from_y(d))
         if opts.refresh_jacobian:
-            op = LinearizedOperator(work, h_sf)
-            A = op.as_linear_operator()
-            M = op.preconditioner()
-        res_norm = residual(work, h_sf).norm_l2n()
+            A, M = LinearizedOperator(work, h_sf).half_spectrum_pair()
+        f = residual_system(work, h_sf)
+        res_norm = _residual_norm(grid, f)
         trace.iterates.append(res_norm)
 
     if trace.increments:
         # settle the gauge at its least-squares value (only ever lowers the
         # channel residuals)
         work = State(work.nu_plus, work.nu_minus, work.V, gauge_fit(work, h_sf))
-        res_norm = residual(work, h_sf).norm_l2n()
+        res_norm = _residual_norm(grid, residual_system(work, h_sf))
         trace.iterates[-1] = res_norm
 
     trace.converged = bool(res_norm <= opts.tol)

@@ -66,12 +66,16 @@ class Residual:
         )
 
 
-def _channel_residuals(state: State, hv):
+def _channel_residuals(state: State, hv, laplacians=None):
+    """(r_+, r_-); ``laplacians``, the Laplacians of (nu_+, nu_-), where the
+    caller has them."""
     grid = state.grid
     nup = state.nu_plus.values
     num = state.nu_minus.values
     veff = state.v_full_values()
-    lap_plus, lap_minus = grid.laplacian(np.stack([nup, num]))
+    if laplacians is None:
+        laplacians = grid.laplacian(np.stack([nup, num]))
+    lap_plus, lap_minus = laplacians
     r_plus = (
         -lap_plus
         + (5.0 / 3.0) * odd_power(nup, 7.0 / 3.0)
@@ -111,14 +115,15 @@ def residual_system(state: State, h=0.0):
 
     The Jacobian of (r_+, r_-, F_V) is the symmetric linearized operator, so
     this is the form Newton-type solvers consume.  Returns the ``(3,) +
-    shape`` stack in the ``State.stacked`` layout.
+    shape`` stack in the ``State.stacked`` layout.  One Laplacian of the
+    (nu_+, nu_-, V) stack serves all three rows.
     """
     grid = state.grid
     hv = as_h_values(h, grid)
-    r_plus, r_minus = _channel_residuals(state, hv)
-    f_v = (1.0 / (8.0 * np.pi)) * grid.laplacian(state.V.values) + 0.5 * (
-        state.rho_values() - grid.rho_b
-    )
+    fields = np.stack([state.nu_plus.values, state.nu_minus.values, state.V.values])
+    lap_plus, lap_minus, lap_v = grid.laplacian(fields)
+    r_plus, r_minus = _channel_residuals(state, hv, (lap_plus, lap_minus))
+    f_v = (1.0 / (8.0 * np.pi)) * lap_v + 0.5 * (state.rho_values() - grid.rho_b)
     return np.stack([r_plus, r_minus, f_v])
 
 

@@ -90,7 +90,7 @@ def test_block_structure_dense(cell_solution):
     H = op.dense_matrix()
     assert np.array_equal(H, H.T)  # exactly: the cell LU factors H.T in place
     x = rng.standard_normal(op.n_dof)
-    assert np.max(np.abs(H @ x - op.matvec(x))) < 1e-10
+    assert np.max(np.abs(H @ x - op.apply(x.reshape((3,) + grid.shape)).ravel())) < 1e-10
 
 
 def test_fiber_at_zero_contains_sdw_coefficient():
@@ -327,21 +327,28 @@ def test_spectral_gap_inner_solve_stall(monkeypatch):
     assert err.value.residual_history[0] > 1e-3
 
 
-# -- the absolute-value preconditioner |L_bar|^{-1} of the mean-coefficient block --
+# -- the absolute-value preconditioner |L_bar|^{-1} of the mean-coefficient block,
+# M_y on the half-spectrum coordinates (LinearizedOperator.half_spectrum_pair) --
+
+
+def _y(grid, x):
+    """The flat float view of the half-spectrum coordinates of a stack."""
+    return grid.to_y(np.reshape(x, (3,) + grid.shape)).view(float).ravel()
 
 
 def _gram(op, X):
-    """X^T M X for the columns of X."""
-    M = op.preconditioner()
-    return X.T @ np.column_stack([M @ x for x in X.T])
+    """Y^T M_y Y for the coordinates Y of the columns of X."""
+    _, M = op.half_spectrum_pair()
+    Y = np.column_stack([_y(op.grid, x) for x in X.T])
+    return Y.T @ np.column_stack([M @ y for y in Y.T])
 
 
 def test_preconditioner_is_the_sign_inverse_on_jellium():
     # on a uniform state the mean block is the operator itself, so M L is
     # the sign of L and (M L)^2 = I
     op = _jellium_supercell_op()
-    M, A = op.preconditioner(), op.as_linear_operator()
-    x = np.random.default_rng(3).standard_normal(op.n_dof)
+    A, M = op.half_spectrum_pair()
+    x = _y(op.grid, np.random.default_rng(3).standard_normal(op.n_dof))
     y = M @ (A @ (M @ (A @ x)))
     assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
@@ -365,8 +372,9 @@ def test_preconditioner_floors_a_singular_mean_block():
     state = jellium.jellium_state(params, grid)
     op = LinearizedOperator(State(state.nu_plus, state.nu_minus, state.V, -tf), 0.0)
     assert np.max(np.abs(op.F_plus)) < 1e-14
-    spin = np.stack([np.ones(grid.shape), -np.ones(grid.shape), np.zeros(grid.shape)]).ravel()
-    Ms = op.preconditioner() @ spin
+    spin = np.stack([np.ones(grid.shape), -np.ones(grid.shape), np.zeros(grid.shape)])
+    _, M = op.half_spectrum_pair()
+    Ms = grid.from_y((M @ _y(grid, spin)).view(complex).reshape((3,) + grid.half_shape))
     assert np.allclose(Ms, spin / linop.ABS_SYMBOL_FLOOR, rtol=0.0, atol=1e-10)
     X = np.random.default_rng(9).standard_normal((op.n_dof, 8))
     G = _gram(op, X)
@@ -716,6 +724,29 @@ def test_scan_factors_one_fiber_per_orbit(factored_dims, lattice, init, mirrors,
         assert record.n_negative == f.n_negative == grid.total_points
         assert abs(record.eigenvalue - val) <= 1e-13 * abs(val)
         assert np.linalg.norm(f.apply(vec) - record.eigenvalue * vec) <= f._residual_bound()
+
+
+def test_only_factored_fibers_build_the_kinetic_matrix(cell_solution, factored_dims, monkeypatch):
+    # a mapped fiber checks its pair with H applied by FFT and builds no
+    # N x N circulant; that apply is the dense matrix's, real at Gamma
+    built = []
+    init = FiberOperator.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FiberOperator, "__init__", recording)
+    stability_scan(cell_solution.state, cell_solution.h_value, refine=False)
+    assert len(built) == 9 and len(factored_dims) == 2
+    assert sum("kinetic" in vars(f) for f in built) == 2
+    rng = np.random.default_rng(4)
+    for f in (built[0], built[-1]):
+        x = rng.standard_normal(3 * f.n_points)
+        x = x + 1j * rng.standard_normal(x.shape) if np.any(f.xi) else x
+        Hx = f.apply(x)
+        assert np.isrealobj(Hx) == np.isrealobj(x)
+        assert np.max(np.abs(Hx - f.matrix @ x)) <= 1e-12 * np.max(np.abs(Hx))
 
 
 @pytest.mark.parametrize("t1", [1e-7, 1e-3, 1.0 - 1e-7], ids=["1e-7-b1", "1e-3-b1", "b1-minus-1e-7-b1"])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from test_grids import _CountingFFT
 from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
 from tfdw.errors import EigensolverError
@@ -60,6 +61,24 @@ def test_preconditioned_minres_iterations(sweep_point):
     _, trace = newton_solve(u0, h_vals, NewtonOptions())
     assert trace.converged
     assert sum(trace.inner_iterations) <= 40
+
+
+def test_inner_solve_makes_one_transform_pair_per_step(sweep_point, monkeypatch):
+    # MINRES runs on the half-spectrum coordinates: A_y makes one inverse
+    # and one forward transform, M_y none.  Per outer step, the residual's
+    # Laplacian (2), the map of the residual (1), the achieved-residual
+    # check (2) and the map back of the step (1); per solve, the first
+    # residual (2), the gauge fit (2), its residual (2) and two distances
+    from tfdw import grids
+
+    counter = _CountingFFT(grids.sfft)
+    monkeypatch.setattr(grids, "sfft", counter)
+    grid, u0, h_vals = sweep_point
+    _, trace = newton_solve(u0, h_vals, NewtonOptions(), u_cb=u0)
+    assert trace.converged
+    steps, outer = sum(trace.inner_iterations), len(trace.increments)
+    assert steps > 2 * outer
+    assert len(counter.calls) <= 2 * steps + 6 * outer + 8
 
 
 def test_fixed_point_property(sweep_point):

@@ -66,6 +66,36 @@ def test_folded_preconditioner_block_is_spd_on_random_grids(g, seed):
     assert np.max(lam) <= (1.0 + 1e-12) / linop.ABS_SYMBOL_FLOOR
 
 
+_SHEARED_12x4x4 = Grid(
+    LatticeSpec([[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]], 2.0), GridSpec((6, 4, 4), (2, 1, 1))
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(sheared_grids(), st.integers(0, 2**32 - 1))
+@example(_SHEARED_12x4x4, 0)  # a length with a factor 3 leaves roundoff on self-conjugate bins
+def test_half_spectrum_coordinates_are_isometric(g, seed):
+    # white noise fills every bin, the self-conjugate ones and the Nyquist
+    # planes of a sheared lattice included
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal((2, 3) + g.shape)
+    yu, yv = g.to_y(u), g.to_y(v)
+    assert yu.shape == (3,) + g.half_shape
+    flat_u, flat_v = yu.view(float).ravel(), yv.view(float).ravel()
+    assert abs(np.linalg.norm(flat_u) - np.linalg.norm(u)) <= 1e-13 * np.linalg.norm(u)
+    assert np.max(np.abs(g.from_y(yu) - u)) <= 1e-13 * np.max(np.abs(u))
+    corners = (Ellipsis,) + np.ix_(*([0, M // 2] for M in g.shape))
+    assert np.all(yu.imag[corners] == 0.0)
+    # the operator on the coordinates pairs as L does on grid values
+    nu_plus, nu_minus = 1.0 + 0.2 * rng.standard_normal((2,) + g.shape)
+    w = 0.5 * rng.standard_normal(g.shape)
+    state = State(ScalarField(g, nu_plus), ScalarField(g, nu_minus), ScalarField(g, w - np.mean(w)), -0.3)
+    op = LinearizedOperator(state, 0.05)
+    A, _ = op.half_spectrum_pair()
+    Lv = op.apply(v)
+    assert abs(flat_u @ (A @ flat_v) - np.sum(u * Lv)) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Lv)
+
+
 _FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
