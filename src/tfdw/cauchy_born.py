@@ -36,7 +36,7 @@ from .errors import (
 )
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, as_h_values
 from .linop import LinearizedOperator, stability_scan
-from .residual import residual, residual_system
+from .residual import residual_norm, residual_system
 
 SPIN_SYMMETRY_TOL = 1e-12  # anchor max |nu_+ - nu_-|; the cell solve targets 1e-11
 
@@ -374,7 +374,8 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
     The solve carries two multipliers: the gauge constant for the
     normalization and a field-like multiplier mu for the magnetization,
     entering the two channels with opposite signs.  The bordered Newton
-    system treats mu as an explicit unknown against the constraint row.
+    system treats mu as an explicit unknown against the constraint row.  Each
+    pass evaluates the residual once, for its error and its right-hand side.
     """
     opts = opts or SolveOptions()
     grid = table.grid
@@ -386,9 +387,10 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
 
     history = []
     for _ in range(opts.newton_maxiter):
-        r = residual(work, mu)
+        f = residual_system(work, mu)
+        res_norm = residual_norm(grid, f)
         c_m = constraint(work)
-        err = np.sqrt(r.norm_l2n() ** 2 + c_m**2)
+        err = np.sqrt(res_norm**2 + c_m**2)
         history.append(err)
         if err <= opts.tol:
             break
@@ -399,7 +401,7 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
             np.stack([-nup, num, zero]).ravel(),
             np.stack([2.0 * grid.w_quad * nup, -2.0 * grid.w_quad * num, zero]).ravel(),
         )
-        rhs = np.append(residual_system(work, mu).ravel(), c_m)
+        rhs = np.append(f.ravel(), c_m)
         d = LinearizedOperator(work, mu).dense_solve(rhs, border)
         work = State.from_stack(grid, work.stacked().ravel() - d[:-1])
         mu = mu - float(d[-1])
@@ -419,8 +421,8 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
         m_target=float(m_target),
         field_multiplier=float(mu),
         energy=float(energy),
-        residual_norm=float(residual(work, mu).norm_l2n()),
-        constraint_defect=float(constraint(work)),
+        residual_norm=res_norm,
+        constraint_defect=float(c_m),
     )
 
 

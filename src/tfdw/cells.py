@@ -21,7 +21,7 @@ from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, random_smoot
 # stability_scan stays importable from here: pipebench/tests checks that
 # the tracer restores tfdw.cells.stability_scan
 from .linop import LinearizedOperator, stability_scan  # noqa: F401
-from .residual import _channel_residuals, gauge_fit, normalize_state, residual, residual_system
+from .residual import _channel_residuals, gauge_fit, normalize_state, residual_norm, residual_system
 
 
 @dataclass
@@ -162,18 +162,19 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
 def newton_polish(state: State, h_value, opts: SolveOptions):
     """Full Newton on the coupled (nu_+, nu_-, V) system, dense on the cell.
 
-    Each step solves the symmetric linearization against the scaled residual;
-    the potential's mean develops freely and carries the multiplier.  Returns
+    Each step solves the symmetric linearization against the scaled residual,
+    evaluated once per iterate, which also gives the stopping norm; the
+    potential's mean develops freely and carries the multiplier.  Returns
     (state, residual_norm, iterations, residual_history).
     """
     grid = state.grid
     work = state.copy()
-    history = [residual(work, h_value).norm_l2n()]
+    f = residual_system(work, h_value)
+    history = [residual_norm(grid, f)]
     iterations = 0
     target = 0.1 * opts.tol
     while history[-1] > target and iterations < opts.newton_maxiter:
-        rhs = residual_system(work, h_value).ravel()
-        d = LinearizedOperator(work, h_value).dense_solve(rhs)
+        d = LinearizedOperator(work, h_value).dense_solve(f.ravel())
         work = State.from_stack(grid, work.stacked().ravel() - d)
         min_nu = work.min_nu()
         if min_nu < opts.nu_floor:
@@ -182,7 +183,8 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
                 min_nu=min_nu,
             )
         iterations += 1
-        history.append(residual(work, h_value).norm_l2n())
+        f = residual_system(work, h_value)
+        history.append(residual_norm(grid, f))
     if history[-1] > opts.tol:
         raise DivergenceError(
             f"cell Newton stalled at residual {history[-1]:.3e} after {iterations} steps"
@@ -190,7 +192,7 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
     # exact retraction onto the constraint, then the least-squares gauge
     work = normalize_state(work)
     work = State(work.nu_plus, work.nu_minus, work.V, gauge_fit(work, h_value))
-    history.append(residual(work, h_value).norm_l2n())
+    history.append(residual_norm(grid, residual_system(work, h_value)))
     return work, history[-1], iterations, history
 
 

@@ -235,7 +235,7 @@ class LinearizedOperator:
 
     def dense_solve(self, rhs, border=None):
         """Solve L x = rhs (flat, in the ``State.stacked`` layout) on the
-        factors of the Gamma fiber (``factor_cell``), which need L itself
+        factors of the Gamma fiber (``gamma``), which need L itself
         nonsingular (an exactly singular L raises EigensolverError from
         ``FiberOperator.factor``, bordered or not).  ``border = (column,
         row)`` adds one more unknown m, L x + column m = rhs[:-1] and
@@ -290,13 +290,6 @@ class LinearizedOperator:
         fiber = FiberOperator(self, np.zeros(3), wrap=False)
         fiber.solver()
         return fiber
-
-    def factor_cell(self):
-        """The solve b -> L^{-1} b on the grid, from the one real
-        factorization of its Gamma fiber (FiberOperator.factor): a block of
-        order 2N + 1 in place of the 3N x 3N ``dense_matrix``, which it
-        inverts."""
-        return self.gamma.solver()
 
 
 def _block_matrix(T, F, nu):
@@ -382,7 +375,7 @@ class FiberOperator:
     (Sylvester), and the same factors apply H^{-1} by block elimination in
     the shift-invert solve for the eigenvalue nearest zero.  At xi = 0 the
     fiber is the real cell operator and factors in real arithmetic; its
-    solve is every dense cell solve (LinearizedOperator.factor_cell).  Its
+    solve is every dense cell solve (LinearizedOperator.dense_solve).  Its
     symbol there is the Hermitian fold (q(k) + q(-k))/2 of the Grid
     kernels, which differs from |k|^2 only at the Nyquist modes of a sheared
     lattice; every fiber at xi != 0 keeps the unfolded symbol, so on a

@@ -13,10 +13,11 @@ Euclidean norm of the grid values): there the preconditioner is applied
 bin-wise and the operator with one transform pair
 (LinearizedOperator.half_spectrum_pair), and the step's H^2 norm follows
 from y by Parseval.  The residual F(u^k) is evaluated once per iterate
-(residual.residual_system), and its averaged norm is read from it.
-Contraction of the increment sequence in the averaged H^2 norm is recorded
-as the convergence diagnostic; distances to the initial point and to the
-locally periodic approximation quantify the asymptotic error orders.
+(residual.residual_system), and its averaged norm is read from it
+(residual.residual_norm).  Contraction of the increment sequence in the
+averaged H^2 norm is recorded as the convergence diagnostic; distances to
+the initial point and to the locally periodic approximation quantify the
+asymptotic error orders.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from scipy.sparse.linalg import minres
 from . import fieldio
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .grids import Grid, ScalarField, State, as_h_values
-from .linop import EIGHT_PI, LinearizedOperator, spectral_gap
-from .residual import gauge_fit, residual_system
+from .linop import LinearizedOperator, spectral_gap
+from .residual import gauge_fit, residual_norm, residual_system
 
 INNER_MAXITER = 4000  # MINRES steps of one inner solve (twice that on its retry)
 GAP_THRESHOLD = 1e-6  # smallest gap of the frozen operator that check_gap accepts
@@ -90,13 +91,6 @@ def state_distance(a: State, b: State):
     return h2_triple_norm(a.grid, a.grid.to_y(a.stacked() - b.stacked()))
 
 
-def _residual_norm(grid: Grid, f):
-    """Averaged (L^2_n)^3 norm of the residual (Residual.norm_l2n) from the
-    ``residual_system`` stack f: the full Poisson residual is -8 pi f_V."""
-    r_plus, r_minus, r_poisson = grid.l2n(f) * np.array([1.0, 1.0, EIGHT_PI])
-    return float(np.sqrt(r_plus**2 + r_minus**2 + r_poisson**2))
-
-
 def newton_solve(
     u0: State,
     h_field,
@@ -130,7 +124,7 @@ def newton_solve(
 
     work = u0.copy()
     f = residual_system(work, h_sf)
-    res_norm = _residual_norm(grid, f)
+    res_norm = residual_norm(grid, f)
     trace.iterates.append(res_norm)
     grow_count = 0
 
@@ -179,14 +173,14 @@ def newton_solve(
         if opts.refresh_jacobian:
             A, M = LinearizedOperator(work, h_sf).half_spectrum_pair()
         f = residual_system(work, h_sf)
-        res_norm = _residual_norm(grid, f)
+        res_norm = residual_norm(grid, f)
         trace.iterates.append(res_norm)
 
     if trace.increments:
         # settle the gauge at its least-squares value (only ever lowers the
         # channel residuals)
         work = State(work.nu_plus, work.nu_minus, work.V, gauge_fit(work, h_sf))
-        res_norm = _residual_norm(grid, residual_system(work, h_sf))
+        res_norm = residual_norm(grid, residual_system(work, h_sf))
         trace.iterates[-1] = res_norm
 
     trace.converged = bool(res_norm <= opts.tol)

@@ -10,9 +10,13 @@ with rho = nu_+^2 + nu_-^2.  Fractional powers use the odd extension
 t -> |t|^{p-1} t so the map stays C^1 when an iterate crosses zero; on the
 physical branch nu > 0 it coincides with the plain powers.
 
-For solvers the Poisson row is rescaled by -1/(8 pi)
-(``residual_system``): with that scaling the Jacobian of the map is exactly
-the symmetric block operator of the linop module.
+The map is evaluated in one place, ``residual_system``, with the Poisson
+row rescaled by -1/(8 pi) and its mean kept (the full Poisson row is
+r_V = -8 pi F_V): its Jacobian is then exactly the symmetric block
+operator of the linop module, and the mean of r_V is -4 pi times the
+normalization defect (1/n^3) \\int rho - Z per cell volume.  ``Residual``
+is a view of that stack, and ``residual_norm`` the one residual norm, of
+(r_+, r_-, r_V).
 """
 
 from __future__ import annotations
@@ -22,48 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
-from .grids import ScalarField, State, as_h_values
+from .grids import Grid, State, as_h_values
+from .linop import EIGHT_PI
 
 
 def odd_power(t, p):
     """Odd extension sign(t) |t|^p (equals t^p for t >= 0)."""
     return np.sign(t) * np.abs(t) ** p
-
-
-@dataclass
-class Residual:
-    """Euler-Lagrange residual fields.
-
-    ``r_poisson`` is stored mean-free; the removed mean is
-    ``4 pi * constraint_defect / |Gamma|`` where ``constraint_defect`` is the
-    violation of the volume-averaged normalization (1/n^3) \\int rho = Z.
-    """
-
-    r_plus: ScalarField
-    r_minus: ScalarField
-    r_poisson: ScalarField
-    constraint_defect: float
-
-    @property
-    def grid(self):
-        return self.r_plus.grid
-
-    def poisson_full_values(self):
-        """The unscaled Poisson residual -Lap V - 4 pi (rho - rho_b),
-        mean included."""
-        mean_removed = 4.0 * np.pi * self.constraint_defect / self.grid.vol_cell
-        return self.r_poisson.values - mean_removed
-
-    def norm_l2n(self) -> float:
-        """Averaged (L^2_n)^3 norm of (r_+, r_-, full Poisson residual)."""
-        g = self.grid
-        return float(
-            np.sqrt(
-                g.l2n(self.r_plus.values) ** 2
-                + g.l2n(self.r_minus.values) ** 2
-                + g.l2n(self.poisson_full_values()) ** 2
-            )
-        )
 
 
 def _channel_residuals(state: State, hv, laplacians=None):
@@ -91,33 +60,10 @@ def _channel_residuals(state: State, hv, laplacians=None):
     return r_plus, r_minus
 
 
-def residual(state: State, h=0.0) -> Residual:
-    """The residual fields at the background of the state's grid."""
-    grid = state.grid
-    hv = as_h_values(h, grid)
-    r_plus, r_minus = _channel_residuals(state, hv)
-    src = 4.0 * np.pi * (state.rho_values() - grid.rho_b)
-    mean_src = grid.mean(src)
-    r_pois = -grid.laplacian(state.V.values) - (src - mean_src)
-    defect = grid.integrate(state.rho_values()) / grid.n_cells - grid.lattice.Z
-    return Residual(
-        ScalarField(grid, r_plus),
-        ScalarField(grid, r_minus),
-        ScalarField(grid, r_pois),
-        defect,
-    )
-
-
 def residual_system(state: State, h=0.0):
-    """Residual triple with the Poisson row scaled by -1/(8 pi), mean kept:
-
-        F_V = (1/8 pi) Lap V + (1/2)(rho - rho_b)
-
-    The Jacobian of (r_+, r_-, F_V) is the symmetric linearized operator, so
-    this is the form Newton-type solvers consume.  Returns the ``(3,) +
-    shape`` stack in the ``State.stacked`` layout.  One Laplacian of the
-    (nu_+, nu_-, V) stack serves all three rows.
-    """
+    """The residual stack (r_+, r_-, F_V), F_V = (1/8 pi) Lap V + (1/2)(rho - rho_b),
+    in the ``State.stacked`` layout (module notes).  One Laplacian of the
+    (nu_+, nu_-, V) stack serves all three rows."""
     grid = state.grid
     hv = as_h_values(h, grid)
     fields = np.stack([state.nu_plus.values, state.nu_minus.values, state.V.values])
@@ -125,6 +71,29 @@ def residual_system(state: State, h=0.0):
     r_plus, r_minus = _channel_residuals(state, hv, (lap_plus, lap_minus))
     f_v = (1.0 / (8.0 * np.pi)) * lap_v + 0.5 * (state.rho_values() - grid.rho_b)
     return np.stack([r_plus, r_minus, f_v])
+
+
+def residual_norm(grid: Grid, f):
+    """Averaged (L^2_n)^3 norm of (r_+, r_-, r_V) from the ``residual_system``
+    stack f: the full Poisson row is -8 pi f_V."""
+    r_plus, r_minus, r_poisson = grid.l2n(f) * np.array([1.0, 1.0, EIGHT_PI])
+    return float(np.sqrt(r_plus**2 + r_minus**2 + r_poisson**2))
+
+
+@dataclass
+class Residual:
+    """The ``residual_system`` stack ``values`` = (r_+, r_-, F_V) on its grid."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def norm_l2n(self) -> float:
+        return residual_norm(self.grid, self.values)
+
+
+def residual(state: State, h=0.0) -> Residual:
+    """The residual at the background of the state's grid."""
+    return Residual(state.grid, residual_system(state, h))
 
 
 def gauge_fit(state: State, h=0.0) -> float:

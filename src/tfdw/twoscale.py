@@ -84,9 +84,9 @@ class CorrectorSet:
 
 
 class _CellContext:
-    """Factorization of the linearized cell operator at one field value
-    (LinearizedOperator.factor_cell), with the helpers the corrector sources
-    need."""
+    """The linearized cell operator at one field value, solved on its
+    factored Gamma fiber (LinearizedOperator.dense_solve), with the helpers
+    the corrector sources need."""
 
     def __init__(self, table: CBTable, h: float):
         grid = table.grid
@@ -101,12 +101,11 @@ class _CellContext:
                 "second-order source is singular"
             )
         self.op = LinearizedOperator(state, h)
-        self._solve = self.op.factor_cell()
 
     def solve(self, rhs):
         """Solve L_h x = rhs for a ``(3,) + shape`` stack; returns x in the
         same layout and the achieved residual."""
-        x = self._solve(rhs.ravel()).reshape(rhs.shape)
+        x = self.op.dense_solve(rhs.ravel()).reshape(rhs.shape)
         res = self.op.apply(x) - rhs
         rn = np.sqrt(sum(self.grid.l2n(r) ** 2 for r in res))
         return x, float(rn)

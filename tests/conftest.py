@@ -1,3 +1,4 @@
+import importlib
 import weakref
 
 import numpy as np
@@ -58,6 +59,27 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(ts, "_CellContext", Tracked)
     return built, peak
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Calls of ``residual`` and ``residual_system`` made during the test,
+    through every module of the solvers that could reach either."""
+    from tfdw import cauchy_born, cells, newton
+
+    residual = importlib.import_module("tfdw.residual")  # tfdw.residual is the function
+    calls = {"residual": 0, "residual_system": 0}
+    for name in calls:
+        original = getattr(residual, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (residual, cells, cauchy_born, newton):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture

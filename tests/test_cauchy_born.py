@@ -16,7 +16,8 @@ from tfdw.errors import (
     StructuralError,
 )
 from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
-from tfdw.linop import FiberOperator, monkhorst_pack, stability_scan
+from tfdw.linop import FiberOperator, LinearizedOperator, monkhorst_pack, stability_scan
+from tfdw.residual import residual
 
 
 def rel_err(a, b):
@@ -165,6 +166,23 @@ def test_dual_energy_constraint_enforced(cb_table):
     assert res.residual_norm < 1e-10
     # the magnetization multiplier plays the role of a constant field
     assert cb_table.m_at(res.field_multiplier) == pytest.approx(m, abs=1e-6)
+
+
+def test_dual_energy_evaluates_the_residual_once_per_pass(cb_table, monkeypatch, residual_calls):
+    # every pass but the last makes one bordered solve; each pass evaluates
+    # the residual once, and the returned norm is the last pass's
+    solves = [0]
+    dense_solve = LinearizedOperator.dense_solve
+
+    def counted(self, *args, **kwargs):
+        solves[0] += 1
+        return dense_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearizedOperator, "dense_solve", counted)
+    sol = cb.dual_energy(cb_table, 0.5 * (cb_table.m_tot[-2] + cb_table.m_tot[-3]))
+    assert solves[0] >= 1
+    assert residual_calls == {"residual": 0, "residual_system": solves[0] + 1}
+    assert sol.residual_norm == residual(sol.state, sol.field_multiplier).norm_l2n()
 
 
 def test_dual_energy_infeasible(cb_table):

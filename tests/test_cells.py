@@ -15,7 +15,7 @@ from tfdw.cells import (
 )
 from tfdw.energy import energy_supercell
 from tfdw.errors import DescentFailureError, PositivityLossError, StructuralError
-from tfdw.grids import Grid, GridSpec, LatticeSpec, ScalarField, State
+from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State, random_smooth_field
 from tfdw.jellium import JelliumParams, jellium_lattice, jellium_state
 from tfdw.linop import monkhorst_pack, stability_scan
 from tfdw.residual import variational_pairing
@@ -202,3 +202,43 @@ def test_constant_field_splits_channels(lattice_mod, cell_grid):
 def test_unknown_init_preset_is_structural(lattice_mod, cell_grid):
     with pytest.raises(StructuralError, match="unknown init preset 'checkerboard'"):
         initial_state(lattice_mod, cell_grid, "checkerboard")
+
+
+def test_newton_polish_evaluates_the_residual_once_per_iterate(cell_solution, rng, residual_calls):
+    # the start, one per step and one after the gauge refit: the stopping
+    # norm and the right-hand side come from the same evaluation
+    state = cell_solution.state
+    bump = 1.0 + 1e-3 * random_smooth_field(state.grid, rng, 1.0, 1)
+    nu_plus = ScalarField(state.grid, bump * state.nu_plus.values)
+    start = State(nu_plus, state.nu_minus, state.V, state.gauge)
+    _, res_norm, iterations, history = newton_polish(start, cell_solution.h_value, SolveOptions())
+    assert iterations >= 2
+    assert residual_calls == {"residual": 0, "residual_system": iterations + 2}
+    assert len(history) == iterations + 2 and history[-1] == res_norm
+
+
+@pytest.mark.parametrize("lattice", ["workhorse", "sheared"])
+def test_solve_cell_is_translation_covariant(lattice, lattice_mod):
+    # shifting every background mode's phase by one grid step along the
+    # first lattice vector rolls the solution by one grid point
+    if lattice == "workhorse":
+        lat, resolution = lattice_mod, (8, 4, 4)
+    else:
+        lat = LatticeSpec(
+            [[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]],
+            2.0,
+            [((1, 0, 0), 0.2), Mode((2, -1, 1), 0.1, 0.7)],
+        )
+        resolution = (6, 4, 4)
+    step = 2.0 * np.pi / resolution[0]
+    shifted = LatticeSpec(
+        lat.cell_vectors,
+        lat.Z,
+        [Mode(m.m, m.amp, m.phase - step * m.m[0]) for m in lat.rho_b_modes],
+    )
+    base = solve_cell(lat, GridSpec(resolution), 0.01)
+    moved = solve_cell(shifted, GridSpec(resolution), 0.01)
+    rolled = np.roll(base.state.stacked(), 1, axis=1)
+    assert np.max(np.abs(moved.state.stacked() - rolled)) <= 1e-9
+    assert moved.state.gauge == pytest.approx(base.state.gauge, abs=1e-9)
+    assert moved.energy.total == pytest.approx(base.energy.total, rel=1e-10)

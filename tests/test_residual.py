@@ -6,6 +6,7 @@ from tfdw.grids import (
     Grid,
     GridSpec,
     LatticeSpec,
+    Mode,
     ScalarField,
     State,
     random_smooth_field,
@@ -22,6 +23,18 @@ from tfdw.residual import (
 )
 
 TWO_PI = 2.0 * np.pi
+EIGHT_PI = 8.0 * np.pi
+
+
+def poisson_row(r):
+    """The full Poisson row -Lap V - 4 pi (rho - rho_b) of a Residual."""
+    return -EIGHT_PI * r.values[2]
+
+
+def defect_of(r):
+    """The normalization defect (1/n^3) \\int rho - Z that the mean of the
+    full Poisson row carries: mean = -4 pi defect / |Gamma|."""
+    return -np.mean(poisson_row(r)) * r.grid.vol_cell / (4 * np.pi)
 
 
 def test_jellium_state_is_exact():
@@ -31,9 +44,9 @@ def test_jellium_state_is_exact():
     state = jellium_state(params, grid)
     r = residual(state, 0.0)
     assert r.norm_l2n() < 1e-13
-    assert abs(r.constraint_defect) < 1e-13
-    for fld in (r.r_plus, r.r_minus, r.r_poisson):
-        assert np.max(np.abs(fld.values)) < 1e-13
+    assert abs(defect_of(r)) < 1e-13
+    for row in (r.values[0], r.values[1], poisson_row(r)):
+        assert np.max(np.abs(row)) < 1e-13
     # the stored gauge is the documented multiplier value
     expected = -(5 / 3) * 0.6 ** (4 / 3) + (4 / 3) * 0.6 ** (2 / 3)
     assert state.gauge == pytest.approx(expected, rel=1e-14)
@@ -50,8 +63,8 @@ def test_source_cancellation(rng):
     state = State(ScalarField(grid, nu), ScalarField(grid, nu.copy()), ScalarField(grid, V), 0.3)
     assert np.max(np.abs(grid.laplacian(V))) > 1.0
     r = residual(state, 0.0)
-    assert np.max(np.abs(r.r_poisson.values + grid.laplacian(V))) < 1e-12
-    assert abs(r.constraint_defect) < 1e-13
+    assert np.max(np.abs(poisson_row(r) + grid.laplacian(V))) < 1e-12
+    assert abs(defect_of(r)) < 1e-13
 
 
 def test_odd_extension_matches_plain_powers_on_positive_branch(rng):
@@ -91,7 +104,7 @@ def test_residual_variational_consistency(rng):
     denom = grid.inner(nup, nup) + grid.inner(num, num)
     mu = (grid.inner(d_plus, nup) + grid.inner(d_minus, num)) / denom
     d_plus, d_minus = d_plus - mu * nup, d_minus - mu * num
-    pair = 2 * (grid.inner(r.r_plus.values, d_plus) + grid.inner(r.r_minus.values, d_minus))
+    pair = 2 * (grid.inner(r.values[0], d_plus) + grid.inner(r.values[1], d_minus))
 
     def e(t):
         s = normalize_state(
@@ -132,12 +145,8 @@ def test_translation_equivariance(rng):
     )
     h_shift = ScalarField(grid, translate(h.values, grid, R))
     r_shift = residual(shifted, h_shift)
-    for a, b in [
-        (r_shift.r_plus, r.r_plus),
-        (r_shift.r_minus, r.r_minus),
-        (r_shift.r_poisson, r.r_poisson),
-    ]:
-        assert np.max(np.abs(a.values - translate(b.values, grid, R))) < 1e-11
+    for a, b in zip(r_shift.values, r.values):
+        assert np.max(np.abs(a - translate(b, grid, R))) < 1e-11
 
 
 def test_gauge_fit_recovers_jellium_multiplier():
@@ -187,23 +196,32 @@ def test_gauge_fit_degenerate():
 
 
 def test_poisson_row_mean_handling(rng):
-    # r_poisson is stored mean-free; the removed mean is the constraint
-    # defect in the documented scaling
-    lat = LatticeSpec.cubic(1.0, 2.0)
-    grid = Grid(lat, GridSpec((4, 4, 4)))
-    nup = 1.1 * np.ones(grid.shape)  # deliberately unnormalized
-    state = State(
-        ScalarField(grid, nup),
-        ScalarField(grid, nup.copy()),
-        ScalarField(grid, np.zeros(grid.shape)),
-        0.0,
+    # the full Poisson row -8 pi F_V keeps its mean, which is the
+    # normalization defect from \int rho and Z in the documented scaling;
+    # on the unit cube and on a sheared cell with a two-mode background
+    sheared = LatticeSpec(
+        [[1.0, 0.0, 0.0], [0.3, 0.9, 0.0], [0.1, -0.2, 1.1]],
+        2.0,
+        [((1, 0, 0), 0.2), Mode((0, 1, 1), 0.1, 0.7)],
     )
-    r = residual(state, 0.0)
-    assert abs(np.mean(r.r_poisson.values)) < 1e-13
-    expected_defect = grid.integrate(state.rho_values()) - lat.Z
-    assert r.constraint_defect == pytest.approx(expected_defect, rel=1e-13)
-    full = r.poisson_full_values()
-    assert np.mean(full) == pytest.approx(-4 * np.pi * expected_defect / lat.volume, rel=1e-12)
+    for lat in (LatticeSpec.cubic(1.0, 2.0), sheared):
+        grid = Grid(lat, GridSpec((4, 4, 4)))
+        nup = 1.1 * np.ones(grid.shape) / np.sqrt(lat.volume)  # deliberately unnormalized
+        V = random_smooth_field(grid, rng, 0.5, 1)
+        state = State(
+            ScalarField(grid, nup),
+            ScalarField(grid, nup.copy()),
+            ScalarField(grid, V - np.mean(V)),
+            0.0,
+        )
+        r = residual(state, 0.0)
+        expected_defect = grid.integrate(state.rho_values()) - lat.Z
+        assert abs(expected_defect) > 0.1
+        assert defect_of(r) == pytest.approx(expected_defect, rel=1e-13)
+        full = poisson_row(r)
+        assert np.mean(full) == pytest.approx(
+            -4 * np.pi * expected_defect / lat.volume, rel=1e-12
+        )
 
 
 def test_residual_system_is_scaled_poisson_row(rng):
@@ -218,11 +236,23 @@ def test_residual_system_is_scaled_poisson_row(rng):
             -0.2,
         )
     )
+    # independent rows: the channel rows from the formula, the full
+    # Poisson row -Lap V - 4 pi (rho - rho_b) with its mean
+    nup, num, V = state.nu_plus.values, state.nu_minus.values, state.V.values
+    veff = V + state.gauge
+
+    def channel(nu, sign):
+        lap = grid.laplacian(nu)
+        return -lap + (5 / 3) * nu ** (7 / 3) - (4 / 3) * nu ** (5 / 3) + (veff + sign * 0.01) * nu
+
+    full_poisson = -grid.laplacian(V) - 4 * np.pi * (state.rho_values() - grid.rho_b)
     r = residual(state, 0.01)
+    assert isinstance(r, Residual) and r.grid is grid
     f_plus, f_minus, f_v = residual_system(state, 0.01)
-    assert np.max(np.abs(f_plus - r.r_plus.values)) < 1e-14
-    assert np.max(np.abs(f_minus - r.r_minus.values)) < 1e-14
-    assert np.max(np.abs(f_v + r.poisson_full_values() / (8 * np.pi))) < 1e-13
+    assert np.array_equal(r.values, residual_system(state, 0.01))
+    assert np.max(np.abs(f_plus - channel(nup, -1))) < 1e-14
+    assert np.max(np.abs(f_minus - channel(num, +1))) < 1e-14
+    assert np.max(np.abs(f_v + full_poisson / (8 * np.pi))) < 1e-13
 
 
 def test_normalize_state(rng):
