@@ -434,9 +434,7 @@ def save_table(directory, table: CBTable):
         fieldio.write_state(directory, f"sample_{i:03d}", sol.state, {"h_value": sol.h_value})
         fieldio.write_state(directory, f"dudh_{i:03d}", du, {"h_value": sol.h_value})
     manifest = {
-        "lattice": table.lattice.descriptor(),
-        "resolution": list(table.grid.spec.resolution),
-        "supercell": list(table.grid.spec.supercell),
+        **fieldio.grid_descriptor(table.grid),
         "h_samples": [float(h) for h in table.h_samples],
         "E_CB": [float(e) for e in table.E_CB],
         "m_tot": [float(m) for m in table.m_tot],
@@ -472,8 +470,8 @@ def load_table(directory) -> CBTable:
     h = np.array(manifest["h_samples"], dtype=float)
     if not (np.all(np.diff(h) > 0) and np.array_equal(h, -h[::-1])):
         raise StructuralError(f"{path}: h_samples are not strictly increasing and symmetric about 0")
-    lattice = LatticeSpec.from_descriptor(manifest["lattice"])
-    grid = Grid(lattice, GridSpec(tuple(manifest["resolution"]), tuple(manifest["supercell"])))
+    lattice, spec = fieldio.read_grid_descriptor(manifest, path)
+    grid = Grid(lattice, spec)
     solutions = []
     dudh = []
     for i, h_value in enumerate(h):

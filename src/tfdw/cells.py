@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fieldio
+from .fieldio import config_option
 from .energy import EnergyBreakdown, energy_supercell
 from .errors import DescentFailureError, DivergenceError, PositivityLossError, StructuralError
 from .grids import Grid, GridSpec, LatticeSpec, ScalarField, State, random_smooth_field
@@ -26,14 +27,15 @@ from .residual import _channel_residuals, gauge_fit, normalize_state, residual_n
 
 @dataclass
 class SolveOptions:
-    tol: float = 1e-11                 # residual target, averaged (L^2_n)^3 norm
-    phase1_tol: float = 1e-3           # projected-gradient norm to hand off to Newton
-    phase1_maxiter: int = 800
-    newton_maxiter: int = 50
-    nu_floor: float = 1e-8             # leaving nu < nu_floor is an error, not a clamp
+    tol: float = config_option(1e-11, exclusiveMinimum=0)  # residual target, averaged (L^2_n)^3 norm
+    # projected-gradient norm to hand off to Newton
+    phase1_tol: float = config_option(1e-3, exclusiveMinimum=0)
+    phase1_maxiter: int = config_option(800, minimum=1)
+    newton_maxiter: int = config_option(50, minimum=1)
+    nu_floor: float = config_option(1e-8)  # leaving nu < nu_floor is an error, not a clamp
     c_nu: float | None = None          # certified lower bound; None = positivity only
     seed: int = 0
-    perturbation: float = 1e-3
+    perturbation: float = config_option(1e-3)
 
 
 @dataclass
@@ -165,7 +167,10 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
     Each step solves the symmetric linearization against the scaled residual,
     evaluated once per iterate, which also gives the stopping norm; the
     potential's mean develops freely and carries the multiplier.  Returns
-    (state, residual_norm, iterations, residual_history).
+    (state, residual_norm, iterations, residual_history).  An iterate below
+    ``nu_floor`` raises PositivityLossError, and a residual above ``tol``
+    after ``newton_maxiter`` steps DivergenceError; both name the field and
+    carry ``h_value`` and the Newton ``iteration``.
     """
     grid = state.grid
     work = state.copy()
@@ -176,18 +181,24 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
     while history[-1] > target and iterations < opts.newton_maxiter:
         d = LinearizedOperator(work, h_value).dense_solve(f.ravel())
         work = State.from_stack(grid, work.stacked().ravel() - d)
+        iterations += 1
         min_nu = work.min_nu()
         if min_nu < opts.nu_floor:
             raise PositivityLossError(
-                f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) during Newton",
+                f"nu dropped to {min_nu:.3e} (< floor {opts.nu_floor:.1e}) at Newton step {iterations} "
+                f"under the field h = {h_value:.3e}",
                 min_nu=min_nu,
+                h_value=float(h_value),
+                iteration=iterations,
             )
-        iterations += 1
         f = residual_system(work, h_value)
         history.append(residual_norm(grid, f))
     if history[-1] > opts.tol:
         raise DivergenceError(
-            f"cell Newton stalled at residual {history[-1]:.3e} after {iterations} steps"
+            f"cell Newton stalled at residual {history[-1]:.3e} after {iterations} steps "
+            f"under the field h = {h_value:.3e}",
+            h_value=float(h_value),
+            iteration=iterations,
         )
     # exact retraction onto the constraint, then the least-squares gauge
     work = normalize_state(work)

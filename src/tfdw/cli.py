@@ -1,9 +1,13 @@
 """Command-line surface: JSON configs in, CSV/JSON reports out.
 
 Commands map one-to-one onto module pipelines; the CLI never computes
-numbers itself beyond the shared log-log slope fit.  Every output is written
-atomically in the one report format of ``tfdw.fieldio``, so identical configs
-and seeds give byte-identical files.
+numbers itself beyond the shared log-log slope fit.  The lattice and the
+applied field are read by their descriptors in ``tfdw.grids``.  A section
+whose keys are parameters of a library call (``cell``, ``cb``, ``eps``,
+``legendre``, ``solver``, ``newton``, ``stability``) is passed to it as
+keyword arguments, so an omitted key takes that function's default.  Every
+output is written atomically in the one report format of ``tfdw.fieldio``,
+so identical configs and seeds give byte-identical files.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 solver failure
 (with a machine-readable error JSON on stdout).
@@ -12,6 +16,7 @@ Exit codes: 0 success, 2 configuration/schema violation, 3 solver failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +30,7 @@ from . import studies
 from . import twoscale as ts
 from .cells import SolveOptions, save_solution, solve_cell
 from .errors import ConfigError, StructuralError, TfdwError
-from .grids import Grid, GridSpec, HField, LatticeSpec, Mode
+from .grids import Grid, GridSpec, HField, LatticeSpec
 from .linop import monkhorst_pack, stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
@@ -40,6 +45,21 @@ _MODE = {
     "required": ["m", "amp"],
     "additionalProperties": False,
 }
+
+_JSON_TYPES = {"float": "number", "int": "integer", "bool": "boolean"}
+
+
+def _options_section(options):
+    """The schema section of an options dataclass, built as
+    ``options(**section, seed=seed)``: one key per ``fieldio.config_option``
+    field, its JSON type from the annotation, its bounds from the field."""
+    properties = {
+        f.name: {"type": _JSON_TYPES[f.type], **f.metadata["json"]}
+        for f in dataclasses.fields(options)
+        if "json" in f.metadata
+    }
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -75,29 +95,8 @@ CONFIG_SCHEMA = {
             "properties": {"value": {"type": "number"}, "modes": {"type": "array", "items": _MODE}},
             "additionalProperties": False,
         },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "phase1_tol": {"type": "number", "exclusiveMinimum": 0},
-                "phase1_maxiter": {"type": "integer", "minimum": 1},
-                "newton_maxiter": {"type": "integer", "minimum": 1},
-                "nu_floor": {"type": "number"},
-                "perturbation": {"type": "number"},
-            },
-            "additionalProperties": False,
-        },
-        "newton": {
-            "type": "object",
-            "properties": {
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "maxiter": {"type": "integer", "minimum": 1},
-                "inner_factor": {"type": "number", "exclusiveMinimum": 0},
-                "refresh_jacobian": {"type": "boolean"},
-                "check_gap": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
+        "solver": _options_section(SolveOptions),
+        "newton": _options_section(NewtonOptions),
         "stability": {
             "type": "object",
             "properties": {
@@ -187,10 +186,6 @@ def load_config(path):
     return cfg
 
 
-def _modes(entries):
-    return [Mode(tuple(e["m"]), e["amp"], e.get("phase", 0.0)) for e in entries or []]
-
-
 def _section(cfg, name):
     if name not in cfg:
         raise ConfigError(f"this command needs the '{name}' section")
@@ -198,49 +193,44 @@ def _section(cfg, name):
 
 
 def _lattice(cfg):
-    lat = _section(cfg, "lattice")
-    return LatticeSpec(np.array(lat["cell_vectors"], dtype=float), lat["Z"], _modes(lat.get("rho_b_modes")))
+    return LatticeSpec.from_descriptor(_section(cfg, "lattice"))
 
 
 def _resolution(cfg):
     return tuple(_section(cfg, "grid")["resolution"])
 
 
-def _h_field(cfg):
-    h = cfg.get("h", {})
-    return HField(h.get("value", 0.0), _modes(h.get("modes")))
-
-
 def _solve_opts(cfg, seed):
-    # the "solver" schema keys are fields of SolveOptions, unset ones its defaults
     return SolveOptions(**cfg.get("solver", {}), seed=seed)
 
 
 def _newton_opts(cfg, seed):
-    # likewise the "newton" keys of NewtonOptions
     return NewtonOptions(**cfg.get("newton", {}), seed=seed)
 
 
+def _cell_solution(cfg, seed):
+    grid = GridSpec(_resolution(cfg))
+    return solve_cell(_lattice(cfg), grid, **cfg.get("cell", {}), opts=_solve_opts(cfg, seed))
+
+
 def _stability(cfg, lattice):
+    """The keyword arguments of ``stability_scan`` the stability section gives."""
     s = cfg.get("stability", {})
-    xi_grid = monkhorst_pack(lattice, tuple(s.get("xi_density", [2, 2, 2])))
-    return xi_grid, s.get("threshold", 1e-6), s.get("refine", True)
+    kwargs = {key: s[key] for key in ("threshold", "refine") if key in s}
+    if "xi_density" in s:
+        kwargs["xi_grid"] = monkhorst_pack(lattice, tuple(s["xi_density"]))
+    return kwargs
 
 
 def _build_table(cfg, lattice, opts):
-    c = _section(cfg, "cb")
-    xi_grid, threshold, _ = _stability(cfg, lattice)
-    table = cb.build_cb_table(
+    scan = _stability(cfg, lattice)
+    return cb.build_cb_table(
         lattice,
         GridSpec(_resolution(cfg)),
-        h_range=c["h_range"],
-        step=c["step"],
+        **_section(cfg, "cb"),
         opts=opts,
-        stability_threshold=threshold,
-        stability_xi_grid=xi_grid,
-        verify_samples=c.get("verify_samples", True),
+        **{f"stability_{key}": scan[key] for key in ("threshold", "xi_grid") if key in scan},
     )
-    return table
 
 
 def _two_scale_inputs(cfg, seed):
@@ -253,19 +243,14 @@ def _two_scale_inputs(cfg, seed):
     else:
         table = _build_table(cfg, lattice, _solve_opts(cfg, seed))
     grid_n = Grid(lattice, GridSpec(_resolution(cfg), (tcfg["n"], 1, 1)))
-    return tcfg, table, grid_n, _h_field(cfg)
+    return tcfg, table, grid_n, HField.from_descriptor(cfg.get("h", {}))
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_solve_cell(cfg, out, seed, verbose):
-    lattice = _lattice(cfg)
-    opts = _solve_opts(cfg, seed)
-    cell_cfg = cfg.get("cell", {})
-    sol = solve_cell(
-        lattice, GridSpec(_resolution(cfg)), cell_cfg.get("h_value", 0.0), cell_cfg.get("init", "uniform"), opts
-    )
+    sol = _cell_solution(cfg, seed)
     save_solution(out, "cell_solution", sol)
     summary = {
         "h_value": sol.h_value,
@@ -312,14 +297,9 @@ def cmd_stability_scan(cfg, out, seed, verbose):
         state = jellium.jellium_state(params, grid)
         h_value = 0.0
     else:
-        lattice = _lattice(cfg)
-        opts = _solve_opts(cfg, seed)
-        cell_cfg = cfg.get("cell", {})
-        h_value = cell_cfg.get("h_value", 0.0)
-        sol = solve_cell(lattice, GridSpec(_resolution(cfg)), h_value, cell_cfg.get("init", "uniform"), opts)
-        state = sol.state
-    xi_grid, threshold, refine = _stability(cfg, lattice)
-    report = stability_scan(state, h_value, xi_grid=xi_grid, threshold=threshold, refine=refine)
+        sol = _cell_solution(cfg, seed)
+        lattice, state, h_value = sol.grid.lattice, sol.state, sol.h_value
+    report = stability_scan(state, h_value, **_stability(cfg, lattice))
     fieldio.atomic_write_text(os.path.join(out, "stability_report.json"), report.to_json())
     report.write_csv(os.path.join(out, "fiber_gaps.csv"))
     if verbose:
@@ -371,12 +351,11 @@ def cmd_eps_study(cfg, out, seed, verbose):
     result = studies.run_eps_study(
         lattice,
         _resolution(cfg),
-        _h_field(cfg),
-        ecfg["n_values"],
+        HField.from_descriptor(cfg.get("h", {})),
+        **ecfg,
         cb_range=ccfg["h_range"],
         cb_step=ccfg["step"],
         newton_opts=_newton_opts(cfg, seed),
-        drop_largest=ecfg.get("drop_largest", True),
         table=_build_table(cfg, lattice, _solve_opts(cfg, seed)),
     )
     result.write_csv(os.path.join(out, "eps_study.csv"))
@@ -391,13 +370,7 @@ def cmd_legendre_check(cfg, out, seed, verbose):
     opts = _solve_opts(cfg, seed)
     lcfg = _section(cfg, "legendre")
     table = _build_table(cfg, lattice, opts)
-    rows, _curve = studies.run_legendre_study(
-        table,
-        lcfg["h_values"],
-        m_count=lcfg.get("m_count", 9),
-        m_margin=lcfg.get("m_margin", 0.85),
-        solve_opts=opts,
-    )
+    rows, _curve = studies.run_legendre_study(table, **lcfg, solve_opts=opts)
     studies.write_legendre_csv(os.path.join(out, "legendre_check.csv"), rows)
     payload = {"max_rel_err": max(r.rel_err for r in rows)}
     fieldio.write_json(os.path.join(out, "legendre_summary.json"), payload)

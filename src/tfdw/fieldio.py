@@ -13,6 +13,7 @@ Identical inputs therefore give byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -28,15 +29,31 @@ TFW_VERSION = 1
 STATE_FIELDS = ("nu_plus", "nu_minus", "V")
 
 
-def _grid_header(grid: Grid):
+def grid_descriptor(grid: Grid):
+    """The JSON form of a grid, in .tfw headers and table manifests."""
     return {
-        "format": TFW_MAGIC,
-        "version": TFW_VERSION,
         "lattice": grid.lattice.descriptor(),
         "resolution": list(grid.spec.resolution),
         "supercell": list(grid.spec.supercell),
-        "domain": grid.domain,
     }
+
+
+def read_grid_descriptor(d, what):
+    """(LatticeSpec, GridSpec) of a grid descriptor; StructuralError naming
+    ``what`` (the file that holds it) unless ``d`` describes a grid."""
+    try:
+        lattice = LatticeSpec.from_descriptor(d["lattice"])
+        spec = GridSpec(tuple(d["resolution"]), tuple(d["supercell"]))
+    except (KeyError, TypeError, ValueError, AttributeError, StructuralError) as exc:
+        raise StructuralError(f"{what} does not describe a grid ({exc!r})") from exc
+    return lattice, spec
+
+
+def config_option(default, **bounds):
+    """A field of an options dataclass that a config may set, with the
+    JSON-schema bounds of its value; ``tfdw.cli`` builds the config
+    schema from these fields and takes the JSON type from the annotation."""
+    return dataclasses.field(default=default, metadata={"json": bounds})
 
 
 def _reject_constant(name):
@@ -75,9 +92,10 @@ def read_manifest(path, keys=()):
 
 
 def write_field(path, fld: ScalarField):
-    header = json.dumps(_grid_header(fld.grid), sort_keys=True)
+    grid = fld.grid
+    header = {"format": TFW_MAGIC, "version": TFW_VERSION, **grid_descriptor(grid), "domain": grid.domain}
     payload = np.ascontiguousarray(fld.values, dtype="<f8").tobytes()
-    atomic_write_bytes(path, header.encode("utf-8") + b"\n" + payload)
+    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 def read_field(path, grid: Grid | None = None) -> ScalarField:
@@ -85,11 +103,7 @@ def read_field(path, grid: Grid | None = None) -> ScalarField:
     header = parse_object(header_line, f"{path}: the header line")
     if header.get("format") != TFW_MAGIC:
         raise StructuralError(f"{path} is not a .tfw field file")
-    try:
-        lattice = LatticeSpec.from_descriptor(header["lattice"])
-        spec = GridSpec(tuple(header["resolution"]), tuple(header["supercell"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuralError(f"{path}: the header does not describe a grid ({exc!r})") from exc
+    lattice, spec = read_grid_descriptor(header, f"{path}: the header")
     # an expected grid is compared by its specs, so no second Grid is built
     if grid is None:
         grid = Grid(lattice, spec)

@@ -62,7 +62,18 @@ class Mode:
     def __post_init__(self):
         if len(self.m) != 3 or any(int(c) != c for c in self.m):
             raise StructuralError(f"mode index must be an integer triple, got {self.m}")
+        if np.asarray([self.amp, self.phase]).dtype.kind not in "iuf":
+            raise StructuralError(f"mode amplitude and phase must be numbers, got {self.amp!r}, {self.phase!r}")
         object.__setattr__(self, "m", tuple(int(c) for c in self.m))
+
+    def descriptor(self):
+        """The JSON form of a mode, in a lattice's ``rho_b_modes`` and an
+        HField's ``modes``; ``phase`` may be left out (0)."""
+        return {"m": list(self.m), "amp": self.amp, "phase": self.phase}
+
+    @classmethod
+    def from_descriptor(cls, d):
+        return cls(tuple(d["m"]), d["amp"], d.get("phase", 0.0))
 
 
 class LatticeSpec:
@@ -130,15 +141,13 @@ class LatticeSpec:
         return {
             "cell_vectors": self.cell_vectors.tolist(),
             "Z": self.Z,
-            "rho_b_modes": [
-                {"m": list(m.m), "amp": m.amp, "phase": m.phase} for m in self.rho_b_modes
-            ],
+            "rho_b_modes": [m.descriptor() for m in self.rho_b_modes],
         }
 
     @classmethod
     def from_descriptor(cls, d):
-        modes = [Mode(tuple(x["m"]), x["amp"], x.get("phase", 0.0)) for x in d.get("rho_b_modes", [])]
-        return cls(np.array(d["cell_vectors"]), d["Z"], modes)
+        modes = [Mode.from_descriptor(x) for x in d.get("rho_b_modes", [])]
+        return cls(d["cell_vectors"], d["Z"], modes)
 
 
 @dataclass(frozen=True)
@@ -728,17 +737,11 @@ class HField:
         return sorted(axes)
 
     def descriptor(self):
-        return {
-            "value": self.value,
-            "modes": [{"m": list(m.m), "amp": m.amp, "phase": m.phase} for m in self.modes],
-        }
+        return {"value": self.value, "modes": [m.descriptor() for m in self.modes]}
 
     @classmethod
     def from_descriptor(cls, d):
-        if isinstance(d, (int, float)):
-            return cls(value=float(d))
-        modes = [Mode(tuple(x["m"]), x["amp"], x.get("phase", 0.0)) for x in d.get("modes", [])]
-        return cls(d.get("value", 0.0), modes)
+        return cls(d.get("value", 0.0), [Mode.from_descriptor(x) for x in d.get("modes", [])])
 
 
 def as_h_values(h, grid):

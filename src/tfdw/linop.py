@@ -109,8 +109,6 @@ class LinearizedOperator:
 
     def __init__(self, state: State, h=0.0):
         self.grid = state.grid
-        self.base_state = state
-        self.h = h
         self.F_plus, self.F_minus = coefficient_fields(state, h)
         self.nu_plus = state.nu_plus.values
         self.nu_minus = state.nu_minus.values

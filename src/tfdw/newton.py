@@ -28,6 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import minres
 
 from . import fieldio
+from .fieldio import config_option
 from .errors import DivergenceError, LinearSolveError, StabilityGapError
 from .grids import Grid, ScalarField, State, as_h_values
 from .linop import LinearizedOperator, spectral_gap
@@ -39,11 +40,12 @@ GAP_THRESHOLD = 1e-6  # smallest gap of the frozen operator that check_gap accep
 
 @dataclass
 class NewtonOptions:
-    tol: float = 1e-10                  # residual target, averaged (L^2_n)^3 norm
-    maxiter: int = 30
-    inner_factor: float = 0.01          # inner tolerance relative to the outer target
-    refresh_jacobian: bool = False      # re-linearize each step (off: frozen)
-    check_gap: bool = False             # gap of the frozen operator before iterating
+    tol: float = config_option(1e-10, exclusiveMinimum=0)  # residual target, averaged (L^2_n)^3 norm
+    maxiter: int = config_option(30, minimum=1)
+    # inner tolerance relative to the outer target
+    inner_factor: float = config_option(0.01, exclusiveMinimum=0)
+    refresh_jacobian: bool = config_option(False)  # re-linearize each step (off: frozen)
+    check_gap: bool = config_option(False)  # gap of the frozen operator before iterating
     seed: int = 0
 
 

@@ -33,6 +33,40 @@ def test_option_schema_keys_are_dataclass_fields(section, options):
     assert keys <= fields - {"seed"}
 
 
+# the sections as the schema spelled them out before they were generated
+# from the options dataclasses
+SOLVER_SECTION = {
+    "type": "object",
+    "properties": {
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "phase1_tol": {"type": "number", "exclusiveMinimum": 0},
+        "phase1_maxiter": {"type": "integer", "minimum": 1},
+        "newton_maxiter": {"type": "integer", "minimum": 1},
+        "nu_floor": {"type": "number"},
+        "perturbation": {"type": "number"},
+    },
+    "additionalProperties": False,
+}
+NEWTON_SECTION = {
+    "type": "object",
+    "properties": {
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "maxiter": {"type": "integer", "minimum": 1},
+        "inner_factor": {"type": "number", "exclusiveMinimum": 0},
+        "refresh_jacobian": {"type": "boolean"},
+        "check_gap": {"type": "boolean"},
+    },
+    "additionalProperties": False,
+}
+
+
+@pytest.mark.parametrize("section, literal", [("solver", SOLVER_SECTION), ("newton", NEWTON_SECTION)])
+def test_option_schema_sections_keep_their_keys_types_and_bounds(section, literal):
+    generated = cli.CONFIG_SCHEMA["properties"][section]
+    assert json.dumps(generated, sort_keys=True) == json.dumps(literal, sort_keys=True)
+    assert not {"seed", "c_nu"} & set(generated["properties"])
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = cli.main(["solve-cell", "--config", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -200,7 +234,8 @@ def test_error_payload_carries_diagnostics(tmp_path, capsys, monkeypatch, error,
 def test_solve_cell_names_a_field_too_large(tmp_path, capsys, h_value, error):
     # a field that overflows phase 1 (its projected gradient at 1e200, its
     # first trial density at 4e152) stops the descent naming h, without a
-    # floating-point warning; a merely large one loses positivity in Newton
+    # floating-point warning; a merely large one loses positivity in Newton,
+    # which names h too
     cfg = write_config(
         tmp_path,
         {
@@ -215,9 +250,11 @@ def test_solve_cell_names_a_field_too_large(tmp_path, capsys, h_value, error):
         assert cli.main(["solve-cell", "--config", cfg]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == error
+    assert f"h = {h_value:.3e}" in payload["message"]
     if error == "DescentFailureError":
-        assert f"h = {h_value:.3e}" in payload["message"]
         assert payload["energy_trace"] and all(np.isfinite(payload["energy_trace"]))
+    else:
+        assert payload["h_value"] == h_value and payload["iteration"] >= 1
 
 
 def test_jellium_scan_threshold(tmp_path):
@@ -356,6 +393,15 @@ def _with(key, change):
     return lambda text: json.dumps({**json.loads(text), key: change(json.loads(text)[key])})
 
 
+def _header_with(key, value):
+    # a .tfw file read as Latin-1 text, which keeps every payload byte
+    def damage(text):
+        header, _, payload = text.partition("\n")
+        return json.dumps({**json.loads(header), key: value}) + "\n" + payload
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "name, damage",
     [
@@ -374,21 +420,28 @@ def _with(key, change):
         ("table.json", _with("h_samples", lambda v: v[:-1] + [v[-1] + 0.01])),
         ("table.json", _with("E_CB", lambda v: [float("nan")] + v[1:])),
         ("table.json", _with("c_nu", lambda v: float("inf"))),
+        ("table.json", _with("lattice", lambda v: {})),
+        ("table.json", _with("lattice", lambda v: "x")),
+        ("table.json", _with("resolution", lambda v: "abc")),
+        ("table.json", _with("lattice", lambda v: {**v, "rho_b_modes": [{"m": [1, 0, 0], "amp": "x"}]})),
+        ("sample_002_V.tfw", _header_with("lattice", [1])),
     ],
     ids=[
         "truncated", "not-an-object", "table-missing-key", "state-missing-key", "fields-missing-key",
         "h-samples-not-a-list", "energy-not-numbers", "m-holds-null", "gaps-not-numbers",
         "residual-norms-short", "c-nu-not-a-number", "h-samples-decreasing", "h-samples-asymmetric",
-        "energy-holds-nan", "c-nu-infinite",
+        "energy-holds-nan", "c-nu-infinite", "lattice-empty", "lattice-not-an-object",
+        "resolution-not-integers", "mode-amplitude-not-a-number", "header-lattice-a-list",
     ],
 )
 def test_damaged_manifest_exits_3(tmp_path, capsys, cb_table, name, damage):
-    # a table whose JSON manifests are cut or lack a key: two-scale-build
-    # answers with the StructuralError JSON instead of a traceback
+    # a table whose JSON manifests or field headers are cut, lack a key or
+    # hold a malformed grid descriptor: two-scale-build answers with the
+    # StructuralError JSON naming the file instead of a traceback
     table_dir = tmp_path / "table"
     cauchy_born.save_table(table_dir, cb_table)
     manifest = table_dir / name
-    manifest.write_text(damage(manifest.read_text()))
+    manifest.write_text(damage(manifest.read_text("latin-1")), "latin-1")
     cfg = write_config(
         tmp_path,
         {
