@@ -30,7 +30,7 @@ from . import studies
 from . import twoscale as ts
 from .cells import SolveOptions, save_solution, solve_cell
 from .errors import ConfigError, StructuralError, TfdwError
-from .grids import Grid, GridSpec, HField, LatticeSpec
+from .grids import Grid, GridSpec, HField, LatticeSpec, State
 from .linop import monkhorst_pack, stability_scan
 from .newton import NewtonOptions, newton_solve
 from .residual import residual
@@ -334,7 +334,7 @@ def cmd_newton_study(cfg, out, seed, verbose):
     n = tcfg["n"]
     u0, cs = ts.build_u0(table, h_field, grid_n)
     h_vals = h_field.sample(grid_n)
-    u_cb = cb.cb_field(table, h_vals)
+    u_cb = State.from_stack(grid_n, cs.u_cb)
     u_star, trace = newton_solve(u0, h_vals, _newton_opts(cfg, seed), u_cb=u_cb)
     trace.write_csv(os.path.join(out, "newton_trace.csv"))
     fieldio.atomic_write_text(os.path.join(out, "newton_summary.json"), trace.to_json())

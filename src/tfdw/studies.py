@@ -93,7 +93,7 @@ def run_eps_study(
         u0, cs = ts.build_u0(table, h_field, grid_n)
         res_u0 = residual(u0, h_vals).norm_l2n()
         res_first = residual(ts.assemble_u0(cs, include_second=False), h_vals).norm_l2n()
-        u_cb = cb.cb_field(table, h_vals)
+        u_cb = State.from_stack(grid_n, cs.u_cb)
         u_star, trace = newton_solve(u0, h_vals, newton_opts, u_cb=u_cb)
         return EpsStudyRow(
             n=n,

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import fieldio
-from .cauchy_born import CBTable, cb_field, field_source, gather, macro_layout
+from .cauchy_born import CBTable, field_source, gather, macro_layout
 from .errors import PositivityLossError, StructuralError
 from .grids import Grid, HField, State
 from .linop import LinearizedOperator
@@ -66,7 +66,8 @@ class SampleSolves:
 class CorrectorSet:
     """Corrector values at the distinct sampled field values plus the gather
     maps for assembly.  Each value is a ``(len(macro_samples), 3) + cell
-    shape`` array: one ``State.stacked`` stack per field value."""
+    shape`` array: one ``State.stacked`` stack per field value.  The zeroth
+    order ``u_cb`` is gathered once, as a ``(3,) + supercell shape`` stack."""
 
     table: CBTable
     h_field: HField
@@ -74,6 +75,7 @@ class CorrectorSet:
     macro_samples: np.ndarray           # distinct sampled field values
     inverse: np.ndarray                 # flat supercell point -> sample index
     micro: np.ndarray                   # flat supercell point -> cell point
+    u_cb: np.ndarray                    # zeroth order, the stack of cb_field
     w: dict[int, np.ndarray]            # axis -> first-order unit solution
     P: dict[tuple[int, int], np.ndarray]
     Q: dict[tuple[int, int], np.ndarray]
@@ -253,9 +255,11 @@ def tabulate_correctors(table: CBTable, axes):
 def first_order_correctors(table: CBTable, h_field: HField, grid: Grid) -> CorrectorSet:
     """Correctors at every distinct sampled field value from the table's
     corrector splines (``tabulate_correctors``, run on the first request for
-    the field's active axes and cached on the table).  The set carries the
-    second-order values too; ``second_order_correctors`` marks it complete."""
+    the field's active axes and cached on the table), and the zeroth order
+    from the same macro layout.  The set carries the second-order values
+    too; ``second_order_correctors`` marks it complete."""
     uniq, inverse, micro = _macro_layout(table, h_field, grid)
+    u_cb = gather(table.state_spline()(uniq), inverse, micro, grid.shape)
     axes = h_field.active_axes(grid)
     pairs = _pairs(axes)
     w, P, Q, residual = {}, {}, {}, 0.0
@@ -269,7 +273,8 @@ def first_order_correctors(table: CBTable, h_field: HField, grid: Grid) -> Corre
         Q = dict(zip(pairs, blocks[len(axes) + len(pairs) :]))
     return CorrectorSet(
         table=table, h_field=h_field, grid=grid, macro_samples=uniq, inverse=inverse,
-        micro=micro, w=w, P=P, Q=Q, active_axes=axes, active_pairs=pairs, solve_residual=residual,
+        micro=micro, u_cb=u_cb, w=w, P=P, Q=Q, active_axes=axes, active_pairs=pairs,
+        solve_residual=residual,
     )
 
 
@@ -289,7 +294,7 @@ def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
     def supercell(rows):
         return gather(rows, cs.inverse, cs.micro, grid.shape)
 
-    total = cb_field(cs.table, cs.h_field.sample(grid)).stacked()
+    total = cs.u_cb.copy()
     grads = cs.h_field.grad_slow(grid)
     for a in cs.active_axes:
         total += grid.eps * supercell(cs.w[a]) * grads[a]

@@ -7,7 +7,8 @@ import pytest
 from test_grids import _CountingFFT
 from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
-from tfdw.errors import EigensolverError
+from tfdw import newton
+from tfdw.errors import EigensolverError, LinearSolveError
 from tfdw.grids import Grid, GridSpec, HField, ScalarField, State, random_smooth_field
 from tfdw.linop import LinearizedOperator, spectral_gap
 from tfdw.newton import (
@@ -55,12 +56,53 @@ def test_convergence_and_contraction(sweep_point):
 
 
 def test_preconditioned_minres_iterations(sweep_point):
-    # the mean-coefficient |L_bar|^{-1} preconditioner takes 29 MINRES steps
-    # over the whole solve; the inverse-Helmholtz one took 71
+    # the mean-coefficient |L_bar|^{-1} preconditioner with forcing terms
+    # takes 21 MINRES steps over the whole solve; every inner solve at the
+    # floor target took 29, and the inverse-Helmholtz preconditioner 71
     grid, u0, h_vals = sweep_point
     _, trace = newton_solve(u0, h_vals, NewtonOptions())
     assert trace.converged
-    assert sum(trace.inner_iterations) <= 40
+    assert sum(trace.inner_iterations) <= 24
+
+
+def test_forcing_terms_only_save_inner_steps(sweep_point, monkeypatch):
+    # with both forcing constants at 0 every inner solve aims for the floor,
+    # inner_factor * tol in the averaged norm; the forced run reaches the
+    # same solution in fewer MINRES steps
+    grid, u0, h_vals = sweep_point
+    opts = NewtonOptions(tol=1e-10)
+    forced, trace = newton_solve(u0, h_vals, opts)
+    first = newton.FORCING_FIRST
+    monkeypatch.setattr(newton, "FORCING_FIRST", 0.0)
+    monkeypatch.setattr(newton, "FORCING_MAX", 0.0)
+    floor, floor_trace = newton_solve(u0, h_vals, opts)
+    assert trace.converged and floor_trace.converged
+    assert state_distance(forced, floor) <= 1e-9
+    assert sum(trace.inner_iterations) < sum(floor_trace.inner_iterations)
+    # the first step is where the floor over-solves: 3e-11 relative at n = 6
+    assert trace.inner_rtols[0] == first
+    assert floor_trace.inner_rtols[0] < 1e-3 * first
+
+
+def test_stalled_inner_solve_raises(sweep_point, monkeypatch):
+    # one MINRES step per solve (and per retry) cannot reach the first
+    # step's target: the error carries the gap of the frozen operator
+    minres = newton.minres
+
+    def one_step(*args, **kwargs):
+        return minres(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(newton, "minres", one_step)
+    grid, u0, h_vals = sweep_point
+    with pytest.raises(LinearSolveError) as err:
+        newton_solve(u0, h_vals, NewtonOptions(check_gap=True))
+    assert "inner MINRES solve stalled" in str(err.value)
+    assert set(err.value.diagnostics()) == {"gap_estimate"}
+    gap = spectral_gap(LinearizedOperator(u0, h_vals))
+    assert err.value.gap_estimate == pytest.approx(gap, rel=1e-12)
+    with pytest.raises(LinearSolveError) as err:
+        newton_solve(u0, h_vals, NewtonOptions())
+    assert err.value.gap_estimate is None
 
 
 def test_inner_solve_makes_one_transform_pair_per_step(sweep_point, monkeypatch):
@@ -139,6 +181,8 @@ def test_trace_serialization(sweep_point, tmp_path):
     _, trace = newton_solve(u0, h_vals, NewtonOptions(tol=1e-10))
     payload = json.loads(trace.to_json())
     assert payload["converged"] is True
+    assert payload["inner_rtols"] == trace.inner_rtols
+    assert len(trace.inner_rtols) == len(trace.inner_iterations) == len(trace.increments)
     trace.write_csv(tmp_path / "trace.csv")
     lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "step,residual,increment,ratio"

@@ -28,6 +28,30 @@ def test_constant_field_degenerates_to_cb(cb_table):
     assert res <= 1e-9
 
 
+def test_cb_state_is_laid_out_once_per_supercell(cb_table, monkeypatch):
+    # the corrector set carries the zeroth order from its own macro layout:
+    # both assemblies start from a copy of it, and no second layout is made
+    grid = supergrid(cb_table, 4)
+    h = HField(0.0, [((1, 0, 0), 0.06)])
+    lead = cb.cb_field(cb_table, h.sample(grid))
+    layouts, macro_layout = [], cb.macro_layout
+
+    def counted(*args):
+        layouts.append(args)
+        return macro_layout(*args)
+
+    monkeypatch.setattr(ts, "macro_layout", counted)
+    monkeypatch.setattr(cb, "macro_layout", counted)
+    u0, cs = ts.build_u0(cb_table, h, grid)
+    first = ts.assemble_u0(cs, include_second=False)
+    assert len(layouts) == 1
+    assert np.array_equal(cs.u_cb[:2], lead.stacked()[:2])
+    assert np.allclose(cs.u_cb[2], lead.v_full_values(), rtol=0, atol=1e-15)
+    again = ts.assemble_u0(cs)
+    assert np.array_equal(again.stacked(), u0.stacked())
+    assert not np.array_equal(first.stacked(), u0.stacked())
+
+
 def test_corrector_solves_satisfy_their_systems(cb_table):
     grid = supergrid(cb_table, 4)
     h = HField(0.0, [((1, 0, 0), 0.06)])
