@@ -205,10 +205,10 @@ class Grid:
         self.w_quad = self.vol_supercell / self.total_points
 
         B = lattice.reciprocal_vectors
-        kappa = [sfft.fftfreq(M) * M for M in self.shape]  # integer mode indices
-        frac = [kappa[j] / spec.supercell[j] for j in range(3)]  # reciprocal fractions in L*/n
-        F = np.meshgrid(*frac, indexing="ij")
-        self.k_cart = [sum(F[j] * B[j, a] for j in range(3)) for a in range(3)]
+        # integer mode indices per axis, broadcasting against one another
+        kappa = np.meshgrid(*(sfft.fftfreq(M) * M for M in self.shape), indexing="ij", sparse=True)
+        # reciprocal fractions kappa_j / n_j in L*/n times the reciprocal rows
+        self.k_cart = [sum(kappa[j] / spec.supercell[j] * B[j, a] for j in range(3)) for a in range(3)]
         self.k_sq = sum(k * k for k in self.k_cart)
         inv = np.zeros_like(self.k_sq)
         nz = self.k_sq > 0
@@ -216,12 +216,7 @@ class Grid:
         self.inv_k_sq = inv
         # Nyquist planes per axis (unmatched mode on even grids); odd spectral
         # derivatives must kill them to stay skew-adjoint.
-        self._nyquist = []
-        for j, M in enumerate(self.shape):
-            mask = kappa[j] == -(M // 2)
-            shape = [1, 1, 1]
-            shape[j] = M
-            self._nyquist.append(mask.reshape(shape))
+        self._nyquist = [np.broadcast_to(kappa[j] == -(M // 2), self.shape) for j, M in enumerate(self.shape)]
 
         # real-input transforms halve the longest axis (the first on a tie):
         # it is transformed last, as rfftn requires.  Every axis is even
@@ -244,14 +239,13 @@ class Grid:
         self._y_scale = np.sqrt(self._hermitian_weight / self.total_points)
         self._self_conjugate = (Ellipsis,) + np.ix_(*([0, M // 2] for M in self.shape))
 
-        idx = [np.arange(M) for M in self.shape]
-        I = np.meshgrid(*idx, indexing="ij")
-        # fractional coordinates within the unit cell (exact rationals)
+        # fractional coordinates within the unit cell (exact rationals) and
+        # across the whole supercell, in [0, 1): read-only full-grid views
+        I = np.meshgrid(*(np.arange(M) for M in self.shape), indexing="ij", sparse=True)
         self.cell_fraction = [
-            (I[j] % spec.resolution[j]) / spec.resolution[j] for j in range(3)
+            np.broadcast_to((I[j] % spec.resolution[j]) / spec.resolution[j], self.shape) for j in range(3)
         ]
-        # fractional coordinates across the whole supercell, in [0, 1)
-        self.supercell_fraction = [I[j] / self.shape[j] for j in range(3)]
+        self.supercell_fraction = [np.broadcast_to(I[j] / self.shape[j], self.shape) for j in range(3)]
         self._cache: dict = {}
 
     # -- identity ---------------------------------------------------------
@@ -302,11 +296,17 @@ class Grid:
     def ifft(self, coeffs):
         return sfft.ifftn(coeffs, axes=AXES).real / (FOURIER_PREFACTOR * self.w_quad)
 
+    def mirror_pair(self, symbol):
+        """A full-spectrum array (fft order over the last three axes) on the
+        half-spectrum bins k and on their mirrors -k (index negation mod shape)."""
+        symbol = np.asarray(symbol)
+        return symbol[self._half], symbol[self._mirror]
+
     def fold(self, symbol):
         """Hermitian fold (S(k) + conj S(-k)) / 2 of a full-spectrum symbol
-        (fft order over the last three axes), on the half spectrum."""
-        symbol = np.asarray(symbol)
-        return 0.5 * (symbol[self._half] + np.conj(symbol[self._mirror]))
+        on the half spectrum (``mirror_pair``)."""
+        half, mirror = self.mirror_pair(symbol)
+        return 0.5 * (half + np.conj(mirror))
 
     def _folded(self, key, build):
         """The fold of the full symbol ``build()``, cached under ``key``."""
@@ -353,22 +353,23 @@ class Grid:
         spectrum *= symbol
         return self._irfft(spectrum)
 
+    def _symbols(self, alphas, index=(Ellipsis,), unit=1j):
+        """prod_j (unit k_j)^alpha_j at the bins ``index``, one per multi-index
+        of ``alphas``: the derivative symbols (unit = i) or, real, their
+        moduli up to sign (unit = 1).  Odd orders vanish on the Nyquist
+        planes of their axis (the unmatched mode of an even grid), which
+        keeps them skew-adjoint."""
+        alphas = np.asarray(alphas)
+        out = 1.0
+        for j, k in enumerate(self.k_cart):
+            k, nyquist = unit * k[index], self._nyquist[j][index]
+            powers = [np.where(nyquist, 0.0, k**a) if a % 2 else k**a for a in range(max(alphas[:, j]) + 1)]
+            out = out * np.stack(powers)[alphas[:, j]]
+        return out
+
     def _multiplier(self, alpha):
-        """Folded Fourier symbol prod_j (i k_j)^alpha_j of the derivative
-        alpha, cached.  Odd orders vanish on the Nyquist planes of their axis
-        (the unmatched mode of an even grid), which keeps them
-        skew-adjoint."""
-
-        def build():
-            mult = np.ones(self.shape, dtype=complex)
-            for j, a in enumerate(alpha):
-                if a:
-                    mult = mult * (1j * self.k_cart[j]) ** a
-                    if a % 2:
-                        mult = np.where(self._nyquist[j], 0.0, mult)
-            return mult
-
-        return self._folded(("deriv", alpha), build)
+        """Folded Fourier symbol of the derivative alpha (``_symbols``), cached."""
+        return self._folded(("deriv", alpha), lambda: self._symbols([alpha])[0])
 
     def deriv(self, values, alpha):
         """Spectral partial derivative with multi-index ``alpha``."""
@@ -461,13 +462,25 @@ class Grid:
 
     def _sobolev_weights(self, k):
         """``(derivatives, half points)`` matrix of |m_alpha,h|^2 times the
-        norm's scale, one row per multi-index of order <= k; cached."""
+        norm's scale, one row per multi-index of order <= k; cached.  Built
+        on the half spectrum from the real powers k_j^alpha_j, the folded
+        symbol's modulus where the mirror bin holds -k: everywhere but on
+        the Nyquist planes of the axes j that the reciprocal basis couples
+        (b_j off e_j, or another b_i with a j component), which are folded
+        explicitly."""
         key = ("sobolev", k)
         if key not in self._cache:
-            scale = self.w_quad / self.n_cells
-            self._cache[key] = np.stack(
-                [(scale * np.abs(self._multiplier(a)) ** 2).ravel() for a in multi_indices(k)]
-            )
+            alphas = multi_indices(k)
+            power = self._symbols(alphas, self._half, unit=1.0) ** 2
+            B = self.lattice.reciprocal_vectors
+            off = B != np.diag(np.diag(B))
+            coupled = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+            at = np.nonzero(sum((self._nyquist[j] for j in coupled), np.zeros(self.shape, bool))[self._half])
+            if at[0].size:
+                mirror = tuple((-i) % M for i, M in zip(at, self.shape))
+                folded = 0.5 * (self._symbols(alphas, at) + np.conj(self._symbols(alphas, mirror)))
+                power[(slice(None),) + at] = np.abs(folded) ** 2
+            self._cache[key] = (self.w_quad / self.n_cells * power).reshape(len(alphas), -1)
         return self._cache[key]
 
     def hminus1_inner(self, f, g):
@@ -692,12 +705,14 @@ class HField:
     def _mode_terms(self, grid):
         """(mode, phase 2 pi m . f(eps x) + phase, A^-1 m) per mode on ``grid``."""
         self.check_compatible(grid)
-        f = [grid.eps * grid.spec.supercell[j] * grid.supercell_fraction[j] for j in range(3)]
         Ainv = np.linalg.inv(grid.lattice.cell_vectors)
-        return [
-            (mode, TWO_PI * sum(c * fj for c, fj in zip(mode.m, f)) + mode.phase, Ainv @ np.array(mode.m, float))
-            for mode in self.modes
-        ]
+
+        def phase(mode):
+            # 2 pi m . f(eps x) + phase; a zero index adds an exact zero: skipped
+            axes = zip(mode.m, grid.spec.supercell, grid.supercell_fraction)
+            return TWO_PI * sum(c * (grid.eps * n * frac) for c, n, frac in axes if c) + mode.phase
+
+        return [(mode, phase(mode), Ainv @ np.array(mode.m, float)) for mode in self.modes]
 
     def sample(self, grid):
         """ScalarField of h(eps x) on the supercell grid."""
@@ -711,7 +726,7 @@ class HField:
         out = [np.zeros(grid.shape) for _ in range(3)]
         for mode, phase, mfrac in self._mode_terms(grid):
             s = -TWO_PI * mode.amp * np.sin(phase)
-            for a in range(3):
+            for a in np.flatnonzero(mfrac):
                 out[a] = out[a] + s * mfrac[a]
         return out
 
@@ -720,9 +735,8 @@ class HField:
         out = {(a, b): np.zeros(grid.shape) for a in range(3) for b in range(3)}
         for mode, phase, mfrac in self._mode_terms(grid):
             c = -(TWO_PI**2) * mode.amp * np.cos(phase)
-            for a in range(3):
-                for b in range(3):
-                    out[(a, b)] = out[(a, b)] + c * mfrac[a] * mfrac[b]
+            for a, b in itertools.product(np.flatnonzero(mfrac), repeat=2):
+                out[(a, b)] = out[(a, b)] + c * mfrac[a] * mfrac[b]
         return out
 
     def active_axes(self, grid):

@@ -131,17 +131,18 @@ class LinearizedOperator:
         out[2] += lap_v / EIGHT_PI
         return out
 
-    def _multiply(self, triple):
+    def _multiply(self, triple, out=None):
         """The zeroth-order part of L, pointwise: the rows
-        (F_+ w_+ + nu_+ W, F_- w_- + nu_- W, nu_+ w_+ + nu_- w_-)."""
+        (F_+ w_+ + nu_+ W, F_- w_- + nu_- W, nu_+ w_+ + nu_- w_-), written
+        into the ``(3,) + shape`` stack ``out`` where one is given."""
         w_plus, w_minus, w_v = triple
-        return np.stack(
-            [
-                self.F_plus * w_plus + self.nu_plus * w_v,
-                self.F_minus * w_minus + self.nu_minus * w_v,
-                self.nu_plus * w_plus + self.nu_minus * w_minus,
-            ]
-        )
+        out = np.empty((3,) + np.shape(w_plus)) if out is None else out
+        terms = ((self.F_plus, w_plus, self.nu_plus, w_v), (self.F_minus, w_minus, self.nu_minus, w_v),
+                 (self.nu_plus, w_plus, self.nu_minus, w_minus))
+        for row, (a, x, b, y) in zip(out, terms):
+            np.multiply(a, x, out=row)
+            row += b * y
+        return out
 
     def half_spectrum_pair(self):
         """(A_y, M_y): L and its SPD preconditioner |L_bar|^{-1} as
@@ -152,11 +153,13 @@ class LinearizedOperator:
 
         The map to y preserves the Euclidean norm and pairing, so MINRES on
         (A_y, M_y, to_y b) runs the iteration of (L, M, b) in other
-        coordinates.  A_y applies the multipliers F_pm, nu_pm in real space
-        between one inverse and one forward transform and adds the kinetic
-        diagonal diag(|k|^2, |k|^2, -|k|^2/(8 pi)) bin-wise; M_y applies the
-        folded block of ``preconditioner_symbol`` bin-wise, with no
-        transform.  So a MINRES step makes one transform pair.
+        coordinates.  A_y applies the multipliers F_pm, nu_pm in real space,
+        into a stack it keeps, between one inverse and one forward transform
+        and adds the kinetic diagonal diag(|k|^2, |k|^2, -|k|^2/(8 pi))
+        bin-wise; it returns a new array on every call (MINRES keeps earlier
+        ones).  M_y applies the folded block of ``preconditioner_symbol``
+        bin-wise, with no transform.  So a MINRES step makes one transform
+        pair.
 
         |L_bar|^{-1} is the absolute-value preconditioner: L_bar is L with
         its coefficients replaced by their supercell means, Fourier-diagonal,
@@ -173,10 +176,12 @@ class LinearizedOperator:
         k_sq = np.repeat(g.k_sq_half, 2, axis=-1)
         kinetic = np.stack([k_sq, k_sq, -k_sq / EIGHT_PI])
         block = np.repeat(self.preconditioner_symbol(), 2, axis=-1)
+        rows = np.empty((3,) + g.shape)
 
         def a_y(x):
             x = np.ascontiguousarray(x, dtype=float)
-            out = g.to_y(self._multiply(g.from_y(x.view(complex).reshape(shape)))).view(float)
+            self._multiply(g.from_y(x.view(complex).reshape(shape)), out=rows)
+            out = g.to_y(rows).view(float)
             out += kinetic * x.reshape(kinetic.shape)
             return out.ravel()
 
@@ -202,17 +207,18 @@ class LinearizedOperator:
              [nu_bar_+, nu_bar_-, -|k|^2/(8 pi)]] = Q diag(lambda) Q^T,
 
         and the symbol is Q diag(1/max(|lambda|, ABS_SYMBOL_FLOOR)) Q^T (one
-        batched eigh over the distinct values of |k|^2, on which alone the
-        block depends, Hermitian-folded on the half spectrum, ``Grid.fold``).
-        Its eigenvalues 1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at
-        every k; the fold averages the blocks at k and -k, which keeps them
-        so, and the floor keeps them bounded by 1/ABS_SYMBOL_FLOOR where the
-        mean block is nearly singular.  It follows F_pm and the nu-V
-        coupling, which an inverse-Helmholtz symbol ignores."""
+        batched eigh over the distinct |k|^2, on which alone the block
+        depends, of the half-spectrum bins k and their mirrors -k, folded as
+        (S(k) + S(-k)) / 2, ``Grid.mirror_pair``).  Its eigenvalues
+        1/max(|lambda|, ABS_SYMBOL_FLOOR) are positive at every k; the fold
+        averages the blocks at k and -k, which keeps them so, and the floor
+        keeps them bounded by 1/ABS_SYMBOL_FLOOR where the mean block is
+        nearly singular.  It follows F_pm and the nu-V coupling, which an
+        inverse-Helmholtz symbol ignores."""
         g = self.grid
         F = [np.mean(self.F_plus), np.mean(self.F_minus)]
         nu = [np.mean(self.nu_plus), np.mean(self.nu_minus)]
-        k_sq, inverse = np.unique(g.k_sq.ravel(), return_inverse=True)
+        k_sq, inverse = np.unique(np.stack(g.mirror_pair(g.k_sq)), return_inverse=True)
         block = np.zeros(k_sq.shape + (3, 3))
         for s in range(2):
             block[..., s, s] = k_sq + F[s]
@@ -221,7 +227,8 @@ class LinearizedOperator:
         lam, Q = np.linalg.eigh(block)
         inv_abs = 1.0 / np.maximum(np.abs(lam), ABS_SYMBOL_FLOOR)
         symbol = np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q)
-        return g.fold(np.take(symbol, inverse, axis=-1).reshape((3, 3) + g.shape))
+        pair = np.take(symbol, inverse.reshape((2,) + g.half_shape), axis=-1)
+        return 0.5 * (pair[:, :, 0] + pair[:, :, 1])
 
     def dense_matrix(self):
         """Real symmetric matrix of the operator on its own grid."""

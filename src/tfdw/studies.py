@@ -79,10 +79,10 @@ def run_eps_study(
     drop_largest=True,
     table: cb.CBTable | None = None,
 ) -> EpsStudyResult:
-    """For each supercell factor n: build the two-scale state, measure its
-    residual, run the frozen-Jacobian iteration and record distances.  The
-    table is built over [-cb_range, cb_range] with default options unless
-    given."""
+    """For each supercell factor n: build the two-scale state, run the
+    frozen-Jacobian iteration from it, whose first residual is the state's,
+    and record distances.  The table is built over [-cb_range, cb_range]
+    with default options unless given."""
     newton_opts = newton_opts or NewtonOptions()
     if table is None:
         table = cb.build_cb_table(lattice, GridSpec(tuple(resolution)), h_range=cb_range, step=cb_step)
@@ -91,14 +91,13 @@ def run_eps_study(
         grid_n = Grid(lattice, GridSpec(tuple(resolution), (n, 1, 1)))
         h_vals = h_field.sample(grid_n)
         u0, cs = ts.build_u0(table, h_field, grid_n)
-        res_u0 = residual(u0, h_vals).norm_l2n()
         res_first = residual(ts.assemble_u0(cs, include_second=False), h_vals).norm_l2n()
         u_cb = State.from_stack(grid_n, cs.u_cb)
         u_star, trace = newton_solve(u0, h_vals, newton_opts, u_cb=u_cb)
         return EpsStudyRow(
             n=n,
             eps=grid_n.eps,
-            ansatz_residual=res_u0,
+            ansatz_residual=trace.iterates[0],
             newton_distance_u0=trace.distance_to_u0,
             cb_distance=trace.distance_to_cb,
             contraction_max=trace.contraction_max,

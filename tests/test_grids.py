@@ -284,23 +284,28 @@ KERNEL_GRIDS = {
 }
 
 
+def _reference_multiplier(g, alpha):
+    """The full-spectrum symbol prod_j (i k_j)^alpha_j of a derivative, odd
+    orders zeroed on the Nyquist planes of their axis."""
+    mult = np.ones(g.shape, dtype=complex)
+    for j, a in enumerate(alpha):
+        mult = mult * (1j * g.k_cart[j]) ** a
+        if a % 2:
+            plane = np.fft.fftfreq(g.shape[j]) * g.shape[j] == -(g.shape[j] // 2)
+            mult = np.where(plane.reshape([-1 if i == j else 1 for i in range(3)]), 0.0, mult)
+    return mult
+
+
 def _reference_kernels(g):
     """Each kernel written field by field with numpy.fft: the complex
     transform of the whole spectrum, odd derivatives zeroed on the Nyquist
     planes of their axis."""
-    kappa = [np.fft.fftfreq(M) * M for M in g.shape]
 
     def apply(x, symbol):
         return np.real(np.fft.ifftn(symbol * np.fft.fftn(x)))
 
     def multiplier(alpha):
-        mult = np.ones(g.shape, dtype=complex)
-        for j, a in enumerate(alpha):
-            mult = mult * (1j * g.k_cart[j]) ** a
-            if a % 2:
-                plane = kappa[j] == -(g.shape[j] // 2)
-                mult = np.where(plane.reshape([-1 if i == j else 1 for i in range(3)]), 0.0, mult)
-        return mult
+        return _reference_multiplier(g, alpha)
 
     def l2n(x):
         return np.sqrt(np.sum(x * x) * g.vol_cell / g.total_points)
@@ -357,6 +362,29 @@ def test_kernels_match_per_field_numpy_fft(grid_name, kernel):
     stacked = call(x, y)
     assert np.shape(stacked) == np.shape(expected)
     assert np.max(np.abs(stacked - expected)) <= tol
+
+
+@pytest.mark.parametrize("grid_name", list(KERNEL_GRIDS))
+def test_sobolev_weights_are_the_folded_symbols(grid_name):
+    # the weights are built on the half spectrum from real powers of k, and
+    # folded explicitly only on the Nyquist planes where the mirror bin is
+    # not -k; they must be |fold(m_alpha)|^2 of the full-spectrum symbols.
+    # On a sheared grid those planes carry the fold: without it the weights
+    # differ there at order one
+    g = KERNEL_GRIDS[grid_name]()
+    scale = g.w_quad / g.n_cells
+    expected = np.stack(
+        [(scale * np.abs(g.fold(_reference_multiplier(g, a))) ** 2).ravel() for a in multi_indices(2)]
+    )
+    weights = g._sobolev_weights(2)
+    assert weights.shape == expected.shape
+    assert np.max(np.abs(weights - expected)) <= 1e-15 * np.max(expected)
+    if grid_name.startswith("sheared"):
+        # the fold matters here: the unfolded modulus misses it
+        unfolded = np.stack(
+            [(scale * np.abs(_reference_multiplier(g, a)[g._half]) ** 2).ravel() for a in multi_indices(2)]
+        )
+        assert np.max(np.abs(unfolded - expected)) > 1e-3 * np.max(expected)
 
 
 @pytest.mark.parametrize("grid_name", list(KERNEL_GRIDS))

@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from test_grids import KERNEL_GRIDS
 from tfdw import cauchy_born, jellium, linop, twoscale
 from tfdw.cells import initial_state, solve_cell
 from tfdw.errors import EigensolverError, StructuralError
@@ -381,6 +382,44 @@ def test_preconditioner_floors_a_singular_mean_block():
     assert np.all(np.isfinite(G))
     assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
     assert np.min(np.linalg.eigvalsh(0.5 * (G + G.T))) > 0.0
+
+
+@pytest.mark.parametrize("grid_name", list(KERNEL_GRIDS))
+def test_half_spectrum_pair_matches_the_full_grid_fold(grid_name):
+    # A_y and M_y are built on the half spectrum; they must be, bit for bit,
+    # to_y o multipliers o from_y plus the folded kinetic diagonal, and (to
+    # roundoff) the fold of the mean block evaluated at every full-grid bin.
+    # On a sheared grid the fold differs from the half-spectrum values on
+    # the Nyquist planes, where k and its mirror are not opposite
+    g = KERNEL_GRIDS[grid_name]()
+    rng = np.random.default_rng(21)
+    nu_plus, nu_minus, v = 1.0 + 0.1 * rng.standard_normal((3,) + g.shape)
+    state = State(ScalarField(g, nu_plus), ScalarField(g, nu_minus), ScalarField(g, v - np.mean(v)), -0.3)
+    op = LinearizedOperator(state, 0.05)
+    A, M = op.half_spectrum_pair()
+    y = g.to_y(rng.standard_normal((3,) + g.shape))
+    x = y.view(float).ravel()
+
+    k_sq = g.fold(g.k_sq)
+    kinetic = np.stack([k_sq, k_sq, -k_sq / linop.EIGHT_PI])
+    expected = g.to_y(op._multiply(g.from_y(y))) + kinetic * y
+    first, second = A.matvec(x), A.matvec(x)
+    assert np.array_equal(first, expected.view(float).ravel())
+    # MINRES keeps references to earlier products: each call returns its own
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+
+    blocks = np.zeros(g.shape + (3, 3))
+    for s, (F, nu) in enumerate([(op.F_plus, op.nu_plus), (op.F_minus, op.nu_minus)]):
+        blocks[..., s, s] = g.k_sq + np.mean(F)
+        blocks[..., s, 2] = blocks[..., 2, s] = np.mean(nu)
+    blocks[..., 2, 2] = -g.k_sq / linop.EIGHT_PI
+    lam, Q = np.linalg.eigh(blocks)
+    inv_abs = 1.0 / np.maximum(np.abs(lam), linop.ABS_SYMBOL_FLOOR)
+    symbol = g.fold(np.einsum("...ik,...k,...jk->ij...", Q, inv_abs, Q))
+    assert np.max(np.abs(op.preconditioner_symbol() - symbol)) <= 1e-15 * np.max(np.abs(symbol))
+    expected = np.ascontiguousarray(np.einsum("ij...,j...->i...", symbol, y)).view(float).ravel()
+    assert np.max(np.abs(M.matvec(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 # -- fiber kernels: LDL^H inertia, shift-invert pair, Hellmann-Feynman gradient --

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from tfdw import twoscale as ts
 from tfdw.errors import StructuralError
-from tfdw.grids import GridSpec, HField, LatticeSpec
+from tfdw.grids import Grid, GridSpec, HField, LatticeSpec
 from tfdw.linop import FiberOperator, LinearizedOperator
 from tfdw.residual import residual
 from tfdw.studies import (
@@ -97,3 +98,19 @@ def test_eps_sweep_tabulates_the_correctors_once(cb_table, factorizations):
     assert len(built) == 9
     assert first.rows == again.rows
     assert first.slopes == again.slopes
+
+
+def test_eps_sweep_ansatz_residual_is_the_residual_at_u0(cb_table):
+    # the sweep reads the ansatz residual off Newton's first evaluation, the
+    # one at u0; it equals the residual at u0 evaluated on its own, bit for
+    # bit, and not the converged residual Newton ends with
+    h = HField(0.0, [((1, 0, 0), 0.08)])
+    result = run_eps_study(
+        cb_table.lattice, (8, 4, 4), h, (4, 8), cb_range=0.1, cb_step=0.0125, table=cb_table
+    )
+    assert [r.n for r in result.rows] == [4, 8]
+    for row in result.rows:
+        grid_n = Grid(cb_table.lattice, GridSpec((8, 4, 4), (row.n, 1, 1)))
+        u0, _ = ts.build_u0(cb_table, h, grid_n)
+        assert row.converged
+        assert row.ansatz_residual == residual(u0, h.sample(grid_n)).norm_l2n()
