@@ -8,7 +8,9 @@ is exactly the stationarity condition of (1/2) D(rho - rho_b, rho - rho_b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,6 +18,31 @@ from .errors import SolvabilityError
 from .grids import State, as_h_values
 
 COULOMB_MEAN_TOL = 1e-8
+# the local density per spin channel, f(nu) = |nu|^(10/3) - |nu|^(8/3), as
+# (coefficient, exponent) terms: Thomas-Fermi and Dirac.  It lives here alone
+TFD_TERMS = ((Fraction(1), Fraction(10, 3)), (Fraction(-1), Fraction(8, 3)))
+# the k-th derivative of each term, k = 0...3, as (c p (p - 1)...(p - k + 1),
+# p - k): exact rationals, each rounded once to float
+_TFD_DERIVATIVES = [
+    [(float(c * math.prod(p - j for j in range(k))), float(p - k)) for c, p in TFD_TERMS]
+    for k in range(4)
+]
+
+
+def tfd_derivatives(nu, k):
+    """The k-th nu-derivative (k = 0...3) of the Thomas-Fermi term and of
+    the Dirac term, as two arrays: c p (p - 1)...(p - k + 1) |nu|^(p - k),
+    times sign(nu) at odd k (the odd extension)."""
+    magnitude = np.abs(nu)
+    sign = np.sign(nu) if k % 2 else None
+    out = []
+    for c, e in _TFD_DERIVATIVES[k]:
+        term = magnitude**e
+        term *= c
+        if sign is not None:
+            term *= sign
+        out.append(term)
+    return tuple(out)
 
 
 @dataclass
@@ -43,14 +70,15 @@ def energy_supercell(state: State, h=0.0) -> EnergyBreakdown:
     nup = state.nu_plus.values
     num = state.nu_minus.values
 
-    tf = grid.integrate(np.abs(nup) ** (10.0 / 3.0) + np.abs(num) ** (10.0 / 3.0))
+    (tf_plus, dirac_plus), (tf_minus, dirac_minus) = (tfd_derivatives(nu, 0) for nu in (nup, num))
+    tf = grid.integrate(tf_plus + tf_minus)
     # spectral form w_quad sum |k|^2_h |y|^2 over the half-spectrum
     # coordinates y (Grid.to_y): exactly the quadratic form of the -Laplacian
     # in the residual, so the functional and its Euler-Lagrange map stay
     # variationally consistent for every representable field
     y = grid.to_y(np.stack([nup, num]))
     weiz = grid.w_quad * float(np.sum(grid.k_sq_half * (y.real**2 + y.imag**2)))
-    dirac = -grid.integrate(np.abs(nup) ** (8.0 / 3.0) + np.abs(num) ** (8.0 / 3.0))
+    dirac = grid.integrate(dirac_plus + dirac_minus)
 
     src = state.rho_values() - grid.rho_b
     m = grid.mean(src)

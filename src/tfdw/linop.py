@@ -7,9 +7,10 @@ perturbation triples (w_+, w_-, W) as the symmetric block operator
     [  0           -Lap + F_-  nu_-      ] [w_-]
     [  nu_+         nu_-       Lap/(8pi) ] [W  ]
 
-with zeroth-order multipliers F_pm = (35/9)|nu_pm|^{4/3} - (20/9)|nu_pm|^{2/3}
-+ V + gauge -+ h.  For a cell-periodic base state the operator decomposes into
-fibers over the Brillouin zone: -Lap is replaced by (-i grad + xi)^2 acting on
+with zeroth-order multipliers F_pm = f''(nu_pm)/2 + V + gauge -+ h, f the
+local density of each spin channel (``energy.tfd_derivatives``).  For a
+cell-periodic base state the operator decomposes into fibers over the
+Brillouin zone: -Lap is replaced by (-i grad + xi)^2 acting on
 cell-periodic functions.  The distance of the spectrum to zero over all fibers
 is the stability margin M^{-1}.
 
@@ -59,6 +60,7 @@ from scipy.optimize import minimize
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, minres
 
 from . import fieldio
+from .energy import tfd_derivatives
 from .errors import EigensolverError, StructuralError
 from .grids import AXES, Grid, State, as_h_values
 
@@ -93,13 +95,23 @@ def coefficient_fields(state: State, h=0.0):
     veff = state.v_full_values()
     out = []
     for nu, sign in ((state.nu_plus.values, -1.0), (state.nu_minus.values, +1.0)):
-        out.append(
-            (35.0 / 9.0) * np.abs(nu) ** (4.0 / 3.0)
-            - (20.0 / 9.0) * np.abs(nu) ** (2.0 / 3.0)
-            + veff
-            + sign * hv
-        )
+        tf, dirac = tfd_derivatives(nu, 2)
+        out.append(0.5 * tf + 0.5 * dirac + veff + sign * hv)
     return out[0], out[1]
+
+
+def _pointwise(F_plus, F_minus, nu_plus, nu_minus, triple, out=None):
+    """The pointwise rows (F_+ w_+ + nu_+ W, F_- w_- + nu_- W, nu_+ w_+ +
+    nu_- w_-) of a triple (w_+, w_-, W), written into the ``(3,) + shape``
+    stack ``out`` where one is given."""
+    w_plus, w_minus, w_v = triple
+    out = np.empty((3,) + np.shape(w_plus)) if out is None else out
+    terms = ((F_plus, w_plus, nu_plus, w_v), (F_minus, w_minus, nu_minus, w_v),
+             (nu_plus, w_plus, nu_minus, w_minus))
+    for row, (a, x, b, y) in zip(out, terms):
+        np.multiply(a, x, out=row)
+        row += b * y
+    return out
 
 
 class LinearizedOperator:
@@ -132,17 +144,22 @@ class LinearizedOperator:
         return out
 
     def _multiply(self, triple, out=None):
-        """The zeroth-order part of L, pointwise: the rows
-        (F_+ w_+ + nu_+ W, F_- w_- + nu_- W, nu_+ w_+ + nu_- w_-), written
-        into the ``(3,) + shape`` stack ``out`` where one is given."""
-        w_plus, w_minus, w_v = triple
-        out = np.empty((3,) + np.shape(w_plus)) if out is None else out
-        terms = ((self.F_plus, w_plus, self.nu_plus, w_v), (self.F_minus, w_minus, self.nu_minus, w_v),
-                 (self.nu_plus, w_plus, self.nu_minus, w_minus))
-        for row, (a, x, b, y) in zip(out, terms):
-            np.multiply(a, x, out=row)
-            row += b * y
-        return out
+        """The zeroth-order part of L (``_pointwise`` with the multipliers
+        F_pm and the densities nu_pm)."""
+        return _pointwise(self.F_plus, self.F_minus, self.nu_plus, self.nu_minus, triple, out)
+
+    def second_variation(self, x, y):
+        """R''[x, y] = (dL[x]) y: the derivative of L at its base state along
+        a triple x, applied to a triple y.  The kinetic part of L does not
+        depend on the state, so these are the pointwise rows of y with the
+        multipliers dF_pm = f'''(nu_pm) x_pm / 2 + x_V and the densities
+        dnu_pm = x_pm; symmetric in x and y."""
+        tf_plus, dirac_plus = tfd_derivatives(self.nu_plus, 3)
+        tf_minus, dirac_minus = tfd_derivatives(self.nu_minus, 3)
+        x_plus, x_minus, x_v = x
+        dF_plus = (0.5 * tf_plus + 0.5 * dirac_plus) * x_plus + x_v
+        dF_minus = (0.5 * tf_minus + 0.5 * dirac_minus) * x_minus + x_v
+        return _pointwise(dF_plus, dF_minus, x_plus, x_minus, y)
 
     def half_spectrum_pair(self):
         """(A_y, M_y): L and its SPD preconditioner |L_bar|^{-1} as

@@ -2,13 +2,14 @@
 
 The stationarity system for u = (nu_+, nu_-, V) under applied field h is
 
-    r_+ = -Lap nu_+ + (5/3) nu_+^{7/3} - (4/3) nu_+^{5/3} + (V + gauge - h) nu_+
-    r_- = -Lap nu_- + (5/3) nu_-^{7/3} - (4/3) nu_-^{5/3} + (V + gauge + h) nu_-
+    r_+ = -Lap nu_+ + f'(nu_+)/2 + (V + gauge - h) nu_+
+    r_- = -Lap nu_- + f'(nu_-)/2 + (V + gauge + h) nu_-
     r_V = -Lap V - 4 pi (rho - rho_b)
 
-with rho = nu_+^2 + nu_-^2.  Fractional powers use the odd extension
-t -> |t|^{p-1} t so the map stays C^1 when an iterate crosses zero; on the
-physical branch nu > 0 it coincides with the plain powers.
+with rho = nu_+^2 + nu_-^2 and f the local density of each spin channel
+(``energy.tfd_derivatives``).  f' is extended oddly so the map stays C^1
+when an iterate crosses zero; on the physical branch nu > 0 it coincides
+with the plain powers.
 
 The map is evaluated in one place, ``residual_system``, with the Poisson
 row rescaled by -1/(8 pi) and its mean kept (the full Poisson row is
@@ -25,39 +26,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import tfd_derivatives
 from .errors import DegenerateStateError
 from .grids import Grid, State, as_h_values
 from .linop import EIGHT_PI
-
-
-def odd_power(t, p):
-    """Odd extension sign(t) |t|^p (equals t^p for t >= 0)."""
-    return np.sign(t) * np.abs(t) ** p
 
 
 def _channel_residuals(state: State, hv, laplacians=None):
     """(r_+, r_-); ``laplacians``, the Laplacians of (nu_+, nu_-), where the
     caller has them."""
     grid = state.grid
-    nup = state.nu_plus.values
-    num = state.nu_minus.values
+    nus = (state.nu_plus.values, state.nu_minus.values)
     veff = state.v_full_values()
     if laplacians is None:
-        laplacians = grid.laplacian(np.stack([nup, num]))
-    lap_plus, lap_minus = laplacians
-    r_plus = (
-        -lap_plus
-        + (5.0 / 3.0) * odd_power(nup, 7.0 / 3.0)
-        - (4.0 / 3.0) * odd_power(nup, 5.0 / 3.0)
-        + (veff - hv) * nup
-    )
-    r_minus = (
-        -lap_minus
-        + (5.0 / 3.0) * odd_power(num, 7.0 / 3.0)
-        - (4.0 / 3.0) * odd_power(num, 5.0 / 3.0)
-        + (veff + hv) * num
-    )
-    return r_plus, r_minus
+        laplacians = grid.laplacian(np.stack(nus))
+    out = []
+    for nu, lap, sign in zip(nus, laplacians, (-1.0, 1.0)):
+        tf, dirac = tfd_derivatives(nu, 1)
+        out.append(-lap + 0.5 * tf + 0.5 * dirac + (veff + sign * hv) * nu)
+    return tuple(out)
 
 
 def residual_system(state: State, h=0.0):

@@ -2,12 +2,18 @@
 
 The locally periodic leading order is the tabulated constant-field map
 evaluated at the local field value.  Corrections of first and second order in
-the scale ratio eps solve linear cell systems whose right-hand sides couple
-slow derivatives of the field to h-derivatives of the map:
+the scale ratio eps solve linear cell systems L_h x = b.  Their sources carry
+the slow derivatives through K = diag(1, 1, -1/(8 pi)), the row weights of
+the kinetic part -K Lap of L, and the h-dependence of the state through the
+second variation R''[x, y] = (dL[x]) y (``LinearizedOperator.second_variation``):
+with fs = ``cauchy_born.field_source``, (dL/dh) y = R''[X1, y] - fs(y), and
+d_a the cell derivative along axis a, the right-hand sides are
 
-    order eps:    L_h u1 = (2 grad_z . d_h nu_cb, ..., -(1/4pi) grad_z . d_h V_cb) . grad h
-    order eps^2:  L_h u2 = sources built from u1, d_h u1, d_h^2 u_cb and the
-                  quadratic density terms
+    X1 = du/dh:       fs(nu)            w_a:  K 2 d_a X1
+    X2 = d^2u/dh^2:   2 fs(X1) - R''[X1, X1]
+    Y_a = dw_a/dh:    K 2 d_a X2 - R''[X1, w_a] + fs(w_a)
+    P_ab:             K (2 d_b Y_a + delta_ab X2) - R''[w_a, w_b] / 2
+    Q_ab:             K (2 d_b w_a + delta_ab X1)
 
 Every right-hand side depends on the slow position only through h(x),
 grad h(x) and hess h(x), so the unit solutions w_a (first order) and P_ab,
@@ -42,9 +48,8 @@ from .errors import PositivityLossError, StructuralError
 from .grids import Grid, HField, State
 from .linop import LinearizedOperator
 
-FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
-NU_FLOOR = 1e-12  # the second-order source carries nu^(-1/3)
+NU_FLOOR = 1e-12  # the second-order source carries f'''(nu), singular at nu = 0
 
 
 @dataclass
@@ -87,8 +92,8 @@ class CorrectorSet:
 
 class _CellContext:
     """The linearized cell operator at one field value, solved on its
-    factored Gamma fiber (LinearizedOperator.dense_solve), with the helpers
-    the corrector sources need."""
+    factored Gamma fiber (LinearizedOperator.dense_solve), with the cell
+    derivative the corrector sources need."""
 
     def __init__(self, table: CBTable, h: float):
         grid = table.grid
@@ -99,7 +104,7 @@ class _CellContext:
         self.num = state.nu_minus.values
         if state.min_nu() <= NU_FLOOR:
             raise PositivityLossError(
-                f"cell state at h = {h:.6g} is not positive; the nu^(-1/3) "
+                f"cell state at h = {h:.6g} is not positive; the f'''(nu) of the "
                 "second-order source is singular"
             )
         self.op = LinearizedOperator(state, h)
@@ -116,71 +121,29 @@ class _CellContext:
         """Cell-spectral derivative of each component of a stacked triple."""
         return self.grid.deriv(vec, tuple(int(j == axis) for j in range(3)))
 
-    def dh_operator_apply(self, X1, vec):
-        """(d/dh L_h) applied to a triple, where the coefficient derivatives
-        are chained through X1 = du/dh."""
-        p_plus, p_minus, q = X1
-        a, b, c = vec
-        dF_plus = (
-            (140.0 / 27.0) * self.nup ** (1.0 / 3.0) * p_plus
-            - (40.0 / 27.0) * self.nup ** (-1.0 / 3.0) * p_plus
-            + q
-            - 1.0
-        )
-        dF_minus = (
-            (140.0 / 27.0) * self.num ** (1.0 / 3.0) * p_minus
-            - (40.0 / 27.0) * self.num ** (-1.0 / 3.0) * p_minus
-            + q
-            + 1.0
-        )
-        return np.stack(
-            [
-                dF_plus * a + p_plus * c,
-                dF_minus * b + p_minus * c,
-                p_plus * a + p_minus * b,
-            ]
-        )
+
+def _kinetic_weights(stack):
+    """K stack, K = diag(1, 1, -1/(8 pi)): the row weights of L's kinetic
+    part, -K Lap, which the slow derivatives of the two-scale expansion
+    carry into every source."""
+    return np.stack([stack[0], stack[1], -stack[2] / EIGHT_PI])
 
 
 def first_order_sources(ctx: _CellContext, X1, axis):
     """Right-hand side of the order-eps system for unit slow gradient along
-    ``axis``: (2 dz d_h nu_+, 2 dz d_h nu_-, -(1/4 pi) dz d_h V)."""
-    a, b, c = ctx.dz(X1, axis)
-    return np.stack([2.0 * a, 2.0 * b, -c / FOUR_PI])
+    ``axis``: K 2 dz X1, X1 = d u / d h."""
+    return _kinetic_weights(2.0 * ctx.dz(X1, axis))
 
 
 def second_order_sources(ctx: _CellContext, sample: SampleSolves, alpha, beta):
     """Right-hand sides of the order-eps^2 system for the macro factors
-    (d_a h)(d_b h)  ->  A   and   d_a d_b h  ->  B."""
+    (d_a h)(d_b h)  ->  A = K (2 dz_b Y_a + delta_ab X2) - R''[w_a, w_b] / 2
+    and  d_a d_b h  ->  B = K (2 dz_b w_a + delta_ab X1)."""
     delta = 1.0 if alpha == beta else 0.0
-    wp_a, wm_a, wv_a = sample.w[alpha]
-    wp_b, wm_b, _ = sample.w[beta]
-    dz_w = ctx.dz(sample.w[alpha], beta)
-    dz_Y = ctx.dz(sample.Y[alpha], beta)
-    X1 = sample.X1
-    X2 = sample.X2
-
-    quad_plus = (
-        -(70.0 / 27.0) * ctx.nup ** (1.0 / 3.0) + (20.0 / 27.0) * ctx.nup ** (-1.0 / 3.0)
-    ) * (wp_a * wp_b)
-    quad_minus = (
-        -(70.0 / 27.0) * ctx.num ** (1.0 / 3.0) + (20.0 / 27.0) * ctx.num ** (-1.0 / 3.0)
-    ) * (wm_a * wm_b)
-
-    A = np.stack(
-        [
-            2.0 * dz_Y[0] + delta * X2[0] + quad_plus - wv_a * wp_b,
-            2.0 * dz_Y[1] + delta * X2[1] + quad_minus - wv_a * wm_b,
-            -(2.0 * dz_Y[2] + delta * X2[2]) / EIGHT_PI - 0.5 * (wp_a * wp_b + wm_a * wm_b),
-        ]
-    )
-    B = np.stack(
-        [
-            2.0 * dz_w[0] + delta * X1[0],
-            2.0 * dz_w[1] + delta * X1[1],
-            -(2.0 * dz_w[2] + delta * X1[2]) / EIGHT_PI,
-        ]
-    )
+    w_a, w_b = sample.w[alpha], sample.w[beta]
+    A = _kinetic_weights(2.0 * ctx.dz(sample.Y[alpha], beta) + delta * sample.X2)
+    A -= 0.5 * ctx.op.second_variation(w_a, w_b)
+    B = _kinetic_weights(2.0 * ctx.dz(w_a, beta) + delta * sample.X1)
     return A, B
 
 
@@ -209,12 +172,12 @@ def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
     sample = SampleSolves(h=h, X1=X1)
     for a in axes:
         sample.w[a] = solve(first_order_sources(ctx, X1, a))
-    # d^2 u / d h^2: differentiate the du/dh system once more
-    sample.X2 = solve(field_source(X1[0], X1[1]) - ctx.dh_operator_apply(X1, X1))
-    # dw/dh per axis: d(rhs)/dh - (dL/dh) w
+    # the du/dh and w systems differentiated once more in h (module notes)
+    R2 = ctx.op.second_variation
+    sample.X2 = solve(2.0 * field_source(X1[0], X1[1]) - R2(X1, X1))
     for a in axes:
-        rhs = first_order_sources(ctx, sample.X2, a) - ctx.dh_operator_apply(X1, sample.w[a])
-        sample.Y[a] = solve(rhs)
+        w = sample.w[a]
+        sample.Y[a] = solve(first_order_sources(ctx, sample.X2, a) - R2(X1, w) + field_source(w[0], w[1]))
     for pair in pairs:
         A, B = second_order_sources(ctx, sample, *pair)
         sample.P[pair] = solve(A)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tfdw.energy import COULOMB_MEAN_TOL, energy_supercell, zeeman_coupling
+from tfdw.energy import COULOMB_MEAN_TOL, energy_supercell, tfd_derivatives, zeeman_coupling
 from tfdw.errors import SolvabilityError
 from tfdw.grids import (
     Grid,
@@ -34,6 +34,18 @@ def random_normalized_state(lattice, grid, rng, amp=0.25, kmax=1):
     nup = base + amp * random_smooth_field(grid, rng, 1.0, kmax)
     num = base + amp * random_smooth_field(grid, rng, 1.0, kmax)
     return normalize_state(make_state(grid, nup, num))
+
+
+def test_tfd_derivatives_match_central_differences(rng):
+    # each order of the Thomas-Fermi and the Dirac term is the central
+    # difference of the order below it, term by term
+    nu = rng.uniform(0.2, 2.0, 64)
+    step = 1e-5
+    for k in range(3):
+        above, below = tfd_derivatives(nu + step, k), tfd_derivatives(nu - step, k)
+        for got, plus, minus in zip(tfd_derivatives(nu, k + 1), above, below):
+            fd = (plus - minus) / (2 * step)
+            assert np.max(np.abs(got - fd) / np.abs(got)) <= 1e-8
 
 
 def test_jellium_constants_breakdown():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tfdw.energy import tfd_derivatives
 from tfdw.errors import DegenerateStateError
 from tfdw.grids import (
     Grid,
@@ -17,7 +18,6 @@ from tfdw.residual import (
     Residual,
     gauge_fit,
     normalize_state,
-    odd_power,
     residual,
     residual_system,
 )
@@ -72,9 +72,12 @@ def test_odd_extension_matches_plain_powers_on_positive_branch(rng):
     grid = Grid(lat, GridSpec((4, 4, 4)))
     nup = 1.3 + 0.2 * random_smooth_field(grid, rng, 1.0, 1)
     assert np.all(nup > 0)
-    assert np.array_equal(odd_power(nup, 7 / 3), nup ** (7 / 3))
-    # and the map stays odd across zero
-    assert odd_power(-2.0, 5 / 3) == -(2.0 ** (5 / 3))
+    tf, dirac = tfd_derivatives(nup, 1)
+    assert np.array_equal(tf, (10 / 3) * nup ** (7 / 3))
+    assert np.array_equal(dirac, -(8 / 3) * nup ** (5 / 3))
+    # and the first and third derivatives stay odd across zero
+    for k in (1, 3):
+        assert tfd_derivatives(-2.0, k) == tuple(-d for d in tfd_derivatives(2.0, k))
 
 
 def test_residual_variational_consistency(rng):

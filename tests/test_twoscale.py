@@ -5,8 +5,9 @@ import pytest
 
 from tfdw import cauchy_born as cb
 from tfdw import twoscale as ts
+from tfdw.energy import tfd_derivatives
 from tfdw.errors import PositivityLossError, StructuralError
-from tfdw.grids import Grid, GridSpec, HField, ScalarField, State
+from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
 from tfdw.linop import LinearizedOperator
 from tfdw.residual import residual
 
@@ -270,3 +271,53 @@ def test_tabulated_u0_matches_direct_solves(cb_table, n):
     assert abs(res - res_exact) <= 1e-6 * res_exact
     diff = u0.stacked() - u0_exact.stacked()
     assert np.sqrt(sum(grid.l2n(d) ** 2 for d in diff)) <= 1e-6 * res_exact
+
+
+def test_ansatz_residual_slope_in_the_asymptotic_regime(cb_table):
+    # the order oracle of the correctors: from n = 32 on the first-order
+    # corrector shows in the residual, which falls as eps^4 there.  A
+    # negated first-order source, w scaled by 1.1 or zeroed, P = Q = 0, or a
+    # dL/dh without the third derivative of f each bring the slope from
+    # n = 32 to 64 down to between 1 and 3
+    h = HField(0.0, [((1, 0, 0), 0.0807)])
+    res = {}
+    for n in (32, 64):
+        grid = supergrid(cb_table, n)
+        u0, _ = ts.build_u0(cb_table, h, grid)
+        res[n] = residual(u0, h.sample(grid)).norm_l2n()
+    assert np.log2(res[32] / res[64]) >= 3.9
+
+
+def test_mixed_pairs_enter_u0_only_through_their_sum(monkeypatch):
+    # a field along two axes: the mixed pairs P_01 and P_10 enter u0 only
+    # as their sum, so the symmetric cross term -(w_V,a w_pm,b + w_pm,a
+    # w_V,b)/2 of R''[w_a, w_b]/2 and the asymmetric -w_V,a w_pm,b give the
+    # same u0, while each pair moves on its own (by about 5e-8 of itself,
+    # far above the roundoff of either form).  The background varies along
+    # both axes: on the workhorse lattice w_1 and the mixed pairs are
+    # roundoff
+    lattice = LatticeSpec.cubic(1.0, 3.0, [((1, 0, 0), 0.15), ((0, 1, 0), 0.15, 0.4)])
+    table = cb.build_cb_table(lattice, GridSpec((8, 4, 4)), h_range=0.08, step=0.02)
+    grid = Grid(lattice, GridSpec((8, 4, 4), (4, 4, 1)))
+    h = HField(0.0, [((1, 0, 0), 0.04), ((1, 1, 0), 0.03)])
+    sources = ts.second_order_sources
+
+    def asymmetric_sources(ctx, sample, alpha, beta):
+        delta = 1.0 if alpha == beta else 0.0
+        w_a, w_b = sample.w[alpha], sample.w[beta]
+        A = ts._kinetic_weights(2.0 * ctx.dz(sample.Y[alpha], beta) + delta * sample.X2)
+        for s, nu in enumerate((ctx.nup, ctx.num)):
+            A[s] -= 0.25 * sum(tfd_derivatives(nu, 3)) * w_a[s] * w_b[s] + w_a[2] * w_b[s]
+        A[2] -= 0.5 * (w_a[0] * w_b[0] + w_a[1] * w_b[1])
+        return A, sources(ctx, sample, alpha, beta)[1]
+
+    u0, cs = ts.build_u0(table, h, grid)
+    assert cs.active_axes == [0, 1]
+    table.corrector_splines.clear()
+    monkeypatch.setattr(ts, "second_order_sources", asymmetric_sources)
+    u0_asym, cs_asym = ts.build_u0(table, h, grid)
+    for pair in ((0, 1), (1, 0)):
+        moved = np.max(np.abs(cs.P[pair] - cs_asym.P[pair]))
+        assert moved > 1e-9 * np.max(np.abs(cs.P[pair])) > 0.0
+    diff = np.max(np.abs(u0.stacked() - u0_asym.stacked()))
+    assert diff <= 1e-12 * np.max(np.abs(u0.stacked()))
