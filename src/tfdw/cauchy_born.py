@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import fieldio
-from .cells import CellSolution, SolveOptions, newton_polish, solve_cell
+from .cells import CellSolution, SolveOptions, chord_stalled, newton_polish, solve_cell
 from .energy import energy_supercell
 from .errors import (
     ContinuationStopError,
@@ -207,10 +207,14 @@ def build_cb_table(
     samples are checked on the declared xi grid, each scan warm-started
     from the eigenvectors of the one before.  A march sample's scan and its
     du/dh solve share one LinearizedOperator, so its Gamma block is
-    factored once; the operator lives for that sample only.  The anchor's
-    du/dh factors its own: the Gamma factors would otherwise stay alive
-    through the anchor's refinement, the peak of the build's memory.
-    Corrector divergence or a
+    factored once, and the next sample's corrector runs as a chord on those
+    factors (``newton_polish`` handed their solve); they are released when
+    it converges, before the next scan.  The anchor's du/dh factors its own
+    after the anchor's refinement (the peak of the build's memory), and
+    those serve step 1.  The predictor of step 1 is Euler from the anchor;
+    every later one is the cubic Hermite extrapolation through the last two
+    samples and their du/dh, u = 5 u_{k-2} + 2 dh u'_{k-2} - 4 u_{k-1} +
+    4 dh u'_{k-1}.  Corrector divergence or a
     collapsing gap stops the march with a ContinuationStopError that reports
     the last good h, as ``partial`` the samples accepted so far
     (``h_values``, ``solutions``, ``gaps``, in increasing h from 0), and
@@ -245,7 +249,10 @@ def build_cb_table(
     c_nu = 0.5 * anchor.min_nu if opts.c_nu is None else opts.c_nu
 
     entries = [(anchor, report.global_gap)]
-    dudh = [solve_du_dh(anchor)]  # one du/dh per sample: predictor and table
+    op = LinearizedOperator(anchor.state, anchor.h_value)
+    dudh = [solve_du_dh(anchor, operator=op)]  # one du/dh per sample: predictor and table
+    solve = op.gamma.solver()  # the Gamma factors in hand: the next corrector's chord
+    del op
 
     def stop(message, dh):
         last, gap = entries[-1]
@@ -267,18 +274,20 @@ def build_cb_table(
 
     for k in range(1, n_steps + 1):
         h_new = k * step
-        (prev, _), dudh_prev = entries[-1], dudh[-1]
-        dh = h_new - prev.h_value
-        predictor = State(
-            ScalarField(grid, prev.state.nu_plus.values + dh * dudh_prev.nu_plus.values),
-            ScalarField(grid, prev.state.nu_minus.values + dh * dudh_prev.nu_minus.values),
-            ScalarField(grid, prev.state.V.values + dh * dudh_prev.V.values),
-            prev.state.gauge + dh * dudh_prev.gauge,
-        )
+        dh = h_new - entries[-1][0].h_value
+        u1, du1 = entries[-1][0].state.stacked(), dudh[-1].stacked()
+        if k == 1:  # Euler from the anchor
+            u = u1 + dh * du1
+        else:  # cubic Hermite through the last two samples and their du/dh
+            u0, du0 = entries[-2][0].state.stacked(), dudh[-2].stacked()
+            u = 5.0 * u0 + 2.0 * dh * du0 - 4.0 * u1 + 4.0 * dh * du1
         try:
-            state, res_norm, n_iter, history = newton_polish(predictor, h_new, opts)
+            state, res_norm, n_iter, history = newton_polish(
+                State.from_stack(grid, u), h_new, opts, solve=solve
+            )
         except TfdwError as exc:
             raise stop(f"corrector failed at h = {h_new:.6g}: {exc}", dh) from exc
+        solve = None  # released before the scan
         min_nu = state.min_nu()
         sol = CellSolution(
             state=state,
@@ -317,7 +326,8 @@ def build_cb_table(
             gap = report.global_gap
         entries.append((sol, gap))
         dudh.append(solve_du_dh(sol, operator=op))
-        del op  # its Gamma factors serve this sample only
+        solve = op.gamma.solver()
+        del op
 
     def mirror(sol):
         flipped = spin_flip(sol.state)
@@ -367,7 +377,9 @@ class DualSolution:
     constraint_defect: float
 
 
-def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = None) -> DualSolution:
+def dual_energy(
+    table: CBTable, m_target: float, opts: SolveOptions | None = None, in_hand=None
+) -> DualSolution:
     """Cell energy at fixed cell magnetization, started from the table's
     state at the field whose magnetization is ``m_target``.
 
@@ -376,8 +388,15 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
     entering the two channels with opposite signs.  The bordered Newton
     system treats mu as an explicit unknown against the constraint row.  Each
     pass evaluates the residual once, for its error and its right-hand side.
+    The steps run as a chord on the Gamma factors in hand: the first step
+    of a solve that holds none linearizes at its start, and a step that
+    fails to halve the error (``cells.chord_stalled``) re-linearizes at its
+    iterate.  ``in_hand``, internal to ``dual_sweep``, is the one-item list
+    through which consecutive solves pass their linearization; alone, the
+    solve is a sweep of one point.
     """
     opts = opts or SolveOptions()
+    in_hand = [None] if in_hand is None else in_hand
     grid = table.grid
     mu = table.h_for_m(m_target)
     work = table.state_at(mu)
@@ -394,6 +413,8 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
         history.append(err)
         if err <= opts.tol:
             break
+        if in_hand[0] is None or len(history) > 1 and chord_stalled(history):
+            in_hand[0] = LinearizedOperator(work, mu)
         nup, num = work.nu_plus.values, work.nu_minus.values
         # border: d residual / d mu (column) and the constraint row
         zero = np.zeros(grid.shape)
@@ -402,7 +423,7 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
             np.stack([2.0 * grid.w_quad * nup, -2.0 * grid.w_quad * num, zero]).ravel(),
         )
         rhs = np.append(f.ravel(), c_m)
-        d = LinearizedOperator(work, mu).dense_solve(rhs, border)
+        d = in_hand[0].dense_solve(rhs, border)
         work = State.from_stack(grid, work.stacked().ravel() - d[:-1])
         mu = mu - float(d[-1])
         if work.min_nu() < opts.nu_floor:
@@ -424,6 +445,15 @@ def dual_energy(table: CBTable, m_target: float, opts: SolveOptions | None = Non
         residual_norm=res_norm,
         constraint_defect=float(c_m),
     )
+
+
+def dual_sweep(table: CBTable, m_targets, opts: SolveOptions | None = None) -> list[DualSolution]:
+    """``dual_energy`` at each of ``m_targets`` in the order given, as one
+    continuation in m: each constrained solve runs its chord steps on the
+    Gamma factors of the solve before it, so an ordered sweep of nearby
+    targets factors about once.  The factors are released on return."""
+    in_hand = [None]
+    return [dual_energy(table, m, opts, in_hand=in_hand) for m in m_targets]
 
 
 def save_table(directory, table: CBTable):

@@ -161,16 +161,35 @@ def _phase1_descent(state: State, h_value, opts: SolveOptions):
     return eliminated(nup, num), iterations, trace
 
 
-def newton_polish(state: State, h_value, opts: SolveOptions):
-    """Full Newton on the coupled (nu_+, nu_-, V) system, dense on the cell.
+# a chord step (frozen factors) must cut the residual at least this much
+CHORD_CONTRACTION = 0.5
+
+
+def chord_stalled(history):
+    """The one safeguard of the chord correctors (``newton_polish`` handed
+    a solve, ``cauchy_born.dual_energy``): True when the last step failed to
+    cut the residual history by CHORD_CONTRACTION, so the next step
+    re-linearizes at the current iterate."""
+    return history[-1] > CHORD_CONTRACTION * history[-2]
+
+
+def newton_polish(state: State, h_value, opts: SolveOptions, solve=None):
+    """Newton on the coupled (nu_+, nu_-, V) system, dense on the cell.
 
     Each step solves the symmetric linearization against the scaled residual,
     evaluated once per iterate, which also gives the stopping norm; the
-    potential's mean develops freely and carries the multiplier.  Returns
-    (state, residual_norm, iterations, residual_history).  An iterate below
-    ``nu_floor`` raises PositivityLossError, and a residual above ``tol``
-    after ``newton_maxiter`` steps DivergenceError; both name the field and
-    carry ``h_value`` and the Newton ``iteration``.
+    potential's mean develops freely and carries the multiplier.  Without
+    ``solve`` every step factors the Gamma block at its iterate (full
+    Newton).  ``solve``, the solve of Gamma factors already in hand
+    (``FiberOperator.solver``, a neighbouring field's), makes it a chord
+    corrector: the steps run on those factors, and a step that fails to
+    halve the residual (``chord_stalled``) re-linearizes at its iterate,
+    whose factors then serve the next steps.  Returns (state,
+    residual_norm, iterations, residual_history); ``iterations`` counts
+    chord and Newton steps alike.  An iterate below ``nu_floor`` raises
+    PositivityLossError, and a residual above ``tol`` after
+    ``newton_maxiter`` steps DivergenceError; both name the field and carry
+    ``h_value`` and the Newton ``iteration``.
     """
     grid = state.grid
     work = state.copy()
@@ -178,8 +197,18 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
     history = [residual_norm(grid, f)]
     iterations = 0
     target = 0.1 * opts.tol
-    while history[-1] > target and iterations < opts.newton_maxiter:
-        d = LinearizedOperator(work, h_value).dense_solve(f.ravel())
+    chord = solve is not None
+    # a chord iterate's error is of the order of its residual, a Newton
+    # iterate's of its square: a chord takes one step past the target
+    finish = chord
+    while iterations < opts.newton_maxiter:
+        if history[-1] <= target:
+            if not finish:
+                break
+            finish = False
+        if solve is None:
+            solve = LinearizedOperator(work, h_value).gamma.solver()
+        d = solve(f.ravel())
         work = State.from_stack(grid, work.stacked().ravel() - d)
         iterations += 1
         min_nu = work.min_nu()
@@ -193,6 +222,8 @@ def newton_polish(state: State, h_value, opts: SolveOptions):
             )
         f = residual_system(work, h_value)
         history.append(residual_norm(grid, f))
+        if not chord or chord_stalled(history):
+            solve = None
     if history[-1] > opts.tol:
         raise DivergenceError(
             f"cell Newton stalled at residual {history[-1]:.3e} after {iterations} steps "

@@ -90,8 +90,9 @@ def run_eps_study(
     def run_one(n):
         grid_n = Grid(lattice, GridSpec(tuple(resolution), (n, 1, 1)))
         h_vals = h_field.sample(grid_n)
-        u0, cs = ts.build_u0(table, h_field, grid_n)
-        res_first = residual(ts.assemble_u0(cs, include_second=False), h_vals).norm_l2n()
+        cs = ts.second_order_correctors(ts.first_order_correctors(table, h_field, grid_n))
+        u0_first, u0 = ts.assemble_orders(cs)
+        res_first = residual(u0_first, h_vals).norm_l2n()
         u_cb = State.from_stack(grid_n, cs.u_cb)
         u_star, trace = newton_solve(u0, h_vals, newton_opts, u_cb=u_cb)
         return EpsStudyRow(
@@ -138,12 +139,13 @@ def run_legendre_study(
     solve_opts: SolveOptions | None = None,
 ):
     """Check the duality E_CB(h) = min_m ( dual_E(m) - h m / |Gamma| ) at
-    interior field values, with the dual energies from independent
-    constrained solves."""
+    interior field values, with the dual energies from one sweep of
+    constrained solves over the increasing m values (``cb.dual_sweep``),
+    each running its chord steps on the Gamma factors of the one before."""
     solve_opts = solve_opts or SolveOptions()
     lo, hi = table.m_range()
     m_values = np.linspace(m_margin * lo, m_margin * hi, m_count)
-    duals = [cb.dual_energy(table, m, solve_opts).energy for m in m_values]
+    duals = [d.energy for d in cb.dual_sweep(table, m_values, solve_opts)]
     spline = CubicSpline(m_values, duals)
     vol = table.lattice.volume
     rows = []

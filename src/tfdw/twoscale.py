@@ -248,8 +248,10 @@ def second_order_correctors(cs: CorrectorSet) -> CorrectorSet:
     return cs
 
 
-def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
-    """Evaluate the two-scale sums on the supercell in atomic units."""
+def assemble_orders(cs: CorrectorSet, include_second=True):
+    """The two-scale sums on the supercell in atomic units, as states: the
+    sum through first order and, with ``include_second``, the sum through
+    second order, which continues it (else None), so one pass gives both."""
     if include_second and not cs.complete:
         raise StructuralError("second-order correctors have not been built")
     grid = cs.grid
@@ -261,13 +263,23 @@ def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
     grads = cs.h_field.grad_slow(grid)
     for a in cs.active_axes:
         total += grid.eps * supercell(cs.w[a]) * grads[a]
+    first = State.from_stack(grid, total)
+    if not include_second:
+        return first, None
 
-    if include_second:
-        hess = cs.h_field.hess_slow(grid)
-        for a, b in cs.active_pairs:
-            fac_A = grads[a] * grads[b]
-            total += grid.eps**2 * (supercell(cs.P[a, b]) * fac_A + supercell(cs.Q[a, b]) * hess[a, b])
-    return State.from_stack(grid, total)
+    total = total.copy()  # the first-order state holds views of the sum
+    hess = cs.h_field.hess_slow(grid)
+    for a, b in cs.active_pairs:
+        fac_A = grads[a] * grads[b]
+        total += grid.eps**2 * (supercell(cs.P[a, b]) * fac_A + supercell(cs.Q[a, b]) * hess[a, b])
+    return first, State.from_stack(grid, total)
+
+
+def assemble_u0(cs: CorrectorSet, include_second=True) -> State:
+    """Evaluate the two-scale sums on the supercell in atomic units, through
+    second order or, without ``include_second``, through first order."""
+    first, second = assemble_orders(cs, include_second)
+    return second if include_second else first
 
 
 def build_u0(table: CBTable, h_field: HField, grid: Grid):

@@ -18,6 +18,7 @@ from tfdw.errors import (
 from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
 from tfdw.linop import FiberOperator, LinearizedOperator, monkhorst_pack, stability_scan
 from tfdw.residual import residual
+from tfdw.studies import run_legendre_study
 
 
 def rel_err(a, b):
@@ -185,6 +186,19 @@ def test_dual_energy_evaluates_the_residual_once_per_pass(cb_table, monkeypatch,
     assert sol.residual_norm == residual(sol.state, sol.field_multiplier).norm_l2n()
 
 
+def test_dual_sweep_matches_single_solves(cb_table):
+    # the chord steps of an ordered sweep, each solve on the factors of the
+    # one before, reach the single solves' dual energies and multipliers
+    lo, hi = cb_table.m_range()
+    m_values = np.linspace(0.85 * lo, 0.85 * hi, 9)
+    swept = cb.dual_sweep(cb_table, m_values)
+    for m, sol in zip(m_values, swept, strict=True):
+        single = cb.dual_energy(cb_table, m)
+        assert sol.m_target == m and abs(sol.constraint_defect) <= 1e-11
+        assert sol.energy == pytest.approx(single.energy, rel=1e-12, abs=0.0)
+        assert sol.field_multiplier == pytest.approx(single.field_multiplier, rel=1e-9, abs=1e-12)
+
+
 def test_dual_energy_infeasible(cb_table):
     lo, hi = cb_table.m_range()
     with pytest.raises(InfeasibleConstraintError):
@@ -192,10 +206,73 @@ def test_dual_energy_infeasible(cb_table):
 
 
 def test_legendre_identity_single_point(cb_table):
-    from tfdw.studies import run_legendre_study
-
     rows, _ = run_legendre_study(cb_table, [0.04], m_count=9)
     assert rows[0].rel_err <= 1e-6
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Factorizations (``FiberOperator.factor``), eigensolves
+    (``min_eigenpair``) and the shift-invert solves the eigensolves make,
+    counted during the test."""
+    counts = {"factorizations": 0, "eigensolves": 0, "shift_invert": 0}
+    inside = [False]
+    factor, min_eigenpair = FiberOperator.factor, FiberOperator.min_eigenpair
+
+    def counted_factor(self):
+        counts["factorizations"] += 1
+        solve = factor(self)
+
+        def counted(b):
+            counts["shift_invert"] += inside[0]
+            return solve(b)
+
+        return counted
+
+    def counted_eigenpair(self, *args, **kwargs):
+        counts["eigensolves"] += 1
+        inside[0] = True
+        try:
+            return min_eigenpair(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(FiberOperator, "factor", counted_factor)
+    monkeypatch.setattr(FiberOperator, "min_eigenpair", counted_eigenpair)
+    return counts
+
+
+def test_table_and_dual_sweep_factor_once_per_sample(lattice_mod, work_counts):
+    # the workhorse table: the anchor's cell solve, refined scan and du/dh
+    # make 12 factorizations, and each of the 8 march samples 2, both in its
+    # scan (the du/dh solve and the next corrector reuse its Gamma factors);
+    # the correctors factor nothing.  A 9-point Legendre study factors once
+    table = cb.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), h_range=0.1, step=0.0125, opts=SolveOptions())
+    assert work_counts == {"factorizations": 28, "eigensolves": 25, "shift_invert": 238}
+    work_counts["factorizations"] = 0
+    run_legendre_study(table, [0.04], m_count=9)
+    assert work_counts["factorizations"] == 1
+
+
+def test_hermite_predictor_is_close_and_the_corrector_short(lattice_mod, monkeypatch):
+    # from march step 2 on, the cubic Hermite predictor through the last two
+    # samples and their du/dh lies within 1e-7 of the accepted state, and
+    # the chord corrector reaches the target in 3 steps, taking one more
+    polish = cb.newton_polish
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        calls.append((args[0].stacked(), out))
+        return out
+
+    monkeypatch.setattr(cb, "newton_polish", recorded)
+    cb.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), h_range=0.1, step=0.0125, verify_samples=False)
+    assert len(calls) == 8
+    target = 0.1 * SolveOptions().tol
+    for predictor, (state, _, iterations, history) in calls[1:]:
+        assert rel_err(predictor, state.stacked()) <= 1e-7
+        assert iterations == 4 and history[3] <= target < history[2]
 
 
 def test_continuation_stop_reports_last_good(lattice_mod):

@@ -17,7 +17,7 @@ from tfdw.energy import energy_supercell
 from tfdw.errors import DescentFailureError, PositivityLossError, StructuralError
 from tfdw.grids import Grid, GridSpec, LatticeSpec, Mode, ScalarField, State, random_smooth_field
 from tfdw.jellium import JelliumParams, jellium_lattice, jellium_state
-from tfdw.linop import monkhorst_pack, stability_scan
+from tfdw.linop import FiberOperator, LinearizedOperator, monkhorst_pack, stability_scan
 from tfdw.residual import variational_pairing
 
 
@@ -215,6 +215,30 @@ def test_newton_polish_evaluates_the_residual_once_per_iterate(cell_solution, rn
     assert iterations >= 2
     assert residual_calls == {"residual": 0, "residual_system": iterations + 2}
     assert len(history) == iterations + 2 and history[-1] == res_norm
+
+
+@pytest.mark.parametrize("solve", ["far field", "no contraction"])
+def test_chord_polish_relinearizes_when_a_step_fails_to_halve(solve, cb_table, cell_solution, monkeypatch):
+    # the corrector at h = 0 starts from the h = 0.1 sample, handed either
+    # that sample's own Gamma factors or a solve that does not move the
+    # iterate: the first step fails to halve the residual, and the corrector
+    # factors at its iterate after that step and after every other step that
+    # fails to halve it (bar the last), and nowhere else
+    far = cb_table.solutions[-1]
+    assert far.h_value == 0.1
+    if solve == "far field":
+        solve = LinearizedOperator(far.state, far.h_value).gamma.solver()
+    else:
+        solve = np.zeros_like
+    factored = []
+    factor = FiberOperator.factor
+    monkeypatch.setattr(FiberOperator, "factor", lambda self: factored.append(1) or factor(self))
+    state, res_norm, iterations, history = newton_polish(far.state, 0.0, SolveOptions(), solve=solve)
+    stalls = [b > 0.5 * a for a, b in zip(history[: iterations - 1], history[1:iterations])]
+    assert stalls[0] and len(factored) == sum(stalls)
+    assert history[-3] <= 0.1 * SolveOptions().tol and res_norm <= SolveOptions().tol
+    ref = cell_solution.state.stacked()
+    assert np.max(np.abs(state.stacked() - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("lattice", ["workhorse", "sheared"])
