@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 from . import cauchy_born as cb
 from . import twoscale as ts
@@ -141,32 +140,24 @@ def run_legendre_study(
     """Check the duality E_CB(h) = min_m ( dual_E(m) - h m / |Gamma| ) at
     interior field values, with the dual energies from one sweep of
     constrained solves over the increasing m values (``cb.dual_sweep``),
-    each running its chord steps on the Gamma factors of the one before."""
+    each running its chord steps on the Gamma factors of the one before.
+    The minimizer is the best of the roots of the stationarity equation
+    spline'(m) = h / |Gamma| and the two ends of the m range."""
     solve_opts = solve_opts or SolveOptions()
     lo, hi = table.m_range()
     m_values = np.linspace(m_margin * lo, m_margin * hi, m_count)
     duals = [d.energy for d in cb.dual_sweep(table, m_values, solve_opts)]
     spline = CubicSpline(m_values, duals)
     vol = table.lattice.volume
+    slope, ends = spline.derivative(), m_values[[0, -1]]
     rows = []
     for h in h_values:
-        res = minimize_scalar(
-            lambda m: float(spline(m)) - h * m / vol,
-            bounds=(float(m_values[0]), float(m_values[-1])),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        e_cb = table.energy_at(h)
-        rel = abs(res.fun - e_cb) / max(abs(e_cb), 1e-300)
-        rows.append(
-            LegendreRow(
-                h=float(h),
-                E_CB=float(e_cb),
-                legendre_value=float(res.fun),
-                minimizing_m=float(res.x),
-                rel_err=float(rel),
-            )
-        )
+        candidates = np.concatenate([slope.solve(h / vol, extrapolate=False), ends])
+        objective = spline(candidates) - h * candidates / vol
+        best = int(np.argmin(objective))
+        e_cb, value = float(table.energy_at(h)), float(objective[best])
+        rel = abs(value - e_cb) / max(abs(e_cb), 1e-300)
+        rows.append(LegendreRow(float(h), e_cb, value, float(candidates[best]), rel))
     return rows, (m_values, np.array(duals))
 
 

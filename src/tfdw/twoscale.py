@@ -12,19 +12,24 @@ d_a the cell derivative along axis a, the right-hand sides are
     X1 = du/dh:       fs(nu)            w_a:  K 2 d_a X1
     X2 = d^2u/dh^2:   2 fs(X1) - R''[X1, X1]
     Y_a = dw_a/dh:    K 2 d_a X2 - R''[X1, w_a] + fs(w_a)
-    P_ab:             K (2 d_b Y_a + delta_ab X2) - R''[w_a, w_b] / 2
-    Q_ab:             K (2 d_b w_a + delta_ab X1)
+    P_aa:             K (2 d_a Y_a + X2) - R''[w_a, w_a] / 2
+    Q_aa:             K (2 d_a w_a + X1)
+    P_ab, a < b:      K (2 d_b Y_a + 2 d_a Y_b) - R''[w_a, w_b]
+    Q_ab, a < b:      K (2 d_b w_a + 2 d_a w_b)
 
 Every right-hand side depends on the slow position only through h(x),
 grad h(x) and hess h(x), so the unit solutions w_a (first order) and P_ab,
 Q_ab (second order, the factors of (d_a h)(d_b h) and d_a d_b h) are smooth
-functions of the field value alone, as the constant-field map is.  The six
-solves of ``_solve_sample`` run on one factorization at each table knot
-h >= 0; the knots h < 0 follow by the spin flip L(-h) = S L(h) S (S swaps
-the spin rows): w_a(-h) = -S w_a(h), P_ab(-h) = S P_ab(h), Q_ab(-h) =
--S Q_ab(h).  A not-a-knot cubic spline in h through the knots, cached on the
-table per set of active axes, gives them at the sampled field values for
-every eps.  The assembled state
+functions of the field value alone, as the constant-field map is.  Both
+factors are symmetric in (a, b), so each unordered pair a <= b is solved
+once, a mixed pair with the summed sources of its two orders (R'' is
+symmetric).  With k active axes ``_solve_sample`` makes 2 + 2k + k(k + 1)
+solves on one factorization at each knot h >= 0 (6 for one axis, 12 for
+two); the knots h < 0 follow by the spin flip L(-h) = S L(h) S (S swaps the
+spin rows): w_a(-h) = -S w_a(h), P_ab(-h) = S P_ab(h), Q_ab(-h) = -S Q_ab(h).
+A not-a-knot cubic spline in h through the knots, cached on the table per
+set of active axes, gives them at the sampled field values for every eps.
+The assembled state
 
     u0(x) = u_cb(x; h(eps x)) + eps u1 + eps^2 u2
 
@@ -46,9 +51,8 @@ from . import fieldio
 from .cauchy_born import CBTable, field_source, gather, macro_layout
 from .errors import PositivityLossError, StructuralError
 from .grids import Grid, HField, State
-from .linop import LinearizedOperator
+from .linop import EIGHT_PI, LinearizedOperator
 
-EIGHT_PI = 8.0 * np.pi
 NU_FLOOR = 1e-12  # the second-order source carries f'''(nu), singular at nu = 0
 
 
@@ -62,7 +66,7 @@ class SampleSolves:
     w: dict[int, np.ndarray] = field(default_factory=dict)      # axis -> first-order unit solve
     X2: np.ndarray | None = None        # d^2 u / d h^2
     Y: dict[int, np.ndarray] = field(default_factory=dict)      # axis -> d w / d h
-    P: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+    P: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)  # unordered pair a <= b
     Q: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     solve_residual: float = 0.0
 
@@ -82,10 +86,10 @@ class CorrectorSet:
     micro: np.ndarray                   # flat supercell point -> cell point
     u_cb: np.ndarray                    # zeroth order, the stack of cb_field
     w: dict[int, np.ndarray]            # axis -> first-order unit solution
-    P: dict[tuple[int, int], np.ndarray]
+    P: dict[tuple[int, int], np.ndarray]  # unordered pair a <= b -> solve
     Q: dict[tuple[int, int], np.ndarray]
     active_axes: list[int]
-    active_pairs: list[tuple[int, int]]
+    active_pairs: list[tuple[int, int]]   # the unordered pairs a <= b
     solve_residual: float               # largest residual of the knot solves
     complete: bool = False
 
@@ -96,8 +100,7 @@ class _CellContext:
     derivative the corrector sources need."""
 
     def __init__(self, table: CBTable, h: float):
-        grid = table.grid
-        self.grid = grid
+        self.grid = table.grid
         self.h = h
         state = table.state_at(h)
         self.nup = state.nu_plus.values
@@ -137,14 +140,19 @@ def first_order_sources(ctx: _CellContext, X1, axis):
 
 def second_order_sources(ctx: _CellContext, sample: SampleSolves, alpha, beta):
     """Right-hand sides of the order-eps^2 system for the macro factors
-    (d_a h)(d_b h)  ->  A = K (2 dz_b Y_a + delta_ab X2) - R''[w_a, w_b] / 2
-    and  d_a d_b h  ->  B = K (2 dz_b w_a + delta_ab X1)."""
+    (d_a h)(d_b h)  ->  A_ab = K (2 dz_b Y_a + delta_ab X2) - R''[w_a, w_b] / 2
+    and  d_a d_b h  ->  B_ab = K (2 dz_b w_a + delta_ab X1).  Both factors
+    are symmetric in (a, b), so a mixed pair takes A_ab + A_ba and B_ab +
+    B_ba, whose cross term is -R''[w_a, w_b]."""
     delta = 1.0 if alpha == beta else 0.0
-    w_a, w_b = sample.w[alpha], sample.w[beta]
-    A = _kinetic_weights(2.0 * ctx.dz(sample.Y[alpha], beta) + delta * sample.X2)
-    A -= 0.5 * ctx.op.second_variation(w_a, w_b)
-    B = _kinetic_weights(2.0 * ctx.dz(w_a, beta) + delta * sample.X1)
-    return A, B
+    A = 2.0 * ctx.dz(sample.Y[alpha], beta) + delta * sample.X2
+    B = 2.0 * ctx.dz(sample.w[alpha], beta) + delta * sample.X1
+    if not delta:
+        A += 2.0 * ctx.dz(sample.Y[beta], alpha)
+        B += 2.0 * ctx.dz(sample.w[beta], alpha)
+    A = _kinetic_weights(A)
+    A -= (0.5 if delta else 1.0) * ctx.op.second_variation(sample.w[alpha], sample.w[beta])
+    return A, _kinetic_weights(B)
 
 
 def _macro_layout(table: CBTable, h_field: HField, grid: Grid):
@@ -157,9 +165,9 @@ def _macro_layout(table: CBTable, h_field: HField, grid: Grid):
 
 
 def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
-    """All six solves at one field value on a single factorization: du/dh,
-    the first-order unit solves, d^2u/dh^2, dw/dh and the pair solves.  The
-    factorization is released when this returns."""
+    """All solves at one field value on a single factorization: du/dh, the
+    first-order unit solves, d^2u/dh^2, dw/dh and the solves of each
+    unordered pair.  The factorization is released when this returns."""
     ctx = _CellContext(table, h)
     residuals = []
 
@@ -187,15 +195,15 @@ def _solve_sample(table: CBTable, h: float, axes, pairs) -> SampleSolves:
 
 
 def _pairs(axes):
-    return [(a, b) for a in axes for b in axes]
+    return [(a, b) for i, a in enumerate(axes) for b in axes[i:]]
 
 
 def tabulate_correctors(table: CBTable, axes):
     """w_a, P_ab and Q_ab on the table's knots as one not-a-knot cubic spline
     in h, whose value is a ``(blocks, 3) + cell shape`` array: w per axis,
-    then P and Q per pair.  ``_solve_sample`` runs at each knot h >= 0; each
-    knot h < 0 is its partner's sample under the spin flip.  Returns the
-    spline and the largest residual of the knot solves."""
+    then P and Q per unordered pair a <= b.  ``_solve_sample`` runs at each
+    knot h >= 0; each knot h < 0 is its partner's sample under the spin
+    flip.  Returns the spline and the largest residual of the knot solves."""
     h = table.h_samples
     if not np.array_equal(h, -h[::-1]):
         raise StructuralError("the corrector mirror needs table knots symmetric about h = 0")

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from tfdw import twoscale as ts
 from tfdw.errors import StructuralError
@@ -13,6 +14,7 @@ from tfdw.studies import (
     fit_loglog_slope,
     measure_stability_in_n,
     run_eps_study,
+    run_legendre_study,
 )
 
 
@@ -114,3 +116,19 @@ def test_eps_sweep_ansatz_residual_is_the_residual_at_u0(cb_table):
         u0, _ = ts.build_u0(cb_table, h, grid_n)
         assert row.converged
         assert row.ansatz_residual == residual(u0, h.sample(grid_n)).norm_l2n()
+
+
+def test_legendre_minimizer_solves_the_stationarity_equation(cb_table):
+    # minimizing_m is written with 17 digits, so it is the root of the dual
+    # spline's stationarity equation spline'(m) = h / |Gamma| to roundoff,
+    # not where a bounded search on the flat objective stops (up to 4e-9 of
+    # the largest slope short of it)
+    h_values = [-0.06, -0.02, 0.02, 0.045, 0.07]
+    rows, (m_values, duals) = run_legendre_study(cb_table, h_values, m_count=9)
+    slope = CubicSpline(m_values, duals).derivative()
+    largest = np.max(np.abs(slope(np.linspace(m_values[0], m_values[-1], 257))))
+    vol = cb_table.lattice.volume
+    for row in rows:
+        assert m_values[0] < row.minimizing_m < m_values[-1]
+        assert abs(slope(row.minimizing_m) - row.h / vol) <= 1e-12 * largest
+        assert row.rel_err <= 1e-6

@@ -9,7 +9,9 @@ from tfdw.energy import tfd_derivatives
 from tfdw.errors import PositivityLossError, StructuralError
 from tfdw.grids import Grid, GridSpec, HField, LatticeSpec, ScalarField, State
 from tfdw.linop import LinearizedOperator
+from tfdw.newton import NewtonOptions, newton_solve
 from tfdw.residual import residual
+from tfdw.studies import fit_loglog_slope
 
 
 def supergrid(table, n):
@@ -288,36 +290,126 @@ def test_ansatz_residual_slope_in_the_asymptotic_regime(cb_table):
     assert np.log2(res[32] / res[64]) >= 3.9
 
 
-def test_mixed_pairs_enter_u0_only_through_their_sum(monkeypatch):
-    # a field along two axes: the mixed pairs P_01 and P_10 enter u0 only
-    # as their sum, so the symmetric cross term -(w_V,a w_pm,b + w_pm,a
-    # w_V,b)/2 of R''[w_a, w_b]/2 and the asymmetric -w_V,a w_pm,b give the
-    # same u0, while each pair moves on its own (by about 5e-8 of itself,
-    # far above the roundoff of either form).  The background varies along
-    # both axes: on the workhorse lattice w_1 and the mixed pairs are
-    # roundoff
-    lattice = LatticeSpec.cubic(1.0, 3.0, [((1, 0, 0), 0.15), ((0, 1, 0), 0.15, 0.4)])
-    table = cb.build_cb_table(lattice, GridSpec((8, 4, 4)), h_range=0.08, step=0.02)
-    grid = Grid(lattice, GridSpec((8, 4, 4), (4, 4, 1)))
-    h = HField(0.0, [((1, 0, 0), 0.04), ((1, 1, 0), 0.03)])
+# a field along two axes needs a background that varies along both: on the
+# workhorse lattice w_1 and the mixed pairs are roundoff
+TWO_MODES = [((1, 0, 0), 0.15), ((0, 1, 0), 0.15, 0.4)]
+TWO_AXIS_FIELD = HField(0.0, [((1, 0, 0), 0.04), ((1, 1, 0), 0.03, 0.3)])
+
+
+def two_mode_lattice(shear=0.0):
+    return LatticeSpec([[1.0, 0.0, 0.0], [shear, 1.0, 0.0], [0.0, 0.0, 1.0]], 3.0, TWO_MODES)
+
+
+@pytest.fixture(scope="module")
+def two_mode_table():
+    return cb.build_cb_table(two_mode_lattice(), GridSpec((8, 4, 4)), h_range=0.08, step=0.02)
+
+
+def test_each_unordered_pair_is_solved_and_splined_once(two_mode_table, monkeypatch):
+    # per knot h >= 0: du/dh, d^2u/dh^2, w and dw/dh per axis, and P and Q
+    # per unordered pair a <= b, so 2 + 2k + k(k + 1) solves; the spline
+    # holds w per axis and P and Q per pair
+    solves = []
+
+    class Counted(ts._CellContext):
+        def solve(self, rhs):
+            solves.append(self.h)
+            return super().solve(rhs)
+
+    monkeypatch.setattr(ts, "_CellContext", Counted)
+    knots = int(np.sum(two_mode_table.h_samples >= 0))
+    for axes, per_knot, blocks in (([0], 6, 3), ([0, 1], 12, 8)):
+        solves.clear()
+        spline, _ = ts.tabulate_correctors(two_mode_table, axes)
+        assert len(solves) == per_knot * knots
+        assert spline(0.0).shape[0] == blocks
+
+
+def test_mixed_pair_matches_its_written_out_sources(two_mode_table):
+    # oracle for the mixed pair {0, 1}: P_01 and Q_01 solved from the sum of
+    # the sources of both orders, spelled out here, with the cross term
+    # -R''[w_0, w_1] written pointwise through f'''(nu), against the
+    # tabulated blocks at a knot h > 0 (P_01 is about 1e-7 of P_00 there)
+    knot = 0.04
+    assert knot in two_mode_table.h_samples
+    spline, _ = ts.tabulate_correctors(two_mode_table, [0, 1])
+    w0, w1, P00, P01, P11, Q00, Q01, Q11 = spline(knot)
+    sample = ts._solve_sample(two_mode_table, knot, [0, 1], [])
+    ctx = ts._CellContext(two_mode_table, knot)
+    grid = ctx.grid
+    w, Y = sample.w, sample.Y
+
+    def d(vec, axis):
+        return grid.deriv(vec, tuple(int(j == axis) for j in range(3)))
+
+    def weights(stack):
+        return np.stack([stack[0], stack[1], -stack[2] / (8 * np.pi)])
+
+    cross = np.empty_like(w[0])
+    for s, nu in enumerate((ctx.nup, ctx.num)):
+        third = sum(tfd_derivatives(nu, 3))
+        cross[s] = 0.5 * third * w[0][s] * w[1][s] + w[0][2] * w[1][s] + w[0][s] * w[1][2]
+    cross[2] = w[0][0] * w[1][0] + w[0][1] * w[1][1]
+    A = weights(2 * d(Y[0], 1) + 2 * d(Y[1], 0)) - cross
+    B = weights(2 * d(w[0], 1) + 2 * d(w[1], 0))
+    for got, rhs in ((P01, A), (Q01, B)):
+        want, _ = ctx.solve(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert 0.0 < np.max(np.abs(P01)) < 1e-6 * np.max(np.abs(P00))
+
+
+def test_mixed_pairs_enter_u0_only_through_their_sum(two_mode_table, monkeypatch):
+    # the mixed pair carries the sum of its two orders' sources, so the
+    # asymmetric cross term -w_V,a w_pm,b of each order in place of the
+    # symmetric -(w_V,a w_pm,b + w_pm,a w_V,b)/2 of R''[w_a, w_b]/2, summed
+    # over both orders, gives the same P_01 and the same u0
+    table = dataclasses.replace(two_mode_table)  # same samples, empty caches
+    grid = Grid(table.lattice, GridSpec((8, 4, 4), (4, 4, 1)))
     sources = ts.second_order_sources
 
-    def asymmetric_sources(ctx, sample, alpha, beta):
+    def ordered_source(ctx, sample, alpha, beta):
         delta = 1.0 if alpha == beta else 0.0
         w_a, w_b = sample.w[alpha], sample.w[beta]
         A = ts._kinetic_weights(2.0 * ctx.dz(sample.Y[alpha], beta) + delta * sample.X2)
         for s, nu in enumerate((ctx.nup, ctx.num)):
             A[s] -= 0.25 * sum(tfd_derivatives(nu, 3)) * w_a[s] * w_b[s] + w_a[2] * w_b[s]
         A[2] -= 0.5 * (w_a[0] * w_b[0] + w_a[1] * w_b[1])
+        return A
+
+    def asymmetric_sources(ctx, sample, alpha, beta):
+        A = ordered_source(ctx, sample, alpha, beta)
+        if alpha != beta:
+            A += ordered_source(ctx, sample, beta, alpha)
         return A, sources(ctx, sample, alpha, beta)[1]
 
-    u0, cs = ts.build_u0(table, h, grid)
-    assert cs.active_axes == [0, 1]
+    u0, cs = ts.build_u0(table, TWO_AXIS_FIELD, grid)
+    assert cs.active_axes == [0, 1] and cs.active_pairs == [(0, 0), (0, 1), (1, 1)]
     table.corrector_splines.clear()
     monkeypatch.setattr(ts, "second_order_sources", asymmetric_sources)
-    u0_asym, cs_asym = ts.build_u0(table, h, grid)
-    for pair in ((0, 1), (1, 0)):
-        moved = np.max(np.abs(cs.P[pair] - cs_asym.P[pair]))
-        assert moved > 1e-9 * np.max(np.abs(cs.P[pair])) > 0.0
+    u0_asym, cs_asym = ts.build_u0(table, TWO_AXIS_FIELD, grid)
+    moved = np.max(np.abs(cs.P[0, 1] - cs_asym.P[0, 1]))
+    assert moved <= 1e-12 * np.max(np.abs(cs.P[0, 1]))
     diff = np.max(np.abs(u0.stacked() - u0_asym.stacked()))
     assert diff <= 1e-12 * np.max(np.abs(u0.stacked()))
+
+
+def test_two_axis_eps_sweep_on_a_sheared_cell():
+    # the two-scale state under a field along two axes of a sheared cell, on
+    # (n, n, 1) supercells (run_eps_study builds only (n, 1, 1)): Newton
+    # converges from u0 at every n, the ansatz residual falls as eps^4 and
+    # the distances keep their orders, 4.36 for |u* - u0| and 2.37 for
+    # |u* - u_cb| (log-log fit over n = 4, 8, 12)
+    lattice = two_mode_lattice(shear=0.2)
+    table = cb.build_cb_table(lattice, GridSpec((8, 4, 4)), h_range=0.08, step=0.02)
+    rows = []
+    for n in (4, 8, 12):
+        grid = Grid(lattice, GridSpec((8, 4, 4), (n, n, 1)))
+        u0, cs = ts.build_u0(table, TWO_AXIS_FIELD, grid)
+        u_cb = State.from_stack(grid, cs.u_cb)
+        _, trace = newton_solve(u0, TWO_AXIS_FIELD.sample(grid), NewtonOptions(), u_cb=u_cb)
+        assert trace.converged
+        rows.append((grid.eps, trace.iterates[0], trace.distance_to_u0, trace.distance_to_cb))
+    eps, ansatz, to_u0, to_cb = zip(*rows)
+    assert fit_loglog_slope(eps, ansatz, drop_largest=False) == pytest.approx(4.0, abs=0.01)
+    assert fit_loglog_slope(eps, to_u0, drop_largest=False) == pytest.approx(4.36, abs=0.05)
+    assert fit_loglog_slope(eps, to_cb, drop_largest=False) == pytest.approx(2.37, abs=0.05)
