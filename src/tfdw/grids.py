@@ -703,16 +703,22 @@ class HField:
                     )
 
     def _mode_terms(self, grid):
-        """(mode, phase 2 pi m . f(eps x) + phase, A^-1 m) per mode on ``grid``."""
-        self.check_compatible(grid)
-        Ainv = np.linalg.inv(grid.lattice.cell_vectors)
+        """(mode, phase 2 pi m . f(eps x) + phase, A^-1 m) per mode on
+        ``grid``, built once per grid and set of modes and cached on the
+        grid: ``sample``, ``grad_slow``, ``hess_slow`` and ``active_axes``
+        all read them."""
+        key = ("h_mode_terms", self.modes)
+        if key not in grid._cache:
+            self.check_compatible(grid)
+            Ainv = np.linalg.inv(grid.lattice.cell_vectors)
 
-        def phase(mode):
-            # 2 pi m . f(eps x) + phase; a zero index adds an exact zero: skipped
-            axes = zip(mode.m, grid.spec.supercell, grid.supercell_fraction)
-            return TWO_PI * sum(c * (grid.eps * n * frac) for c, n, frac in axes if c) + mode.phase
+            def phase(mode):
+                # 2 pi m . f(eps x) + phase; a zero index adds an exact zero: skipped
+                axes = zip(mode.m, grid.spec.supercell, grid.supercell_fraction)
+                return TWO_PI * sum(c * (grid.eps * n * frac) for c, n, frac in axes if c) + mode.phase
 
-        return [(mode, phase(mode), Ainv @ np.array(mode.m, float)) for mode in self.modes]
+            grid._cache[key] = [(mode, phase(mode), Ainv @ np.array(mode.m, float)) for mode in self.modes]
+        return grid._cache[key]
 
     def sample(self, grid):
         """ScalarField of h(eps x) on the supercell grid."""

@@ -45,6 +45,21 @@ SYMMETRY_RTOL of the multipliers' scale, and a mapped fiber takes the
 solved fiber's inertia only where its gap exceeds delta_R plus the
 residual bound (Weyl).  The fiber at -xi has another mode window, so its
 discrete spectrum differs from that at xi.
+
+The inversion P, (P u)[i] = u[-i mod n] (the axis map with signs (-1, -1,
+-1)), composed with complex conjugation fixes every fiber of a state whose
+multipliers it keeps: P T P = conj T for the Hermitian circulant T of any
+real symbol, so P H(xi) P = conj H(xi).  Then the unitary W = ((1 + i) I +
+(1 - i) P)/2, applied per channel, makes the fiber real: W^H H W = Re H +
+(Im H) P, each circulant C becoming Re C + (Im C) P and each plane wave z
+becoming W^H z = Re z + Im z.  A fiber at xi != 0 whose multipliers the
+inversion keeps to SYMMETRY_RTOL (defect delta) factors this real form of
+its block K in real arithmetic (dsytrf) and runs its shift-invert Lanczos on
+real vectors y, its eigenvector coming back as W y.  The real form is
+exact for the inversion-symmetrized multipliers, which move each
+eigenvalue by at most delta (Gershgorin on the pointwise 3 x 3 blocks):
+the fiber takes its inertia only where delta = 0 or its eigenvalue clears
+delta plus the residual bound (Weyl), and factors the complex K otherwise.
 """
 
 from __future__ import annotations
@@ -304,6 +319,15 @@ class LinearizedOperator:
         return np.append(x, m)
 
     @functools.cached_property
+    def fiber_multipliers(self):
+        """The (2, N) stacks of F_pm and of nu_pm that every fiber of this
+        operator shares (FiberOperator)."""
+        return (
+            np.stack([self.F_plus.ravel(), self.F_minus.ravel()]),
+            np.stack([self.nu_plus.ravel(), self.nu_minus.ravel()]),
+        )
+
+    @functools.cached_property
     def gamma(self):
         """The Gamma fiber, the real cell operator, factored once and
         keeping its factors (FiberOperator.solver): they serve every cell
@@ -346,15 +370,59 @@ def _difference_index(grid: Grid):
     return grid._cache[key]
 
 
-def _circulant(grid: Grid, symbol):
-    """Dense Hermitian matrix U^H diag(symbol) U of a real Fourier multiplier
-    (``symbol`` in fft order) in the point basis.  It is multilevel
-    circulant: entry [x, y] is ifftn(symbol) at (x - y) mod shape, so one
-    inverse FFT and a gather build it."""
+def _circulant(grid: Grid, symbol, real_form=False):
+    """Dense Hermitian matrix C = U^H diag(symbol) U of a real Fourier
+    multiplier (``symbol`` in fft order) in the point basis, or with
+    ``real_form`` its real symmetric form Re C + (Im C) P under the grid
+    inversion P (module notes).  It is multilevel circulant: entry [x, y] is
+    ifftn(symbol) at (x - y) mod shape, so one inverse FFT and a gather build
+    it; (Im C) P reads the imaginary part at (x + y) mod shape."""
     D = _difference_index(grid)
     c = sfft.ifftn(symbol).ravel()
     c = 0.5 * (c + c[D[0]].conj())  # D[0] indexes -m: exactly Hermitian
+    if real_form:
+        key = "sum_index"  # (x + y) mod shape = D[:, P]
+        if key not in grid._cache:
+            grid._cache[key] = D[:, _inversion(grid)]
+        return c.real[D] + c.imag[grid._cache[key]]
     return c[D]
+
+
+def _inversion(grid: Grid):
+    """Flat point map of the grid inversion i -> -i mod n, the element of
+    ``_axis_maps`` with signs (-1, -1, -1), which every grid admits."""
+    maps, gathers = _axis_maps(grid)
+    return gathers[maps.index(((0, 1, 2), (-1, -1, -1)))]
+
+
+def _real_basis(x, inversion):
+    """W^H x per channel of a flat triple x, W = ((1 + i) I + (1 - i) P)/2
+    (module notes); a (3, N) array, complex."""
+    x = np.reshape(x, (3, -1))
+    return 0.5 * ((1 - 1j) * x + (1 + 1j) * x[:, inversion])
+
+
+def _point_basis(y, inversion):
+    """W y per channel of a flat triple y in the real basis: the flat triple
+    in the point basis."""
+    y = np.reshape(y, (3, -1))
+    return (0.5 * ((1 + 1j) * y + (1 - 1j) * y[:, inversion])).ravel()
+
+
+def _fiber_apply(symbol, F, nu, w, real=False):
+    """H w, matrix-free, for a ``(..., 3) + shape`` stack w of triples: T by
+    FFT with the symbol(s) ``symbol``, which broadcast against w's channel
+    axis, and its real part where ``real``; returns the ``(..., 3, N)``
+    stack."""
+    Tw = sfft.ifftn(symbol * sfft.fftn(w, axes=AXES), axes=AXES)
+    if real:
+        Tw = Tw.real
+    lead = w.shape[:-4]
+    w, Tw = w.reshape(lead + (3, -1)), Tw.reshape(lead + (3, -1))
+    out = np.empty_like(Tw)
+    out[..., :2, :] = Tw[..., :2, :] + F * w[..., :2, :] + nu * w[..., 2:, :]
+    out[..., 2, :] = np.sum(nu * w[..., :2, :], axis=-2) - Tw[..., 2, :] / EIGHT_PI
+    return out
 
 
 def wrap_to_zone(grid_or_lattice, xi):
@@ -401,10 +469,15 @@ class FiberOperator:
     symbol there is the Hermitian fold (q(k) + q(-k))/2 of the Grid
     kernels, which differs from |k|^2 only at the Nyquist modes of a sheared
     lattice; every fiber at xi != 0 keeps the unfolded symbol, so on a
-    sheared lattice the family jumps at Gamma in its high spectrum.  A
-    fiber in the symmetry orbit of a solved one needs no factorization
-    (``mapped``, module notes).  The dense ``matrix`` and its
-    ``eigenvalues`` are references no certificate uses.
+    sheared lattice the family jumps at Gamma in its high spectrum.  A fiber
+    at xi != 0 whose multipliers the grid inversion keeps factors the real
+    form W^H K W of its block instead (module notes): dsytrf in place of
+    zhetrf, and a real Lanczos; it takes its inertia only where Weyl
+    transfers it from the inversion-symmetrized multipliers, and factors the
+    complex K otherwise.  A fiber in the symmetry orbit of a solved one
+    needs no factorization (``mapped``, module notes).  The dense
+    ``matrix`` (point basis, complex at xi != 0) and its ``eigenvalues`` are
+    references no certificate uses.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
@@ -413,8 +486,7 @@ class FiberOperator:
         g = self.grid = op.grid
         self.n_points = op.n_points
         self.xi = wrap_to_zone(g, xi) if wrap else np.asarray(xi, dtype=float)
-        self.F = np.stack([op.F_plus.ravel(), op.F_minus.ravel()])
-        self.nu = np.stack([op.nu_plus.ravel(), op.nu_minus.ravel()])
+        self.F, self.nu = op.fiber_multipliers
         q = sum((g.k_cart[a] + self.xi[a]) ** 2 for a in range(3))
         gamma = not np.any(self.xi)
         if gamma:
@@ -430,12 +502,17 @@ class FiberOperator:
         self.dtype = float if gamma and np.count_nonzero(self.kept) == 1 else complex
         self._eigvals = None
         self._solve = None
+        self._scale = None
+        # the grid inversion and its defect delta where the factors in hand
+        # are those of the real form (module notes), else None
+        self._inversion = None
+        self.delta = None
         self.n_negative = None
 
     @functools.cached_property
     def kinetic(self):
-        """The dense N x N circulant of T, built only for a fiber that is
-        factored (``factor``) or assembled (``matrix``)."""
+        """The dense N x N circulant of T in the point basis, built only for
+        a fiber whose complex K is factored (``factor``) or for ``matrix``."""
         return _dense_kinetic(self.grid) if self._gamma else _circulant(self.grid, self.symbol)
 
     @functools.cached_property
@@ -447,14 +524,7 @@ class FiberOperator:
         """H x, matrix-free: T by FFT with the fiber's ``symbol``, real on a
         real x at Gamma, where the symbol is folded."""
         w = np.asarray(x).reshape((3,) + self.grid.shape)
-        Tw = sfft.ifftn(self.symbol * sfft.fftn(w, axes=AXES), axes=AXES)
-        if self._gamma and np.isrealobj(w):
-            Tw = Tw.real
-        w, Tw = w.reshape(3, self.n_points), Tw.reshape(3, self.n_points)
-        out = np.empty_like(Tw)
-        out[:2] = Tw[:2] + self.F * w[:2] + self.nu * w[2]
-        out[2] = np.sum(self.nu * w[:2], axis=0) - Tw[2] / EIGHT_PI
-        return out.ravel()
+        return _fiber_apply(self.symbol, self.F, self.nu, w, self._gamma and np.isrealobj(w)).ravel()
 
     def eigenvalues(self):
         """Full spectrum of the dense fiber, a reference for checks."""
@@ -463,40 +533,69 @@ class FiberOperator:
         return self._eigvals
 
     def factor(self):
-        """Factor the Coulomb-eliminated block K once (Bunch-Kaufman: zhetrf,
-        or dsytrf where the fiber is real), set ``n_negative`` from its D and
-        return the solve b -> H^{-1} b by block elimination on the factors.
-        An exactly singular D (a zero pivot) admits no solve and raises
-        EigensolverError.  Every call factors anew; ``solver`` keeps the
-        factors."""
+        """Factor the Coulomb-eliminated block K once (Bunch-Kaufman), set
+        ``n_negative`` from its D and return the solve b -> H^{-1} b in the
+        point basis, by block elimination on the factors.  A fiber at xi != 0
+        factors the real form of K (dsytrf) where the grid inversion keeps
+        its multipliers exactly (delta = 0), since no eigenvalue is at hand
+        for Weyl's condition, and K itself (zhetrf) otherwise; the Gamma
+        fiber factors its real K (dsytrf).  An exactly singular D (a zero
+        pivot) admits no solve and raises EigensolverError.  Every call
+        factors anew; ``solver`` keeps the factors."""
+        solve, self.n_negative = self._factor(0.0)
+        return self._in_points(solve)
+
+    def _factor(self, inversion_rtol):
+        """Factor K in the fiber's working basis and return the solve there:
+        the real basis of the module notes where the fiber is at xi != 0 and
+        the inversion defect delta of its multipliers is within
+        ``inversion_rtol`` of their largest entry (None: never), the point
+        basis otherwise, and the number of negative eigenvalues.  Records
+        the choice in ``delta``."""
+        g = self.grid
         N = self.n_points
         q = self.symbol.ravel()
         kept = self.kept
+        F, nu = self.F, self.nu  # the solve, kept on the fiber, must not refer back to it
+        self._inversion = self.delta = None
+        if inversion_rtol is not None and not self._gamma:
+            inversion = _inversion(g)
+            coeffs = np.concatenate([F, nu])
+            delta = float(np.max(np.abs(coeffs[:, inversion] - coeffs)))
+            if delta <= inversion_rtol * np.max(np.abs(coeffs)):
+                self._inversion, self.delta = inversion, delta
+                # the inversion-symmetrized multipliers, whose fiber the
+                # real form is exactly; equal to F and nu where delta = 0
+                F, nu = 0.5 * (F + F[:, inversion]), 0.5 * (nu + nu[:, inversion])
+        real_form = self._inversion is not None
         inv_q = np.zeros_like(q)
         np.divide(EIGHT_PI, q, out=inv_q, where=~kept)
-        P = _circulant(self.grid, inv_q.reshape(self.grid.shape))  # -C^+ = 8 pi G
+        P = _circulant(g, inv_q.reshape(g.shape), real_form)  # -C^+ = 8 pi G
         # the kept modes of C: the plane waves exp(i k.x)/sqrt(N)
-        Z = np.sqrt(N) * sfft.ifftn(
-            np.eye(N)[kept].reshape((-1,) + self.grid.shape), axes=AXES
-        ).reshape(-1, N)
-        if self.dtype is float:
-            P, Z = P.real, Z.real
+        Z = np.sqrt(N) * sfft.ifftn(np.eye(N)[kept].reshape((-1,) + g.shape), axes=AXES).reshape(-1, N)
+        if real_form:
+            T, Z = _circulant(g, self.symbol, True), Z.real + Z.imag  # W^H u_Z
+            dtype = float
+        else:
+            T, dtype = self.kinetic, self.dtype
+            if dtype is float:
+                P, Z = P.real, Z.real
 
         # the factorization reads only the lower triangle of K, in Fortran
         # order: the upper triangle of the C-order array KT = K^T is that
         # memory, filled in place block by block (P^T = conj P, G Hermitian)
         n = 2 * N + len(Z)
-        KT = np.zeros((n, n), dtype=self.dtype)
+        KT = np.zeros((n, n), dtype=dtype)
         for s in range(2):
             cols = slice(s * N, (s + 1) * N)
             for t in range(s + 1):
                 block = KT[t * N : (t + 1) * N, cols]
-                np.multiply(P.T, self.nu[t][:, None], out=block)
-                block *= self.nu[s]
+                np.multiply(P.T, nu[t][:, None], out=block)
+                block *= nu[s]
             block = KT[cols, cols]
-            block += self.kinetic.T
-            block[np.diag_indices(N)] += self.F[s]
-            np.multiply(Z.T.conj(), self.nu[s][:, None], out=KT[cols, 2 * N :])
+            block += T.T
+            block[np.diag_indices(N)] += F[s]
+            np.multiply(Z.T.conj(), nu[s][:, None], out=KT[cols, 2 * N :])
         corner = np.arange(2 * N, n)
         KT[corner, corner] = -q[kept] / EIGHT_PI  # C_Z, zero at an exact null
         factors, ipiv, info, trs = _bunch_kaufman(KT.T)
@@ -505,8 +604,6 @@ class FiberOperator:
                 f"the reduced block of the fiber at xi = {tuple(self.xi)} is exactly singular",
                 residual_history=[],
             )
-        self.n_negative = (N - len(Z)) + _ldl_negative_count(factors, ipiv)
-        nu = self.nu  # the solve, kept on the fiber, must not refer back to it
 
         def solve(b):
             # C^+ = -P: K (w, alpha) = (b_w - B C^+ b_W, u_Z^H b_W), then
@@ -519,34 +616,82 @@ class FiberOperator:
             W = P @ np.sum(nu * w.reshape(2, N), axis=0) - Pr + y[2 * N :] @ Z
             return np.concatenate([w, W])
 
-        return solve
+        return solve, (N - len(Z)) + _ldl_negative_count(factors, ipiv)
+
+    def _in_points(self, solve):
+        """The solve of ``_factor`` as b -> H^{-1} b in the point basis:
+        W H'^{-1} W^H b on the real and imaginary parts for the real form
+        H' (module notes), ``solve`` itself otherwise."""
+        inversion = self._inversion
+        if inversion is None:
+            return solve
+
+        def point_solve(b):
+            y = _real_basis(b, inversion).ravel()
+            return _point_basis(solve(y.real) + 1j * solve(y.imag), inversion)
+
+        return point_solve
 
     def solver(self):
         """The solve of ``factor``, made on the first call and kept on the
         fiber; a fiber that never calls it keeps no factors."""
         if self._solve is None:
-            self._solve = self.factor()
-        return self._solve
+            self._solve, self.n_negative = self._factor(0.0)
+        return self._in_points(self._solve)
 
     def min_eigenpair(self, start=None):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
-        negative eigenvalues, both from the one factorization of ``factor``:
-        the count from D (exact at every xi, stable or not), the pair by
+        negative eigenvalues, both from one factorization (``factor``): the
+        count from D (exact at every xi, stable or not), the pair by
         shift-invert Lanczos at zero (_nearest_zero_pair) on the solve with
-        its factors, H applied matrix-free.  Lanczos starts from a seeded
-        random complex vector (its real part where the fiber is real, at
-        Gamma) with weight on every Fourier mode of every channel (a
-        constant one stays inside the k = 0 subspace of a uniform state).  ``start``, an approximate eigenvector such as the pair of a
+        its factors, H applied matrix-free.
+
+        A fiber at xi != 0 whose multipliers the grid inversion keeps to
+        SYMMETRY_RTOL factors the real form of K and runs a real Lanczos
+        (dsaupd) on y -> W^H H^{-1} W y; the pair comes back in the point
+        basis as W y, its residual checked against the fiber's own H.  Its
+        count is the inversion-symmetrized fiber's, taken only where the
+        defect delta is 0 or the eigenvalue clears delta plus the residual
+        bound (Weyl); otherwise, or where a pair of the symmetrized fiber at
+        delta > 0 fails, the fiber factors the complex K and solves again.
+
+        Lanczos starts from a seeded random complex vector (its real part
+        where the solve is real) with weight on every Fourier mode of every
+        channel (a constant one stays inside the k = 0 subspace of a uniform
+        state).  ``start``, an approximate eigenvector such as the pair of a
         nearby fiber, warm-starts it with that vector added at
         FIBER_START_BLEND of its norm, so a start inside one invariant
         subspace (a plane wave of a uniform state) cannot lock the solve
-        onto that subspace's eigenvalue.  Lanczos stops at the relative
-        tolerance FIBER_RESIDUAL_RTOL, the pair's residual must be within
-        FIBER_RESIDUAL_RTOL max |H_ii|, and an error carries the residual of
-        the last inverse iterate.  A solve the fiber keeps (``solver``)
-        spares the factorization."""
-        solve = self._solve or self.factor()
+        onto that subspace's eigenvalue; the real form takes the real part
+        of its W^H start at the phase that maximizes it.  Lanczos stops at
+        the relative tolerance FIBER_RESIDUAL_RTOL, the pair's residual must
+        be within FIBER_RESIDUAL_RTOL max |H_ii|, and an error carries the
+        residual of the last inverse iterate.  A solve the fiber keeps
+        (``solver``) spares the factorization.  A failed solve leaves
+        ``n_negative`` unset."""
+        if self._solve is None:
+            solve, n_negative = self._factor(SYMMETRY_RTOL)
+        else:
+            solve, n_negative = self._solve, self.n_negative
+        try:
+            val, vec = self._eigenpair(solve, start)
+            transfers = not self.delta or abs(val) > self.delta + self._residual_bound()
+        except EigensolverError:
+            if not self.delta:
+                raise
+            transfers = False  # the symmetrized fiber's pair missed this fiber's bound
+        if not transfers:
+            solve, n_negative = self._factor(None)
+            val, vec = self._eigenpair(solve, start)
+        self.n_negative = n_negative
+        return val, vec
+
+    def _eigenpair(self, solve, start):
+        """The shift-invert Lanczos of ``min_eigenpair`` on ``solve``, the
+        solve of ``_factor`` in the fiber's working basis."""
         N = self.n_points
+        inversion = self._inversion
+        dtype = float if inversion is not None else self.dtype
         last = [np.nan, np.nan]
 
         def inverse(b):
@@ -561,48 +706,48 @@ class FiberOperator:
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(3 * N) + 1j * rng.standard_normal(3 * N)
-        if self.dtype is float:
+        if dtype is float:
             v0 = v0.real
         if start is not None:
-            start = np.real(start) if self.dtype is float else np.asarray(start)
+            if inversion is not None:
+                y = _real_basis(start, inversion)
+                # the phase exp(i phi) that maximizes |Re(exp(i phi) y)|
+                start = np.real(np.exp(-0.5j * np.angle(np.sum(y * y))) * y).ravel()
+            else:
+                start = np.real(start) if dtype is float else np.asarray(start)
             v0 = start + (FIBER_START_BLEND * np.linalg.norm(start) / np.linalg.norm(v0)) * v0
         shape = (3 * N, 3 * N)
         H = LinearOperator(shape, matvec=self.apply, dtype=self.dtype)
-        H_inv = LinearOperator(shape, matvec=inverse, dtype=self.dtype)
+        H_inv = LinearOperator(shape, matvec=inverse, dtype=dtype)
         bound = self._residual_bound()
         return _nearest_zero_pair(
-            H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, self._where(), ncv=FIBER_NCV
+            H, H_inv, v0, FIBER_RESIDUAL_RTOL, lambda val: bound, history, self._where(),
+            to_point=None if inversion is None else functools.partial(_point_basis, inversion=inversion),
+            ncv=FIBER_NCV,
         )
 
     def mapped(self, g: FiberSymmetry, val, vec, n_negative):
         """The eigenpair nearest zero of this fiber, the image under ``g`` of
         the solved fiber with pair (val, vec) and inertia ``n_negative``,
         with no factorization: u'(x) = exp(-i G_S.x) u(R x), conjugated
-        under time reversal (module notes).  Returns (val, u'), sets
-        ``n_negative``, and checks the pair's residual against this fiber's
-        own H, matrix-free, with the bound of ``min_eigenpair``."""
+        under time reversal (module notes).  Returns (val, u') and sets
+        ``n_negative``; the caller holds the pair to this fiber's residual
+        bound (``_check_pairs``)."""
         w = np.reshape(vec, (3, self.n_points))[:, g.gather]
         if g.conj:
             w = np.conj(w)
-        flipped = np.flatnonzero(g.flip)
-        if flipped.size:
-            fractions = sum(self.grid.cell_fraction[a] for a in flipped)
-            w = np.exp(-2j * np.pi * fractions).ravel() * w  # D = exp(-i G_S.x)
-        vec = w.ravel()
-        res = float(np.linalg.norm(self.apply(vec) - val * vec))
-        if not res <= self._residual_bound():
-            raise EigensolverError(
-                f"mapped eigenpair residual {res:.3e} of {self._where()} exceeds "
-                f"{self._residual_bound():.3e}",
-                residual_history=[res],
-            )
+        flipped = tuple(np.flatnonzero(g.flip))
+        if flipped:
+            w = _flip_phase(self.grid, flipped) * w  # D = exp(-i G_S.x)
         self.n_negative = n_negative
-        return val, vec
+        return val, w.ravel()
 
     def max_diagonal(self):
-        """max |H_ii|, the scale of H in its residual bounds."""
-        t = np.mean(self.symbol)  # every diagonal entry of T
-        return max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
+        """max |H_ii|, the scale of H in its residual bounds, computed once."""
+        if self._scale is None:
+            t = np.mean(self.symbol)  # every diagonal entry of T
+            self._scale = max(np.max(np.abs(t + self.F)), t / EIGHT_PI)
+        return self._scale
 
     def _residual_bound(self):
         """FIBER_RESIDUAL_RTOL max |H_ii|, the bound on an eigenpair's residual."""
@@ -711,22 +856,26 @@ def spectral_gap(op: LinearizedOperator, tol=1e-8, seed=0):
     return abs(val)
 
 
-def _nearest_zero_pair(A, A_inv, v0, tol, bound, history, where, **eigsh_args):
+def _nearest_zero_pair(A, A_inv, v0, tol, bound, history, where, to_point=None, **eigsh_args):
     """Eigenpair of the Hermitian operator A nearest zero: ARPACK's
     shift-invert Lanczos at sigma = 0 on the solve ``A_inv``, started from
-    ``v0`` and stopped at the relative tolerance ``tol``.  Returns the
-    normalized Ritz vector with its Rayleigh quotient, whose residual must
-    not exceed ``bound(value)``.  A stopped Lanczos, or a missed bound,
-    raises EigensolverError carrying ``history()``, the caller's residual
-    history; ``where`` names the operator in the message."""
+    ``v0`` and stopped at the relative tolerance ``tol``.  Where the solve
+    acts in another basis than A, ``to_point`` maps its Ritz vector to A's.
+    Returns the normalized vector with its Rayleigh quotient on A, whose
+    residual must not exceed ``bound(value)``.  A stopped Lanczos, or a
+    missed bound, raises EigensolverError carrying ``history()``, the
+    caller's residual history; ``where`` names the operator in the message."""
+    # eigsh takes the arithmetic from its first argument's dtype, which its
+    # shift-invert mode never applies: a real solve of a complex A is real
     try:
-        _, vecs = eigsh(A, k=1, sigma=0.0, OPinv=A_inv, v0=v0, tol=tol, **eigsh_args)
+        _, vecs = eigsh(A if to_point is None else A_inv, k=1, sigma=0.0, OPinv=A_inv, v0=v0, tol=tol, **eigsh_args)
     except ArpackError as err:
         raise EigensolverError(
             f"shift-invert Lanczos on {where} did not reach tolerance {tol:.1e}: {err}",
             residual_history=history(),
         ) from err
-    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    vec = vecs[:, 0] if to_point is None else to_point(vecs[:, 0])
+    vec = vec / np.linalg.norm(vec)
     Av = A @ vec
     val = float(np.vdot(vec, Av).real)
     res = float(np.linalg.norm(Av - val * vec))
@@ -736,6 +885,38 @@ def _nearest_zero_pair(A, A_inv, v0, tol, bound, history, where, **eigsh_args):
             residual_history=history(),
         )
     return val, vec
+
+
+def _flip_phase(grid: Grid, flipped):
+    """exp(-i G_S.x) on the flat grid, G_S the sum of the reciprocal vectors
+    of the axes ``flipped`` (module notes), cached on the grid."""
+    key = ("flip_phase", flipped)
+    if key not in grid._cache:
+        fractions = sum(grid.cell_fraction[a] for a in flipped)
+        grid._cache[key] = np.exp(-2j * np.pi * fractions).ravel()
+    return grid._cache[key]
+
+
+def _check_pairs(fibers, pairs):
+    """Hold each eigenpair (val, vec) of ``pairs`` to the residual bound of
+    its fiber (``min_eigenpair``), the fibers' H applied matrix-free in one
+    stacked transform: fibers of one operator differ only in their symbols.
+    The first pair over its bound raises EigensolverError carrying its
+    residual."""
+    if not fibers:
+        return
+    f = fibers[0]
+    x = np.stack([vec for _, vec in pairs]).reshape((len(pairs), 3) + f.grid.shape)
+    symbols = np.stack([g.symbol for g in fibers])[:, None]
+    r = _fiber_apply(symbols, f.F, f.nu, x) - np.array([val for val, _ in pairs])[:, None, None] * x.reshape(
+        len(pairs), 3, -1
+    )
+    for g, res in zip(fibers, np.linalg.norm(r, axis=(1, 2))):
+        if not res <= g._residual_bound():
+            raise EigensolverError(
+                f"mapped eigenpair residual {res:.3e} of {g._where()} exceeds {g._residual_bound():.3e}",
+                residual_history=[float(res)],
+            )
 
 
 @dataclass
@@ -869,9 +1050,10 @@ def fiber_symmetries(op: LinearizedOperator):
 
 class _Orbits:
     """The fibers of one operator solved so far, by eigensolve, and the
-    solve of the next fiber: the image of a solved one under a symmetry
+    solve of further fibers: the image of a solved one under a symmetry
     (FiberOperator.mapped) where one is and Weyl transfers its inertia,
-    else a factorization (FiberOperator.min_eigenpair)."""
+    checked against its own H (``_check_pairs``), else a factorization
+    (FiberOperator.min_eigenpair)."""
 
     def __init__(self, op: LinearizedOperator):
         self.group = fiber_symmetries(op)
@@ -880,17 +1062,43 @@ class _Orbits:
         self.B = op.grid.lattice.reciprocal_vectors
         self.solved = []  # (fractions of its images, eigenvalue, eigenvector, n_negative)
 
-    def solve(self, f: FiberOperator, start=None):
+    def _image(self, f: FiberOperator):
+        """The arguments of ``f.mapped`` from a solved fiber that ``f`` is
+        the image of, where Weyl transfers its inertia; else None."""
         t = np.linalg.solve(self.B.T, f.xi)
         for images, val, vec, n_negative in self.solved:
             for i in np.flatnonzero(np.all(np.abs(images - t) <= ZONE_SNAP_TOL, axis=1)):
                 if abs(val) > self.group[i].delta + f._residual_bound():
-                    return f.mapped(self.group[i], val, vec, n_negative)
+                    return self.group[i], val, vec, n_negative
+        return None
+
+    def _eigensolve(self, f: FiberOperator, start):
         val, vec = f.min_eigenpair(start)
         if np.any(f.xi):  # Gamma's fiber is folded and maps to none
+            t = np.linalg.solve(self.B.T, f.xi)
             images = np.where(self.flip, 1.0 - t[self.source], t[self.source])
             self.solved.append((images, val, vec, f.n_negative))
         return val, vec
+
+    def solve(self, f: FiberOperator, start=None):
+        return self.solve_all([f], [start])[0]
+
+    def solve_all(self, fibers, starts):
+        """The eigenpairs of ``fibers`` in order.  Each fiber that is the
+        image of one solved before it is mapped, and all of them are checked
+        in one stacked apply after the others are solved, in turn, each from
+        its ``starts`` entry."""
+        pairs = [None] * len(fibers)
+        mapped = []
+        for i, (f, start) in enumerate(zip(fibers, starts)):
+            image = self._image(f)
+            if image is None:
+                pairs[i] = self._eigensolve(f, start)
+            else:
+                pairs[i] = f.mapped(*image)
+                mapped.append(i)
+        _check_pairs([fibers[i] for i in mapped], [pairs[i] for i in mapped])
+        return pairs
 
 
 def monkhorst_pack(lattice, q):
@@ -947,8 +1155,10 @@ def stability_scan(
     group is found once per scan (``fiber_symmetries``); a fiber whose
     fractions are the image of an already solved fiber's is not factored:
     it takes that fiber's eigenvalue, its inertia where Weyl transfers it,
-    and the mapped eigenvector, whose residual is checked against its own H
-    (FiberOperator.mapped).  The default 2 x 2 x 2 grid (monkhorst_pack)
+    and the mapped eigenvector (FiberOperator.mapped).  The mapped pairs
+    are checked against their own H in one stacked apply after the solved
+    fibers, each residual held to its own bound (``_check_pairs``), and the
+    records stay in ``xi_grid`` order.  The default 2 x 2 x 2 grid (monkhorst_pack)
     thus factors 2 fibers on the workhorse cell, one corner and Gamma, and
     at most 5 (4 corners and Gamma) on any cell, where time reversal alone
     pairs the corners.
@@ -982,14 +1192,12 @@ def stability_scan(
         starts = previous.fiber_vectors
 
     orbits = _Orbits(op)
-    records, vectors = [], []
-    for xi, start in zip(xi_grid, starts):
-        # the Gamma fiber of a given operator keeps its factors for the
-        # caller; the scan's own is dropped after its record
-        f = FiberOperator(op, xi, wrap=False) if np.any(xi) or operator is None else op.gamma
-        val, vec = orbits.solve(f, start)
-        records.append(f.record(val, vec))
-        vectors.append(vec)
+    # the Gamma fiber of a given operator keeps its factors for the caller;
+    # the scan's own keeps none
+    fibers = [FiberOperator(op, xi, wrap=False) if np.any(xi) or operator is None else op.gamma for xi in xi_grid]
+    pairs = orbits.solve_all(fibers, starts)
+    records = [f.record(val, vec) for f, (val, vec) in zip(fibers, pairs)]
+    vectors = [vec for _, vec in pairs]
 
     gaps = [r.gap for r in records]
     i_min = int(np.argmin(gaps))

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from tfdw import cauchy_born as cb
+from tfdw import linop
 from tfdw.cells import SolveOptions, solve_cell
 from tfdw.errors import (
     ContinuationStopError,
@@ -212,32 +214,30 @@ def test_legendre_identity_single_point(cb_table):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Factorizations (``FiberOperator.factor``), eigensolves
-    (``min_eigenpair``) and the shift-invert solves the eigensolves make,
-    counted during the test."""
-    counts = {"factorizations": 0, "eigensolves": 0, "shift_invert": 0}
-    inside = [False]
-    factor, min_eigenpair = FiberOperator.factor, FiberOperator.min_eigenpair
+    """Factorizations (the dtype of each block handed to Bunch-Kaufman),
+    eigensolves (``min_eigenpair``) and the shift-invert solves the
+    eigensolves make (applications of the solve handed to ARPACK), counted
+    during the test."""
+    counts = {"factorizations": [], "eigensolves": 0, "shift_invert": 0}
+    bunch_kaufman, eigsh, min_eigenpair = linop._bunch_kaufman, linop.eigsh, FiberOperator.min_eigenpair
 
-    def counted_factor(self):
-        counts["factorizations"] += 1
-        solve = factor(self)
+    def counted_bunch_kaufman(K):
+        counts["factorizations"].append(K.dtype.name)
+        return bunch_kaufman(K)
 
-        def counted(b):
-            counts["shift_invert"] += inside[0]
-            return solve(b)
+    def counted_eigsh(*args, OPinv, **kwargs):
+        def solve(b):
+            counts["shift_invert"] += 1
+            return OPinv.matvec(b)
 
-        return counted
+        return eigsh(*args, OPinv=LinearOperator(OPinv.shape, matvec=solve, dtype=OPinv.dtype), **kwargs)
 
     def counted_eigenpair(self, *args, **kwargs):
         counts["eigensolves"] += 1
-        inside[0] = True
-        try:
-            return min_eigenpair(self, *args, **kwargs)
-        finally:
-            inside[0] = False
+        return min_eigenpair(self, *args, **kwargs)
 
-    monkeypatch.setattr(FiberOperator, "factor", counted_factor)
+    monkeypatch.setattr(linop, "_bunch_kaufman", counted_bunch_kaufman)
+    monkeypatch.setattr(linop, "eigsh", counted_eigsh)
     monkeypatch.setattr(FiberOperator, "min_eigenpair", counted_eigenpair)
     return counts
 
@@ -246,12 +246,14 @@ def test_table_and_dual_sweep_factor_once_per_sample(lattice_mod, work_counts):
     # the workhorse table: the anchor's cell solve, refined scan and du/dh
     # make 12 factorizations, and each of the 8 march samples 2, both in its
     # scan (the du/dh solve and the next corrector reuse its Gamma factors);
-    # the correctors factor nothing.  A 9-point Legendre study factors once
+    # the correctors factor nothing.  Every block is real: the Gamma fiber's
+    # K, and the real form of every other fiber's, since the state is even
+    # about a grid point.  A 9-point Legendre study factors once
     table = cb.build_cb_table(lattice_mod, GridSpec((8, 4, 4)), h_range=0.1, step=0.0125, opts=SolveOptions())
-    assert work_counts == {"factorizations": 28, "eigensolves": 25, "shift_invert": 238}
-    work_counts["factorizations"] = 0
+    assert work_counts == {"factorizations": ["float64"] * 28, "eigensolves": 25, "shift_invert": 238}
+    work_counts["factorizations"] = []
     run_legendre_study(table, [0.04], m_count=9)
-    assert work_counts["factorizations"] == 1
+    assert work_counts["factorizations"] == ["float64"]
 
 
 def test_hermite_predictor_is_close_and_the_corrector_short(lattice_mod, monkeypatch):

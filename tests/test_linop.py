@@ -650,6 +650,16 @@ def factored_dims(monkeypatch):
     return dims
 
 
+@pytest.fixture
+def factored_dtypes(monkeypatch):
+    """dtypes of the blocks handed to the Bunch-Kaufman factorization, in
+    call order."""
+    dtypes = []
+    bunch_kaufman = linop._bunch_kaufman
+    monkeypatch.setattr(linop, "_bunch_kaufman", lambda a: dtypes.append(a.dtype) or bunch_kaufman(a))
+    return dtypes
+
+
 def _workhorse_fiber(state, frac, wrap=True):
     B = state.grid.lattice.reciprocal_vectors
     return FiberOperator(LinearizedOperator(state, 0.0), B.T @ np.asarray(frac, dtype=float), wrap)
@@ -798,18 +808,28 @@ def test_scan_factors_one_fiber_per_orbit(factored_dims, lattice, init, mirrors,
 
 def test_only_factored_fibers_build_the_kinetic_matrix(cell_solution, factored_dims, monkeypatch):
     # a mapped fiber checks its pair with H applied by FFT and builds no
-    # N x N circulant; that apply is the dense matrix's, real at Gamma
-    built = []
-    init = FiberOperator.__init__
+    # N x N circulant: the corner builds the real forms of T and G, Gamma its
+    # G, and only Gamma the point-basis kinetic matrix.  That apply is the
+    # dense matrix's, real at Gamma
+    built, circulants = [], []
+    init, circulant = FiberOperator.__init__, linop._circulant
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def counted(grid, symbol, real_form=False):
+        circulants.append(real_form)
+        return circulant(grid, symbol, real_form)
+
     monkeypatch.setattr(FiberOperator, "__init__", recording)
+    monkeypatch.setattr(linop, "_circulant", counted)
+    linop._dense_kinetic(cell_solution.grid)  # Gamma's T, cached on the grid
+    del circulants[:]
     stability_scan(cell_solution.state, cell_solution.h_value, refine=False)
     assert len(built) == 9 and len(factored_dims) == 2
-    assert sum("kinetic" in vars(f) for f in built) == 2
+    assert circulants == [True, True, False]
+    assert [f for f in built if "kinetic" in vars(f)] == [built[-1]]
     rng = np.random.default_rng(4)
     for f in (built[0], built[-1]):
         x = rng.standard_normal(3 * f.n_points)
@@ -820,15 +840,16 @@ def test_only_factored_fibers_build_the_kinetic_matrix(cell_solution, factored_d
 
 
 @pytest.mark.parametrize("t1", [1e-7, 1e-3, 1.0 - 1e-7], ids=["1e-7-b1", "1e-3-b1", "b1-minus-1e-7-b1"])
-def test_near_null_coulomb_mode_is_bordered(cell_solution, factored_dims, t1):
+def test_near_null_coulomb_mode_is_bordered(cell_solution, factored_dims, factored_dtypes, t1):
     # a Coulomb mode with |k + xi|^2 below COULOMB_ELIMINATION_RTOL of the
     # largest (k = 0 near Gamma, k = -b_1 near the unwrapped b_1) is not
     # eliminated but kept in K as one bordered row with its own Coulomb
-    # entry; the inertia and the pair are the full spectrum's
+    # entry, real in the real form (Re z + Im z); the inertia and the pair
+    # are the full spectrum's
     f = _workhorse_fiber(cell_solution.state, (t1, 0.0, 0.0), wrap=False)
     val, vec = f.min_eigenpair()
     N = f.n_points
-    assert factored_dims == [2 * N + 1]
+    assert factored_dims == [2 * N + 1] and factored_dtypes == [np.float64]
     vals = np.linalg.eigvalsh(f.matrix)
     assert f.n_negative == np.count_nonzero(vals < 0) == N
     assert val == pytest.approx(vals[int(np.argmin(np.abs(vals)))], rel=1e-12)
@@ -891,31 +912,175 @@ def test_warm_start_in_a_competing_subspace_finds_the_nearest_eigenvalue(competi
     assert f.min_eigenpair(start)[0] == pytest.approx(nearest, rel=1e-12)
 
 
-def test_min_eigenpair_singular_factorization_raises(monkeypatch):
+@functools.cache
+def _phased_op():
+    # the cell state of _modes(0.3, 0.3, 0.3): a phase on every background
+    # mode breaks the inversion, so its fibers factor the complex K
+    lattice = _modes(0.3, 0.3, 0.3)
+    grid = Grid(lattice, GridSpec((8, 4, 4)))
+    return LinearizedOperator(solve_cell(lattice, grid, 0.02).state, 0.02)
+
+
+def _phased_fiber():
+    op = _phased_op()
+    return FiberOperator(op, op.grid.lattice.reciprocal_vectors.T @ np.array([0.31, -0.17, 0.23]))
+
+
+# a fiber that factors the real form (jellium at xi != 0, delta = 0) and one
+# that factors the complex K, with the dtype of the block each hands to LAPACK
+BOTH_ARITHMETICS = pytest.mark.parametrize(
+    "make, dtype",
+    [(lambda: _jellium_fiber(0.5, (0.3, -0.2, 0.1)), np.float64), (_phased_fiber, np.complex128)],
+    ids=["real-form", "complex"],
+)
+
+
+@BOTH_ARITHMETICS
+def test_min_eigenpair_singular_factorization_raises(monkeypatch, make, dtype):
     # the factorization reports an exactly zero pivot (info > 0): no solve
-    # with the factors exists, and the error names the fiber
+    # with the factors exists, the error names the fiber and carries no
+    # residual, since no iterate exists, and the fiber keeps no inertia
+    f = make()
+    blocks = []
     bunch_kaufman = linop._bunch_kaufman
 
     def singular(a):
+        blocks.append(a.dtype)
         factors, ipiv, _, trs = bunch_kaufman(a)
         return factors, ipiv, 1, trs
 
     monkeypatch.setattr(linop, "_bunch_kaufman", singular)
-    f = _jellium_fiber(0.2, (0.3, -0.2, 0.1))
     with pytest.raises(EigensolverError, match="exactly singular") as err:
         f.min_eigenpair()
+    assert blocks == [dtype]
     assert str(tuple(f.xi)) in str(err.value)
-    assert f.n_negative is None
+    assert f.n_negative is None and err.value.residual_history == []
 
 
-def test_min_eigenpair_arpack_failure_raises(monkeypatch):
-    # one Lanczos restart cannot converge: the error carries the residual of
-    # the last inverse iterate
-    monkeypatch.setattr(linop, "eigsh", functools.partial(linop.eigsh, maxiter=1))
+@BOTH_ARITHMETICS
+def test_min_eigenpair_arpack_failure_raises(monkeypatch, make, dtype):
+    # one Lanczos restart cannot converge, in real arithmetic (dsaupd) or in
+    # complex: the error names the fiber and carries the residual of the
+    # last inverse iterate, and the fiber keeps no inertia
+    f = make()
+    arithmetic = []
+    eigsh = linop.eigsh
+
+    def one_restart(A, *args, **kwargs):
+        arithmetic.append(A.dtype)
+        return eigsh(A, *args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(linop, "eigsh", one_restart)
     with pytest.raises(EigensolverError, match="shift-invert Lanczos on the fiber") as err:
-        _jellium_fiber(0.5, (0.3, -0.2, 0.1)).min_eigenpair()
+        f.min_eigenpair()
+    assert arithmetic == [dtype]
+    assert str(tuple(f.xi)) in str(err.value) and f.n_negative is None
     history = err.value.residual_history
     assert len(history) == 1 and np.isfinite(history[0]) and history[0] > 0.0
+
+
+def _assert_matches_dense(f, val, vec):
+    # the inertia exactly, the eigenvalue nearest zero to 1e-12 relative and
+    # the residual within 1e-12 max |H| of the dense point-basis fiber
+    H = f.matrix
+    vals = np.linalg.eigvalsh(H)
+    assert f.n_negative == np.count_nonzero(vals < 0)
+    assert val == pytest.approx(vals[int(np.argmin(np.abs(vals)))], rel=1e-12)
+    assert np.linalg.norm(H @ vec - val * vec) <= 1e-12 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("frac", [(0.25, 0.25, 0.25), (0.31, -0.17, 0.23)], ids=["corner", "generic-xi"])
+def test_inversion_even_fiber_factors_its_real_form(cell_solution, factored_dtypes, frac):
+    # the workhorse state is even about a grid point to roundoff (delta
+    # 2.2e-16): a fiber at xi != 0 hands one real block to LAPACK and runs
+    # a real Lanczos, its eigenvector coming back in the complex point
+    # basis, and matches the dense fiber
+    f = _workhorse_fiber(cell_solution.state, frac)
+    val, vec = f.min_eigenpair()
+    assert factored_dtypes == [np.float64]
+    assert 0.0 < f.delta <= linop.SYMMETRY_RTOL and np.iscomplexobj(vec)
+    _assert_matches_dense(f, val, vec)
+
+
+@pytest.mark.parametrize("make", [_phased_fiber, _sheared_fiber], ids=["phase-0.3-all", "sheared-random"])
+def test_fiber_the_inversion_does_not_keep_factors_the_complex_block(factored_dtypes, make):
+    f = make()
+    val, vec = f.min_eigenpair()
+    assert factored_dtypes == [np.complex128] and f.delta is None
+    _assert_matches_dense(f, val, vec)
+
+
+@pytest.mark.parametrize("bound", ["residual", "weyl"])
+def test_weyl_fallback_factors_the_complex_block(factored_dtypes, monkeypatch, bound):
+    # an odd term sin(2 pi x_1) in F_+ gives an inversion defect delta = 2,
+    # above the nearest eigenvalue's distance to zero, and puts the
+    # symmetrized fiber 1 away from the fiber; with the tolerance opened to
+    # admit it, the fiber factors the real form first.  Its pair misses the
+    # fiber's residual bound, or, under a bound of max |H_ii| that it meets,
+    # Weyl cannot transfer its inertia: either way the fiber factors the
+    # complex K and solves again
+    _, grid, op = jellium_op(0.8)
+    op.F_plus = op.F_plus + np.sin(TWO_PI * grid.cell_fraction[0])
+    monkeypatch.setattr(linop, "SYMMETRY_RTOL", 10.0)
+    if bound == "weyl":
+        monkeypatch.setattr(FiberOperator, "_residual_bound", FiberOperator.max_diagonal)
+    f = FiberOperator(op, (0.3, -0.2, 0.1))
+    assert f.max_diagonal() > 1.0
+    val, vec = f.min_eigenpair()
+    assert factored_dtypes == [np.float64, np.complex128] and f.delta is None
+    assert abs(val) < 2.0
+    _assert_matches_dense(f, val, vec)
+
+
+@pytest.mark.parametrize("kind", ["generic-xi", "corner", "near-b1"])
+def test_sheared_jellium_fibers_match_the_closed_form(factored_dtypes, kind):
+    # the cube sheared by 0.2 in the x_1-x_2 plane (the lattice of
+    # test_apply_plane_wave_symbol[sheared]): on the uniform state each plane
+    # wave k of the fiber's mode window spans an invariant 3 x 3 block,
+    # jellium.symbol_matrix at k + xi, so the inertia and the eigenvalue
+    # nearest zero are those of the blocks.  Near the unwrapped b_1 the
+    # wave k = -b_1 is a kept Coulomb mode.  Jellium's multipliers are
+    # constant (delta = 0), so these fibers factor the real form exactly
+    params = jellium.JelliumParams(0.7)
+    vectors = [[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    lat = LatticeSpec(vectors, params.rho_b_const * np.linalg.det(vectors))
+    grid = Grid(lat, GridSpec((4, 4, 4)))
+    op = LinearizedOperator(jellium.jellium_state(params, grid), 0.0)
+    B = lat.reciprocal_vectors
+    xi = {
+        "generic-xi": B.T @ np.array([0.31, -0.17, 0.23]),
+        "corner": monkhorst_pack(lat, (2, 2, 2))[0],
+        "near-b1": (1.0 - 1e-7) * B[0],
+    }[kind]
+    f = FiberOperator(op, xi, wrap=False)
+    val, _ = f.min_eigenpair()
+    assert factored_dtypes == [np.float64] and f.delta == 0.0
+    assert np.count_nonzero(f.kept) == (kind == "near-b1")
+    waves = np.stack([np.broadcast_to(k, grid.shape).ravel() for k in grid.k_cart], axis=1) + xi
+    closed = np.concatenate([np.linalg.eigvalsh(jellium.symbol_matrix(params, k)) for k in waves])
+    assert f.n_negative == np.count_nonzero(closed < 0)
+    assert val == pytest.approx(closed[np.argmin(np.abs(closed))], rel=1e-12)
+
+
+def test_stacked_image_check_raises_on_one_bad_image(cell_solution, monkeypatch):
+    # the scan checks its 7 mapped corners in one stacked apply, each pair
+    # against its own fiber's bound: one image whose eigenvalue is off by
+    # 1e-6 raises EigensolverError naming that fiber and carrying its residual
+    mapped = FiberOperator.mapped
+    images = []
+
+    def one_off(self, *args):
+        val, vec = mapped(self, *args)
+        images.append(self)
+        return (val + 1e-6 if len(images) == 3 else val), vec
+
+    monkeypatch.setattr(FiberOperator, "mapped", one_off)
+    with pytest.raises(EigensolverError, match="mapped eigenpair residual") as err:
+        stability_scan(cell_solution.state, cell_solution.h_value, refine=False)
+    assert len(images) == 7
+    assert str(tuple(images[2].xi)) in str(err.value)
+    [res] = err.value.residual_history
+    assert res == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_inertia_crossing_found_between_samples():
