@@ -42,8 +42,10 @@ eigenvector u of H(xi).  A stability scan factors one fiber per orbit.  The
 state's invariance holds to roundoff, not bitwise: R is admitted once per
 operator when delta_R = max(|F o R - F|, |nu o R - nu|) is within
 SYMMETRY_RTOL of the multipliers' scale, and a mapped fiber takes the
-solved fiber's inertia only where its gap exceeds delta_R plus the
-residual bound (Weyl).  The fiber at -xi has another mode window, so its
+solved fiber's inertia only where its gap exceeds 2 delta_R plus the
+residual bound (Weyl: a change of at most delta_R in each multiplier moves
+every eigenvalue by at most 2 delta_R, Gershgorin on the pointwise 3 x 3
+blocks).  The fiber at -xi has another mode window, so its
 discrete spectrum differs from that at xi.
 
 The inversion P, (P u)[i] = u[-i mod n] (the axis map with signs (-1, -1,
@@ -58,8 +60,11 @@ its block K in real arithmetic (dsytrf) and runs its shift-invert Lanczos on
 real vectors y, its eigenvector coming back as W y.  The real form is
 exact for the inversion-symmetrized multipliers, which move each
 eigenvalue by at most delta (Gershgorin on the pointwise 3 x 3 blocks):
-the fiber takes its inertia only where delta = 0 or its eigenvalue clears
-delta plus the residual bound (Weyl), and factors the complex K otherwise.
+the fiber takes their inertia only where delta = 0 or its eigenvalue
+clears 2 delta plus the residual bound (Weyl, once from the fiber to the
+symmetrized one and once more for its inertia), and factors the complex K
+otherwise.  Only the eigensolve takes the real form; ``factor`` and
+``solver`` factor the complex K at xi != 0.
 """
 
 from __future__ import annotations
@@ -409,22 +414,6 @@ def _point_basis(y, inversion):
     return (0.5 * ((1 + 1j) * y + (1 - 1j) * y[:, inversion])).ravel()
 
 
-def _fiber_apply(symbol, F, nu, w, real=False):
-    """H w, matrix-free, for a ``(..., 3) + shape`` stack w of triples: T by
-    FFT with the symbol(s) ``symbol``, which broadcast against w's channel
-    axis, and its real part where ``real``; returns the ``(..., 3, N)``
-    stack."""
-    Tw = sfft.ifftn(symbol * sfft.fftn(w, axes=AXES), axes=AXES)
-    if real:
-        Tw = Tw.real
-    lead = w.shape[:-4]
-    w, Tw = w.reshape(lead + (3, -1)), Tw.reshape(lead + (3, -1))
-    out = np.empty_like(Tw)
-    out[..., :2, :] = Tw[..., :2, :] + F * w[..., :2, :] + nu * w[..., 2:, :]
-    out[..., 2, :] = np.sum(nu * w[..., :2, :], axis=-2) - Tw[..., 2, :] / EIGHT_PI
-    return out
-
-
 def wrap_to_zone(grid_or_lattice, xi):
     """Shift xi by a reciprocal lattice vector into the first zone
     (fractional coordinates in [-1/2, 1/2)).  A fractional coordinate that
@@ -469,15 +458,15 @@ class FiberOperator:
     symbol there is the Hermitian fold (q(k) + q(-k))/2 of the Grid
     kernels, which differs from |k|^2 only at the Nyquist modes of a sheared
     lattice; every fiber at xi != 0 keeps the unfolded symbol, so on a
-    sheared lattice the family jumps at Gamma in its high spectrum.  A fiber
-    at xi != 0 whose multipliers the grid inversion keeps factors the real
-    form W^H K W of its block instead (module notes): dsytrf in place of
-    zhetrf, and a real Lanczos; it takes its inertia only where Weyl
-    transfers it from the inversion-symmetrized multipliers, and factors the
-    complex K otherwise.  A fiber in the symmetry orbit of a solved one
-    needs no factorization (``mapped``, module notes).  The dense
-    ``matrix`` (point basis, complex at xi != 0) and its ``eigenvalues`` are
-    references no certificate uses.
+    sheared lattice the family jumps at Gamma in its high spectrum.  The
+    eigensolve of a fiber at xi != 0 whose multipliers the grid inversion
+    keeps factors the real form W^H K W of its block instead (module
+    notes): dsytrf in place of zhetrf, and a real Lanczos; it takes its
+    inertia only where Weyl transfers it from the inversion-symmetrized
+    multipliers, and factors the complex K otherwise.  A fiber in the
+    symmetry orbit of a solved one needs no factorization (``mapped``,
+    module notes).  The dense ``matrix`` (point basis, complex at xi != 0)
+    and its ``eigenvalues`` are references no certificate uses.
     """
 
     def __init__(self, op: LinearizedOperator, xi, wrap=True):
@@ -511,8 +500,9 @@ class FiberOperator:
 
     @functools.cached_property
     def kinetic(self):
-        """The dense N x N circulant of T in the point basis, built only for
-        a fiber whose complex K is factored (``factor``) or for ``matrix``."""
+        """The dense N x N circulant of T in the point basis: at Gamma the
+        grid's cached real matrix, which its factorization reads; at xi != 0
+        built only for ``matrix``."""
         return _dense_kinetic(self.grid) if self._gamma else _circulant(self.grid, self.symbol)
 
     @functools.cached_property
@@ -524,7 +514,14 @@ class FiberOperator:
         """H x, matrix-free: T by FFT with the fiber's ``symbol``, real on a
         real x at Gamma, where the symbol is folded."""
         w = np.asarray(x).reshape((3,) + self.grid.shape)
-        return _fiber_apply(self.symbol, self.F, self.nu, w, self._gamma and np.isrealobj(w)).ravel()
+        Tw = sfft.ifftn(self.symbol * sfft.fftn(w, axes=AXES), axes=AXES)
+        if self._gamma and np.isrealobj(w):
+            Tw = Tw.real
+        w, Tw = w.reshape(3, self.n_points), Tw.reshape(3, self.n_points)
+        out = np.empty_like(Tw)
+        out[:2] = Tw[:2] + self.F * w[:2] + self.nu * w[2]
+        out[2] = np.sum(self.nu * w[:2], axis=0) - Tw[2] / EIGHT_PI
+        return out.ravel()
 
     def eigenvalues(self):
         """Full spectrum of the dense fiber, a reference for checks."""
@@ -535,34 +532,33 @@ class FiberOperator:
     def factor(self):
         """Factor the Coulomb-eliminated block K once (Bunch-Kaufman), set
         ``n_negative`` from its D and return the solve b -> H^{-1} b in the
-        point basis, by block elimination on the factors.  A fiber at xi != 0
-        factors the real form of K (dsytrf) where the grid inversion keeps
-        its multipliers exactly (delta = 0), since no eigenvalue is at hand
-        for Weyl's condition, and K itself (zhetrf) otherwise; the Gamma
-        fiber factors its real K (dsytrf).  An exactly singular D (a zero
-        pivot) admits no solve and raises EigensolverError.  Every call
-        factors anew; ``solver`` keeps the factors."""
-        solve, self.n_negative = self._factor(0.0)
-        return self._in_points(solve)
+        point basis, by block elimination on the factors: dsytrf for the
+        real K at Gamma, zhetrf at xi != 0 (only ``min_eigenpair`` takes
+        the real form, its inertia held to Weyl's condition).  An exactly
+        singular D (a zero pivot) admits no solve and raises
+        EigensolverError.  Every call factors anew; ``solver`` keeps the
+        factors."""
+        solve, self.n_negative = self._factor(False)
+        return solve
 
-    def _factor(self, inversion_rtol):
-        """Factor K in the fiber's working basis and return the solve there:
-        the real basis of the module notes where the fiber is at xi != 0 and
-        the inversion defect delta of its multipliers is within
-        ``inversion_rtol`` of their largest entry (None: never), the point
-        basis otherwise, and the number of negative eigenvalues.  Records
-        the choice in ``delta``."""
+    def _factor(self, real_form):
+        """Factor K in the fiber's working basis and return the solve there
+        and the number of negative eigenvalues.  With ``real_form``, a fiber
+        at xi != 0 whose multipliers the grid inversion keeps, its defect
+        delta within SYMMETRY_RTOL of their largest entry, works in the real
+        basis of the module notes; every other fiber in the point basis.
+        Records the choice in ``delta`` (None: the point basis)."""
         g = self.grid
         N = self.n_points
         q = self.symbol.ravel()
         kept = self.kept
         F, nu = self.F, self.nu  # the solve, kept on the fiber, must not refer back to it
         self._inversion = self.delta = None
-        if inversion_rtol is not None and not self._gamma:
+        if real_form and not self._gamma:
             inversion = _inversion(g)
             coeffs = np.concatenate([F, nu])
             delta = float(np.max(np.abs(coeffs[:, inversion] - coeffs)))
-            if delta <= inversion_rtol * np.max(np.abs(coeffs)):
+            if delta <= SYMMETRY_RTOL * np.max(np.abs(coeffs)):
                 self._inversion, self.delta = inversion, delta
                 # the inversion-symmetrized multipliers, whose fiber the
                 # real form is exactly; equal to F and nu where delta = 0
@@ -573,11 +569,13 @@ class FiberOperator:
         P = _circulant(g, inv_q.reshape(g.shape), real_form)  # -C^+ = 8 pi G
         # the kept modes of C: the plane waves exp(i k.x)/sqrt(N)
         Z = np.sqrt(N) * sfft.ifftn(np.eye(N)[kept].reshape((-1,) + g.shape), axes=AXES).reshape(-1, N)
+        # T is built here, not kept on the fiber: a scan holds its fibers
+        # until it ends, and Gamma's is the grid's cached real matrix
+        T = self.kinetic if self._gamma else _circulant(g, self.symbol, real_form)
         if real_form:
-            T, Z = _circulant(g, self.symbol, True), Z.real + Z.imag  # W^H u_Z
-            dtype = float
+            Z, dtype = Z.real + Z.imag, float  # W^H u_Z
         else:
-            T, dtype = self.kinetic, self.dtype
+            dtype = self.dtype
             if dtype is float:
                 P, Z = P.real, Z.real
 
@@ -618,26 +616,12 @@ class FiberOperator:
 
         return solve, (N - len(Z)) + _ldl_negative_count(factors, ipiv)
 
-    def _in_points(self, solve):
-        """The solve of ``_factor`` as b -> H^{-1} b in the point basis:
-        W H'^{-1} W^H b on the real and imaginary parts for the real form
-        H' (module notes), ``solve`` itself otherwise."""
-        inversion = self._inversion
-        if inversion is None:
-            return solve
-
-        def point_solve(b):
-            y = _real_basis(b, inversion).ravel()
-            return _point_basis(solve(y.real) + 1j * solve(y.imag), inversion)
-
-        return point_solve
-
     def solver(self):
         """The solve of ``factor``, made on the first call and kept on the
         fiber; a fiber that never calls it keeps no factors."""
         if self._solve is None:
-            self._solve, self.n_negative = self._factor(0.0)
-        return self._in_points(self._solve)
+            self._solve, self.n_negative = self._factor(False)
+        return self._solve
 
     def min_eigenpair(self, start=None):
         """Eigenpair nearest zero and, as ``n_negative``, the number of
@@ -651,9 +635,10 @@ class FiberOperator:
         (dsaupd) on y -> W^H H^{-1} W y; the pair comes back in the point
         basis as W y, its residual checked against the fiber's own H.  Its
         count is the inversion-symmetrized fiber's, taken only where the
-        defect delta is 0 or the eigenvalue clears delta plus the residual
-        bound (Weyl); otherwise, or where a pair of the symmetrized fiber at
-        delta > 0 fails, the fiber factors the complex K and solves again.
+        defect delta is 0 or the eigenvalue clears twice delta plus the
+        residual bound (Weyl); otherwise, or where a pair of the symmetrized
+        fiber at delta > 0 fails, the fiber factors the complex K and solves
+        again.
 
         Lanczos starts from a seeded random complex vector (its real part
         where the solve is real) with weight on every Fourier mode of every
@@ -670,18 +655,21 @@ class FiberOperator:
         (``solver``) spares the factorization.  A failed solve leaves
         ``n_negative`` unset."""
         if self._solve is None:
-            solve, n_negative = self._factor(SYMMETRY_RTOL)
+            solve, n_negative = self._factor(True)
         else:
             solve, n_negative = self._solve, self.n_negative
         try:
             val, vec = self._eigenpair(solve, start)
-            transfers = not self.delta or abs(val) > self.delta + self._residual_bound()
+            # H's eigenvalue nearest zero is at least |val| - bound from it,
+            # H_s's at least delta less (|H - H_s| <= delta, module notes),
+            # and H_s's count is H's where that one still clears delta
+            transfers = not self.delta or abs(val) > 2.0 * self.delta + self._residual_bound()
         except EigensolverError:
             if not self.delta:
                 raise
             transfers = False  # the symmetrized fiber's pair missed this fiber's bound
         if not transfers:
-            solve, n_negative = self._factor(None)
+            solve, n_negative = self._factor(False)
             val, vec = self._eigenpair(solve, start)
         self.n_negative = n_negative
         return val, vec
@@ -730,17 +718,26 @@ class FiberOperator:
         """The eigenpair nearest zero of this fiber, the image under ``g`` of
         the solved fiber with pair (val, vec) and inertia ``n_negative``,
         with no factorization: u'(x) = exp(-i G_S.x) u(R x), conjugated
-        under time reversal (module notes).  Returns (val, u') and sets
-        ``n_negative``; the caller holds the pair to this fiber's residual
-        bound (``_check_pairs``)."""
+        under time reversal (module notes).  Returns (val, u'), sets
+        ``n_negative``, and checks the pair's residual against this fiber's
+        own H, matrix-free, with the bound of ``min_eigenpair``."""
         w = np.reshape(vec, (3, self.n_points))[:, g.gather]
         if g.conj:
             w = np.conj(w)
-        flipped = tuple(np.flatnonzero(g.flip))
-        if flipped:
-            w = _flip_phase(self.grid, flipped) * w  # D = exp(-i G_S.x)
+        flipped = np.flatnonzero(g.flip)
+        if flipped.size:
+            fractions = sum(self.grid.cell_fraction[a] for a in flipped)
+            w = np.exp(-2j * np.pi * fractions).ravel() * w  # D = exp(-i G_S.x)
+        vec = w.ravel()
+        res = float(np.linalg.norm(self.apply(vec) - val * vec))
+        if not res <= self._residual_bound():
+            raise EigensolverError(
+                f"mapped eigenpair residual {res:.3e} of {self._where()} exceeds "
+                f"{self._residual_bound():.3e}",
+                residual_history=[res],
+            )
         self.n_negative = n_negative
-        return val, w.ravel()
+        return val, vec
 
     def max_diagonal(self):
         """max |H_ii|, the scale of H in its residual bounds, computed once."""
@@ -887,38 +884,6 @@ def _nearest_zero_pair(A, A_inv, v0, tol, bound, history, where, to_point=None, 
     return val, vec
 
 
-def _flip_phase(grid: Grid, flipped):
-    """exp(-i G_S.x) on the flat grid, G_S the sum of the reciprocal vectors
-    of the axes ``flipped`` (module notes), cached on the grid."""
-    key = ("flip_phase", flipped)
-    if key not in grid._cache:
-        fractions = sum(grid.cell_fraction[a] for a in flipped)
-        grid._cache[key] = np.exp(-2j * np.pi * fractions).ravel()
-    return grid._cache[key]
-
-
-def _check_pairs(fibers, pairs):
-    """Hold each eigenpair (val, vec) of ``pairs`` to the residual bound of
-    its fiber (``min_eigenpair``), the fibers' H applied matrix-free in one
-    stacked transform: fibers of one operator differ only in their symbols.
-    The first pair over its bound raises EigensolverError carrying its
-    residual."""
-    if not fibers:
-        return
-    f = fibers[0]
-    x = np.stack([vec for _, vec in pairs]).reshape((len(pairs), 3) + f.grid.shape)
-    symbols = np.stack([g.symbol for g in fibers])[:, None]
-    r = _fiber_apply(symbols, f.F, f.nu, x) - np.array([val for val, _ in pairs])[:, None, None] * x.reshape(
-        len(pairs), 3, -1
-    )
-    for g, res in zip(fibers, np.linalg.norm(r, axis=(1, 2))):
-        if not res <= g._residual_bound():
-            raise EigensolverError(
-                f"mapped eigenpair residual {res:.3e} of {g._where()} exceeds {g._residual_bound():.3e}",
-                residual_history=[float(res)],
-            )
-
-
 @dataclass
 class FiberRecord:
     xi: tuple[float, float, float]
@@ -1050,10 +1015,9 @@ def fiber_symmetries(op: LinearizedOperator):
 
 class _Orbits:
     """The fibers of one operator solved so far, by eigensolve, and the
-    solve of further fibers: the image of a solved one under a symmetry
+    solve of the next fiber: the image of a solved one under a symmetry
     (FiberOperator.mapped) where one is and Weyl transfers its inertia,
-    checked against its own H (``_check_pairs``), else a factorization
-    (FiberOperator.min_eigenpair)."""
+    else a factorization (FiberOperator.min_eigenpair)."""
 
     def __init__(self, op: LinearizedOperator):
         self.group = fiber_symmetries(op)
@@ -1062,43 +1026,17 @@ class _Orbits:
         self.B = op.grid.lattice.reciprocal_vectors
         self.solved = []  # (fractions of its images, eigenvalue, eigenvector, n_negative)
 
-    def _image(self, f: FiberOperator):
-        """The arguments of ``f.mapped`` from a solved fiber that ``f`` is
-        the image of, where Weyl transfers its inertia; else None."""
+    def solve(self, f: FiberOperator, start=None):
         t = np.linalg.solve(self.B.T, f.xi)
         for images, val, vec, n_negative in self.solved:
             for i in np.flatnonzero(np.all(np.abs(images - t) <= ZONE_SNAP_TOL, axis=1)):
-                if abs(val) > self.group[i].delta + f._residual_bound():
-                    return self.group[i], val, vec, n_negative
-        return None
-
-    def _eigensolve(self, f: FiberOperator, start):
+                if abs(val) > 2.0 * self.group[i].delta + f._residual_bound():
+                    return f.mapped(self.group[i], val, vec, n_negative)
         val, vec = f.min_eigenpair(start)
         if np.any(f.xi):  # Gamma's fiber is folded and maps to none
-            t = np.linalg.solve(self.B.T, f.xi)
             images = np.where(self.flip, 1.0 - t[self.source], t[self.source])
             self.solved.append((images, val, vec, f.n_negative))
         return val, vec
-
-    def solve(self, f: FiberOperator, start=None):
-        return self.solve_all([f], [start])[0]
-
-    def solve_all(self, fibers, starts):
-        """The eigenpairs of ``fibers`` in order.  Each fiber that is the
-        image of one solved before it is mapped, and all of them are checked
-        in one stacked apply after the others are solved, in turn, each from
-        its ``starts`` entry."""
-        pairs = [None] * len(fibers)
-        mapped = []
-        for i, (f, start) in enumerate(zip(fibers, starts)):
-            image = self._image(f)
-            if image is None:
-                pairs[i] = self._eigensolve(f, start)
-            else:
-                pairs[i] = f.mapped(*image)
-                mapped.append(i)
-        _check_pairs([fibers[i] for i in mapped], [pairs[i] for i in mapped])
-        return pairs
 
 
 def monkhorst_pack(lattice, q):
@@ -1155,10 +1093,8 @@ def stability_scan(
     group is found once per scan (``fiber_symmetries``); a fiber whose
     fractions are the image of an already solved fiber's is not factored:
     it takes that fiber's eigenvalue, its inertia where Weyl transfers it,
-    and the mapped eigenvector (FiberOperator.mapped).  The mapped pairs
-    are checked against their own H in one stacked apply after the solved
-    fibers, each residual held to its own bound (``_check_pairs``), and the
-    records stay in ``xi_grid`` order.  The default 2 x 2 x 2 grid (monkhorst_pack)
+    and the mapped eigenvector, whose residual is checked against its own H
+    (FiberOperator.mapped).  The default 2 x 2 x 2 grid (monkhorst_pack)
     thus factors 2 fibers on the workhorse cell, one corner and Gamma, and
     at most 5 (4 corners and Gamma) on any cell, where time reversal alone
     pairs the corners.
@@ -1192,12 +1128,14 @@ def stability_scan(
         starts = previous.fiber_vectors
 
     orbits = _Orbits(op)
-    # the Gamma fiber of a given operator keeps its factors for the caller;
-    # the scan's own keeps none
-    fibers = [FiberOperator(op, xi, wrap=False) if np.any(xi) or operator is None else op.gamma for xi in xi_grid]
-    pairs = orbits.solve_all(fibers, starts)
-    records = [f.record(val, vec) for f, (val, vec) in zip(fibers, pairs)]
-    vectors = [vec for _, vec in pairs]
+    records, vectors = [], []
+    for xi, start in zip(xi_grid, starts):
+        # the Gamma fiber of a given operator keeps its factors for the
+        # caller; the scan's own is dropped after its record
+        f = FiberOperator(op, xi, wrap=False) if np.any(xi) or operator is None else op.gamma
+        val, vec = orbits.solve(f, start)
+        records.append(f.record(val, vec))
+        vectors.append(vec)
 
     gaps = [r.gap for r in records]
     i_min = int(np.argmin(gaps))

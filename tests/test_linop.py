@@ -1032,6 +1032,35 @@ def test_weyl_fallback_factors_the_complex_block(factored_dtypes, monkeypatch, b
     _assert_matches_dense(f, val, vec)
 
 
+@pytest.mark.parametrize("margin", [1.5, 2.5])
+def test_weyl_condition_takes_twice_the_defect(factored_dtypes, monkeypatch, margin):
+    # the symmetrized fiber's count transfers only where |val| clears
+    # 2 delta plus the residual bound: delta moves the fiber to the
+    # symmetrized one, and delta more may cross zero.  Under a residual
+    # bound of max |H_ii|, which the symmetrized pair meets, a real-form
+    # pair placed margin * delta + bound from zero falls back to the
+    # complex K below 2 delta and keeps the real form above it
+    _, grid, op = jellium_op(0.8)
+    op.F_plus = op.F_plus + 1e-3 * np.sin(TWO_PI * grid.cell_fraction[0])
+    monkeypatch.setattr(linop, "SYMMETRY_RTOL", 10.0)
+    monkeypatch.setattr(FiberOperator, "_residual_bound", FiberOperator.max_diagonal)
+    eigenpair = FiberOperator._eigenpair
+
+    def placed(self, solve, start):
+        val, vec = eigenpair(self, solve, start)
+        if self.delta:
+            val = margin * self.delta + self._residual_bound()
+        return val, vec
+
+    monkeypatch.setattr(FiberOperator, "_eigenpair", placed)
+    f = FiberOperator(op, (0.3, -0.2, 0.1))
+    f.min_eigenpair()
+    if margin < 2.0:
+        assert factored_dtypes == [np.float64, np.complex128] and f.delta is None
+    else:
+        assert factored_dtypes == [np.float64] and f.delta == pytest.approx(2e-3)
+
+
 @pytest.mark.parametrize("kind", ["generic-xi", "corner", "near-b1"])
 def test_sheared_jellium_fibers_match_the_closed_form(factored_dtypes, kind):
     # the cube sheared by 0.2 in the x_1-x_2 plane (the lattice of
@@ -1062,22 +1091,21 @@ def test_sheared_jellium_fibers_match_the_closed_form(factored_dtypes, kind):
     assert val == pytest.approx(closed[np.argmin(np.abs(closed))], rel=1e-12)
 
 
-def test_stacked_image_check_raises_on_one_bad_image(cell_solution, monkeypatch):
-    # the scan checks its 7 mapped corners in one stacked apply, each pair
-    # against its own fiber's bound: one image whose eigenvalue is off by
-    # 1e-6 raises EigensolverError naming that fiber and carrying its residual
+def test_image_check_raises_on_one_bad_image(cell_solution, monkeypatch):
+    # the scan checks each of its 7 mapped corners against its own fiber's
+    # bound: one image whose eigenvalue is off by 1e-6 raises
+    # EigensolverError naming that fiber and carrying its residual
     mapped = FiberOperator.mapped
     images = []
 
-    def one_off(self, *args):
-        val, vec = mapped(self, *args)
+    def one_off(self, g, val, *args):
         images.append(self)
-        return (val + 1e-6 if len(images) == 3 else val), vec
+        return mapped(self, g, val + 1e-6 if len(images) == 3 else val, *args)
 
     monkeypatch.setattr(FiberOperator, "mapped", one_off)
     with pytest.raises(EigensolverError, match="mapped eigenpair residual") as err:
         stability_scan(cell_solution.state, cell_solution.h_value, refine=False)
-    assert len(images) == 7
+    assert len(images) == 3 and images[2].n_negative is None
     assert str(tuple(images[2].xi)) in str(err.value)
     [res] = err.value.residual_history
     assert res == pytest.approx(1e-6, rel=1e-6)
